@@ -13,7 +13,11 @@ and the principal divisors are the integer column span of P.
 
 A divisor is Cartier when, at every vertex v, its restriction to the
 edges at v lies in the integer span of the same restriction of P's
-columns (the local matrix M_v).  It is Q-Cartier exactly when it
+columns (the local matrix M_v).  Each such local lattice is cut out by
+a few congruences row . d = 0 (mod m), or row . d = 0 when m = 0
+(``exact_lattice.lattice_conditions``), so Cart is the set of divisors
+that satisfy every vertex's congruences at once: one kernel, computed
+once per product.  A divisor is Q-Cartier exactly when it
 satisfies the balancing conditions: at each vertex (a, b), the sum of
 coefficients over the edges projecting to a fixed G-edge at a is
 independent of that edge, and likewise on the H side.  The balancing
@@ -27,16 +31,16 @@ rows per vertex; its kernel is the Q-Cartier lattice.
 
 from __future__ import annotations
 
+import functools
 import json
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
     kernel,
-    lattice_intersect,
+    lattice_conditions,
     lattice_member,
     quotient,
     rank,
@@ -59,11 +63,25 @@ def _check_pl(tp: TriangulatedProduct, phi: Sequence[int]) -> None:
         raise ComplexError("PL function must have one value per vertex")
 
 
+def _per_product(fn):
+    """Cache fn(tp) in the product's own memo, so it is freed with tp."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(tp):
+        memo = tp._memo
+        if key not in memo:
+            memo[key] = fn(tp)
+        return memo[key]
+
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # Principal divisors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@_per_product
 def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
     """|E| x |V| matrix whose column v is div of the indicator of v.
 
@@ -88,7 +106,7 @@ def div(tp: TriangulatedProduct, phi: Sequence[int]) -> tuple:
     return principal_matrix(tp).mul_vec(phi)
 
 
-@lru_cache(maxsize=None)
+@_per_product
 def prin_lattice(tp: TriangulatedProduct) -> Lattice:
     return Lattice.from_matrix(principal_matrix(tp))
 
@@ -110,56 +128,59 @@ def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     return p.submatrix(rows, range(tp.n_vertices))
 
 
-@lru_cache(maxsize=None)
-def _local_lattices(tp: TriangulatedProduct) -> dict:
-    """Per-vertex lattice of restrictions of principal divisors."""
-    return {v: Lattice.from_matrix(local_matrix(tp, v)) for v in tp.vertices}
+@_per_product
+def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
+    """Every vertex's local congruences, lifted to the global edge order.
+
+    One ``(terms, modulus)`` per congruence, with ``terms`` the nonzero
+    ``(edge index, coefficient)`` pairs of its row.
+    """
+    out = []
+    for v in tp.vertices:
+        star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
+        local = Lattice.from_matrix(local_matrix(tp, v))
+        for row, modulus in lattice_conditions(local):
+            terms = tuple((i, c) for i, c in zip(star_idx, row) if c)
+            out.append((terms, modulus))
+    return tuple(out)
 
 
 def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     """Locally principal: at every vertex the restriction of d to the
-    star lies in the integer span of the local matrix columns."""
+    star lies in the integer span of the local matrix columns, that is,
+    d satisfies every vertex's local congruences."""
     _check_divisor(tp, d)
-    locals_ = _local_lattices(tp)
-    for v in tp.vertices:
-        restricted = [d[tp.edge_index(eid)] for eid in graph_star(tp, v)]
-        if not lattice_member(locals_[v], restricted)[0]:
+    for terms, modulus in _cartier_conditions(tp):
+        s = sum(c * d[i] for i, c in terms)
+        if (s % modulus if modulus else s):
             return False
     return True
 
 
-@lru_cache(maxsize=None)
+@_per_product
 def cart_lattice(tp: TriangulatedProduct) -> Lattice:
     """Lattice of Cartier divisors.
 
-    Intersection over vertices of the preimage of the local lattice
-    under restriction; the preimage at v is generated by lifts of the
-    local basis plus the unit divisors on edges away from v's star.
+    The divisors d that satisfy all local congruences row . d = 0
+    (mod m): the first |E| coordinates of the kernel of [A | diag(m)],
+    where A stacks the rows and each congruence with m > 0 gets its own
+    slack column holding m.
     """
     ne = tp.n_edges
-    locals_ = _local_lattices(tp)
-    result: Optional[Lattice] = None
-    for v in tp.vertices:
-        star = graph_star(tp, v)
-        star_idx = [tp.edge_index(eid) for eid in star]
-        in_star = set(star_idx)
-        gens = []
-        local = locals_[v]
-        for j in range(local.rank):
-            col = local.basis.col(j)
-            lifted = [0] * ne
-            for pos, val in zip(star_idx, col):
-                lifted[pos] = val
-            gens.append(lifted)
-        for i in range(ne):
-            if i not in in_star:
-                unit = [0] * ne
-                unit[i] = 1
-                gens.append(unit)
-        pre = Lattice.from_generators(ne, gens)
-        result = pre if result is None else lattice_intersect(result, pre)
-    assert result is not None
-    return result
+    conditions = _cartier_conditions(tp)
+    n_slack = sum(1 for _, modulus in conditions if modulus)
+    width = ne + n_slack
+    flat = [0] * (len(conditions) * width)
+    slack = ne
+    for r, (terms, modulus) in enumerate(conditions):
+        base = r * width
+        for i, c in terms:
+            flat[base + i] = c
+        if modulus:
+            flat[base + slack] = modulus
+            slack += 1
+    ker = kernel(IntMatrix(len(conditions), width, flat))
+    return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +220,7 @@ def _projection_indicators(tp: TriangulatedProduct, v) -> tuple:
     return g_rows, h_rows
 
 
-@lru_cache(maxsize=None)
+@_per_product
 def balancing_matrix(tp: TriangulatedProduct) -> IntMatrix:
     """One row per balancing condition; D is Q-Cartier iff it kills D.
 
@@ -226,7 +247,7 @@ def is_q_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     return all(x == 0 for x in balancing_matrix(tp).mul_vec(d))
 
 
-@lru_cache(maxsize=None)
+@_per_product
 def qcart_lattice(tp: TriangulatedProduct) -> Lattice:
     return kernel(balancing_matrix(tp))
 
@@ -279,11 +300,16 @@ def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
 
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
+    """Inverse of ``divisor_to_json``; every coefficient must be a JSON integer."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ComplexError("divisor JSON must be an object")
     by_str = {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
     d = [0] * tp.n_edges
     for key, val in obj.items():
         if key not in by_str:
             raise ComplexError(f"unknown edge id {key!r}")
-        d[by_str[key]] = int(val)
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ComplexError(f"coefficient of edge {key!r} is not an integer: {val!r}")
+        d[by_str[key]] = val
     return tuple(d)

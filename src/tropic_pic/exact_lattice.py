@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Hermite/Smith normal forms, kernels,
-lattices, membership, intersections and quotient group structure.
+lattices, membership, congruence descriptions, intersections and
+quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  Matrices are
@@ -22,7 +23,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -131,11 +132,6 @@ class IntMatrix:
             row = self._e[i * self.cols:(i + 1) * self.cols]
             out.append(sum(r * x for r, x in zip(row, v) if r))
         return tuple(out)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self._e[i * self.cols + j]
-                          for j in range(self.cols) for i in range(self.rows)])
 
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [-x for x in self._e])
@@ -515,6 +511,48 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     return True, y
 
 
+def lattice_conditions(lat: Lattice) -> list:
+    """Congruences that cut out the lattice: pairs ``(row, modulus)``.
+
+    v lies in ``lat`` iff ``row . v == 0 (mod modulus)`` for every pair,
+    where modulus 0 means ``row . v == 0``.  This is ``lattice_member``'s
+    echelon solve run on the identity: ``w[i]`` holds, times the product
+    ``scale`` of the pivots passed so far, the linear form that gives the
+    remainder at row i.  Each pivot asks that its remainder be divisible
+    by the pivot, and the remainders left at the end must vanish.  Each
+    row is divided by gcd(content, modulus); rows whose modulus becomes
+    1 hold for every v and are dropped.
+    """
+    n = lat.ambient_dim
+    h = lat.basis
+    pivots = _echelon_pivots(h)
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
+    raw = []
+    for k, p in enumerate(pivots):
+        piv = h[p, k]
+        prow = w[p]
+        raw.append((prow, scale * piv))
+        col = h.col(k)
+        # Rows above p are final: no later column reaches them.
+        for i in range(p + 1, n):
+            if col[i]:
+                c = col[i]
+                w[i] = [piv * a - c * b for a, b in zip(w[i], prow)]
+            elif piv != 1:
+                w[i] = [piv * a for a in w[i]]
+        scale *= piv
+    pivot_set = set(pivots)
+    raw.extend((w[i], 0) for i in range(n) if i not in pivot_set)
+    out = []
+    for row, modulus in raw:
+        g = gcd(*row, modulus)
+        if g == 0 or g == modulus:
+            continue
+        out.append((tuple(x // g for x in row), modulus // g))
+    return out
+
+
 def lattice_contains(big: Lattice, small: Lattice) -> bool:
     return all(lattice_member(big, small.basis.col(j))[0] for j in range(small.rank))
 
@@ -634,19 +672,3 @@ def cokernel(m: IntMatrix) -> AbGroup:
     torsion = tuple(f for f in factors if f > 1)
     return AbGroup(free_rank, torsion)
 
-
-def gcd_of_maximal_minors(m: IntMatrix, r: int) -> int:
-    """gcd of all r x r minors; brute force, for small test instances only."""
-    g = 0
-    for ri in combinations(range(m.rows), r):
-        for ci in combinations(range(m.cols), r):
-            d = det(m.submatrix(ri, ci))
-            if d:
-                g = _gcd(g, abs(d))
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

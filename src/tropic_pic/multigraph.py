@@ -54,8 +54,14 @@ class Multigraph:
         vs = list(vertices)
         es = [(e[0], e[1], e[2]) for e in edges]
         if sort_ids:
-            vs.sort()
-            es.sort(key=lambda t: t[0])
+            try:
+                vs.sort()
+            except TypeError:
+                raise GraphError("vertex ids must be mutually comparable") from None
+            try:
+                es.sort(key=lambda t: t[0])
+            except TypeError:
+                raise GraphError("edge ids must be mutually comparable") from None
         if len(set(vs)) != len(vs):
             raise GraphError("duplicate vertex ids")
         if len({e[0] for e in es}) != len(es):

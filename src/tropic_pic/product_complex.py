@@ -62,13 +62,6 @@ class DiagonalPolicy:
     def explicit(cls, choices: dict) -> "DiagonalPolicy":
         return cls("explicit", choices=frozenset((k, bool(v)) for k, v in choices.items()))
 
-    def describe(self) -> str:
-        if self.kind == "standard":
-            return "standard"
-        if self.kind == "random":
-            return f"random:{self.seed}"
-        return "explicit"
-
     def resolve(self, square_keys: Sequence[tuple]) -> dict:
         """Flip flag per square key, validating explicit choices."""
         if self.kind == "standard":
@@ -125,11 +118,16 @@ class Triangle(NamedTuple):
 
 
 class TriangulatedProduct:
-    """Immutable 2-dimensional Delta-complex over G x H with alpha weights."""
+    """Immutable 2-dimensional Delta-complex over G x H with alpha weights.
+
+    ``_memo`` holds values derived from the complex (the divisor lattices
+    of ``divisor_theory``), so they live exactly as long as the product.
+    """
 
     __slots__ = ("g", "h", "policy", "vertices", "edges", "squares", "triangles",
                  "_vindex", "_eindex", "_alpha", "_star", "_tri_of_edge",
-                 "_link_count", "_diag_at", "n_horizontal", "n_vertical", "n_diagonal")
+                 "_link_count", "_diag_at", "n_horizontal", "n_vertical", "n_diagonal",
+                 "_memo", "__weakref__")
 
     def __init__(self, g: Multigraph, h: Multigraph, policy: DiagonalPolicy):
         if g.n_edges < 1 or h.n_edges < 1:
@@ -137,6 +135,7 @@ class TriangulatedProduct:
         self.g = g
         self.h = h
         self.policy = policy
+        self._memo = {}
 
         self.vertices = tuple((a, b) for a in g.vertices for b in h.vertices)
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
@@ -277,13 +276,6 @@ class TriangulatedProduct:
         """Number of triangles containing the edge."""
         self.edge_index(eid)
         return len(self._tri_of_edge[eid])
-
-    def triangles_of_edge(self, eid) -> tuple:
-        self.edge_index(eid)
-        return self._tri_of_edge[eid]
-
-    def diagonal_ids(self) -> tuple:
-        return tuple(e.eid for e in self.edges if e.kind == "diagonal")
 
     def diagonals_at(self, v) -> tuple:
         self.vertex_index(v)

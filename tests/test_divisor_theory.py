@@ -1,6 +1,8 @@
 """Tests for divisors, balancing conditions, Cartier predicates, Pic and Cl."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from sympy import Matrix as SymMatrix
@@ -8,7 +10,10 @@ from sympy import Matrix as SymMatrix
 from tropic_pic.exact_lattice import (
     AbGroup,
     Lattice,
+    invariant_factors,
+    lattice_conditions,
     lattice_contains,
+    lattice_intersect,
     lattice_member,
     rank,
 )
@@ -30,8 +35,65 @@ from tropic_pic.divisor_theory import (
     principal_matrix,
     qcart_lattice,
 )
-from tropic_pic.multigraph import path_graph, random_tree
-from tropic_pic.product_complex import build_product, graph_star
+from tropic_pic.multigraph import (
+    Multigraph,
+    cycle_graph,
+    path_graph,
+    random_tree,
+    theta_graph,
+)
+from tropic_pic.product_complex import (
+    ComplexError,
+    DiagonalPolicy,
+    build_product,
+    graph_star,
+)
+
+
+def intersection_chain_cart(tp):
+    """Cart as the intersection over vertices of the preimages of the
+    local lattices under restriction; each preimage is generated by the
+    lifted local basis and the unit divisors off the vertex's star."""
+    ne = tp.n_edges
+    result = Lattice.full(ne)
+    for v in tp.vertices:
+        star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
+        local = Lattice.from_matrix(local_matrix(tp, v))
+        gens = []
+        for j in range(local.rank):
+            lifted = [0] * ne
+            for pos, val in zip(star_idx, local.basis.col(j)):
+                lifted[pos] = val
+            gens.append(lifted)
+        for i in set(range(ne)) - set(star_idx):
+            gens.append([int(k == i) for k in range(ne)])
+        result = lattice_intersect(result, Lattice.from_generators(ne, gens))
+    return result
+
+
+def locally_principal(tp, d):
+    """Per-vertex membership of the restriction of d in the local lattice."""
+    for v in tp.vertices:
+        local = Lattice.from_matrix(local_matrix(tp, v))
+        restricted = [d[tp.edge_index(eid)] for eid in graph_star(tp, v)]
+        if not lattice_member(local, restricted)[0]:
+            return False
+    return True
+
+
+def random_multigraph(rng):
+    """Connected multigraph on 2 or 3 vertices: a random tree plus up to
+    two extra edges, which may be parallel to tree edges."""
+    n = rng.randint(2, 3)
+    edges = [(f"e{v - 1}", rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, 2)):
+        u, w = rng.sample(range(n), 2)
+        edges.append((f"e{len(edges)}", u, w))
+    return Multigraph(list(range(n)), edges)
+
+
+def theta2_theta2():
+    return build_product(theta_graph(2), theta_graph(2))
 
 
 # -- principal matrix -----------------------------------------------------------
@@ -132,6 +194,20 @@ def test_local_rank_law(mixed_products):
     assert saw_shared_far_endpoint
 
 
+def test_local_torsion_is_covered(mixed_products):
+    # theta(3) x P2 has a local lattice of index 3 in its saturation;
+    # its congruences must then include one modulo 3.
+    torsion = []
+    for tp in mixed_products:
+        for v in tp.vertices:
+            m = local_matrix(tp, v)
+            factors = invariant_factors(m)
+            if any(f > 1 for f in factors):
+                moduli = [q for _, q in lattice_conditions(Lattice.from_matrix(m))]
+                torsion.append((factors, 3 in moduli))
+    assert ([1, 1, 3], True) in torsion
+
+
 def test_local_rank_two_without_diagonals(p2p2):
     v = (2, 0)  # corner off every standard diagonal
     assert len(p2p2.diagonals_at(v)) == 0
@@ -219,6 +295,61 @@ def test_cart_sandwich(small_products):
         assert cart.rank == qcart.rank
 
 
+def test_cart_matches_intersection_chain(mixed_products):
+    products = list(mixed_products) + [theta2_theta2()]
+    for tp in list(products):
+        for seed in (3, 11):
+            products.append(build_product(tp.g, tp.h, DiagonalPolicy.seeded_random(seed)))
+    for tp in products:
+        assert cart_lattice(tp) == intersection_chain_cart(tp)
+
+
+def test_cart_matches_intersection_chain_on_random_multigraphs():
+    rng = random.Random(43)
+    n_parallel = 0
+    for k in range(40):
+        g, h = random_multigraph(rng), random_multigraph(rng)
+        n_parallel += not (g.is_simple() and h.is_simple())
+        policy = DiagonalPolicy.seeded_random(k) if k % 2 else DiagonalPolicy.standard()
+        tp = build_product(g, h, policy)
+        assert cart_lattice(tp) == intersection_chain_cart(tp)
+    assert n_parallel >= 10
+
+
+def test_is_cartier_matches_local_membership(mixed_products):
+    rng = random.Random(47)
+    # Q-Cartier divisors that are not Cartier but satisfy every local
+    # equation: only a congruence rejects them (theta(3) x P2).
+    congruence_only = 0
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        qcart = qcart_lattice(tp)
+        saturation = qcart.rank == cart_lattice(tp).rank
+        for j in range(qcart.rank):
+            d = qcart.basis.col(j)
+            assert is_cartier(tp, d) == locally_principal(tp, d)
+            congruence_only += saturation and not is_cartier(tp, d)
+        basis = cart_lattice(tp).basis
+        for _ in range(4):
+            d = list(basis.mul_vec([rng.randint(-2, 2) for _ in range(basis.cols)]))
+            assert is_cartier(tp, d) and locally_principal(tp, d)
+            d[rng.randrange(tp.n_edges)] += rng.choice([-1, 1, 2, 3])
+            assert is_cartier(tp, d) == locally_principal(tp, d)
+            d = [rng.randint(-2, 2) for _ in range(tp.n_edges)]
+            assert is_cartier(tp, d) == locally_principal(tp, d)
+    assert congruence_only > 0
+
+
+def test_product_is_freed_after_pic_and_cl():
+    tp = build_product(cycle_graph(3), theta_graph(2))
+    assert cart_lattice(tp) is cart_lattice(tp)
+    pic(tp)
+    cl(tp)
+    ref = weakref.ref(tp)
+    del tp
+    gc.collect()
+    assert ref() is None
+
+
 def test_k2k2_cart_is_everything(k2k2):
     assert cart_lattice(k2k2) == Lattice.full(5)
 
@@ -283,3 +414,14 @@ def test_divisor_json_roundtrip(p2p2):
 def test_divisor_json_rejects_unknown_edges(p2p2):
     with pytest.raises(Exception):
         divisor_from_json(p2p2, '{"h:zz:9": 1}')
+
+
+@pytest.mark.parametrize("value", ["1.7", "true", "false", "null", '"1"', "[1]"])
+def test_divisor_json_rejects_non_integer_coefficients(p2p2, value):
+    with pytest.raises(ComplexError, match="h:e0:0"):
+        divisor_from_json(p2p2, '{"h:e0:0": %s}' % value)
+
+
+def test_divisor_json_rejects_non_objects(p2p2):
+    with pytest.raises(ComplexError):
+        divisor_from_json(p2p2, "[1, 2]")

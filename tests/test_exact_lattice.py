@@ -6,7 +6,8 @@ forms as a cross-implementation check.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from sympy import Matrix as SymMatrix
@@ -19,10 +20,10 @@ from tropic_pic.exact_lattice import (
     LatticeError,
     cokernel,
     det,
-    gcd_of_maximal_minors,
     hnf,
     invariant_factors,
     kernel,
+    lattice_conditions,
     lattice_contains,
     lattice_intersect,
     lattice_member,
@@ -36,6 +37,15 @@ from tropic_pic.exact_lattice import (
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return IntMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
+
+
+def gcd_of_maximal_minors(m, r):
+    """gcd of all r x r minors; brute force, for small instances only."""
+    g = 0
+    for ri in combinations(range(m.rows), r):
+        for ci in combinations(range(m.cols), r):
+            g = gcd(g, det(m.submatrix(ri, ci)))
+    return g
 
 
 def brute_force_member(basis_cols, v, bound=4):
@@ -189,15 +199,9 @@ def test_kernel_exactness_and_saturation():
             assert lattice_member(k, scaled)[0]
             content = 0
             for v in x:
-                content = abs(v) if content == 0 else _gcd(content, abs(v))
+                content = gcd(content, v)
             if content > 1:
                 assert lattice_member(k, [v // content for v in x])[0]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- membership ---------------------------------------------------------------
@@ -236,6 +240,42 @@ def test_member_against_brute_force():
                 assert ok
             if not ok:
                 assert not brute
+
+
+def satisfies(conditions, v):
+    return all((sum(r * x for r, x in zip(row, v)) % m if m
+                else sum(r * x for r, x in zip(row, v))) == 0
+               for row, m in conditions)
+
+
+def test_conditions_worked_examples():
+    assert lattice_conditions(Lattice.from_generators(2, [(2, 0), (0, 3)])) == [
+        ((1, 0), 2), ((0, 1), 3)]
+    # (2, 1) is saturated but its pivot is 2; the congruence it gives is
+    # implied by the equation 2 v1 = v0.
+    assert lattice_conditions(Lattice.from_generators(2, [(2, 1)])) == [
+        ((1, 0), 2), ((-1, 2), 0)]
+    assert lattice_conditions(Lattice.full(3)) == []
+    assert lattice_conditions(Lattice.zero(2)) == [((1, 0), 0), ((0, 1), 0)]
+
+
+def test_conditions_match_membership():
+    rng = random.Random(53)
+    saw_big_pivot = saw_deficient = False
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        lat = Lattice.from_generators(n, gens)
+        saw_deficient |= lat.rank < n
+        # the first nonzero entry of an echelon column is its pivot
+        saw_big_pivot |= any(next(x for x in lat.basis.col(j) if x) > 1
+                             for j in range(lat.rank))
+        conditions = lattice_conditions(lat)
+        for row, m in conditions:
+            assert len(row) == n and any(row) and m != 1
+        for v in product(range(-4, 5), repeat=n):
+            assert satisfies(conditions, v) == lattice_member(lat, v)[0]
+    assert saw_big_pivot and saw_deficient
 
 
 def test_solve_columns_witness_in_original_coordinates():

@@ -73,6 +73,13 @@ def test_rejects_duplicate_ids():
         Multigraph([0, 1], [("e0", 0, 1), ("e0", 1, 0)])
 
 
+def test_rejects_ids_of_mixed_types():
+    with pytest.raises(GraphError, match="vertex ids"):
+        Multigraph([0, "a"], [("e", 0, "a")])
+    with pytest.raises(GraphError, match="edge ids"):
+        Multigraph([0, 1, 2], [("e", 0, 1), (1, 1, 2)])
+
+
 def test_orderings_sorted_by_default():
     g = Multigraph([2, 0, 1], [("b", 1, 2), ("a", 0, 1)])
     assert g.vertices == (0, 1, 2)
