@@ -53,14 +53,23 @@ from .product_complex import (
 )
 
 
+def _check_ints(values: Sequence[int], what: str) -> None:
+    """Raise ComplexError at the first entry that is not an int (bools included)."""
+    if not set(map(type, values)) <= {int}:
+        i = next(i for i, x in enumerate(values) if type(x) is not int)
+        raise ComplexError(f"{what} at index {i} is not an integer: {values[i]!r}")
+
+
 def _check_divisor(tp: TriangulatedProduct, d: Sequence[int]) -> None:
     if len(d) != tp.n_edges:
         raise ComplexError("divisor must have one coefficient per edge")
+    _check_ints(d, "divisor coefficient")
 
 
 def _check_pl(tp: TriangulatedProduct, phi: Sequence[int]) -> None:
     if len(phi) != tp.n_vertices:
         raise ComplexError("PL function must have one value per vertex")
+    _check_ints(phi, "PL function value")
 
 
 def _per_product(fn):
@@ -295,8 +304,13 @@ def local_rank(tp: TriangulatedProduct, v) -> int:
 def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
     """JSON object mapping edge-id strings to coefficients, zeros omitted."""
     _check_divisor(tp, d)
-    obj = {edge_id_str(e.eid): int(c) for e, c in zip(tp.edges, d) if c}
+    obj = {edge_id_str(e.eid): c for e, c in zip(tp.edges, d) if c}
     return json.dumps(obj, sort_keys=True)
+
+
+@_per_product
+def _edge_index_by_key(tp: TriangulatedProduct) -> dict:
+    return {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
 
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
@@ -304,7 +318,7 @@ def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ComplexError("divisor JSON must be an object")
-    by_str = {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
+    by_str = _edge_index_by_key(tp)
     d = [0] * tp.n_edges
     for key, val in obj.items():
         if key not in by_str:

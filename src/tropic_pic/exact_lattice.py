@@ -4,7 +4,17 @@ quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  Matrices are
-dense and immutable; all functions are pure.
+stored dense and immutable; all functions are pure.  Entries must be
+ints (``bool`` is refused), checked once where a matrix enters from
+outside; matrices this module builds itself skip the check.
+
+The inputs met in practice are very sparse with tiny coefficients, so
+the cost is interpreter overhead, not arithmetic.  The echelon routine
+behind ``hnf`` and ``Lattice.from_matrix`` therefore works on column
+lists in place, runs each column operation over the nonzero entries of
+its source column only, and tracks the unimodular transform U only for
+``hnf``, whose callers use it.  A ``Lattice`` caches the pivot rows of
+its basis, which membership tests and congruences reuse.
 
 Conventions
 -----------
@@ -22,7 +32,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -35,20 +46,38 @@ class LatticeError(ValueError):
 # IntMatrix
 # ---------------------------------------------------------------------------
 
+def _flat_from_cols(cols: Sequence[Sequence[int]]) -> tuple:
+    """Row-major entries of the matrix with the given (equal-length) columns."""
+    return tuple(chain.from_iterable(zip(*cols)))
+
+
 class IntMatrix:
     """Immutable dense matrix of Python ints, row-major."""
 
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        e = tuple(int(x) for x in entries)
-        if len(e) != rows * cols:
-            raise LatticeError(f"expected {rows * cols} entries, got {len(e)}")
+        e = tuple(entries)
+        if not set(map(type, e)) <= {int}:
+            bad = next(x for x in e if type(x) is not int)
+            raise LatticeError(f"matrix entries must be ints, got {bad!r}")
+        if rows < 0 or cols < 0 or len(e) != rows * cols:
+            raise LatticeError(f"a {rows} x {cols} matrix cannot have {len(e)} entries")
         self.rows = rows
         self.cols = cols
         self._e = e
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, e: tuple) -> "IntMatrix":
+        """Wrap a row-major tuple of rows * cols ints built in this module,
+        skipping the entry checks of ``__init__``."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._e = e
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -63,17 +92,12 @@ class IntMatrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
-        nc = len(cols)
-        nr = len(cols[0]) if nc else (nrows or 0)
-        if nrows is not None and nc == 0:
-            nr = nrows
-        flat = [0] * (nr * nc)
-        for j, c in enumerate(cols):
-            if len(c) != nr:
-                raise LatticeError("ragged columns")
-            for i, x in enumerate(c):
-                flat[i * nc + j] = x
-        return cls(nr, nc, flat)
+        if nrows is None:
+            nrows = len(cols[0]) if cols else 0
+        for c in cols:
+            if len(c) != nrows:
+                raise LatticeError(f"column of length {len(c)}, expected {nrows}")
+        return cls(nrows, len(cols), _flat_from_cols(cols))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -96,14 +120,16 @@ class IntMatrix:
         return self._e[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a matrix with {self.cols} columns")
+        return self._e[j::self.cols]
 
     def row_list(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def col_list(self) -> list:
-        return [[self._e[i * self.cols + j] for i in range(self.rows)]
-                for j in range(self.cols)]
+        e, nc = self._e, self.cols
+        return [list(e[j::nc]) for j in range(nc)]
 
     # -- algebra -----------------------------------------------------------
 
@@ -122,7 +148,7 @@ class IntMatrix:
                     if at:
                         s += at * b[t * m + j]
                 flat[i * m + j] = s
-        return IntMatrix(n, m, flat)
+        return IntMatrix._trusted(n, m, tuple(flat))
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
@@ -134,7 +160,7 @@ class IntMatrix:
         return tuple(out)
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-x for x in self._e])
+        return IntMatrix._trusted(self.rows, self.cols, tuple(-x for x in self._e))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -143,11 +169,11 @@ class IntMatrix:
         for i in range(self.rows):
             flat.extend(self.row(i))
             flat.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, flat)
+        return IntMatrix._trusted(self.rows, self.cols + other.cols, tuple(flat))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        flat = [self._e[i * self.cols + j] for i in row_idx for j in col_idx]
-        return IntMatrix(len(row_idx), len(col_idx), flat)
+        flat = tuple(self._e[i * self.cols + j] for i in row_idx for j in col_idx)
+        return IntMatrix._trusted(len(row_idx), len(col_idx), flat)
 
     def is_zero(self) -> bool:
         return not any(self._e)
@@ -224,6 +250,66 @@ def rank(m: IntMatrix) -> int:
 # Hermite normal form (column style)
 # ---------------------------------------------------------------------------
 
+def _nonzeros(col: list, start: int = 0) -> list:
+    """``(index, value)`` pairs of the nonzero entries of col from start on."""
+    return [(t, col[t]) for t in range(start, len(col)) if col[t]]
+
+
+def _sub_nonzeros(dst: list, src: list, q: int) -> None:
+    """dst -= q * src, with src given by its ``_nonzeros`` pairs."""
+    for i, x in src:
+        dst[i] -= q * x
+
+
+def _echelon(cols: list, nr: int) -> list:
+    """Bring the first nr rows of ``cols`` (columns as lists) to canonical
+    column echelon form in place and return the pivot rows.
+
+    Column operations act on whole columns, so entries below row nr ride
+    along: ``hnf`` tracks U as the identity stacked under m.  Each
+    operation starts at its source column's pivot row, because rows
+    above it are zero in every column still being reduced, and an
+    echelon column is zero above its own pivot.
+    """
+    nc = len(cols)
+    r = 0
+    pivots = []
+    for i in range(nr):
+        if r == nc:
+            break
+        # Reduce row i across columns r.. to a single nonzero entry.
+        while True:
+            nz = [j for j in range(r, nc) if cols[j][i]]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            p = cols[j0][i]
+            src = _nonzeros(cols[j0], i)
+            for j in nz:
+                if j != j0:
+                    q = cols[j][i] // p
+                    if q:
+                        _sub_nonzeros(cols[j], src, q)
+        if nz:
+            j = nz[0]
+            if j != r:
+                cols[j], cols[r] = cols[r], cols[j]
+            if cols[r][i] < 0:
+                cols[r] = [-x for x in cols[r]]
+            pivots.append(i)
+            r += 1
+    # Canonical reduction: entries of earlier columns in each pivot row
+    # go into [0, pivot).
+    for k, p in enumerate(pivots):
+        piv = cols[k][p]
+        src = _nonzeros(cols[k], p)
+        for j in range(k):
+            q = cols[j][p] // piv
+            if q:
+                _sub_nonzeros(cols[j], src, q)
+    return pivots
+
+
 def hnf(m: IntMatrix) -> tuple:
     """Column-style HNF: returns (h, u) with h = m @ u, u unimodular.
 
@@ -233,55 +319,12 @@ def hnf(m: IntMatrix) -> tuple:
     """
     nr, nc = m.rows, m.cols
     cols = m.col_list()
-    u = IntMatrix.identity(nc).col_list()
-
-    def colop_sub(j, j0, q):
-        cj, cj0 = cols[j], cols[j0]
-        for i in range(nr):
-            cj[i] -= q * cj0[i]
-        uj, uj0 = u[j], u[j0]
-        for i in range(nc):
-            uj[i] -= q * uj0[i]
-
-    r = 0
-    pivots = []
-    for i in range(nr):
-        # Reduce row i across columns r.. to a single nonzero entry.
-        while True:
-            nz = [j for j in range(r, nc) if cols[j][i] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
-            p = cols[j0][i]
-            for j in nz:
-                if j == j0:
-                    continue
-                q = cols[j][i] // p
-                if q:
-                    colop_sub(j, j0, q)
-        nz = [j for j in range(r, nc) if cols[j][i] != 0]
-        if nz:
-            j = nz[0]
-            if j != r:
-                cols[j], cols[r] = cols[r], cols[j]
-                u[j], u[r] = u[r], u[j]
-            if cols[r][i] < 0:
-                cols[r] = [-x for x in cols[r]]
-                u[r] = [-x for x in u[r]]
-            pivots.append(i)
-            r += 1
-            if r == nc:
-                break
-    # Canonical reduction: entries of earlier columns in each pivot row
-    # go into [0, pivot).
-    for k, p in enumerate(pivots):
-        piv = cols[k][p]
-        for j in range(k):
-            q = cols[j][p] // piv
-            if q:
-                colop_sub(j, k, q)
-    h = IntMatrix.from_cols(cols, nrows=nr)
-    return h, IntMatrix.from_cols(u, nrows=nc)
+    for j, c in enumerate(cols):
+        c += [0] * nc
+        c[nr + j] = 1
+    _echelon(cols, nr)
+    return (IntMatrix._trusted(nr, nc, _flat_from_cols([c[:nr] for c in cols])),
+            IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
 
 
 def _echelon_pivots(h: IntMatrix) -> list:
@@ -429,9 +472,9 @@ def snf(m: IntMatrix) -> tuple:
                 break
         if fixed:
             k += 1
-    d = IntMatrix.from_rows(a)
-    smat = IntMatrix.from_rows(s)
-    tmat = IntMatrix.from_cols(t_cols, nrows=nc)
+    d = IntMatrix._trusted(nr, nc, tuple(chain.from_iterable(a)))
+    smat = IntMatrix._trusted(nr, nr, tuple(chain.from_iterable(s)))
+    tmat = IntMatrix._trusted(nc, nc, _flat_from_cols(t_cols))
     return d, smat, tmat
 
 
@@ -460,13 +503,16 @@ class Lattice:
 
     ambient_dim: int
     basis: IntMatrix
+    _pivots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "Lattice":
-        h, _ = hnf(m)
-        r = len(_echelon_pivots(h))
-        cols = [h.col(j) for j in range(r)]
-        return cls(m.rows, IntMatrix.from_cols(cols, nrows=m.rows))
+        cols = m.col_list()
+        pivots = _echelon(cols, m.rows)
+        r = len(pivots)
+        lat = cls(m.rows, IntMatrix._trusted(m.rows, r, _flat_from_cols(cols[:r])))
+        object.__setattr__(lat, "_pivots", tuple(pivots))
+        return lat
 
     @classmethod
     def from_generators(cls, ambient_dim: int, gens: Sequence[Sequence[int]]) -> "Lattice":
@@ -483,6 +529,13 @@ class Lattice:
     @property
     def rank(self) -> int:
         return self.basis.cols
+
+    @property
+    def pivots(self) -> tuple:
+        """Pivot row of each basis column, computed once per lattice."""
+        if self._pivots is None:
+            object.__setattr__(self, "_pivots", tuple(_echelon_pivots(self.basis)))
+        return self._pivots
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Lattice) and self.ambient_dim == other.ambient_dim
@@ -504,8 +557,7 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length != ambient dimension")
-    pivots = _echelon_pivots(lat.basis)
-    y = _echelon_solve(lat.basis, pivots, v)
+    y = _echelon_solve(lat.basis, lat.pivots, v)
     if y is None:
         return False, None
     return True, y
@@ -525,7 +577,7 @@ def lattice_conditions(lat: Lattice) -> list:
     """
     n = lat.ambient_dim
     h = lat.basis
-    pivots = _echelon_pivots(h)
+    pivots = lat.pivots
     w = [[int(i == j) for j in range(n)] for i in range(n)]
     scale = 1
     raw = []

@@ -323,6 +323,10 @@ def link_edges(tp: TriangulatedProduct, v) -> tuple:
 
 
 def edge_id_str(eid: tuple) -> str:
-    """Canonical string form of a product edge id, for JSON keys."""
-    kind, x, y = eid
-    return f"{kind}:{x}:{y}"
+    """Canonical string form of a product edge id, for JSON keys.
+
+    The parts are joined by ``:`` after escaping ``\\`` and ``:`` in the
+    ``str`` of each, so two ids share a key only when their parts have
+    pairwise equal ``str`` forms (as the ids 1 and "1" do).
+    """
+    return ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:") for part in eid)

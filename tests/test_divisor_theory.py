@@ -46,6 +46,7 @@ from tropic_pic.product_complex import (
     ComplexError,
     DiagonalPolicy,
     build_product,
+    edge_id_str,
     graph_star,
 )
 
@@ -391,6 +392,13 @@ def test_tree_by_tree_pic_is_z2():
         assert pic(tp) == AbGroup(2, ())
 
 
+def test_c8c8_pic_and_cl():
+    tp = build_product(cycle_graph(8), cycle_graph(8))
+    torus = AbGroup(3, (8, 8))
+    assert pic(tp) == torus
+    assert cl(tp) == torus
+
+
 def test_pic_equals_cl_when_lattices_agree(small_products):
     for tp in small_products:
         if cart_lattice(tp) == qcart_lattice(tp):
@@ -425,3 +433,38 @@ def test_divisor_json_rejects_non_integer_coefficients(p2p2, value):
 def test_divisor_json_rejects_non_objects(p2p2):
     with pytest.raises(ComplexError):
         divisor_from_json(p2p2, "[1, 2]")
+
+
+def test_divisor_json_keys_are_injective():
+    # Unescaped, edge "a" at vertex "b:c" and edge "a:b" at vertex "c"
+    # would both give the key h:a:b:c.
+    g = Multigraph([0, 1, 2], [("a", 0, 1), ("a:b", 1, 2), ("x\\", 2, 0)])
+    h = Multigraph(["b:c", "c", "\\"], [("e", "b:c", "c"), ("f:", "c", "\\")])
+    tp = build_product(g, h)
+    keys = [edge_id_str(e.eid) for e in tp.edges]
+    assert len(set(keys)) == len(keys)
+    assert edge_id_str(("h", "a", "b:c")) != edge_id_str(("h", "a:b", "c"))
+    d = tuple(range(1, tp.n_edges + 1))
+    assert divisor_from_json(tp, divisor_to_json(tp, d)) == d
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+def test_divisor_and_pl_inputs_must_be_ints(c3c3, bad):
+    d = [0] * c3c3.n_edges
+    d[5] = bad
+    for check in (is_principal, is_cartier, is_q_cartier, divisor_to_json):
+        with pytest.raises(ComplexError, match="index 5"):
+            check(c3c3, d)
+    phi = [0] * c3c3.n_vertices
+    phi[2] = bad
+    with pytest.raises(ComplexError, match="index 2"):
+        div(c3c3, phi)
+
+
+def test_half_integer_divisor_is_rejected(c3c3):
+    # Half a principal divisor is balanced: only the integer check rejects it.
+    half = [x / 2 for x in principal_matrix(c3c3).col(0)]
+    with pytest.raises(ComplexError):
+        is_q_cartier(c3c3, half)
+    with pytest.raises(ComplexError):
+        divisor_to_json(c3c3, half)

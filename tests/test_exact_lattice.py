@@ -33,6 +33,7 @@ from tropic_pic.exact_lattice import (
     snf,
     solve_columns,
 )
+from tropic_pic.exact_lattice import _echelon_pivots
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -107,6 +108,77 @@ def test_hnf_example_from_contract():
     assert lattice_member(lat, (1, 1))[0]
     assert lattice_member(lat, (2, 0))[0]
     assert brute_force_member(m.col_list(), [2, 0])
+
+
+def _shapes_and_matrices(rng):
+    """Random matrices of every small shape, 0 rows and 0 columns included,
+    many of them rank-deficient (sparse, or with repeated columns)."""
+    for rows in range(6):
+        for cols in range(6):
+            for _ in range(6):
+                m = random_matrix(rng, rows, cols)
+                if rng.random() < 0.5:
+                    keep = rng.random()
+                    m = IntMatrix(rows, cols, [x if rng.random() < keep else 0 for x in m._e])
+                if cols >= 2 and rng.random() < 0.3:
+                    c = m.col_list()
+                    c[-1] = [2 * x - y for x, y in zip(c[0], c[1])]
+                    m = IntMatrix.from_cols(c, nrows=rows)
+                yield m
+
+
+def test_from_matrix_equals_nonzero_hnf_columns():
+    rng = random.Random(11)
+    deficient = 0
+    for m in _shapes_and_matrices(rng):
+        h, _ = hnf(m)
+        nonzero = [c for c in h.col_list() if any(c)]
+        expected = Lattice(m.rows, IntMatrix.from_cols(nonzero, nrows=m.rows))
+        lat = Lattice.from_matrix(m)
+        assert lat == expected
+        assert (lat.basis.rows, lat.basis.cols) == (m.rows, len(nonzero))
+        deficient += lat.rank < min(m.rows, m.cols)
+    assert deficient >= 20
+
+
+def test_lattice_pivots_match_echelon_pivots():
+    rng = random.Random(12)
+    for m in _shapes_and_matrices(rng):
+        lat = Lattice.from_matrix(m)
+        assert list(lat.pivots) == _echelon_pivots(lat.basis)
+        direct = Lattice(lat.ambient_dim, lat.basis)
+        assert direct._pivots is None
+        assert list(direct.pivots) == _echelon_pivots(lat.basis)
+    assert Lattice.full(3).pivots == (0, 1, 2)
+    assert Lattice.zero(3).pivots == ()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix(1, 2, [1.7, True]),
+    lambda: IntMatrix(1, 1, [True]),
+    lambda: IntMatrix(1, 1, [2.0]),
+    lambda: IntMatrix(1, 1, ["1"]),
+    lambda: IntMatrix.from_rows([[1, 2], [3, 4.5]]),
+    lambda: IntMatrix.from_cols([[1, False]]),
+    lambda: IntMatrix.from_cols([[1, 2]], nrows=3),
+    lambda: IntMatrix.from_cols([[1, 2], [3]]),
+    lambda: IntMatrix.from_cols([[1, 2], [3, 4, 5]]),
+    lambda: IntMatrix.from_cols([[1], [2, 3]], nrows=1),
+    lambda: IntMatrix(-1, -1, [1]),
+    lambda: IntMatrix.zeros(-1, 2),
+    lambda: IntMatrix.identity(-1),
+])
+def test_intmatrix_rejects_bad_entries_and_shapes(build):
+    with pytest.raises(LatticeError):
+        build()
+
+
+def test_col_is_bounds_checked():
+    m = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert m.col(1) == (2, 4, 6)
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            m.col(j)
 
 
 # -- snf ---------------------------------------------------------------------
