@@ -9,12 +9,13 @@ ints (``bool`` is refused), checked once where a matrix enters from
 outside; matrices this module builds itself skip the check.
 
 The inputs met in practice are very sparse with tiny coefficients, so
-the cost is interpreter overhead, not arithmetic.  The echelon routine
-behind ``hnf`` and ``Lattice.from_matrix`` therefore works on column
-lists in place, runs each column operation over the nonzero entries of
-its source column only, and tracks the unimodular transform U only for
-``hnf``, whose callers use it.  A ``Lattice`` caches the pivot rows of
-its basis, which membership tests and congruences reuse.
+the cost is interpreter overhead, not arithmetic.  One echelon routine
+is behind ``hnf``, ``snf`` and ``Lattice.from_matrix``.  It works on
+column lists in place, runs each column operation over the nonzero
+entries of its source column only, and carries a unimodular transform
+only for ``hnf`` and ``snf``, which return one.  A ``Lattice`` caches
+the pivot rows of its basis, which membership tests and congruences
+reuse.
 
 Conventions
 -----------
@@ -25,9 +26,10 @@ Conventions
   columns are pushed to the right.  Equal column spans give equal ``h``,
   so lattices compare by their canonical basis.
 * SNF ``snf(m)`` returns ``(d, s, t)`` with ``d = s @ m @ t`` diagonal,
-  nonnegative, and ``d1 | d2 | ...``.  The pivot chosen each round is a
-  minimal-absolute-value nonzero entry, which keeps coefficient growth
-  tame at the sizes we care about.
+  nonnegative, and ``d1 | d2 | ...``.  It runs the same echelon routine
+  as ``hnf``, alternating passes over the columns and over the rows
+  until m is diagonal; a diagonal entry that does not divide the next
+  gets the next row added to its row, and the passes resume.
 """
 
 from __future__ import annotations
@@ -266,10 +268,10 @@ def _echelon(cols: list, nr: int) -> list:
     column echelon form in place and return the pivot rows.
 
     Column operations act on whole columns, so entries below row nr ride
-    along: ``hnf`` tracks U as the identity stacked under m.  Each
-    operation starts at its source column's pivot row, because rows
-    above it are zero in every column still being reduced, and an
-    echelon column is zero above its own pivot.
+    along: ``hnf`` and ``snf`` track their transforms as the identity
+    stacked under m.  Each operation starts at its source column's pivot
+    row, because rows above it are zero in every column still being
+    reduced, and an echelon column is zero above its own pivot.
     """
     nc = len(cols)
     r = 0
@@ -310,6 +312,16 @@ def _echelon(cols: list, nr: int) -> list:
     return pivots
 
 
+def _with_identity(lines: list) -> list:
+    """Extend the n lists in place by the rows of the n x n identity, so
+    that ``_echelon``'s operations on them also build the transform."""
+    n = len(lines)
+    for j, line in enumerate(lines):
+        line += [0] * n
+        line[len(line) - n + j] = 1
+    return lines
+
+
 def hnf(m: IntMatrix) -> tuple:
     """Column-style HNF: returns (h, u) with h = m @ u, u unimodular.
 
@@ -318,10 +330,7 @@ def hnf(m: IntMatrix) -> tuple:
     columns).
     """
     nr, nc = m.rows, m.cols
-    cols = m.col_list()
-    for j, c in enumerate(cols):
-        c += [0] * nc
-        c[nr + j] = 1
+    cols = _with_identity(m.col_list())
     _echelon(cols, nr)
     return (IntMatrix._trusted(nr, nc, _flat_from_cols([c[:nr] for c in cols])),
             IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
@@ -359,18 +368,6 @@ def _echelon_solve(h: IntMatrix, pivots: Sequence[int], v: Sequence[int]) -> Opt
     return y
 
 
-def solve_columns(m: IntMatrix, v: Sequence[int]) -> Optional[list]:
-    """Integer solution x of m @ x = v in the original column coordinates."""
-    if len(v) != m.rows:
-        raise LatticeError("vector length mismatch")
-    h, u = hnf(m)
-    pivots = _echelon_pivots(h)
-    y = _echelon_solve(h, pivots, v)
-    if y is None:
-        return None
-    return list(u.mul_vec(y))
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -379,103 +376,38 @@ def snf(m: IntMatrix) -> tuple:
     """Smith normal form: (d, s, t) with d = s @ m @ t.
 
     d is diagonal with nonnegative entries and d1 | d2 | ...; s and t
-    are unimodular.
+    are unimodular.  Column and row echelon passes alternate until m is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979): T rides
+    under the columns and S beside the rows.  Where a diagonal entry does
+    not divide the next, the next row is added to its row and the passes
+    resume, which replaces the pair by its gcd and lcm.
     """
     nr, nc = m.rows, m.cols
-    a = m.row_list()
-    s = IntMatrix.identity(nr).row_list()
-    # t is tracked by its columns: column ops on `a` mirror onto t_cols.
-    t_cols = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
-
-    def row_sub(i, i0, q):
-        ai, ai0 = a[i], a[i0]
-        for j in range(nc):
-            ai[j] -= q * ai0[j]
-        si, si0 = s[i], s[i0]
-        for j in range(nr):
-            si[j] -= q * si0[j]
-
-    def col_sub(j, j0, q):
-        for i in range(nr):
-            a[i][j] -= q * a[i][j0]
-        cj, cj0 = t_cols[j], t_cols[j0]
-        for i in range(nc):
-            cj[i] -= q * cj0[i]
-
-    def row_swap(i, i0):
-        a[i], a[i0] = a[i0], a[i]
-        s[i], s[i0] = s[i0], s[i]
-
-    def col_swap(j, j0):
-        for i in range(nr):
-            a[i][j], a[i][j0] = a[i][j0], a[i][j]
-        t_cols[j], t_cols[j0] = t_cols[j0], t_cols[j]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        s[i] = [-x for x in s[i]]
-
-    k = 0
-    nmin = min(nr, nc)
-    while k < nmin:
-        # Minimal-absolute-value nonzero pivot in the trailing block.
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            row_swap(k, bi)
-        if bj != k:
-            col_swap(k, bj)
-        if a[k][k] < 0:
-            row_neg(k)
-        # Clear row and column k; each pass strictly shrinks |pivot| on
-        # failure, so this terminates.
-        while True:
-            for i in range(k + 1, nr):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    row_sub(i, k, q)
-                    if a[i][k] != 0:
-                        row_swap(k, i)
-                        if a[k][k] < 0:
-                            row_neg(k)
-            if any(a[i][k] != 0 for i in range(k + 1, nr)):
-                continue
-            for j in range(k + 1, nc):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    col_sub(j, k, q)
-                    if a[k][j] != 0:
-                        col_swap(k, j)
-                        if a[k][k] < 0:
-                            row_neg(k)
-            if any(a[i][k] != 0 for i in range(k + 1, nr)):
-                continue
-            if any(a[k][j] != 0 for j in range(k + 1, nc)):
-                continue
-            break
-        # Divisibility repair: pivot must divide the trailing block.
-        fixed = True
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if a[i][j] % a[k][k] != 0:
-                    row_sub(k, i, -1)  # add row i to row k
-                    fixed = False
-                    break
-            if not fixed:
+    cols = _with_identity(m.col_list())  # m over T
+    rows = _with_identity(m.row_list())  # m beside S
+    while True:
+        _echelon(cols, nr)
+        rows = [[c[i] for c in cols] + r[nc:] for i, r in enumerate(rows)]
+        # The column pass left m lower triangular with its zero columns
+        # last, so m is diagonal when nothing is left below the diagonal.
+        if any(any(r[:min(i, nc)]) for i, r in enumerate(rows)):
+            _echelon(rows, nc)
+        else:
+            # Ascending order, zeros last, leaves few pairs to repair.
+            k = min(nr, nc)
+            order = sorted(range(k), key=lambda i: (not rows[i][i], rows[i][i]))
+            perm = order + list(range(k, nc))
+            rows = [[r[j] for j in perm] + r[nc:] for r in [rows[i] for i in order] + rows[k:]]
+            cols = [cols[j] for j in perm]
+            i = next((i for i in range(1, k)
+                      if rows[i - 1][i - 1] and rows[i][i] % rows[i - 1][i - 1]), None)
+            if i is None:
                 break
-        if fixed:
-            k += 1
-    d = IntMatrix._trusted(nr, nc, tuple(chain.from_iterable(a)))
-    smat = IntMatrix._trusted(nr, nr, tuple(chain.from_iterable(s)))
-    tmat = IntMatrix._trusted(nc, nc, _flat_from_cols(t_cols))
-    return d, smat, tmat
+            rows[i - 1] = [a + b for a, b in zip(rows[i - 1], rows[i])]
+        cols = [[r[j] for r in rows] + c[nr:] for j, c in enumerate(cols)]
+    return (IntMatrix._trusted(nr, nc, tuple(chain.from_iterable(r[:nc] for r in rows))),
+            IntMatrix._trusted(nr, nr, tuple(chain.from_iterable(r[nc:] for r in rows))),
+            IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
 
 
 def invariant_factors(m: IntMatrix) -> list:
@@ -624,18 +556,12 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     return Lattice.from_generators(a.ambient_dim, gens)
 
 
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    if a.ambient_dim != b.ambient_dim:
-        raise LatticeError("ambient dimension mismatch")
-    return Lattice.from_matrix(a.basis.hstack(b.basis))
-
-
 def quotient(big: Lattice, small: Lattice) -> "AbGroup":
     """Structure of big/small as a finitely generated abelian group.
 
     Each generator of ``small`` is written in coordinates of ``big``'s
     basis (a LatticeError if that fails, i.e. small is not a sublattice),
-    and the SNF of the coefficient matrix gives the invariant factors.
+    and the quotient is the cokernel of the coefficient matrix.
     """
     if big.ambient_dim != small.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
@@ -645,11 +571,7 @@ def quotient(big: Lattice, small: Lattice) -> "AbGroup":
         if not ok:
             raise LatticeError("quotient: second lattice is not contained in the first")
         coeff_cols.append(w)
-    q = IntMatrix.from_cols(coeff_cols, nrows=big.rank)
-    factors = invariant_factors(q)
-    free_rank = big.rank - len(factors)
-    torsion = [f for f in factors if f > 1]
-    return AbGroup(free_rank, tuple(torsion))
+    return cokernel(IntMatrix.from_cols(coeff_cols, nrows=big.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +595,6 @@ class AbGroup:
             if prev is not None and d % prev != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
             prev = d
-
-    @classmethod
-    def trivial(cls) -> "AbGroup":
-        return cls(0, ())
 
     @classmethod
     def free(cls, n: int) -> "AbGroup":
@@ -712,9 +630,6 @@ class AbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
 def cokernel(m: IntMatrix) -> AbGroup:

@@ -62,10 +62,15 @@ class Multigraph:
                 es.sort(key=lambda t: t[0])
             except TypeError:
                 raise GraphError("edge ids must be mutually comparable") from None
-        if len(set(vs)) != len(vs):
-            raise GraphError("duplicate vertex ids")
-        if len({e[0] for e in es}) != len(es):
-            raise GraphError("duplicate edge ids")
+        for kind, ids in (("vertex", vs), ("edge", [e[0] for e in es])):
+            if len(set(ids)) != len(ids):
+                raise GraphError(f"duplicate {kind} ids")
+            # Product edge ids become JSON keys through the str of each id.
+            by_str = {}
+            for x in ids:
+                y = by_str.setdefault(str(x), x)
+                if y is not x:
+                    raise GraphError(f"{kind} ids {y!r} and {x!r} have the same str form")
         vset = set(vs)
         for eid, u, w in es:
             if u == w:
@@ -133,11 +138,6 @@ class Multigraph:
 
     def adjacency_count(self, u, w) -> int:
         return sum(1 for _, x in self._adj[u] if x == w)
-
-    def neighbors(self, v) -> tuple:
-        """Distinct neighbor vertices of v, in vertex order."""
-        near = {w for _, w in self._adj[v]}
-        return tuple(x for x in self.vertices if x in near)
 
     def is_simple(self) -> bool:
         seen = set()

@@ -327,6 +327,8 @@ def edge_id_str(eid: tuple) -> str:
 
     The parts are joined by ``:`` after escaping ``\\`` and ``:`` in the
     ``str`` of each, so two ids share a key only when their parts have
-    pairwise equal ``str`` forms (as the ids 1 and "1" do).
+    pairwise equal ``str`` forms.  ``Multigraph`` refuses two vertex ids,
+    or two edge ids, with equal ``str`` forms (such as 1 and "1"), so
+    distinct edges of a product get distinct keys.
     """
     return ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:") for part in eid)

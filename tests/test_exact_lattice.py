@@ -27,13 +27,15 @@ from tropic_pic.exact_lattice import (
     lattice_contains,
     lattice_intersect,
     lattice_member,
-    lattice_sum,
     quotient,
     rank,
     snf,
-    solve_columns,
 )
+from tropic_pic import exact_lattice
 from tropic_pic.exact_lattice import _echelon_pivots
+from tropic_pic.divisor_theory import cart_lattice, prin_lattice
+from tropic_pic.multigraph import cycle_graph
+from tropic_pic.product_complex import build_product
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -195,10 +197,37 @@ def test_snf_zero():
     assert d.is_zero()
 
 
-def test_snf_factorization_divisibility_unimodular():
+@pytest.fixture(scope="module")
+def c6c6_pic_matrix():
+    """Coordinates of Prin's basis in Cart's basis on C6 x C6.  Its first
+    diagonal form has 2, 3 and 6 among unit entries; its SNF ends 6, 6."""
+    tp = build_product(cycle_graph(6), cycle_graph(6))
+    cart, prin = cart_lattice(tp), prin_lattice(tp)
+    return IntMatrix.from_cols([lattice_member(cart, prin.basis.col(j))[1]
+                                for j in range(prin.rank)], nrows=cart.rank)
+
+
+def _snf_inputs(rng, n_dense, c6c6_pic_matrix):
+    """Dense random matrices up to 5 x 5, sparse ones up to 8 x 8 (some
+    with 0 rows or 0 columns), diagonals out of divisibility order, and
+    the C6 x C6 Pic quotient matrix."""
+    for _ in range(n_dense):
+        yield random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    for _ in range(40):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        yield IntMatrix(rows, cols, [rng.randint(-9, 9) if rng.random() < 0.25 else 0
+                                     for _ in range(rows * cols)])
+    yield IntMatrix.zeros(0, 3)
+    yield IntMatrix.zeros(4, 0)
+    for diag in ((6, 4, 10), (3, 1), (0, 2), (0, 4, 0, 6)):
+        n = len(diag)
+        yield IntMatrix(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+    yield c6c6_pic_matrix
+
+
+def test_snf_factorization_divisibility_unimodular(c6c6_pic_matrix, monkeypatch):
     rng = random.Random(11)
-    for _ in range(60):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    for m in _snf_inputs(rng, 60, c6c6_pic_matrix):
         d, s, t = snf(m)
         assert (s @ m) @ t == d
         assert abs(det(s)) == 1
@@ -214,6 +243,15 @@ def test_snf_factorization_divisibility_unimodular():
                 assert x % diag[i - 1] == 0
             if i and diag[i - 1] == 0:
                 assert x == 0
+    # Sorting the diagonal before the divisibility repair: unsorted, the 6
+    # of C6 x C6 moves past the unit entries one repair (three passes) at
+    # a time, 18 echelon passes in all.
+    passes = []
+    echelon = exact_lattice._echelon
+    monkeypatch.setattr(exact_lattice, "_echelon",
+                        lambda cols, nr: passes.append(nr) or echelon(cols, nr))
+    snf(c6c6_pic_matrix)
+    assert len(passes) <= 6
 
 
 def test_snf_minor_gcd_oracle():
@@ -230,10 +268,9 @@ def test_snf_minor_gcd_oracle():
             assert prod == gcd_of_maximal_minors(m, r)
 
 
-def test_snf_matches_sympy():
+def test_snf_matches_sympy(c6c6_pic_matrix):
     rng = random.Random(17)
-    for _ in range(20):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+    for m in _snf_inputs(rng, 20, c6c6_pic_matrix):
         ours = invariant_factors(m)
         sym = smith_normal_form(SymMatrix(m.row_list()))
         sym_diag = [int(sym[i, i]) for i in range(min(sym.rows, sym.cols))]
@@ -350,18 +387,6 @@ def test_conditions_match_membership():
     assert saw_big_pivot and saw_deficient
 
 
-def test_solve_columns_witness_in_original_coordinates():
-    rng = random.Random(29)
-    for _ in range(30):
-        m = random_matrix(rng, 4, 3)
-        x = [rng.randint(-4, 4) for _ in range(3)]
-        v = m.mul_vec(x)
-        sol = solve_columns(m, v)
-        assert sol is not None
-        assert m.mul_vec(sol) == v
-    assert solve_columns(IntMatrix.from_rows([[2], [0]]), (1, 0)) is None
-
-
 # -- intersection --------------------------------------------------------------
 
 
@@ -473,4 +498,3 @@ def test_empty_edge_cases():
     assert kernel(IntMatrix.zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
     assert quotient(Lattice.full(2), Lattice.zero(2)) == AbGroup(2, ())
-    assert lattice_sum(Lattice.zero(2), Lattice.full(2)) == Lattice.full(2)

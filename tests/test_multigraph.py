@@ -80,6 +80,15 @@ def test_rejects_ids_of_mixed_types():
         Multigraph([0, 1, 2], [("e", 0, 1), (1, 1, 2)])
 
 
+def test_rejects_ids_with_equal_str_forms():
+    # Product edge ids become JSON keys through str, so 1 and "1" would
+    # give two product edges one key.
+    with pytest.raises(GraphError, match="vertex ids 1 and '1'"):
+        Multigraph([1, "1", 2], [("e", 1, "1"), ("f", "1", 2)], sort_ids=False)
+    with pytest.raises(GraphError, match="edge ids 1 and '1'"):
+        Multigraph([0, 1, 2], [(1, 0, 1), ("1", 1, 2)], sort_ids=False)
+
+
 def test_orderings_sorted_by_default():
     g = Multigraph([2, 0, 1], [("b", 1, 2), ("a", 0, 1)])
     assert g.vertices == (0, 1, 2)

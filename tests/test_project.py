@@ -1,7 +1,13 @@
-"""Packaging metadata: every declared console script resolves to a callable."""
+"""Packaging metadata: every declared console script resolves to a callable,
+and the test extra declares every third-party module the tests import."""
 
+import ast
+import glob
 import importlib
 import os
+import re
+import sys
+from importlib.metadata import packages_distributions
 
 import pytest
 
@@ -9,12 +15,45 @@ tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_console_scripts_resolve():
+def _project():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
-        scripts = tomllib.load(f)["project"].get("scripts", {})
+        return tomllib.load(f)["project"]
+
+
+def test_console_scripts_resolve():
+    scripts = _project().get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         obj = importlib.import_module(module)
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def _normalize(name):
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_test_extra_declares_third_party_imports():
+    declared = {_normalize(re.match(r"[A-Za-z0-9_.-]+", req).group())
+                for req in _project()["optional-dependencies"]["test"]}
+    test_dirs = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench", "tests")]
+    # First-party: the package and the modules the tests import by path.
+    local = {os.path.splitext(name)[0]
+             for d in test_dirs + [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+             for name in os.listdir(d)}
+    imported = set()
+    for d in test_dirs:
+        for path in glob.glob(os.path.join(d, "*.py")):
+            with open(path) as f:
+                tree = ast.parse(f.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "pytest" in third_party
+    dists = packages_distributions()
+    for module in sorted(third_party):
+        assert {_normalize(d) for d in dists.get(module, [module])} & declared, module
