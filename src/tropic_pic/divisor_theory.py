@@ -43,7 +43,6 @@ from .exact_lattice import (
     lattice_conditions,
     lattice_member,
     quotient,
-    rank,
 )
 from .product_complex import (
     ComplexError,
@@ -273,28 +272,6 @@ def pic(tp: TriangulatedProduct) -> AbGroup:
 def cl(tp: TriangulatedProduct) -> AbGroup:
     """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones."""
     return quotient(qcart_lattice(tp), prin_lattice(tp))
-
-
-def local_rank_expected(tp: TriangulatedProduct, v) -> int:
-    """Rank of the local matrix: distinct far endpoints of diagonals at v, plus 2.
-
-    The row of a diagonal depends only on the four corners of its
-    square, so diagonals at v = (a, b) of squares over parallel edges
-    that reach the same far vertex (a', b') have equal rows.  On simple
-    factors every diagonal at v has its own far endpoint and the rank is
-    the number of diagonals at v, plus 2.
-
-    Over Q the left kernel of the local matrix is spanned by the
-    balancing conditions at v (deg_G(a) + deg_H(b) - 2 rows) together
-    with the differences e_d - e_d' of diagonals d, d' at v sharing a
-    far endpoint.
-    """
-    far = {u for did in tp.diagonals_at(v) for u in tp.endpoints(did)} - {v}
-    return len(far) + 2
-
-
-def local_rank(tp: TriangulatedProduct, v) -> int:
-    return rank(local_matrix(tp, v))
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,13 @@ class IntMatrix:
 
     def __getitem__(self, ij) -> int:
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) of a {self.rows} x {self.cols} matrix")
         return self._e[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} of a matrix with {self.rows} rows")
         return self._e[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
@@ -177,9 +181,6 @@ class IntMatrix:
         flat = tuple(self._e[i * self.cols + j] for i in row_idx for j in col_idx)
         return IntMatrix._trusted(len(row_idx), len(col_idx), flat)
 
-    def is_zero(self) -> bool:
-        return not any(self._e)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self._e == other._e)
@@ -189,63 +190,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.row_list()!r})"
-
-
-# ---------------------------------------------------------------------------
-# Determinant and rank (fraction-free)
-# ---------------------------------------------------------------------------
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by the Bareiss fraction-free algorithm."""
-    if m.rows != m.cols:
-        raise LatticeError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_list()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over Q (equals rank over Z) via fraction-free elimination."""
-    a = m.row_list()
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nr:
-            break
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +556,6 @@ class AbGroup:
                                 for i in range(n) for j in range(n)])
         canon = [f for f in invariant_factors(diag) if f > 1]
         return cls(free, tuple(canon))
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def torsion_order(self) -> int:
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def __str__(self) -> str:
         parts = []

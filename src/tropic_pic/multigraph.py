@@ -17,18 +17,9 @@ and disconnected graphs are rejected at construction.
 
 from __future__ import annotations
 
-import heapq
-import random
 from typing import Sequence
 
-from .exact_lattice import (
-    AbGroup,
-    IntMatrix,
-    Lattice,
-    cokernel,
-    det,
-    lattice_member,
-)
+from .exact_lattice import AbGroup, IntMatrix, cokernel
 
 
 class GraphError(ValueError):
@@ -43,26 +34,36 @@ class Multigraph:
     """Immutable loopless connected multigraph with ordered IDs.
 
     ``vertices`` is the fixed vertex order, ``edges`` the fixed edge
-    order as (edge_id, u, w) triples.  By default both lists are sorted
-    by ID at construction; pass ``sort_ids=False`` to keep the given
-    order.
+    order as (edge_id, u, w) triples; both are sorted by id at
+    construction.  Ids must be hashable and mutually comparable, and no
+    two vertex ids, or two edge ids, may have equal ``str`` forms.
     """
 
     __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_adj")
 
-    def __init__(self, vertices: Sequence, edges: Sequence, *, sort_ids: bool = True):
+    def __init__(self, vertices: Sequence, edges: Sequence):
         vs = list(vertices)
-        es = [(e[0], e[1], e[2]) for e in edges]
-        if sort_ids:
+        es = []
+        for e in edges:
             try:
-                vs.sort()
-            except TypeError:
-                raise GraphError("vertex ids must be mutually comparable") from None
-            try:
-                es.sort(key=lambda t: t[0])
-            except TypeError:
-                raise GraphError("edge ids must be mutually comparable") from None
+                eid, u, w = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not an (id, endpoint, endpoint) triple") from None
+            es.append((eid, u, w))
+        try:
+            vs.sort()
+        except (TypeError, ArithmeticError):
+            raise GraphError("vertex ids must be mutually comparable") from None
+        try:
+            es.sort(key=lambda t: t[0])
+        except (TypeError, ArithmeticError):
+            raise GraphError("edge ids must be mutually comparable") from None
         for kind, ids in (("vertex", vs), ("edge", [e[0] for e in es])):
+            for x in ids:
+                try:
+                    hash(x)
+                except TypeError:
+                    raise GraphError(f"{kind} id {x!r} is not hashable") from None
             if len(set(ids)) != len(ids):
                 raise GraphError(f"duplicate {kind} ids")
             # Product edge ids become JSON keys through the str of each id.
@@ -75,7 +76,11 @@ class Multigraph:
         for eid, u, w in es:
             if u == w:
                 raise GraphError(f"loop edge {eid!r} at vertex {u!r}")
-            if u not in vset or w not in vset:
+            try:
+                unknown = u not in vset or w not in vset
+            except TypeError:  # an unhashable endpoint is no vertex id
+                unknown = True
+            if unknown:
                 raise GraphError(f"edge {eid!r} has unknown endpoint")
         self.vertices = tuple(vs)
         self.edges = tuple(es)
@@ -136,9 +141,6 @@ class Multigraph:
         at_v = {eid for eid, _ in self._adj[v]}
         return tuple(e[0] for e in self.edges if e[0] in at_v)
 
-    def adjacency_count(self, u, w) -> int:
-        return sum(1 for _, x in self._adj[u] if x == w)
-
     def is_simple(self) -> bool:
         seen = set()
         for _, u, w in self.edges:
@@ -147,9 +149,6 @@ class Multigraph:
                 return False
             seen.add(key)
         return True
-
-    def is_tree(self) -> bool:
-        return self.n_edges == self.n_vertices - 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Multigraph) and self.vertices == other.vertices
@@ -183,26 +182,6 @@ def laplacian(g: Multigraph) -> IntMatrix:
     return IntMatrix(n, n, flat)
 
 
-def graph_div(g: Multigraph, phi: Sequence[int]) -> tuple:
-    """Divisor of the PL function with vertex values phi: L(g) @ phi."""
-    if len(phi) != g.n_vertices:
-        raise GraphError("phi must have one value per vertex")
-    return laplacian(g).mul_vec(phi)
-
-
-def prin_lattice(g: Multigraph) -> Lattice:
-    """Lattice of principal divisors (integer column span of the Laplacian)."""
-    return Lattice.from_matrix(laplacian(g))
-
-
-def is_graph_principal(g: Multigraph, d: Sequence[int]) -> bool:
-    """True iff d is an integer combination of Laplacian columns."""
-    if len(d) != g.n_vertices:
-        raise GraphError("divisor must have one coefficient per vertex")
-    ok, _ = lattice_member(prin_lattice(g), d)
-    return ok
-
-
 def pic_group(g: Multigraph) -> AbGroup:
     """Pic(g) = Z^V / column span of the Laplacian.
 
@@ -220,16 +199,6 @@ def critical_group(g: Multigraph) -> AbGroup:
 def genus(g: Multigraph) -> int:
     """|E| - |V| + 1: edges outside a spanning tree."""
     return g.n_edges - g.n_vertices + 1
-
-
-def spanning_tree_count(g: Multigraph) -> int:
-    """Kirchhoff count: any cofactor determinant of the Laplacian."""
-    n = g.n_vertices
-    if n == 1:
-        return 1
-    lap = laplacian(g)
-    idx = list(range(1, n))
-    return abs(det(lap.submatrix(idx, idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +242,11 @@ def theta_graph(n_edges: int) -> Multigraph:
     return Multigraph([0, 1], [(f"e{i}", 0, 1) for i in range(n_edges)])
 
 
-def random_tree(n_vertices: int, seed: int) -> Multigraph:
-    """Uniform random labeled tree on n_vertices vertices (Pruefer code)."""
-    if n_vertices < 1:
-        raise GraphError("tree needs at least one vertex")
-    if n_vertices == 1:
-        return Multigraph([0], [])
-    if n_vertices == 2:
-        return Multigraph([0, 1], [("e0", 0, 1)])
-    rng = random.Random(seed)
-    n = n_vertices
-    prufer = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in prufer:
-        degree[x] += 1
-    edges = []
-    k = 0
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    for x in prufer:
-        leaf = heapq.heappop(leaves)
-        edges.append((f"e{k}", leaf, x))
-        k += 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((f"e{k}", u, w))
-    return Multigraph(list(range(n)), edges)
-
-
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
-def parse_graph_text(text: str, *, sort_ids: bool = True) -> Multigraph:
+def parse_graph_text(text: str) -> Multigraph:
     """Parse the ``v``/``e`` line format; errors carry line numbers."""
     vertices = []
     edges = []
@@ -328,7 +266,7 @@ def parse_graph_text(text: str, *, sort_ids: bool = True) -> Multigraph:
         else:
             raise GraphParseError(f"line {lineno}: unknown record {parts[0]!r}")
     try:
-        return Multigraph(vertices, edges, sort_ids=sort_ids)
+        return Multigraph(vertices, edges)
     except GraphError as exc:
         raise GraphParseError(str(exc)) from exc
 

@@ -22,11 +22,11 @@ lexicographic, so the diagonal block is contiguous at the end.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .multigraph import GraphError, Multigraph
+from .multigraph import Multigraph
 
 
 class ComplexError(ValueError):
@@ -39,48 +39,42 @@ class ComplexError(ValueError):
 
 @dataclass(frozen=True)
 class DiagonalPolicy:
-    """Per-square diagonal choice: standard, seeded-random, or explicit.
+    """Per-square diagonal choice: standard, or an explicit map.
 
-    ``standard`` joins the (min, min) corner to the (max, max) corner
-    under the fixed vertex orders.  ``explicit`` carries a full map
-    (g_edge_id, h_edge_id) -> flipped flag.
+    ``standard`` (no choices) joins the (min, min) corner to the
+    (max, max) corner under the fixed vertex orders.  ``explicit``
+    carries a full map (g_edge_id, h_edge_id) -> flipped flag.
     """
 
-    kind: str
-    seed: Optional[int] = None
     choices: Optional[frozenset] = None  # frozenset of ((ge, he), flipped)
 
     @classmethod
     def standard(cls) -> "DiagonalPolicy":
-        return cls("standard")
+        return cls()
 
     @classmethod
-    def seeded_random(cls, seed: int) -> "DiagonalPolicy":
-        return cls("random", seed=int(seed))
-
-    @classmethod
-    def explicit(cls, choices: dict) -> "DiagonalPolicy":
-        return cls("explicit", choices=frozenset((k, bool(v)) for k, v in choices.items()))
+    def explicit(cls, choices: Mapping) -> "DiagonalPolicy":
+        """Policy from a mapping of square keys to flags: bools, 0 or 1."""
+        if not isinstance(choices, Mapping):
+            raise ComplexError(f"explicit policy needs a mapping, got {type(choices).__name__}")
+        for key, flag in choices.items():
+            if type(flag) not in (bool, int) or flag not in (0, 1):
+                raise ComplexError(f"flag of square {key!r} is not a bool, 0 or 1: {flag!r}")
+        return cls(frozenset((k, bool(v)) for k, v in choices.items()))
 
     def resolve(self, square_keys: Sequence[tuple]) -> dict:
         """Flip flag per square key, validating explicit choices."""
-        if self.kind == "standard":
+        if self.choices is None:
             return {k: False for k in square_keys}
-        if self.kind == "random":
-            if self.seed is None:
-                raise ComplexError("random diagonal policy needs a seed")
-            rng = random.Random(self.seed)
-            return {k: bool(rng.getrandbits(1)) for k in square_keys}
-        if self.kind == "explicit":
-            table = dict(self.choices or ())
-            missing = [k for k in square_keys if k not in table]
-            extra = [k for k in table if k not in set(square_keys)]
-            if missing:
-                raise ComplexError(f"explicit policy misses squares: {missing[:3]}...")
-            if extra:
-                raise ComplexError(f"explicit policy names unknown squares: {extra[:3]}...")
-            return {k: table[k] for k in square_keys}
-        raise ComplexError(f"unknown policy kind {self.kind!r}")
+        table = dict(self.choices)
+        missing = [k for k in square_keys if k not in table]
+        known = set(square_keys)
+        extra = [k for k in table if k not in known]
+        if missing:
+            raise ComplexError(f"explicit policy misses squares: {missing[:3]}...")
+        if extra:
+            raise ComplexError(f"explicit policy names unknown squares: {extra[:3]}...")
+        return {k: table[k] for k in square_keys}
 
 
 def parse_policy_text(text: str) -> DiagonalPolicy:
@@ -272,18 +266,9 @@ class TriangulatedProduct:
         e = self.edges[self.edge_index(eid)]
         return e.u, e.w
 
-    def edge_degree(self, eid) -> int:
-        """Number of triangles containing the edge."""
-        self.edge_index(eid)
-        return len(self._tri_of_edge[eid])
-
     def diagonals_at(self, v) -> tuple:
         self.vertex_index(v)
         return self._diag_at[v]
-
-    def link_multiplicity(self, eid, v) -> int:
-        """Number of triangles containing eid with opposite vertex v."""
-        return self._link_count.get((eid, v), 0)
 
     def __repr__(self) -> str:
         return (f"TriangulatedProduct({self.n_vertices} vertices, "
@@ -307,19 +292,6 @@ def graph_star(tp: TriangulatedProduct, v) -> tuple:
     """All edges containing v, in the global edge order."""
     tp.vertex_index(v)
     return tp._star[v]
-
-
-def link_edges(tp: TriangulatedProduct, v) -> tuple:
-    """Edges e with v not on e such that e together with v spans a triangle."""
-    tp.vertex_index(v)
-    found = set()
-    for tri in tp.triangles:
-        if v in tri.verts:
-            for eid in tri.edge_ids:
-                u, w = tp._endpoints(eid)
-                if v != u and v != w:
-                    found.add(eid)
-    return tuple(e.eid for e in tp.edges if e.eid in found)
 
 
 def edge_id_str(eid: tuple) -> str:

@@ -1,12 +1,13 @@
 import pytest
 
+from oracles import random_policy
 from tropic_pic.multigraph import (
     complete_graph,
     cycle_graph,
     path_graph,
     theta_graph,
 )
-from tropic_pic.product_complex import DiagonalPolicy, build_product
+from tropic_pic.product_complex import build_product
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +49,6 @@ def small_products(k2k2, p2p2, c3k2, c3p2, p3p2):
 def mixed_products(small_products, c3c3):
     theta = build_product(theta_graph(3), path_graph(2))
     k4p1 = build_product(complete_graph(4), path_graph(1))
-    rand = build_product(cycle_graph(4), cycle_graph(3),
-                         DiagonalPolicy.seeded_random(7))
+    c4, c3 = cycle_graph(4), cycle_graph(3)
+    rand = build_product(c4, c3, random_policy(c4, c3, 7))
     return small_products + [c3c3, theta, k4p1, rand]

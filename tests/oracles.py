@@ -1,0 +1,134 @@
+"""Reference code that only the tests use: Bareiss determinant and rank,
+Kirchhoff spanning-tree counts, random trees and diagonal policies, and
+the closed-form local rank of a triangulated product."""
+
+import heapq
+import random
+
+from tropic_pic.divisor_theory import local_matrix
+from tropic_pic.exact_lattice import IntMatrix, LatticeError
+from tropic_pic.multigraph import GraphError, Multigraph, laplacian
+from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by the Bareiss fraction-free algorithm."""
+    if m.rows != m.cols:
+        raise LatticeError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.row_list()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over Q (equals rank over Z) via fraction-free elimination."""
+    a = m.row_list()
+    nr, nc = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(nc):
+        piv = None
+        for i in range(r, nr):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, nr):
+            for j in range(c + 1, nc):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def spanning_tree_count(g: Multigraph) -> int:
+    """Kirchhoff count: any cofactor determinant of the Laplacian."""
+    n = g.n_vertices
+    if n == 1:
+        return 1
+    lap = laplacian(g)
+    idx = list(range(1, n))
+    return abs(det(lap.submatrix(idx, idx)))
+
+
+def random_tree(n_vertices: int, seed: int) -> Multigraph:
+    """Uniform random labeled tree on n_vertices vertices (Pruefer code)."""
+    if n_vertices < 1:
+        raise GraphError("tree needs at least one vertex")
+    if n_vertices == 1:
+        return Multigraph([0], [])
+    if n_vertices == 2:
+        return Multigraph([0, 1], [("e0", 0, 1)])
+    rng = random.Random(seed)
+    n = n_vertices
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in prufer:
+        degree[x] += 1
+    edges = []
+    k = 0
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    for x in prufer:
+        leaf = heapq.heappop(leaves)
+        edges.append((f"e{k}", leaf, x))
+        k += 1
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    w = heapq.heappop(leaves)
+    edges.append((f"e{k}", u, w))
+    return Multigraph(list(range(n)), edges)
+
+
+def local_rank_expected(tp: TriangulatedProduct, v) -> int:
+    """Rank of the local matrix: distinct far endpoints of diagonals at v, plus 2.
+
+    The row of a diagonal depends only on the four corners of its
+    square, so diagonals at v = (a, b) of squares over parallel edges
+    that reach the same far vertex (a', b') have equal rows.  On simple
+    factors every diagonal at v has its own far endpoint and the rank is
+    the number of diagonals at v, plus 2.
+
+    Over Q the left kernel of the local matrix is spanned by the
+    balancing conditions at v (deg_G(a) + deg_H(b) - 2 rows) together
+    with the differences e_d - e_d' of diagonals d, d' at v sharing a
+    far endpoint.
+    """
+    far = {u for did in tp.diagonals_at(v) for u in tp.endpoints(did)} - {v}
+    return len(far) + 2
+
+
+def local_rank(tp: TriangulatedProduct, v) -> int:
+    return rank(local_matrix(tp, v))
+
+
+def random_policy(g: Multigraph, h: Multigraph, seed: int) -> DiagonalPolicy:
+    """Explicit policy with one seeded random flip per square, in square order."""
+    rng = random.Random(seed)
+    return DiagonalPolicy.explicit({(ge, he): bool(rng.getrandbits(1))
+                                    for ge, *_ in g.edges for he, *_ in h.edges})

@@ -7,6 +7,7 @@ import weakref
 import pytest
 from sympy import Matrix as SymMatrix
 
+from oracles import local_rank, local_rank_expected, random_policy, random_tree, rank
 from tropic_pic.exact_lattice import (
     AbGroup,
     Lattice,
@@ -15,7 +16,6 @@ from tropic_pic.exact_lattice import (
     lattice_contains,
     lattice_intersect,
     lattice_member,
-    rank,
 )
 from tropic_pic.divisor_theory import (
     balancing_matrix,
@@ -28,8 +28,6 @@ from tropic_pic.divisor_theory import (
     is_principal,
     is_q_cartier,
     local_matrix,
-    local_rank,
-    local_rank_expected,
     pic,
     prin_lattice,
     principal_matrix,
@@ -39,7 +37,6 @@ from tropic_pic.multigraph import (
     Multigraph,
     cycle_graph,
     path_graph,
-    random_tree,
     theta_graph,
 )
 from tropic_pic.product_complex import (
@@ -131,8 +128,8 @@ def test_columns_sum_to_zero_vector(mixed_products):
 
 
 def test_indicator_divisor_pattern(p2p2):
-    # div of the indicator of v: -1 on each incident diagonal, link
-    # multiplicity on link edges, -alpha on incident non-diagonals.
+    # div of the indicator of v: -1 on each incident diagonal, and on an
+    # edge off v the number of triangles on it with opposite vertex v.
     v = (1, 1)
     j = p2p2.vertex_index(v)
     p = principal_matrix(p2p2)
@@ -141,7 +138,8 @@ def test_indicator_divisor_pattern(p2p2):
             if e.kind == "diagonal":
                 assert p[i, j] == -1
         else:
-            assert p[i, j] == p2p2.link_multiplicity(e.eid, v)
+            assert p[i, j] == sum(e.eid in tri.edge_ids and v in tri.verts
+                                  for tri in p2p2.triangles)
 
 
 def test_p2p2_principal_matrix_rank_and_kernel(p2p2):
@@ -300,7 +298,7 @@ def test_cart_matches_intersection_chain(mixed_products):
     products = list(mixed_products) + [theta2_theta2()]
     for tp in list(products):
         for seed in (3, 11):
-            products.append(build_product(tp.g, tp.h, DiagonalPolicy.seeded_random(seed)))
+            products.append(build_product(tp.g, tp.h, random_policy(tp.g, tp.h, seed)))
     for tp in products:
         assert cart_lattice(tp) == intersection_chain_cart(tp)
 
@@ -311,7 +309,7 @@ def test_cart_matches_intersection_chain_on_random_multigraphs():
     for k in range(40):
         g, h = random_multigraph(rng), random_multigraph(rng)
         n_parallel += not (g.is_simple() and h.is_simple())
-        policy = DiagonalPolicy.seeded_random(k) if k % 2 else DiagonalPolicy.standard()
+        policy = random_policy(g, h, k) if k % 2 else DiagonalPolicy.standard()
         tp = build_product(g, h, policy)
         assert cart_lattice(tp) == intersection_chain_cart(tp)
     assert n_parallel >= 10
