@@ -11,22 +11,22 @@ integer vector indexed by vertices; its divisor on edge r is
 The principal matrix P has div(phi_v) as column v, so div(phi) = P phi
 and the principal divisors are the integer column span of P.
 
-A divisor is Cartier when, at every vertex v, its restriction to the
-edges at v lies in the integer span of the same restriction of P's
-columns (the local matrix M_v).  Each such local lattice is cut out by
-a few congruences row . d = 0 (mod m), or row . d = 0 when m = 0
-(``exact_lattice.lattice_conditions``), so Cart is the set of divisors
-that satisfy every vertex's congruences at once: one kernel, computed
-once per product.  A divisor is Q-Cartier exactly when it
-satisfies the balancing conditions: at each vertex (a, b), the sum of
+Cartier and Q-Cartier divisors are both cut out by per-vertex linear
+conditions, kept in one form: ``(terms, modulus)`` asks that the sum of
+c * d[i] over the ``(edge index, c)`` terms be 0, or 0 mod a modulus
+m > 0.  One checker tests a divisor against a list of them, and the
+kernel of one matrix [A | diag(m > 0)], cut to the first |E|
+coordinates, is the lattice the list cuts out.
+
+Cartier: at every vertex v the restriction of d to the edges at v lies
+in the integer span of the same restriction of P's columns (the local
+matrix M_v); each local lattice gives its congruences
+(``exact_lattice.lattice_conditions``).  Q-Cartier: d satisfies the
+balancing equations, of modulus 0.  At each vertex (a, b) the sum of
 coefficients over the edges projecting to a fixed G-edge at a is
-independent of that edge, and likewise on the H side.  The balancing
-matrix stacks the pairwise differences of those sums, anchored at the
-first incident edge in the fixed order, giving
-
-    deg_G(a) + deg_H(b) - 2
-
-rows per vertex; its kernel is the Q-Cartier lattice.
+independent of that edge, and likewise on the H side; anchored at the
+first incident edge in the fixed order, that gives
+deg_G(a) + deg_H(b) - 2 equations per vertex.
 """
 
 from __future__ import annotations
@@ -125,15 +125,49 @@ def is_principal(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Local (Cartier) conditions
+# Cartier and Q-Cartier: (terms, modulus) conditions over the edge order
 # ---------------------------------------------------------------------------
 
+def _satisfies(conditions: tuple, d: Sequence[int]) -> bool:
+    """Whether d meets every ``(terms, modulus)`` condition: the sum of
+    ``c * d[i]`` over terms is 0, or 0 mod the modulus when it is > 0."""
+    for terms, modulus in conditions:
+        s = sum(c * d[i] for i, c in terms)
+        if (s % modulus if modulus else s):
+            return False
+    return True
+
+
+def _condition_matrix(tp: TriangulatedProduct, conditions: tuple) -> IntMatrix:
+    """[A | diag(m > 0)]: the conditions as rows over the |E| edges, plus
+    one slack column holding m for each congruence with modulus m > 0."""
+    ne = tp.n_edges
+    n_slack = sum(1 for _, modulus in conditions if modulus)
+    width = ne + n_slack
+    flat = [0] * (len(conditions) * width)
+    slack = ne
+    for r, (terms, modulus) in enumerate(conditions):
+        base = r * width
+        for i, c in terms:
+            flat[base + i] = c
+        if modulus:
+            flat[base + slack] = modulus
+            slack += 1
+    return IntMatrix(len(conditions), width, flat)
+
+
 def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
-    """Rows of the principal matrix restricted to the edges at v."""
-    tp.vertex_index(v)
-    p = principal_matrix(tp)
-    rows = [tp.edge_index(eid) for eid in graph_star(tp, v)]
-    return p.submatrix(rows, range(tp.n_vertices))
+    """Rows of the principal matrix restricted to the edges at v.
+
+    Only the columns of the closed star of v are kept: v and the far
+    endpoints of its edges, in vertex order.  Every other column is zero
+    on these rows (a triangle on an edge at v has its third vertex next
+    to v), so the local lattice is the same as with all |V| columns.
+    """
+    star = graph_star(tp, v)
+    rows = [tp.edge_index(eid) for eid in star]
+    closed_star = {u for eid in star for u in tp.endpoints(eid)}
+    return principal_matrix(tp).submatrix(rows, sorted(map(tp.vertex_index, closed_star)))
 
 
 @_per_product
@@ -158,101 +192,58 @@ def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     star lies in the integer span of the local matrix columns, that is,
     d satisfies every vertex's local congruences."""
     _check_divisor(tp, d)
-    for terms, modulus in _cartier_conditions(tp):
-        s = sum(c * d[i] for i, c in terms)
-        if (s % modulus if modulus else s):
-            return False
-    return True
+    return _satisfies(_cartier_conditions(tp), d)
 
 
 @_per_product
 def cart_lattice(tp: TriangulatedProduct) -> Lattice:
-    """Lattice of Cartier divisors.
-
-    The divisors d that satisfy all local congruences row . d = 0
-    (mod m): the first |E| coordinates of the kernel of [A | diag(m)],
-    where A stacks the rows and each congruence with m > 0 gets its own
-    slack column holding m.
-    """
+    """Lattice of Cartier divisors: the first |E| coordinates of the
+    kernel of the local congruences' condition matrix."""
     ne = tp.n_edges
-    conditions = _cartier_conditions(tp)
-    n_slack = sum(1 for _, modulus in conditions if modulus)
-    width = ne + n_slack
-    flat = [0] * (len(conditions) * width)
-    slack = ne
-    for r, (terms, modulus) in enumerate(conditions):
-        base = r * width
-        for i, c in terms:
-            flat[base + i] = c
-        if modulus:
-            flat[base + slack] = modulus
-            slack += 1
-    ker = kernel(IntMatrix(len(conditions), width, flat))
+    ker = kernel(_condition_matrix(tp, _cartier_conditions(tp)))
     return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
 
 
-# ---------------------------------------------------------------------------
-# Balancing conditions (Q-Cartier)
-# ---------------------------------------------------------------------------
+@_per_product
+def _balancing_conditions(tp: TriangulatedProduct) -> tuple:
+    """The balancing equations as ``(terms, 0)`` conditions.
 
-def _projection_indicators(tp: TriangulatedProduct, v) -> tuple:
-    """Per-factor-edge indicator rows of edges at v projecting to it.
-
-    For vertex v = (a, b): for each G-edge at a, the edges of the
-    complex at v projecting to it are one horizontal edge plus the
-    diagonals at v over that G-edge; symmetrically on the H side.
-    Returns (g_rows, h_rows) as lists of coefficient vectors.
+    At v = (a, b) the edges at v projecting to a G-edge at a are one
+    horizontal edge and the diagonals at v over that G-edge, and the
+    sums of d over these sets must agree for all G-edges at a; likewise
+    on the H side.  Per vertex: the G block, then the H block, each the
+    sum at the first incident factor edge minus the sum at each later
+    one, so deg_G(a) + deg_H(b) - 2 conditions per vertex.
     """
-    a, b = v
-    ne = tp.n_edges
-    diag_by_g = {}
-    diag_by_h = {}
-    for did in tp.diagonals_at(v):
-        _, ge, he = did
-        diag_by_g.setdefault(ge, []).append(did)
-        diag_by_h.setdefault(he, []).append(did)
-    g_rows = []
-    for ge in tp.g.incident_edges(a):
-        row = [0] * ne
-        row[tp.edge_index(("h", ge, b))] = 1
-        for did in diag_by_g.get(ge, ()):
-            row[tp.edge_index(did)] = 1
-        g_rows.append(row)
-    h_rows = []
-    for he in tp.h.incident_edges(b):
-        row = [0] * ne
-        row[tp.edge_index(("v", a, he))] = 1
-        for did in diag_by_h.get(he, ()):
-            row[tp.edge_index(did)] = 1
-        h_rows.append(row)
-    return g_rows, h_rows
+    out = []
+    for v in tp.vertices:
+        a, b = v
+        over_g, over_h = {}, {}
+        for did in tp.diagonals_at(v):
+            _, ge, he = did
+            i = tp.edge_index(did)
+            over_g.setdefault(ge, []).append(i)
+            over_h.setdefault(he, []).append(i)
+        blocks = (
+            [[tp.edge_index(("h", ge, b)), *over_g.get(ge, ())] for ge in tp.g.incident_edges(a)],
+            [[tp.edge_index(("v", a, he)), *over_h.get(he, ())] for he in tp.h.incident_edges(b)],
+        )
+        for anchor, *others in blocks:
+            for other in others:
+                out.append((tuple([(i, 1) for i in anchor] + [(i, -1) for i in other]), 0))
+    return tuple(out)
 
 
 @_per_product
 def balancing_matrix(tp: TriangulatedProduct) -> IntMatrix:
-    """One row per balancing condition; D is Q-Cartier iff it kills D.
-
-    Rows per vertex (a, b): the G-side sums anchored at the first
-    incident G-edge minus each later one, then the H side, so the row
-    count is the sum over vertices of deg_G(a) + deg_H(b) - 2.
-    """
-    ne = tp.n_edges
-    rows = []
-    for v in tp.vertices:
-        g_rows, h_rows = _projection_indicators(tp, v)
-        for block in (g_rows, h_rows):
-            anchor = block[0]
-            for other in block[1:]:
-                rows.append([x - y for x, y in zip(anchor, other)])
-    if not rows:
-        return IntMatrix.zeros(0, ne)
-    return IntMatrix.from_rows(rows)
+    """The balancing conditions as rows; D is Q-Cartier iff it kills D."""
+    return _condition_matrix(tp, _balancing_conditions(tp))
 
 
 def is_q_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
-    """Balanced: the balancing matrix annihilates d."""
+    """Balanced: d satisfies every balancing condition."""
     _check_divisor(tp, d)
-    return all(x == 0 for x in balancing_matrix(tp).mul_vec(d))
+    return _satisfies(_balancing_conditions(tp), d)
 
 
 @_per_product
@@ -278,16 +269,17 @@ def cl(tp: TriangulatedProduct) -> AbGroup:
 # Serialization
 # ---------------------------------------------------------------------------
 
+@_per_product
+def _edge_keys(tp: TriangulatedProduct) -> dict:
+    """``edge_id_str`` key -> edge index, inserted in the edge order."""
+    return {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
+
+
 def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
     """JSON object mapping edge-id strings to coefficients, zeros omitted."""
     _check_divisor(tp, d)
-    obj = {edge_id_str(e.eid): c for e, c in zip(tp.edges, d) if c}
+    obj = {key: c for key, c in zip(_edge_keys(tp), d) if c}
     return json.dumps(obj, sort_keys=True)
-
-
-@_per_product
-def _edge_index_by_key(tp: TriangulatedProduct) -> dict:
-    return {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
 
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
@@ -295,7 +287,7 @@ def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ComplexError("divisor JSON must be an object")
-    by_str = _edge_index_by_key(tp)
+    by_str = _edge_keys(tp)
     d = [0] * tp.n_edges
     for key, val in obj.items():
         if key not in by_str:

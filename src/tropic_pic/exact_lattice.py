@@ -139,23 +139,6 @@ class IntMatrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise LatticeError("shape mismatch in product")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
-        flat = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                s = 0
-                for t in range(k):
-                    at = arow[t]
-                    if at:
-                        s += at * b[t * m + j]
-                flat[i * m + j] = s
-        return IntMatrix._trusted(n, m, tuple(flat))
-
     def mul_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise LatticeError("vector length mismatch")
@@ -178,6 +161,10 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, self.cols + other.cols, tuple(flat))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
+        for what, idx, n in (("row", row_idx, self.rows), ("column", col_idx, self.cols)):
+            bad = [i for i in idx if not 0 <= i < n]
+            if bad:
+                raise IndexError(f"{what} {bad[0]} of a {self.rows} x {self.cols} matrix")
         flat = tuple(self._e[i * self.cols + j] for i in row_idx for j in col_idx)
         return IntMatrix._trusted(len(row_idx), len(col_idx), flat)
 

@@ -52,23 +52,23 @@ class Multigraph:
             es.append((eid, u, w))
         try:
             vs.sort()
-        except (TypeError, ArithmeticError):
-            raise GraphError("vertex ids must be mutually comparable") from None
+        except (TypeError, ArithmeticError) as exc:
+            raise GraphError(f"vertex ids must be mutually comparable: {exc!r}") from None
         try:
             es.sort(key=lambda t: t[0])
-        except (TypeError, ArithmeticError):
-            raise GraphError("edge ids must be mutually comparable") from None
+        except (TypeError, ArithmeticError) as exc:
+            raise GraphError(f"edge ids must be mutually comparable: {exc!r}") from None
         for kind, ids in (("vertex", vs), ("edge", [e[0] for e in es])):
+            seen, by_str = set(), {}
             for x in ids:
                 try:
-                    hash(x)
+                    repeated = x in seen
                 except TypeError:
                     raise GraphError(f"{kind} id {x!r} is not hashable") from None
-            if len(set(ids)) != len(ids):
-                raise GraphError(f"duplicate {kind} ids")
-            # Product edge ids become JSON keys through the str of each id.
-            by_str = {}
-            for x in ids:
+                if repeated:
+                    raise GraphError(f"duplicate {kind} id {x!r}")
+                seen.add(x)
+                # Product edge ids become JSON keys through the str of each id.
                 y = by_str.setdefault(str(x), x)
                 if y is not x:
                     raise GraphError(f"{kind} ids {y!r} and {x!r} have the same str form")

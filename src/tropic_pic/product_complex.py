@@ -22,6 +22,7 @@ lexicographic, so the diagonal block is contiguous at the end.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -119,7 +120,7 @@ class TriangulatedProduct:
     """
 
     __slots__ = ("g", "h", "policy", "vertices", "edges", "squares", "triangles",
-                 "_vindex", "_eindex", "_alpha", "_star", "_tri_of_edge",
+                 "_vindex", "_eindex", "_alpha", "_star",
                  "_link_count", "_diag_at", "n_horizontal", "n_vertical", "n_diagonal",
                  "_memo", "__weakref__")
 
@@ -186,12 +187,6 @@ class TriangulatedProduct:
         self.n_vertical = g.n_vertices * h.n_edges
         self.n_diagonal = g.n_edges * h.n_edges
 
-        tri_of_edge = {e.eid: [] for e in self.edges}
-        for ti, tri in enumerate(self.triangles):
-            for eid in tri.edge_ids:
-                tri_of_edge[eid].append(ti)
-        self._tri_of_edge = {k: tuple(v) for k, v in tri_of_edge.items()}
-
         star = {v: [] for v in self.vertices}
         diag_at = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -234,9 +229,10 @@ class TriangulatedProduct:
         return e.u, e.w
 
     def _validate_weights(self):
+        n_triangles = Counter(eid for tri in self.triangles for eid in tri.edge_ids)
         for e in self.edges:
             total = self._alpha[(e.eid, e.u)] + self._alpha[(e.eid, e.w)]
-            if total != len(self._tri_of_edge[e.eid]):
+            if total != n_triangles[e.eid]:
                 raise ComplexError(
                     f"weight axiom fails on {e.eid}: {total} != deg")
 

@@ -1,6 +1,7 @@
-"""Reference code that only the tests use: Bareiss determinant and rank,
-Kirchhoff spanning-tree counts, random trees and diagonal policies, and
-the closed-form local rank of a triangulated product."""
+"""Reference code that only the tests use: matrix product, Bareiss
+determinant and rank, Kirchhoff spanning-tree counts, random trees and
+diagonal policies, and the closed-form local rank of a triangulated
+product."""
 
 import heapq
 import random
@@ -9,6 +10,15 @@ from tropic_pic.divisor_theory import local_matrix
 from tropic_pic.exact_lattice import IntMatrix, LatticeError
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
 from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix product a b."""
+    if a.cols != b.rows:
+        raise LatticeError("shape mismatch in product")
+    cols = [b.col(j) for j in range(b.cols)]
+    return IntMatrix(a.rows, b.cols, [sum(x * y for x, y in zip(a.row(i), c))
+                                      for i in range(a.rows) for c in cols])
 
 
 def det(m: IntMatrix) -> int:

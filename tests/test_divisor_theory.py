@@ -163,11 +163,23 @@ def test_kernel_contains_all_ones(mixed_products):
 # -- local matrices ----------------------------------------------------------------
 
 
-def test_local_matrix_shape(p2p2):
-    for v in p2p2.vertices:
-        m = local_matrix(p2p2, v)
-        assert m.rows == len(graph_star(p2p2, v))
-        assert m.cols == p2p2.n_vertices
+def test_local_matrix_shape(p2p2, mixed_products):
+    # Closed-star columns only: every dropped column of the full |V|-column
+    # restriction is zero, so the local lattice does not change.
+    assert local_matrix(p2p2, (1, 1)).cols == 7  # (2, 0) and (0, 2) are off both diagonals
+    assert local_matrix(p2p2, (2, 0)).cols == 3
+    for tp in mixed_products:
+        p = principal_matrix(tp)
+        for v in tp.vertices:
+            star = graph_star(tp, v)
+            rows = [tp.edge_index(eid) for eid in star]
+            closed = sorted({tp.vertex_index(u) for eid in star for u in tp.endpoints(eid)})
+            m = local_matrix(tp, v)
+            assert (m.rows, m.cols) == (len(star), len(closed))
+            full = p.submatrix(rows, range(tp.n_vertices))
+            for j in set(range(tp.n_vertices)) - set(closed):
+                assert not any(full.col(j))
+            assert Lattice.from_matrix(m) == Lattice.from_matrix(full)
 
 
 def test_local_rank_law(mixed_products):

@@ -39,19 +39,25 @@ def test_rejects_disconnected():
 
 
 def test_rejects_duplicate_ids():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^duplicate vertex id 0$"):
         Multigraph([0, 0, 1], [("e0", 0, 1)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^duplicate edge id 'e0'$"):
         Multigraph([0, 1], [("e0", 0, 1), ("e0", 1, 0)])
+    with pytest.raises(GraphError, match="^duplicate vertex id 1.0$"):
+        Multigraph([1, 1.0, 2], [("e0", 1, 2)])
 
 
 def test_rejects_ids_of_mixed_types():
-    with pytest.raises(GraphError, match="vertex ids"):
+    with pytest.raises(GraphError, match="vertex ids") as info:
         Multigraph([0, "a"], [("e", 0, "a")])
-    with pytest.raises(GraphError, match="edge ids"):
+    assert str(info.value).startswith("vertex ids must be mutually comparable: TypeError(")
+    assert "not supported between instances of" in str(info.value)
+    with pytest.raises(GraphError, match="edge ids") as info:
         Multigraph([0, 1, 2], [("e", 0, 1), (1, 1, 2)])
-    with pytest.raises(GraphError, match="vertex ids"):
+    assert "comparable: TypeError(\"'<' not supported" in str(info.value)
+    with pytest.raises(GraphError, match="vertex ids") as info:
         Multigraph([Decimal("NaN"), Decimal(1)], [("e", Decimal("NaN"), Decimal(1))])
+    assert "comparable: InvalidOperation(" in str(info.value)
 
 
 def test_rejects_malformed_edges_and_unhashable_ids():

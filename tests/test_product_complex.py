@@ -88,6 +88,15 @@ def test_weight_axiom_exhaustive(mixed_products):
             assert total == degrees[e.eid]
 
 
+def test_weight_axiom_violation_is_rejected():
+    tp = build_product(path_graph(2), path_graph(2))
+    tp._validate_weights()
+    e = tp.edges[0]
+    tp._alpha[(e.eid, e.u)] += 1
+    with pytest.raises(ComplexError, match=r"weight axiom fails on \('h', 'e0', 0\)"):
+        tp._validate_weights()
+
+
 def test_alpha_diagonal_endpoints_are_one(mixed_products):
     for tp in mixed_products:
         for e in tp.edges:
