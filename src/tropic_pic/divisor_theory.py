@@ -13,20 +13,18 @@ and the principal divisors are the integer column span of P.
 
 Cartier and Q-Cartier divisors are both cut out by per-vertex linear
 conditions, kept in one form: ``(terms, modulus)`` asks that the sum of
-c * d[i] over the ``(edge index, c)`` terms be 0, or 0 mod a modulus
-m > 0.  One checker tests a divisor against a list of them, and the
-kernel of one matrix [A | diag(m > 0)], cut to the first |E|
-coordinates, is the lattice the list cuts out.
+c * d[i] over the ``(index, c)`` terms be 0, or 0 mod a modulus m > 0.
+One checker tests a divisor against a list of them, and the kernel of
+one matrix [A | diag(m > 0)], cut to A's columns, is the lattice the
+list cuts out.
 
 Cartier: at every vertex v the restriction of d to the edges at v lies
 in the integer span of the same restriction of P's columns (the local
-matrix M_v); each local lattice gives its congruences
-(``exact_lattice.lattice_conditions``).  Q-Cartier: d satisfies the
-balancing equations, of modulus 0.  At each vertex (a, b) the sum of
-coefficients over the edges projecting to a fixed G-edge at a is
-independent of that edge, and likewise on the H side; anchored at the
-first incident edge in the fixed order, that gives
-deg_G(a) + deg_H(b) - 2 equations per vertex.
+matrix M_v), which ``exact_lattice.lattice_conditions`` turns into
+congruences.  Q-Cartier: d meets the balancing equations at every vertex (see
+``_balancing_conditions``), of modulus 0, and QCart is their kernel.
+Cart is cut from QCart by the restricted congruences; on simple factors
+none is left, Cart is QCart, and Pic and Cl are one quotient.
 """
 
 from __future__ import annotations
@@ -39,6 +37,8 @@ from .exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
+    _nonzeros,
+    _sub_nonzeros,
     kernel,
     lattice_conditions,
     lattice_member,
@@ -138,22 +138,21 @@ def _satisfies(conditions: tuple, d: Sequence[int]) -> bool:
     return True
 
 
-def _condition_matrix(tp: TriangulatedProduct, conditions: tuple) -> IntMatrix:
-    """[A | diag(m > 0)]: the conditions as rows over the |E| edges, plus
-    one slack column holding m for each congruence with modulus m > 0."""
-    ne = tp.n_edges
+def _condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
+    """[A | diag(m > 0)]: the conditions as rows over ``width`` columns,
+    plus one slack column holding m for each congruence with modulus m > 0."""
     n_slack = sum(1 for _, modulus in conditions if modulus)
-    width = ne + n_slack
-    flat = [0] * (len(conditions) * width)
-    slack = ne
+    total = width + n_slack
+    flat = [0] * (len(conditions) * total)
+    slack = width
     for r, (terms, modulus) in enumerate(conditions):
-        base = r * width
+        base = r * total
         for i, c in terms:
             flat[base + i] = c
         if modulus:
             flat[base + slack] = modulus
             slack += 1
-    return IntMatrix(len(conditions), width, flat)
+    return IntMatrix(len(conditions), total, flat)
 
 
 def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
@@ -197,11 +196,31 @@ def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
 
 @_per_product
 def cart_lattice(tp: TriangulatedProduct) -> Lattice:
-    """Lattice of Cartier divisors: the first |E| coordinates of the
-    kernel of the local congruences' condition matrix."""
-    ne = tp.n_edges
-    ker = kernel(_condition_matrix(tp, _cartier_conditions(tp)))
-    return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
+    """Cartier divisors: K y, K the QCart basis, over the y that meet each
+    local congruence restricted to K (row times K, mod m).  Exact, as Cart
+    lies in QCart: each Cartier condition and balancing equation at v reads
+    only the edges at v, and principal divisors are balanced.  On simple
+    factors no restricted row is left, and Cart is QCart itself."""
+    qcart = qcart_lattice(tp)
+    basis, k = qcart.basis, qcart.rank
+    rows = [_nonzeros(basis.row(i)) for i in range(tp.n_edges)]
+    restricted = []
+    for terms, modulus in _cartier_conditions(tp):
+        acc = [0] * k
+        for i, c in terms:
+            _sub_nonzeros(acc, rows[i], -c)
+        acc = [a % modulus for a in acc] if modulus else acc
+        if any(acc):
+            restricted.append((_nonzeros(acc), modulus))
+    if not restricted:
+        return qcart
+    ker = kernel(_condition_matrix(k, restricted))
+    cols = [_nonzeros(basis.col(j)) for j in range(k)]
+    gens = [[0] * tp.n_edges for _ in range(ker.rank)]
+    for x, y in zip(gens, ker.basis.col_list()):
+        for j, c in _nonzeros(y[:k]):
+            _sub_nonzeros(x, cols[j], -c)
+    return Lattice.from_generators(tp.n_edges, gens)
 
 
 @_per_product
@@ -237,7 +256,7 @@ def _balancing_conditions(tp: TriangulatedProduct) -> tuple:
 @_per_product
 def balancing_matrix(tp: TriangulatedProduct) -> IntMatrix:
     """The balancing conditions as rows; D is Q-Cartier iff it kills D."""
-    return _condition_matrix(tp, _balancing_conditions(tp))
+    return _condition_matrix(tp.n_edges, _balancing_conditions(tp))
 
 
 def is_q_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
@@ -255,14 +274,22 @@ def qcart_lattice(tp: TriangulatedProduct) -> Lattice:
 # Picard and class groups
 # ---------------------------------------------------------------------------
 
+def _mod_prin(tp: TriangulatedProduct, lattice: Lattice) -> AbGroup:
+    """lattice / Prin, once per lattice object in the product's memo."""
+    memo = tp._memo.setdefault("_mod_prin", {})
+    if id(lattice) not in memo:
+        memo[id(lattice)] = quotient(lattice, prin_lattice(tp))
+    return memo[id(lattice)]
+
+
 def pic(tp: TriangulatedProduct) -> AbGroup:
-    """Cartier divisors modulo principal divisors."""
-    return quotient(cart_lattice(tp), prin_lattice(tp))
+    """Cartier divisors modulo principal divisors; cl's quotient when Cart is QCart."""
+    return _mod_prin(tp, cart_lattice(tp))
 
 
 def cl(tp: TriangulatedProduct) -> AbGroup:
     """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones."""
-    return quotient(qcart_lattice(tp), prin_lattice(tp))
+    return _mod_prin(tp, qcart_lattice(tp))
 
 
 # ---------------------------------------------------------------------------

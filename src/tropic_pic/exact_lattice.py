@@ -82,17 +82,6 @@ class IntMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise LatticeError("ragged rows")
-            flat.extend(r)
-        return cls(nr, nc, flat)
-
-    @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
         if nrows is None:
             nrows = len(cols[0]) if cols else 0

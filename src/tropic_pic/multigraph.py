@@ -30,6 +30,22 @@ class GraphParseError(GraphError):
     """Text-format parse failure; message carries the line number."""
 
 
+def _sorted_ids(kind: str, items: list, key=None) -> list:
+    """items sorted by id; a failure names the first two ids, in input order, that do."""
+    try:
+        return sorted(items, key=key)
+    except (TypeError, ArithmeticError) as exc:
+        reason = f"{kind} ids must be mutually comparable: {exc!r}"
+    ids = list(map(key, items)) if key else items
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            try:
+                (a < b, b < a)
+            except (TypeError, ArithmeticError):
+                raise GraphError(f"{reason} between {a!r} and {b!r}") from None
+    raise GraphError(reason)
+
+
 class Multigraph:
     """Immutable loopless connected multigraph with ordered IDs.
 
@@ -42,7 +58,6 @@ class Multigraph:
     __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_adj")
 
     def __init__(self, vertices: Sequence, edges: Sequence):
-        vs = list(vertices)
         es = []
         for e in edges:
             try:
@@ -50,14 +65,8 @@ class Multigraph:
             except (TypeError, ValueError):
                 raise GraphError(f"edge {e!r} is not an (id, endpoint, endpoint) triple") from None
             es.append((eid, u, w))
-        try:
-            vs.sort()
-        except (TypeError, ArithmeticError) as exc:
-            raise GraphError(f"vertex ids must be mutually comparable: {exc!r}") from None
-        try:
-            es.sort(key=lambda t: t[0])
-        except (TypeError, ArithmeticError) as exc:
-            raise GraphError(f"edge ids must be mutually comparable: {exc!r}") from None
+        vs = _sorted_ids("vertex", list(vertices))
+        es = _sorted_ids("edge", es, key=lambda t: t[0])
         for kind, ids in (("vertex", vs), ("edge", [e[0] for e in es])):
             seen, by_str = set(), {}
             for x in ids:

@@ -1,15 +1,23 @@
-"""Reference code that only the tests use: matrix product, Bareiss
-determinant and rank, Kirchhoff spanning-tree counts, random trees and
-diagonal policies, and the closed-form local rank of a triangulated
-product."""
+"""Reference code that only the tests use: matrices from rows, matrix
+product, Bareiss determinant and rank, Kirchhoff spanning-tree counts,
+random trees and diagonal policies, the closed-form local rank of a
+triangulated product, and Cart as one congruence kernel over all edges."""
 
 import heapq
 import random
 
-from tropic_pic.divisor_theory import local_matrix
-from tropic_pic.exact_lattice import IntMatrix, LatticeError
+from tropic_pic.divisor_theory import _cartier_conditions, _condition_matrix, local_matrix
+from tropic_pic.exact_lattice import IntMatrix, Lattice, LatticeError, kernel
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
 from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct
+
+
+def from_rows(rows) -> IntMatrix:
+    """The matrix with the given rows, which must have equal lengths."""
+    nc = len(rows[0]) if rows else 0
+    if any(len(r) != nc for r in rows):
+        raise LatticeError("ragged rows")
+    return IntMatrix(len(rows), nc, [x for r in rows for x in r])
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -142,3 +150,12 @@ def random_policy(g: Multigraph, h: Multigraph, seed: int) -> DiagonalPolicy:
     rng = random.Random(seed)
     return DiagonalPolicy.explicit({(ge, he): bool(rng.getrandbits(1))
                                     for ge, *_ in g.edges for he, *_ in h.edges})
+
+
+def congruence_kernel_cart(tp: TriangulatedProduct) -> Lattice:
+    """Cart as one kernel of [A | diag(m > 0)] over every vertex's local
+    congruences, with |E| + (one slack per congruence) columns, cut to
+    the first |E| coordinates."""
+    ne = tp.n_edges
+    ker = kernel(_condition_matrix(ne, _cartier_conditions(tp)))
+    return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])

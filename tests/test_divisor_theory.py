@@ -8,6 +8,7 @@ import pytest
 from sympy import Matrix as SymMatrix
 
 from oracles import local_rank, local_rank_expected, random_policy, random_tree, rank
+from tropic_pic import divisor_theory
 from tropic_pic.exact_lattice import (
     AbGroup,
     Lattice,
@@ -35,6 +36,7 @@ from tropic_pic.divisor_theory import (
 )
 from tropic_pic.multigraph import (
     Multigraph,
+    complete_graph,
     cycle_graph,
     path_graph,
     theta_graph,
@@ -296,8 +298,9 @@ def test_chain_principal_cartier_qcartier(small_products):
             assert is_q_cartier(tp, d)
 
 
-def test_cart_sandwich(small_products):
-    for tp in small_products:
+def test_cart_sandwich(mixed_products):
+    assert len(mixed_products) == 9
+    for tp in mixed_products:
         prin = prin_lattice(tp)
         cart = cart_lattice(tp)
         qcart = qcart_lattice(tp)
@@ -348,6 +351,45 @@ def test_is_cartier_matches_local_membership(mixed_products):
             d = [rng.randint(-2, 2) for _ in range(tp.n_edges)]
             assert is_cartier(tp, d) == locally_principal(tp, d)
     assert congruence_only > 0
+
+
+def quotient_calls(monkeypatch, tp):
+    """A fresh copy of tp, and the number of ``divisor_theory.quotient``
+    calls that pic and cl make on it together."""
+    calls = []
+    real = divisor_theory.quotient
+
+    def counted(big, small):
+        calls.append(1)
+        return real(big, small)
+
+    fresh = build_product(tp.g, tp.h, tp.policy)
+    with monkeypatch.context() as patch:
+        patch.setattr(divisor_theory, "quotient", counted)
+        pic(fresh)
+        cl(fresh)
+        pic(fresh)
+    return fresh, len(calls)
+
+
+def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monkeypatch):
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 7)]
+    products += [build_product(k4, c4, random_policy(k4, c4, seed)) for seed in (1, 2, 3)]
+    products += [tp for tp in mixed_products if tp.g.is_simple() and tp.h.is_simple()]
+    assert len(products) == 15
+    for tp in products:
+        fresh, calls = quotient_calls(monkeypatch, tp)
+        assert cart_lattice(fresh) is qcart_lattice(fresh)
+        assert calls == 1
+        assert pic(fresh) == cl(fresh)
+
+
+def test_multigraph_factors_run_two_quotients(monkeypatch):
+    for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
+        fresh, calls = quotient_calls(monkeypatch, build_product(g, h))
+        assert cart_lattice(fresh) != qcart_lattice(fresh)
+        assert calls == 2
 
 
 def test_product_is_freed_after_pic_and_cl():

@@ -13,7 +13,7 @@ import pytest
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import det, matmul, rank
+from oracles import det, from_rows, matmul, rank
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
@@ -96,13 +96,13 @@ def test_hnf_factorization_and_span():
 
 def test_hnf_canonical_under_unimodular_change():
     # Same column span written with different generators gives the same h.
-    m = IntMatrix.from_rows([[2, 1], [0, 1]])
-    shuffled = IntMatrix.from_rows([[1, 2 + 3 * 1], [1, 3 * 1]])  # cols: c2, c1+3*c2
+    m = from_rows([[2, 1], [0, 1]])
+    shuffled = from_rows([[1, 2 + 3 * 1], [1, 3 * 1]])  # cols: c2, c1+3*c2
     assert Lattice.from_matrix(m) == Lattice.from_matrix(shuffled)
 
 
 def test_hnf_example_from_contract():
-    m = IntMatrix.from_rows([[2, 1], [0, 1]])
+    m = from_rows([[2, 1], [0, 1]])
     h, u = hnf(m)
     assert matmul(m, u) == h
     lat = Lattice.from_matrix(m)
@@ -159,7 +159,7 @@ def test_lattice_pivots_match_echelon_pivots():
     lambda: IntMatrix(1, 1, [True]),
     lambda: IntMatrix(1, 1, [2.0]),
     lambda: IntMatrix(1, 1, ["1"]),
-    lambda: IntMatrix.from_rows([[1, 2], [3, 4.5]]),
+    lambda: from_rows([[1, 2], [3, 4.5]]),
     lambda: IntMatrix.from_cols([[1, False]]),
     lambda: IntMatrix.from_cols([[1, 2]], nrows=3),
     lambda: IntMatrix.from_cols([[1, 2], [3]]),
@@ -168,6 +168,7 @@ def test_lattice_pivots_match_echelon_pivots():
     lambda: IntMatrix(-1, -1, [1]),
     lambda: IntMatrix.zeros(-1, 2),
     lambda: IntMatrix.identity(-1),
+    lambda: from_rows([[1], [2, 3], []]),  # 3 entries, as many as 3 x 1
 ])
 def test_intmatrix_rejects_bad_entries_and_shapes(build):
     with pytest.raises(LatticeError):
@@ -175,12 +176,12 @@ def test_intmatrix_rejects_bad_entries_and_shapes(build):
 
 
 def test_col_is_bounds_checked():
-    m = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    m = from_rows([[1, 2], [3, 4], [5, 6]])
     assert m.col(1) == (2, 4, 6)
     for j in (-1, 2):
         with pytest.raises(IndexError):
             m.col(j)
-    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    m = from_rows([[1, 2, 3], [4, 5, 6]])
     assert (m.row(1), m[1, 2]) == ((4, 5, 6), 6)
     for i in (-1, 2, 5):
         with pytest.raises(IndexError):
@@ -188,7 +189,7 @@ def test_col_is_bounds_checked():
     for ij in ((0, 3), (0, -1), (2, 0), (-1, 0)):
         with pytest.raises(IndexError):
             m[ij]
-    assert m.submatrix([1, 0], [2, 0]) == IntMatrix.from_rows([[6, 4], [3, 1]])
+    assert m.submatrix([1, 0], [2, 0]) == from_rows([[6, 4], [3, 1]])
     for rows, cols in (([0], [3]), ([0], [-1]), ([2], [0]), ([-1], [0]), ([0, 5], [0, 1])):
         with pytest.raises(IndexError):
             m.submatrix(rows, cols)
@@ -198,7 +199,7 @@ def test_col_is_bounds_checked():
 
 
 def test_snf_diag_2_3():
-    d, s, t = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    d, s, t = snf(from_rows([[2, 0], [0, 3]]))
     assert [d[0, 0], d[1, 1]] == [1, 6]
     assert d[0, 1] == d[1, 0] == 0
 
@@ -297,7 +298,7 @@ def test_kernel_identity_is_zero():
 
 
 def test_kernel_row_of_ones():
-    k = kernel(IntMatrix.from_rows([[1, 1]]))
+    k = kernel(from_rows([[1, 1]]))
     assert k.rank == 1
     ok, _ = lattice_member(k, (1, -1))
     assert ok
@@ -495,7 +496,7 @@ def test_abgroup_direct_sum_canonicalizes():
 
 
 def test_cokernel_free_part():
-    m = IntMatrix.from_rows([[2, 0], [0, 0]])
+    m = from_rows([[2, 0], [0, 0]])
     assert cokernel(m) == AbGroup(1, (2,))
 
 

@@ -52,12 +52,20 @@ def test_rejects_ids_of_mixed_types():
         Multigraph([0, "a"], [("e", 0, "a")])
     assert str(info.value).startswith("vertex ids must be mutually comparable: TypeError(")
     assert "not supported between instances of" in str(info.value)
+    assert str(info.value).endswith(" between 0 and 'a'")
     with pytest.raises(GraphError, match="edge ids") as info:
         Multigraph([0, 1, 2], [("e", 0, 1), (1, 1, 2)])
     assert "comparable: TypeError(\"'<' not supported" in str(info.value)
+    assert str(info.value).endswith(" between 'e' and 1")
     with pytest.raises(GraphError, match="vertex ids") as info:
         Multigraph([Decimal("NaN"), Decimal(1)], [("e", Decimal("NaN"), Decimal(1))])
     assert "comparable: InvalidOperation(" in str(info.value)
+    assert str(info.value).endswith(" between Decimal('NaN') and Decimal('1')")
+    # The pair is the first in input order that fails; 1 and 2 compare.
+    with pytest.raises(GraphError, match="mutually comparable") as info:
+        Multigraph([Decimal(1), Decimal(2), Decimal("NaN")],
+                   [("e", Decimal(1), Decimal(2)), ("f", Decimal(2), Decimal("NaN"))])
+    assert str(info.value).endswith(" between Decimal('1') and Decimal('NaN')")
 
 
 def test_rejects_malformed_edges_and_unhashable_ids():

@@ -1,25 +1,30 @@
-"""Property tests over random multigraph products under seeded policies.
+"""Property tests over random products under seeded policies.
 
-Factors have 2 or 3 vertices: a random tree plus up to two extra edges,
-which may be parallel to other edges.  rank Cart = rank QCart is not
-asserted: it fails on some multigraph products (theta2 x theta2), the
-open Cl defect, because ``qcart_lattice`` is the kernel of the balancing
-equations rather than the saturation of Cart.
+Multigraph factors have 2 or 3 vertices: a random tree plus up to two
+extra edges, which may be parallel to other edges.  rank Cart = rank
+QCart is not asserted: it fails on some multigraph products
+(theta2 x theta2), the open Cl defect, because ``qcart_lattice`` is the
+kernel of the balancing equations rather than the saturation of Cart.
+
+Simple factors have 2 to 4 vertices, and their Pic is checked against
+the closed form Z^(2 + g(G) g(H)) + Jac(G) + Jac(H), used only as an
+oracle here.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_policy
+from oracles import congruence_kernel_cart, random_policy
 from tropic_pic.divisor_theory import (
     balancing_matrix,
     cart_lattice,
     is_cartier,
     is_q_cartier,
+    pic,
     prin_lattice,
     qcart_lattice,
 )
-from tropic_pic.exact_lattice import lattice_contains, lattice_member
-from tropic_pic.multigraph import Multigraph
+from tropic_pic.exact_lattice import AbGroup, lattice_contains, lattice_member
+from tropic_pic.multigraph import Multigraph, critical_group, genus
 from tropic_pic.product_complex import DiagonalPolicy, build_product
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -36,8 +41,20 @@ def multigraphs(draw):
 
 
 @st.composite
-def products(draw):
-    g, h = draw(multigraphs()), draw(multigraphs())
+def simple_graphs(draw):
+    """Connected simple graph on 2 to 4 vertices: a random tree plus a
+    random set of the other vertex pairs."""
+    n = draw(st.integers(2, 4))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = sorted({(u, w) for w in range(n) for u in range(w)} - pairs)
+    if others:
+        pairs |= draw(st.sets(st.sampled_from(others)))
+    return Multigraph(list(range(n)), [(f"e{k}", u, w) for k, (u, w) in enumerate(sorted(pairs))])
+
+
+@st.composite
+def products(draw, factors=multigraphs):
+    g, h = draw(factors()), draw(factors())
     seed = draw(st.none() | st.integers(0, 2**16))
     return build_product(g, h, DiagonalPolicy.standard() if seed is None
                          else random_policy(g, h, seed))
@@ -80,3 +97,19 @@ def test_is_q_cartier_is_balancing_kernel_membership(case):
 def test_prin_in_cart_in_qcart(tp):
     assert lattice_contains(cart_lattice(tp), prin_lattice(tp))
     assert lattice_contains(qcart_lattice(tp), cart_lattice(tp))
+
+
+@SETTINGS
+@given(products())
+def test_cart_is_the_congruence_kernel(tp):
+    assert cart_lattice(tp) == congruence_kernel_cart(tp)
+
+
+@SETTINGS
+@given(products(simple_graphs))
+def test_pic_of_simple_factors_is_the_closed_form(tp):
+    g, h = tp.g, tp.h
+    assert g.is_simple() and h.is_simple()
+    closed = AbGroup.direct_sum(AbGroup.free(2 + genus(g) * genus(h)),
+                                critical_group(g), critical_group(h))
+    assert pic(tp) == closed
