@@ -14,8 +14,11 @@ is behind ``hnf``, ``snf`` and ``Lattice.from_matrix``.  It works on
 column lists in place, runs each column operation over the nonzero
 entries of its source column only, and carries a unimodular transform
 only for ``hnf`` and ``snf``, which return one.  A ``Lattice`` caches
-the pivot rows of its basis, which membership tests and congruences
-reuse.
+the pivot rows of its basis, which congruences reuse, and each basis
+column's nonzero entries from its pivot down, over which membership
+solves run.  ``invariant_factors`` first strips unit pivots by sparse
+row operations, one factor 1 each, and runs ``snf`` only on what is
+left (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
 
 Conventions
 -----------
@@ -35,6 +38,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -93,13 +97,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return cls(n, n, flat)
 
     # -- access ------------------------------------------------------------
 
@@ -204,7 +201,8 @@ def _echelon(cols: list, nr: int) -> list:
             nz = [j for j in range(r, nc) if cols[j][i]]
             if len(nz) <= 1:
                 break
-            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            # Smallest entry; among equals the sparsest column, for less fill-in.
+            j0 = min(nz, key=lambda j: (abs(cols[j][i]), len(cols[j]) - cols[j].count(0)))
             p = cols[j0][i]
             src = _nonzeros(cols[j0], i)
             for j in nz:
@@ -268,26 +266,6 @@ def _echelon_pivots(h: IntMatrix) -> list:
     return piv
 
 
-def _echelon_solve(h: IntMatrix, pivots: Sequence[int], v: Sequence[int]) -> Optional[list]:
-    """Solve h @ y = v over Z for column-echelon h; None when unsolvable."""
-    w = list(v)
-    y = [0] * h.cols
-    for k, p in enumerate(pivots):
-        piv = h[p, k]
-        if w[p] % piv != 0:
-            return None
-        y[k] = w[p] // piv
-        if y[k]:
-            col = h.col(k)
-            c = y[k]
-            for i in range(p, h.rows):
-                if col[i]:
-                    w[i] -= c * col[i]
-    if any(w):
-        return None
-    return y
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -330,14 +308,64 @@ def snf(m: IntMatrix) -> tuple:
             IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
 
 
+def _strip_units(m: IntMatrix) -> tuple:
+    """(u, rest): u unit pivots eliminated from m, and the nonzero rows
+    and columns left, whose invariant factors follow u ones in m's.
+
+    Rows are dicts; a pivot +-1 clears its column by row operations and
+    its row and column are dropped.  The pivot taken next has the fewest
+    other nonzeros in its row times its column (Markowitz), kept in a
+    heap whose stale costs are renewed when popped.
+    """
+    rows = [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    at = [set() for _ in range(m.cols)]  # column -> rows nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            at[j].add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(at[j]) - 1), i, j
+
+    heap = [cost(i, j) for i, row in enumerate(rows) for j, x in row.items() if abs(x) == 1]
+    heapify(heap)
+    units = 0
+    while heap:
+        _, i, j = entry = heappop(heap)
+        pivot = rows[i]
+        if abs(pivot.get(j, 0)) != 1:
+            continue
+        if entry != cost(i, j):
+            heappush(heap, cost(i, j))
+            continue
+        for k in at[j] - {i}:
+            row = rows[k]
+            f = row[j] * pivot[j]
+            for c, x in pivot.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                    at[c].add(k)
+                    if abs(y) == 1:
+                        heappush(heap, cost(k, c))
+                else:
+                    del row[c]
+                    at[c].discard(k)
+        for c in pivot:
+            at[c].discard(i)
+        rows[i] = {}
+        units += 1
+    rest = [row for row in rows if row]
+    keep = sorted(set().union(*rest))
+    return units, IntMatrix._trusted(len(rest), len(keep),
+                                     tuple(row.get(j, 0) for row in rest for j in keep))
+
+
 def invariant_factors(m: IntMatrix) -> list:
-    """Nonzero diagonal entries of the SNF, in divisibility order."""
-    d, _, _ = snf(m)
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        if d[i, i] != 0:
-            out.append(d[i, i])
-    return out
+    """Nonzero diagonal entries of the SNF, in divisibility order: one 1
+    per unit pivot stripped, then those of the SNF of what is left."""
+    units, rest = _strip_units(m)
+    d, _, _ = snf(rest)
+    return [1] * units + [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +384,7 @@ class Lattice:
     ambient_dim: int
     basis: IntMatrix
     _pivots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "Lattice":
@@ -374,10 +403,6 @@ class Lattice:
     def zero(cls, ambient_dim: int) -> "Lattice":
         return cls(ambient_dim, IntMatrix.zeros(ambient_dim, 0))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Lattice":
-        return cls(ambient_dim, IntMatrix.identity(ambient_dim))
-
     @property
     def rank(self) -> int:
         return self.basis.cols
@@ -388,6 +413,15 @@ class Lattice:
         if self._pivots is None:
             object.__setattr__(self, "_pivots", tuple(_echelon_pivots(self.basis)))
         return self._pivots
+
+    @property
+    def columns(self) -> tuple:
+        """Per basis column, its nonzero ``(row, value)`` pairs from the
+        pivot down (the pivot first), computed once per lattice."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", tuple(
+                _nonzeros(self.basis.col(k), p) for k, p in enumerate(self.pivots)))
+        return self._columns
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Lattice) and self.ambient_dim == other.ambient_dim
@@ -409,8 +443,17 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length != ambient dimension")
-    y = _echelon_solve(lat.basis, lat.pivots, v)
-    if y is None:
+    w = list(v)
+    y = []
+    for col in lat.columns:
+        p, piv = col[0]
+        q, r = divmod(w[p], piv)
+        if r:
+            return False, None
+        if q:
+            _sub_nonzeros(w, col, q)
+        y.append(q)
+    if any(w):
         return False, None
     return True, y
 

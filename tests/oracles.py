@@ -1,15 +1,17 @@
-"""Reference code that only the tests use: matrices from rows, matrix
-product, Bareiss determinant and rank, Kirchhoff spanning-tree counts,
-random trees and diagonal policies, the closed-form local rank of a
-triangulated product, and Cart as one congruence kernel over all edges."""
+"""Reference code that only the tests use: matrices from rows, the
+identity and the full lattice, matrix product, Bareiss determinant and
+rank, Kirchhoff spanning-tree counts, random trees and diagonal
+policies, the closed-form local rank of a triangulated product, the
+Cartier congruences with one local HNF per vertex, and Cart as one
+congruence kernel over all edges."""
 
 import heapq
 import random
 
 from tropic_pic.divisor_theory import _cartier_conditions, _condition_matrix, local_matrix
-from tropic_pic.exact_lattice import IntMatrix, Lattice, LatticeError, kernel
+from tropic_pic.exact_lattice import IntMatrix, Lattice, LatticeError, kernel, lattice_conditions
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
-from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct
+from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct, graph_star
 
 
 def from_rows(rows) -> IntMatrix:
@@ -18,6 +20,16 @@ def from_rows(rows) -> IntMatrix:
     if any(len(r) != nc for r in rows):
         raise LatticeError("ragged rows")
     return IntMatrix(len(rows), nc, [x for r in rows for x in r])
+
+
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return IntMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+def full_lattice(n: int) -> Lattice:
+    """Z^n, with the identity as its basis."""
+    return Lattice(n, identity(n))
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -159,3 +171,14 @@ def congruence_kernel_cart(tp: TriangulatedProduct) -> Lattice:
     ne = tp.n_edges
     ker = kernel(_condition_matrix(ne, _cartier_conditions(tp)))
     return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
+
+
+def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
+    """Every vertex's local congruences lifted to the edge order, with one
+    local lattice and one ``lattice_conditions`` call per vertex."""
+    out = []
+    for v in tp.vertices:
+        star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
+        for row, modulus in lattice_conditions(Lattice.from_matrix(local_matrix(tp, v))):
+            out.append((tuple((i, c) for i, c in zip(star_idx, row) if c), modulus))
+    return tuple(out)

@@ -7,7 +7,15 @@ import weakref
 import pytest
 from sympy import Matrix as SymMatrix
 
-from oracles import local_rank, local_rank_expected, random_policy, random_tree, rank
+from oracles import (
+    cartier_conditions_per_vertex,
+    full_lattice,
+    local_rank,
+    local_rank_expected,
+    random_policy,
+    random_tree,
+    rank,
+)
 from tropic_pic import divisor_theory
 from tropic_pic.exact_lattice import (
     AbGroup,
@@ -55,7 +63,7 @@ def intersection_chain_cart(tp):
     local lattices under restriction; each preimage is generated by the
     lifted local basis and the unit divisors off the vertex's star."""
     ne = tp.n_edges
-    result = Lattice.full(ne)
+    result = full_lattice(ne)
     for v in tp.vertices:
         star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
         local = Lattice.from_matrix(local_matrix(tp, v))
@@ -219,6 +227,22 @@ def test_local_torsion_is_covered(mixed_products):
                 moduli = [q for _, q in lattice_conditions(Lattice.from_matrix(m))]
                 torsion.append((factors, 3 in moduli))
     assert ([1, 1, 3], True) in torsion
+
+
+def test_cartier_conditions_equal_the_per_vertex_oracle(mixed_products):
+    for tp in mixed_products:
+        assert divisor_theory._cartier_conditions(tp) == cartier_conditions_per_vertex(tp)
+
+
+def test_c6c6_solves_nine_local_lattices(monkeypatch):
+    solved = []
+    real = divisor_theory.lattice_conditions
+    monkeypatch.setattr(divisor_theory, "lattice_conditions",
+                        lambda lat: solved.append(lat) or real(lat))
+    tp = build_product(cycle_graph(6), cycle_graph(6))
+    conditions = divisor_theory._cartier_conditions(tp)
+    assert tp.n_vertices == 36 and len(solved) == 9
+    assert conditions == cartier_conditions_per_vertex(tp)
 
 
 def test_local_rank_two_without_diagonals(p2p2):
@@ -404,7 +428,7 @@ def test_product_is_freed_after_pic_and_cl():
 
 
 def test_k2k2_cart_is_everything(k2k2):
-    assert cart_lattice(k2k2) == Lattice.full(5)
+    assert cart_lattice(k2k2) == full_lattice(5)
 
 
 def test_c3c3_balanced_basis_scan(c3c3):

@@ -13,7 +13,7 @@ import pytest
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import det, from_rows, matmul, rank
+from oracles import det, from_rows, full_lattice, identity, matmul, rank
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
@@ -65,7 +65,7 @@ def brute_force_member(basis_cols, v, bound=4):
 
 
 def test_hnf_identity():
-    m = IntMatrix.identity(3)
+    m = identity(3)
     h, u = hnf(m)
     assert h == m
     assert u == m
@@ -150,7 +150,7 @@ def test_lattice_pivots_match_echelon_pivots():
         direct = Lattice(lat.ambient_dim, lat.basis)
         assert direct._pivots is None
         assert list(direct.pivots) == _echelon_pivots(lat.basis)
-    assert Lattice.full(3).pivots == (0, 1, 2)
+    assert full_lattice(3).pivots == (0, 1, 2)
     assert Lattice.zero(3).pivots == ()
 
 
@@ -167,7 +167,7 @@ def test_lattice_pivots_match_echelon_pivots():
     lambda: IntMatrix.from_cols([[1], [2, 3]], nrows=1),
     lambda: IntMatrix(-1, -1, [1]),
     lambda: IntMatrix.zeros(-1, 2),
-    lambda: IntMatrix.identity(-1),
+    lambda: identity(-1),
     lambda: from_rows([[1], [2, 3], []]),  # 3 entries, as many as 3 x 1
 ])
 def test_intmatrix_rejects_bad_entries_and_shapes(build):
@@ -280,21 +280,63 @@ def test_snf_minor_gcd_oracle():
             assert prod == gcd_of_maximal_minors(m, r)
 
 
+def sympy_factors(m):
+    sym = smith_normal_form(SymMatrix(m.row_list()))
+    sym_diag = [int(sym[i, i]) for i in range(min(sym.rows, sym.cols))]
+    return [abs(x) for x in sym_diag if x != 0]
+
+
 def test_snf_matches_sympy(c6c6_pic_matrix):
     rng = random.Random(17)
     for m in _snf_inputs(rng, 20, c6c6_pic_matrix):
-        ours = invariant_factors(m)
-        sym = smith_normal_form(SymMatrix(m.row_list()))
-        sym_diag = [int(sym[i, i]) for i in range(min(sym.rows, sym.cols))]
-        sym_diag = [abs(x) for x in sym_diag if x != 0]
-        assert ours == sym_diag
+        assert invariant_factors(m) == sympy_factors(m)
+
+
+def test_unit_stripping_matches_sympy():
+    """Sparse matrices rich in +-1 entries, others with none, zero rows,
+    and 0 rows or 0 columns."""
+    rng = random.Random(29)
+    cases = [IntMatrix.zeros(0, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0),
+             from_rows([[0, 0, 0], [1, -1, 2], [0, 0, 0]]), from_rows([[2, 4], [6, 3]])]
+    for entries in ((1, -1, 1, -1, 2, -2, 3, 6), (2, -2, 3, 4, -6)):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            cases.append(IntMatrix(rows, cols, [rng.choice(entries) if rng.random() < 0.3 else 0
+                                                for _ in range(rows * cols)]))
+    stripped = left = 0
+    for m in cases:
+        units, rest = exact_lattice._strip_units(m)
+        assert not {1, -1} & set(rest._e)
+        assert all(any(rest.row(i)) for i in range(rest.rows))
+        assert all(any(rest.col(j)) for j in range(rest.cols))
+        stripped += units
+        left += rest.rows > 0
+        assert invariant_factors(m) == sympy_factors(m)
+    assert stripped > 60 and left > 40
+
+
+def test_invariant_factors_calls_snf_once(c6c6_pic_matrix, monkeypatch):
+    calls = []
+    real = exact_lattice.snf
+    monkeypatch.setattr(exact_lattice, "snf", lambda m: calls.append(m) or real(m))
+    for run in (lambda: invariant_factors(c6c6_pic_matrix), lambda: invariant_factors(identity(4)),
+                lambda: invariant_factors(IntMatrix.zeros(0, 0)),
+                lambda: cokernel(from_rows([[2, 0], [0, 3]])),
+                lambda: AbGroup.direct_sum(AbGroup(0, (2,)), AbGroup(1, (3,)))):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+    calls.clear()
+    assert invariant_factors(c6c6_pic_matrix)[-3:] == [1, 6, 6]
+    # 33 unit pivots leave a 4 x 2 block, whose factors are 6 and 6.
+    assert (calls[0].rows, calls[0].cols) == (4, 2)
 
 
 # -- kernel ------------------------------------------------------------------
 
 
 def test_kernel_identity_is_zero():
-    assert kernel(IntMatrix.identity(3)).rank == 0
+    assert kernel(identity(3)).rank == 0
 
 
 def test_kernel_row_of_ones():
@@ -363,6 +405,36 @@ def test_member_against_brute_force():
                 assert not brute
 
 
+def test_member_witness_on_built_and_direct_lattices():
+    """A lattice built directly from a basis starts with no cached
+    columns; both kinds give witnesses with basis @ w == v."""
+    rng = random.Random(41)
+    non_members = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        built = Lattice.from_generators(n, gens)
+        direct = Lattice(n, built.basis)
+        assert direct._columns is None
+        for lat in (built, direct):
+            for _ in range(6):
+                coeffs = [rng.randint(-3, 3) for _ in gens]
+                v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
+                ok, w = lattice_member(lat, v)
+                assert ok and list(lat.basis.mul_vec(w)) == v
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                ok, w = lattice_member(lat, x)
+                if ok:
+                    assert list(lat.basis.mul_vec(w)) == x
+                else:
+                    assert w is None and not brute_force_member(gens, x)
+                    non_members += 1
+        assert direct._columns == built._columns
+    assert non_members > 20
+    assert lattice_member(Lattice(2, from_rows([[2, 0], [1, 3]])), (1, 0)) == (False, None)
+    assert lattice_member(Lattice(2, from_rows([[2, 0], [1, 3]])), (2, 4)) == (True, [1, 1])
+
+
 def satisfies(conditions, v):
     return all((sum(r * x for r, x in zip(row, v)) % m if m
                 else sum(r * x for r, x in zip(row, v))) == 0
@@ -376,7 +448,7 @@ def test_conditions_worked_examples():
     # implied by the equation 2 v1 = v0.
     assert lattice_conditions(Lattice.from_generators(2, [(2, 1)])) == [
         ((1, 0), 2), ((-1, 2), 0)]
-    assert lattice_conditions(Lattice.full(3)) == []
+    assert lattice_conditions(full_lattice(3)) == []
     assert lattice_conditions(Lattice.zero(2)) == [((1, 0), 0), ((0, 1), 0)]
 
 
@@ -411,7 +483,7 @@ def test_intersect_scaled_lattices():
 
 def test_intersect_with_full_lattice_is_identity():
     rng = random.Random(31)
-    full = Lattice.full(3)
+    full = full_lattice(3)
     for _ in range(20):
         b = Lattice.from_matrix(random_matrix(rng, 3, rng.randint(0, 3)))
         assert lattice_intersect(full, b) == b
@@ -442,7 +514,7 @@ def test_intersect_is_greatest_lower_bound():
 
 
 def test_quotient_z2_mod_2z2():
-    big = Lattice.full(2)
+    big = full_lattice(2)
     small = Lattice.from_generators(2, [(2, 0), (0, 2)])
     q = quotient(big, small)
     assert q == AbGroup(0, (2, 2))
@@ -509,4 +581,4 @@ def test_empty_edge_cases():
     assert kernel(IntMatrix.zeros(0, 3)).rank == 3
     assert kernel(IntMatrix.zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
-    assert quotient(Lattice.full(2), Lattice.zero(2)) == AbGroup(2, ())
+    assert quotient(full_lattice(2), Lattice.zero(2)) == AbGroup(2, ())

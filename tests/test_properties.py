@@ -9,12 +9,17 @@ kernel of the balancing equations rather than the saturation of Cart.
 Simple factors have 2 to 4 vertices, and their Pic is checked against
 the closed form Z^(2 + g(G) g(H)) + Jac(G) + Jac(H), used only as an
 oracle here.
+
+Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
+``invariant_factors``, which strips unit pivots before its SNF, gives
+the nonzero diagonal of ``snf``.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import congruence_kernel_cart, random_policy
+from oracles import cartier_conditions_per_vertex, congruence_kernel_cart, random_policy
 from tropic_pic.divisor_theory import (
+    _cartier_conditions,
     balancing_matrix,
     cart_lattice,
     is_cartier,
@@ -23,7 +28,14 @@ from tropic_pic.divisor_theory import (
     prin_lattice,
     qcart_lattice,
 )
-from tropic_pic.exact_lattice import AbGroup, lattice_contains, lattice_member
+from tropic_pic.exact_lattice import (
+    AbGroup,
+    IntMatrix,
+    invariant_factors,
+    lattice_contains,
+    lattice_member,
+    snf,
+)
 from tropic_pic.multigraph import Multigraph, critical_group, genus
 from tropic_pic.product_complex import DiagonalPolicy, build_product
 
@@ -113,3 +125,25 @@ def test_pic_of_simple_factors_is_the_closed_form(tp):
     closed = AbGroup.direct_sum(AbGroup.free(2 + genus(g) * genus(h)),
                                 critical_group(g), critical_group(h))
     assert pic(tp) == closed
+
+
+@SETTINGS
+@given(products())
+def test_cartier_conditions_equal_the_per_vertex_oracle(tp):
+    assert _cartier_conditions(tp) == cartier_conditions_per_vertex(tp)
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.integers(-4, 4) | st.sampled_from((0, 0, 1, -1))
+    return IntMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                                max_size=rows * cols)))
+
+
+@SETTINGS
+@given(small_matrices())
+def test_invariant_factors_are_the_snf_diagonal(m):
+    d, _, _ = snf(m)
+    diagonal = [d[i, i] for i in range(min(m.rows, m.cols))]
+    assert invariant_factors(m) == [x for x in diagonal if x]
