@@ -25,7 +25,9 @@ congruences, computed once per distinct local matrix.  Q-Cartier: d
 meets the balancing equations at every vertex (see
 ``_balancing_conditions``), of modulus 0, and QCart is their kernel.
 Cart is cut from QCart by the restricted congruences; on simple factors
-none is left, Cart is QCart, and Pic and Cl are one quotient.
+none is left, Cart is QCart, and Pic and Cl are one quotient.  Pic and
+Cl quotient by P's columns, not by Prin's HNF basis, which only
+``is_principal`` builds.
 """
 
 from __future__ import annotations
@@ -281,10 +283,11 @@ def qcart_lattice(tp: TriangulatedProduct) -> Lattice:
 # ---------------------------------------------------------------------------
 
 def _mod_prin(tp: TriangulatedProduct, lattice: Lattice) -> AbGroup:
-    """lattice / Prin, once per lattice object in the product's memo."""
+    """lattice / Prin, once per lattice object in the product's memo;
+    Prin is given by P's sparse columns, which need no elimination."""
     memo = tp._memo.setdefault("_mod_prin", {})
     if id(lattice) not in memo:
-        memo[id(lattice)] = quotient(lattice, prin_lattice(tp))
+        memo[id(lattice)] = quotient(lattice, principal_matrix(tp))
     return memo[id(lattice)]
 
 

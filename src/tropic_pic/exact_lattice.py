@@ -6,14 +6,19 @@ Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  Matrices are
 stored dense and immutable; all functions are pure.  Entries must be
 ints (``bool`` is refused), checked once where a matrix enters from
-outside; matrices this module builds itself skip the check.
+outside; matrices this module builds itself skip the check.  Likewise
+``Lattice(ambient_dim, basis)`` checks that the basis is canonical,
+and the lattices this module builds skip that check.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
-is behind ``hnf``, ``snf`` and ``Lattice.from_matrix``.  It works on
-column lists in place, runs each column operation over the nonzero
-entries of its source column only, and carries a unimodular transform
-only for ``hnf`` and ``snf``, which return one.  A ``Lattice`` caches
+is behind ``hnf``, ``snf``, ``kernel`` and ``Lattice.from_matrix``.  It
+works on column lists in place, runs each column operation over the
+nonzero entries of its source column only, and carries a unimodular
+transform only for ``hnf`` and ``snf``, which return one.  ``kernel``
+row-echelons m last column first, and only the rows whose pivot is not
+a unit go to ``hnf``; its canonical basis, lifted through the unit
+rows, is ker m's, with no second echelon.  A ``Lattice`` caches
 the pivot rows of its basis, which congruences reuse, and each basis
 column's nonzero entries from its pivot down, over which membership
 solves run.  ``invariant_factors`` first strips unit pivots by sparse
@@ -376,9 +381,10 @@ def invariant_factors(m: IntMatrix) -> list:
 class Lattice:
     """Sublattice of Z^ambient_dim with a canonical HNF basis.
 
-    ``basis`` has one column per generator; zero columns are dropped, so
+    ``basis`` has one column per generator and no zero column, so
     ``basis.cols`` is the rank.  Two lattices are equal iff their bases
-    are equal.
+    are equal.  The constructor raises LatticeError on a basis not in
+    canonical column echelon form, which membership and equality read.
     """
 
     ambient_dim: int
@@ -386,14 +392,28 @@ class Lattice:
     _pivots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # The canonical basis of a lattice is unique, so a basis is
+        # canonical iff echelonning it again leaves it as it is.
+        b = self.basis
+        if not (isinstance(b, IntMatrix) and b.rows == self.ambient_dim
+                and Lattice.from_matrix(b).basis == b):
+            raise LatticeError(f"not a canonical basis with {self.ambient_dim} rows: {b!r}")
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: IntMatrix, pivots: tuple) -> "Lattice":
+        """A lattice on a canonical basis built here, with its pivot rows: no check."""
+        lat = object.__new__(cls)
+        lat.__dict__.update(ambient_dim=ambient_dim, basis=basis, _pivots=pivots, _columns=None)
+        return lat
+
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "Lattice":
         cols = m.col_list()
         pivots = _echelon(cols, m.rows)
         r = len(pivots)
-        lat = cls(m.rows, IntMatrix._trusted(m.rows, r, _flat_from_cols(cols[:r])))
-        object.__setattr__(lat, "_pivots", tuple(pivots))
-        return lat
+        return cls._trusted(m.rows, IntMatrix._trusted(m.rows, r, _flat_from_cols(cols[:r])),
+                            tuple(pivots))
 
     @classmethod
     def from_generators(cls, ambient_dim: int, gens: Sequence[Sequence[int]]) -> "Lattice":
@@ -401,7 +421,7 @@ class Lattice:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Lattice":
-        return cls(ambient_dim, IntMatrix.zeros(ambient_dim, 0))
+        return cls._trusted(ambient_dim, IntMatrix.zeros(ambient_dim, 0), ())
 
     @property
     def rank(self) -> int:
@@ -432,11 +452,40 @@ class Lattice:
 
 
 def kernel(m: IntMatrix) -> Lattice:
-    """The saturated lattice {x in Z^cols : m @ x = 0}."""
-    h, u = hnf(m)
-    nonzero = len(_echelon_pivots(h))
-    gens = [u.col(j) for j in range(nonzero, m.cols)]
-    return Lattice.from_generators(m.cols, gens)
+    """The saturated lattice {x in Z^cols : m @ x = 0}.
+
+    m's rows go to row echelon form, last column first, without a
+    transform.  A row with pivot 1 at column d gives x_d by earlier
+    columns; after the canonical reduction its other entries, and all
+    other rows, lie in S, the columns no unit row owns.  So x is y on
+    S, y in the ``hnf`` kernel of the other rows cut to S, and
+    x_d = -row_d . y.  The lift of y's canonical basis is canonical:
+    its pivot rows and reduced entries lie in S, and x_d is zero above
+    y's first nonzero, as row_d reads only columns before d.
+    """
+    n = m.cols
+    rows = [list(m.row(i)[::-1]) for i in range(m.rows)]  # column n - 1 first
+    pivots = _echelon(rows, n)
+    units = {n - 1 - p: row for row, p in zip(rows, pivots) if row[p] == 1}
+    rest = [row for row, p in zip(rows, pivots) if row[p] != 1]
+    s = [j for j in range(n) if j not in units]
+    h, u = hnf(IntMatrix._trusted(len(rest), len(s),
+                                  tuple(row[n - 1 - j] for row in rest for j in s)))
+    small = Lattice.from_generators(len(s), [u.col(j) for j in range(len(rest), len(s))])
+    reads = [[] for _ in range(n)]  # per column j in S: (d, row_d[j]) of the unit rows
+    for d, row in units.items():
+        for p, c in _nonzeros(row, n - d):
+            reads[n - 1 - p].append((d, c))
+    gens = []
+    for y in small.columns:
+        x = [0] * n
+        for t, c in y:
+            x[s[t]] = c
+            for d, a in reads[s[t]]:
+                x[d] -= a * c
+        gens.append(x)
+    return Lattice._trusted(n, IntMatrix._trusted(n, len(gens), _flat_from_cols(gens)),
+                            tuple(s[t] for t in small.pivots))
 
 
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
@@ -519,20 +568,21 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     return Lattice.from_generators(a.ambient_dim, gens)
 
 
-def quotient(big: Lattice, small: Lattice) -> "AbGroup":
-    """Structure of big/small as a finitely generated abelian group.
+def quotient(big: Lattice, gens: IntMatrix) -> "AbGroup":
+    """Structure of big/L as a finitely generated abelian group, where L
+    is spanned by the columns of ``gens``, which need not be a basis.
 
-    Each generator of ``small`` is written in coordinates of ``big``'s
-    basis (a LatticeError if that fails, i.e. small is not a sublattice),
-    and the quotient is the cokernel of the coefficient matrix.
+    Each column is written in coordinates of ``big``'s basis (a
+    LatticeError if that fails, i.e. L is not a sublattice), and the
+    quotient is the cokernel of the coefficient matrix.
     """
-    if big.ambient_dim != small.ambient_dim:
+    if big.ambient_dim != gens.rows:
         raise LatticeError("ambient dimension mismatch")
     coeff_cols = []
-    for j in range(small.rank):
-        ok, w = lattice_member(big, small.basis.col(j))
+    for j in range(gens.cols):
+        ok, w = lattice_member(big, gens.col(j))
         if not ok:
-            raise LatticeError("quotient: second lattice is not contained in the first")
+            raise LatticeError(f"quotient: generator {j} is not in the first lattice")
         coeff_cols.append(w)
     return cokernel(IntMatrix.from_cols(coeff_cols, nrows=big.rank))
 

@@ -25,6 +25,7 @@ from tropic_pic.exact_lattice import (
     lattice_contains,
     lattice_intersect,
     lattice_member,
+    quotient,
 )
 from tropic_pic.divisor_theory import (
     balancing_matrix,
@@ -414,6 +415,20 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
         fresh, calls = quotient_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
         assert calls == 2
+
+
+def test_quotient_by_principal_columns_equals_by_prin_basis(mixed_products):
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        for lat in (cart_lattice(tp), qcart_lattice(tp)):
+            assert quotient(lat, principal_matrix(tp)) == quotient(lat, prin_lattice(tp).basis)
+
+
+def test_pic_and_cl_build_no_prin_lattice(mixed_products):
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        fresh = build_product(tp.g, tp.h, tp.policy)
+        pic(fresh)
+        cl(fresh)
+        assert "prin_lattice" not in fresh._memo
 
 
 def test_product_is_freed_after_pic_and_cl():

@@ -32,7 +32,14 @@ from tropic_pic.exact_lattice import (
 )
 from tropic_pic import exact_lattice
 from tropic_pic.exact_lattice import _echelon_pivots
-from tropic_pic.divisor_theory import cart_lattice, prin_lattice
+from tropic_pic.divisor_theory import (
+    balancing_matrix,
+    cart_lattice,
+    cl,
+    pic,
+    prin_lattice,
+    principal_matrix,
+)
 from tropic_pic.multigraph import cycle_graph
 from tropic_pic.product_complex import build_product
 
@@ -367,6 +374,69 @@ def test_kernel_exactness_and_saturation():
                 assert lattice_member(k, [v // content for v in x])[0]
 
 
+def check_kernel(m, k):
+    """k is ker m, checked without ``kernel``: exact, of rank cols - rank m,
+    saturated (every invariant factor of the basis is 1), and canonical."""
+    assert (k.ambient_dim, k.basis.rows) == (m.cols, m.cols)
+    assert matmul(m, k.basis) == IntMatrix.zeros(m.rows, k.rank)
+    assert k.rank == m.cols - rank(m)
+    assert invariant_factors(k.basis) == [1] * k.rank
+    assert Lattice.from_matrix(k.basis) == k == Lattice(m.cols, k.basis)
+    assert list(k.pivots) == _echelon_pivots(k.basis)
+
+
+def _kernel_inputs(rng):
+    """Sparse random matrices rich in +-1 or with none, so that pivots are
+    unit and not, some with a zero row or column, and 0 x n and n x 0."""
+    yield from (IntMatrix.zeros(0, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0),
+                IntMatrix.zeros(2, 3), from_rows([[2, 0, 1, 4]]), from_rows([[0, 3], [0, 6]]))
+    for entries in ((1, -1, 1, -1, 2, -3, 4), (2, -2, 3, 4, -6)):
+        for _ in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+            m = [[rng.choice(entries) if rng.random() < 0.4 else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+            if rng.random() < 0.3:
+                m[rng.randrange(rows)] = [0] * cols
+            if rng.random() < 0.3:
+                j = rng.randrange(cols)
+                for row in m:
+                    row[j] = 0
+            yield from_rows(m)
+
+
+def test_kernel_is_exact_saturated_and_canonical(monkeypatch):
+    """Through both parts of ``kernel``: the rows with a unit pivot, and
+    the ``hnf`` kernel of the rows whose pivot is not a unit."""
+    shapes = []
+    real = exact_lattice.hnf
+    monkeypatch.setattr(exact_lattice, "hnf", lambda m: shapes.append((m.rows, m.cols)) or real(m))
+    for m in _kernel_inputs(random.Random(43)):
+        check_kernel(m, kernel(m))
+    assert len(shapes) == 126
+    assert sum(rows > 0 for rows, _ in shapes) > 40
+    assert sum(rows == 0 for rows, _ in shapes) > 40
+
+
+def test_kernel_of_product_matrices(mixed_products):
+    products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 9)]
+    for tp in products + list(mixed_products):
+        check_kernel(balancing_matrix(tp), kernel(balancing_matrix(tp)))
+    for tp in mixed_products:
+        check_kernel(principal_matrix(tp), kernel(principal_matrix(tp)))
+
+
+def test_c6c6_kernel_runs_one_small_hnf(monkeypatch):
+    """Pic and Cl of a fresh C6 x C6 run one ``hnf``: the QCart kernel's,
+    on the 6 balancing rows whose pivot is not a unit."""
+    shapes = []
+    real = exact_lattice.hnf
+    monkeypatch.setattr(exact_lattice, "hnf", lambda m: shapes.append((m.rows, m.cols)) or real(m))
+    tp = build_product(cycle_graph(6), cycle_graph(6))
+    pic(tp)
+    cl(tp)
+    assert len(shapes) == 1 and shapes[0][0] <= 6
+
+
 # -- membership ---------------------------------------------------------------
 
 
@@ -516,20 +586,20 @@ def test_intersect_is_greatest_lower_bound():
 def test_quotient_z2_mod_2z2():
     big = full_lattice(2)
     small = Lattice.from_generators(2, [(2, 0), (0, 2)])
-    q = quotient(big, small)
+    q = quotient(big, small.basis)
     assert q == AbGroup(0, (2, 2))
 
 
 def test_quotient_self_is_trivial():
     lat = Lattice.from_generators(3, [(1, 2, 3), (0, 1, 1)])
-    assert quotient(lat, lat) == AbGroup(0, ())
+    assert quotient(lat, lat.basis) == AbGroup(0, ())
 
 
 def test_quotient_rejects_non_sublattice():
     big = Lattice.from_generators(2, [(2, 0)])
     small = Lattice.from_generators(2, [(1, 0)])
     with pytest.raises(LatticeError):
-        quotient(big, small)
+        quotient(big, small.basis)
 
 
 def test_quotient_rank_additivity():
@@ -541,7 +611,7 @@ def test_quotient_rank_additivity():
         mult = random_matrix(rng, big.rank, rng.randint(0, big.rank), -3, 3)
         small_gens = [big.basis.mul_vec(mult.col(j)) for j in range(mult.cols)]
         small = Lattice.from_generators(4, small_gens)
-        q = quotient(big, small)
+        q = quotient(big, small.basis)
         assert q.free_rank + small.rank == big.rank
 
 
@@ -581,4 +651,35 @@ def test_empty_edge_cases():
     assert kernel(IntMatrix.zeros(0, 3)).rank == 3
     assert kernel(IntMatrix.zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
-    assert quotient(full_lattice(2), Lattice.zero(2)) == AbGroup(2, ())
+    assert quotient(full_lattice(2), Lattice.zero(2).basis) == AbGroup(2, ())
+
+
+# -- the Lattice constructor ------------------------------------------------------
+
+
+@pytest.mark.parametrize("ambient, basis", [
+    (2, from_rows([[1, 1], [1, 0]])),    # two pivots in row 0
+    (2, from_rows([[0, 1], [1, 0]])),    # pivot rows decrease
+    (2, from_rows([[-2], [1]])),         # negative pivot
+    (2, from_rows([[2, 0], [3, 3]])),    # 3 not reduced mod the pivot 3
+    (2, from_rows([[2, 0], [-1, 3]])),   # -1 not reduced mod the pivot 3
+    (2, from_rows([[1, 0], [0, 0]])),    # zero column
+    (3, identity(2)),                    # wrong row count
+    (2, [[1, 0], [0, 1]]),               # not an IntMatrix
+])
+def test_lattice_rejects_a_non_canonical_basis(ambient, basis):
+    with pytest.raises(LatticeError):
+        Lattice(ambient, basis)
+
+
+def test_built_lattices_skip_the_basis_check(monkeypatch):
+    checked = []
+    monkeypatch.setattr(Lattice, "__post_init__", lambda self: checked.append(self))
+    built = [Lattice.from_matrix(from_rows([[2, 1], [0, 3]])), Lattice.from_generators(2, [(1, 1)]),
+             Lattice.zero(3), kernel(from_rows([[1, 1, 2], [0, 2, 4]]))]
+    assert checked == []
+    assert Lattice(2, identity(2)) == full_lattice(2)
+    assert len(checked) == 2
+    monkeypatch.undo()
+    for lat in built:
+        assert Lattice(lat.ambient_dim, lat.basis) == lat
