@@ -12,11 +12,10 @@ The principal matrix P has div(phi_v) as column v, so div(phi) = P phi
 and the principal divisors are the integer column span of P.
 
 Cartier and Q-Cartier divisors are both cut out by per-vertex linear
-conditions, kept in one form: ``(terms, modulus)`` asks that the sum of
-c * d[i] over the ``(index, c)`` terms be 0, or 0 mod a modulus m > 0.
-One checker tests a divisor against a list of them, and the kernel of
-one matrix [A | diag(m > 0)], cut to A's columns, is the lattice the
-list cuts out.
+conditions over the edge order, in ``exact_lattice``'s one format
+``(terms, modulus)``: ``satisfies`` tests a divisor against them,
+``condition_matrix`` writes them as rows, and ``lattice_cut`` cuts a
+lattice by them.
 
 Cartier: at every vertex v the restriction of d to the edges at v lies
 in the integer span of the same restriction of P's columns (the local
@@ -40,12 +39,13 @@ from .exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
-    _nonzeros,
-    _sub_nonzeros,
+    condition_matrix,
     kernel,
     lattice_conditions,
+    lattice_cut,
     lattice_member,
     quotient,
+    satisfies,
 )
 from .product_complex import (
     ComplexError,
@@ -131,33 +131,6 @@ def is_principal(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
 # Cartier and Q-Cartier: (terms, modulus) conditions over the edge order
 # ---------------------------------------------------------------------------
 
-def _satisfies(conditions: tuple, d: Sequence[int]) -> bool:
-    """Whether d meets every ``(terms, modulus)`` condition: the sum of
-    ``c * d[i]`` over terms is 0, or 0 mod the modulus when it is > 0."""
-    for terms, modulus in conditions:
-        s = sum(c * d[i] for i, c in terms)
-        if (s % modulus if modulus else s):
-            return False
-    return True
-
-
-def _condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
-    """[A | diag(m > 0)]: the conditions as rows over ``width`` columns,
-    plus one slack column holding m for each congruence with modulus m > 0."""
-    n_slack = sum(1 for _, modulus in conditions if modulus)
-    total = width + n_slack
-    flat = [0] * (len(conditions) * total)
-    slack = width
-    for r, (terms, modulus) in enumerate(conditions):
-        base = r * total
-        for i, c in terms:
-            flat[base + i] = c
-        if modulus:
-            flat[base + slack] = modulus
-            slack += 1
-    return IntMatrix(len(conditions), total, flat)
-
-
 def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     """Rows of the principal matrix restricted to the edges at v.
 
@@ -188,9 +161,8 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
         m = local_matrix(tp, v)
         if m not in by_matrix:
             by_matrix[m] = lattice_conditions(Lattice.from_matrix(m))
-        for row, modulus in by_matrix[m]:
-            terms = tuple((i, c) for i, c in zip(star_idx, row) if c)
-            out.append((terms, modulus))
+        out.extend((tuple((star_idx[i], c) for i, c in terms), modulus)
+                   for terms, modulus in by_matrix[m])
     return tuple(out)
 
 
@@ -199,36 +171,17 @@ def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     star lies in the integer span of the local matrix columns, that is,
     d satisfies every vertex's local congruences."""
     _check_divisor(tp, d)
-    return _satisfies(_cartier_conditions(tp), d)
+    return satisfies(_cartier_conditions(tp), d)
 
 
 @_per_product
 def cart_lattice(tp: TriangulatedProduct) -> Lattice:
-    """Cartier divisors: K y, K the QCart basis, over the y that meet each
-    local congruence restricted to K (row times K, mod m).  Exact, as Cart
-    lies in QCart: each Cartier condition and balancing equation at v reads
-    only the edges at v, and principal divisors are balanced.  On simple
-    factors no restricted row is left, and Cart is QCart itself."""
-    qcart = qcart_lattice(tp)
-    basis, k = qcart.basis, qcart.rank
-    rows = [_nonzeros(basis.row(i)) for i in range(tp.n_edges)]
-    restricted = []
-    for terms, modulus in _cartier_conditions(tp):
-        acc = [0] * k
-        for i, c in terms:
-            _sub_nonzeros(acc, rows[i], -c)
-        acc = [a % modulus for a in acc] if modulus else acc
-        if any(acc):
-            restricted.append((_nonzeros(acc), modulus))
-    if not restricted:
-        return qcart
-    ker = kernel(_condition_matrix(k, restricted))
-    cols = [_nonzeros(basis.col(j)) for j in range(k)]
-    gens = [[0] * tp.n_edges for _ in range(ker.rank)]
-    for x, y in zip(gens, ker.basis.col_list()):
-        for j, c in _nonzeros(y[:k]):
-            _sub_nonzeros(x, cols[j], -c)
-    return Lattice.from_generators(tp.n_edges, gens)
+    """Cartier divisors: QCart cut by every local congruence.  Exact, as
+    Cart lies in QCart: each Cartier condition and balancing equation at
+    v reads only the edges at v, and principal divisors are balanced.  On
+    simple factors each congruence holds on all of QCart, and Cart is
+    QCart itself."""
+    return lattice_cut(qcart_lattice(tp), _cartier_conditions(tp))
 
 
 @_per_product
@@ -264,13 +217,13 @@ def _balancing_conditions(tp: TriangulatedProduct) -> tuple:
 @_per_product
 def balancing_matrix(tp: TriangulatedProduct) -> IntMatrix:
     """The balancing conditions as rows; D is Q-Cartier iff it kills D."""
-    return _condition_matrix(tp.n_edges, _balancing_conditions(tp))
+    return condition_matrix(tp.n_edges, _balancing_conditions(tp))
 
 
 def is_q_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     """Balanced: d satisfies every balancing condition."""
     _check_divisor(tp, d)
-    return _satisfies(_balancing_conditions(tp), d)
+    return satisfies(_balancing_conditions(tp), d)
 
 
 @_per_product
@@ -320,7 +273,11 @@ def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
     """Inverse of ``divisor_to_json``; every coefficient must be a JSON integer."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ComplexError(f"divisor JSON is not valid at line {exc.lineno} "
+                           f"column {exc.colno}: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise ComplexError("divisor JSON must be an object")
     by_str = _edge_keys(tp)

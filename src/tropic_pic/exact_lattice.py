@@ -3,12 +3,15 @@ lattices, membership, congruence descriptions, intersections and
 quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
-precision, so no overflow is possible at any magnitude.  Matrices are
-stored dense and immutable; all functions are pure.  Entries must be
+precision, so no overflow is possible at any magnitude.  All values
+are immutable and all functions are pure.  An ``IntMatrix`` is dense;
+it is the form in which matrices enter and leave.  Its entries must be
 ints (``bool`` is refused), checked once where a matrix enters from
-outside; matrices this module builds itself skip the check.  Likewise
-``Lattice(ambient_dim, basis)`` checks that the basis is canonical,
-and the lattices this module builds skip that check.
+outside; matrices this module builds itself skip the check.  A
+``Lattice`` is kept sparse, as its canonical basis columns, each the
+``(row, value)`` pairs of its nonzero entries; its dense basis is built
+only when asked for.  ``Lattice(ambient_dim, basis)`` checks that the
+basis is canonical, and the lattices this module builds skip that check.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
@@ -18,12 +21,16 @@ nonzero entries of its source column only, and carries a unimodular
 transform only for ``hnf`` and ``snf``, which return one.  ``kernel``
 row-echelons m last column first, and only the rows whose pivot is not
 a unit go to ``hnf``; its canonical basis, lifted through the unit
-rows, is ker m's, with no second echelon.  A ``Lattice`` caches
-the pivot rows of its basis, which congruences reuse, and each basis
-column's nonzero entries from its pivot down, over which membership
-solves run.  ``invariant_factors`` first strips unit pivots by sparse
-row operations, one factor 1 each, and runs ``snf`` only on what is
-left (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+rows, is ker m's, with no second echelon.  Membership solves,
+congruences and cuts run over a lattice's sparse columns.
+``invariant_factors`` first strips unit pivots by sparse row
+operations, one factor 1 each, and runs ``snf`` only on what is left
+(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+
+Linear conditions have one format, ``(terms, modulus)``: the sum of
+c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
+``lattice_conditions``, ``satisfies``, ``condition_matrix`` and
+``lattice_cut`` write and read it.
 
 Conventions
 -----------
@@ -42,7 +49,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
@@ -138,18 +146,6 @@ class IntMatrix:
             row = self._e[i * self.cols:(i + 1) * self.cols]
             out.append(sum(r * x for r, x in zip(row, v) if r))
         return tuple(out)
-
-    def neg(self) -> "IntMatrix":
-        return IntMatrix._trusted(self.rows, self.cols, tuple(-x for x in self._e))
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise LatticeError("row mismatch in hstack")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return IntMatrix._trusted(self.rows, self.cols + other.cols, tuple(flat))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         for what, idx, n in (("row", row_idx, self.rows), ("column", col_idx, self.cols)):
@@ -259,18 +255,6 @@ def hnf(m: IntMatrix) -> tuple:
             IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
 
 
-def _echelon_pivots(h: IntMatrix) -> list:
-    """Pivot rows of a column-echelon matrix, one per nonzero column."""
-    piv = []
-    for j in range(h.cols):
-        col = h.col(j)
-        i = next((i for i, x in enumerate(col) if x != 0), None)
-        if i is None:
-            break
-        piv.append(i)
-    return piv
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -377,43 +361,39 @@ def invariant_factors(m: IntMatrix) -> list:
 # Lattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lattice:
-    """Sublattice of Z^ambient_dim with a canonical HNF basis.
-
-    ``basis`` has one column per generator and no zero column, so
-    ``basis.cols`` is the rank.  Two lattices are equal iff their bases
-    are equal.  The constructor raises LatticeError on a basis not in
-    canonical column echelon form, which membership and equality read.
+    """Sublattice of Z^ambient_dim with a canonical HNF basis, kept as
+    ``columns``: per basis column its nonzero ``(row, value)`` pairs in
+    row order, the pivot first.  No column is zero, so their number is
+    the rank, and two lattices are equal iff their columns are.  The
+    constructor raises LatticeError on a dense basis not in canonical
+    column echelon form, which membership and equality read.
     """
 
     ambient_dim: int
-    basis: IntMatrix
-    _pivots: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    columns: tuple
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, basis: IntMatrix):
         # The canonical basis of a lattice is unique, so a basis is
         # canonical iff echelonning it again leaves it as it is.
-        b = self.basis
-        if not (isinstance(b, IntMatrix) and b.rows == self.ambient_dim
-                and Lattice.from_matrix(b).basis == b):
-            raise LatticeError(f"not a canonical basis with {self.ambient_dim} rows: {b!r}")
+        if not (isinstance(basis, IntMatrix) and basis.rows == ambient_dim
+                and (lat := Lattice.from_matrix(basis)).basis == basis):
+            raise LatticeError(f"not a canonical basis with {ambient_dim} rows: {basis!r}")
+        self.__dict__.update(lat.__dict__)
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, basis: IntMatrix, pivots: tuple) -> "Lattice":
-        """A lattice on a canonical basis built here, with its pivot rows: no check."""
+    def _trusted(cls, ambient_dim: int, columns: tuple) -> "Lattice":
+        """A lattice on canonical columns built here: no check."""
         lat = object.__new__(cls)
-        lat.__dict__.update(ambient_dim=ambient_dim, basis=basis, _pivots=pivots, _columns=None)
+        lat.__dict__.update(ambient_dim=ambient_dim, columns=columns)
         return lat
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "Lattice":
         cols = m.col_list()
         pivots = _echelon(cols, m.rows)
-        r = len(pivots)
-        return cls._trusted(m.rows, IntMatrix._trusted(m.rows, r, _flat_from_cols(cols[:r])),
-                            tuple(pivots))
+        return cls._trusted(m.rows, tuple(tuple(_nonzeros(c, p)) for c, p in zip(cols, pivots)))
 
     @classmethod
     def from_generators(cls, ambient_dim: int, gens: Sequence[Sequence[int]]) -> "Lattice":
@@ -421,34 +401,27 @@ class Lattice:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Lattice":
-        return cls._trusted(ambient_dim, IntMatrix.zeros(ambient_dim, 0), ())
+        return cls._trusted(ambient_dim, ())
 
     @property
     def rank(self) -> int:
-        return self.basis.cols
+        return len(self.columns)
 
     @property
     def pivots(self) -> tuple:
-        """Pivot row of each basis column, computed once per lattice."""
-        if self._pivots is None:
-            object.__setattr__(self, "_pivots", tuple(_echelon_pivots(self.basis)))
-        return self._pivots
+        """Pivot row of each basis column."""
+        return tuple(col[0][0] for col in self.columns)
 
-    @property
-    def columns(self) -> tuple:
-        """Per basis column, its nonzero ``(row, value)`` pairs from the
-        pivot down (the pivot first), computed once per lattice."""
-        if self._columns is None:
-            object.__setattr__(self, "_columns", tuple(
-                _nonzeros(self.basis.col(k), p) for k, p in enumerate(self.pivots)))
-        return self._columns
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Lattice) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+    @cached_property
+    def basis(self) -> IntMatrix:
+        """The canonical basis as a dense matrix, one column per generator,
+        built on first use."""
+        n, r = self.ambient_dim, len(self.columns)
+        flat = [0] * (n * r)
+        for j, col in enumerate(self.columns):
+            for i, c in col:
+                flat[i * r + j] = c
+        return IntMatrix._trusted(n, r, tuple(flat))
 
 
 def kernel(m: IntMatrix) -> Lattice:
@@ -476,22 +449,24 @@ def kernel(m: IntMatrix) -> Lattice:
     for d, row in units.items():
         for p, c in _nonzeros(row, n - d):
             reads[n - 1 - p].append((d, c))
-    gens = []
+    columns = []
     for y in small.columns:
-        x = [0] * n
+        x = {}
         for t, c in y:
             x[s[t]] = c
             for d, a in reads[s[t]]:
-                x[d] -= a * c
-        gens.append(x)
-    return Lattice._trusted(n, IntMatrix._trusted(n, len(gens), _flat_from_cols(gens)),
-                            tuple(s[t] for t in small.pivots))
+                x[d] = x.get(d, 0) - a * c
+        columns.append(tuple(sorted((i, c) for i, c in x.items() if c)))
+    return Lattice._trusted(n, tuple(columns))
 
 
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length != ambient dimension")
+    if not set(map(type, v)) <= {int}:
+        bad = next(x for x in v if type(x) is not int)
+        raise LatticeError(f"vector entries must be ints, got {bad!r}")
     w = list(v)
     y = []
     for col in lat.columns:
@@ -508,44 +483,42 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
 
 
 def lattice_conditions(lat: Lattice) -> list:
-    """Congruences that cut out the lattice: pairs ``(row, modulus)``.
+    """Congruences that cut out the lattice, as ``(terms, modulus)`` pairs
+    that ``satisfies`` reads: ``terms`` are the nonzero ``(index, c)``
+    entries of a row, and modulus 0 asks for an equation.
 
-    v lies in ``lat`` iff ``row . v == 0 (mod modulus)`` for every pair,
-    where modulus 0 means ``row . v == 0``.  This is ``lattice_member``'s
-    echelon solve run on the identity: ``w[i]`` holds, times the product
-    ``scale`` of the pivots passed so far, the linear form that gives the
-    remainder at row i.  Each pivot asks that its remainder be divisible
-    by the pivot, and the remainders left at the end must vanish.  Each
-    row is divided by gcd(content, modulus); rows whose modulus becomes
-    1 hold for every v and are dropped.
+    This is ``lattice_member``'s echelon solve run on the identity:
+    ``w[i]`` holds, times the product ``scale`` of the pivots passed so
+    far, the linear form that gives the remainder at row i.  Each pivot
+    asks that its remainder be divisible by the pivot, and the
+    remainders left at the end must vanish.  Each row is divided by
+    gcd(content, modulus); rows whose modulus becomes 1 hold for every v
+    and are dropped.
     """
     n = lat.ambient_dim
-    h = lat.basis
-    pivots = lat.pivots
     w = [[int(i == j) for j in range(n)] for i in range(n)]
     scale = 1
     raw = []
-    for k, p in enumerate(pivots):
-        piv = h[p, k]
+    for col in lat.columns:
+        (p, piv), below = col[0], dict(col[1:])
         prow = w[p]
         raw.append((prow, scale * piv))
-        col = h.col(k)
         # Rows above p are final: no later column reaches them.
         for i in range(p + 1, n):
-            if col[i]:
-                c = col[i]
+            c = below.get(i)
+            if c:
                 w[i] = [piv * a - c * b for a, b in zip(w[i], prow)]
             elif piv != 1:
                 w[i] = [piv * a for a in w[i]]
         scale *= piv
-    pivot_set = set(pivots)
+    pivot_set = set(lat.pivots)
     raw.extend((w[i], 0) for i in range(n) if i not in pivot_set)
     out = []
     for row, modulus in raw:
         g = gcd(*row, modulus)
         if g == 0 or g == modulus:
             continue
-        out.append((tuple(x // g for x in row), modulus // g))
+        out.append((tuple((j, x // g) for j, x in enumerate(row) if x), modulus // g))
     return out
 
 
@@ -559,8 +532,8 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
         raise LatticeError("ambient dimension mismatch")
     if a.rank == 0 or b.rank == 0:
         return Lattice.zero(a.ambient_dim)
-    stacked = a.basis.hstack(b.basis.neg())
-    ker = kernel(stacked)
+    cols = a.basis.col_list() + [[-x for x in c] for c in b.basis.col_list()]
+    ker = kernel(IntMatrix.from_cols(cols, nrows=a.ambient_dim))
     gens = []
     for j in range(ker.rank):
         coeffs = ker.basis.col(j)[:a.rank]
@@ -587,6 +560,66 @@ def quotient(big: Lattice, gens: IntMatrix) -> "AbGroup":
     return cokernel(IntMatrix.from_cols(coeff_cols, nrows=big.rank))
 
 
+def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
+    """Whether v meets every ``(terms, modulus)`` condition: the sum of
+    ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0."""
+    for terms, modulus in conditions:
+        s = sum(c * v[i] for i, c in terms)
+        if (s % modulus if modulus else s):
+            return False
+    return True
+
+
+def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
+    """[A | diag(m > 0)]: the conditions as rows over ``width`` columns,
+    plus one slack column holding m for each congruence with modulus m > 0."""
+    n_slack = sum(1 for _, modulus in conditions if modulus)
+    total = width + n_slack
+    flat = [0] * (len(conditions) * total)
+    slack = width
+    for r, (terms, modulus) in enumerate(conditions):
+        base = r * total
+        for i, c in terms:
+            flat[base + i] = c
+        if modulus:
+            flat[base + slack] = modulus
+            slack += 1
+    return IntMatrix(len(conditions), total, flat)
+
+
+def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
+    """The vectors of ``lat`` that meet every ``(terms, modulus)`` condition.
+
+    With K the basis of lat, these are K y over the y that meet each
+    condition restricted to K: its row times K, reduced mod its modulus.
+    A restricted row that is zero holds on all of lat and is dropped;
+    when none is left, lat itself is returned.  Otherwise the y are the
+    kernel of [R | diag(m > 0)] cut to K's coordinates.
+    """
+    k = lat.rank
+    rows = [[] for _ in range(lat.ambient_dim)]  # per row of K: (column, value)
+    for j, col in enumerate(lat.columns):
+        for i, c in col:
+            rows[i].append((j, c))
+    restricted = []
+    for terms, modulus in conditions:
+        acc = [0] * k
+        for i, c in terms:
+            _sub_nonzeros(acc, rows[i], -c)
+        acc = [a % modulus for a in acc] if modulus else acc
+        if any(acc):
+            restricted.append((_nonzeros(acc), modulus))
+    if not restricted:
+        return lat
+    ker = kernel(condition_matrix(k, restricted))
+    gens = [[0] * lat.ambient_dim for _ in range(ker.rank)]
+    for x, y in zip(gens, ker.columns):
+        for j, c in y:
+            if j < k:
+                _sub_nonzeros(x, lat.columns[j], -c)
+    return Lattice.from_generators(lat.ambient_dim, gens)
+
+
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -599,6 +632,10 @@ class AbGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
+        if type(self.free_rank) is not int:
+            raise LatticeError(f"free rank must be an int, got {self.free_rank!r}")
+        if not (isinstance(self.torsion, tuple) and set(map(type, self.torsion)) <= {int}):
+            raise LatticeError(f"invariant factors must be a tuple of ints, got {self.torsion!r}")
         if self.free_rank < 0:
             raise LatticeError("negative free rank")
         prev = None

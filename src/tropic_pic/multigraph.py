@@ -17,6 +17,7 @@ and disconnected graphs are rejected at construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Sequence
 
 from .exact_lattice import AbGroup, IntMatrix, cokernel
@@ -58,6 +59,9 @@ class Multigraph:
     __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_adj")
 
     def __init__(self, vertices: Sequence, edges: Sequence):
+        for name, arg in (("vertices", vertices), ("edges", edges)):
+            if not isinstance(arg, Iterable):
+                raise GraphError(f"{name} must be an iterable, got {arg!r}")
         es = []
         for e in edges:
             try:
@@ -142,12 +146,19 @@ class Multigraph:
         _, u, w = self.edges[self.edge_index(eid)]
         return u, w
 
+    def _neighbours(self, v) -> tuple:
+        """``(edge id, far endpoint)`` of each edge at v."""
+        try:
+            return self._adj[v]
+        except (KeyError, TypeError):
+            raise GraphError(f"unknown vertex {v!r}") from None
+
     def degree(self, v) -> int:
-        return len(self._adj[v])
+        return len(self._neighbours(v))
 
     def incident_edges(self, v) -> tuple:
         """Edge ids at v, in the global edge order."""
-        at_v = {eid for eid, _ in self._adj[v]}
+        at_v = {eid for eid, _ in self._neighbours(v)}
         return tuple(e[0] for e in self.edges if e[0] in at_v)
 
     def is_simple(self) -> bool:
@@ -214,26 +225,31 @@ def genus(g: Multigraph) -> int:
 # Families
 # ---------------------------------------------------------------------------
 
+def _check_size(n, what: str, least: int) -> None:
+    """Raise GraphError unless n is an int (not a bool) of at least ``least``."""
+    if type(n) is not int:
+        raise GraphError(f"{what} must be an int, got {n!r}")
+    if n < least:
+        raise GraphError(f"{what} must be at least {least}, got {n}")
+
+
 def path_graph(n_edges: int) -> Multigraph:
     """Path with n_edges edges (n_edges + 1 vertices)."""
-    if n_edges < 1:
-        raise GraphError("path needs at least one edge")
+    _check_size(n_edges, "path edge count", 1)
     verts = list(range(n_edges + 1))
     edges = [(f"e{i}", i, i + 1) for i in range(n_edges)]
     return Multigraph(verts, edges)
 
 
 def cycle_graph(n: int) -> Multigraph:
-    if n < 3:
-        raise GraphError("cycle needs at least 3 vertices")
+    _check_size(n, "cycle vertex count", 3)
     verts = list(range(n))
     edges = [(f"e{i}", i, (i + 1) % n) for i in range(n)]
     return Multigraph(verts, edges)
 
 
 def complete_graph(n: int) -> Multigraph:
-    if n < 2:
-        raise GraphError("complete graph needs at least 2 vertices")
+    _check_size(n, "complete graph vertex count", 2)
     verts = list(range(n))
     edges = []
     k = 0
@@ -246,8 +262,7 @@ def complete_graph(n: int) -> Multigraph:
 
 def theta_graph(n_edges: int) -> Multigraph:
     """Two vertices joined by n_edges parallel edges."""
-    if n_edges < 1:
-        raise GraphError("theta graph needs at least one edge")
+    _check_size(n_edges, "theta graph edge count", 1)
     return Multigraph([0, 1], [(f"e{i}", 0, 1) for i in range(n_edges)])
 
 

@@ -1,15 +1,22 @@
 """Reference code that only the tests use: matrices from rows, the
 identity and the full lattice, matrix product, Bareiss determinant and
-rank, Kirchhoff spanning-tree counts, random trees and diagonal
-policies, the closed-form local rank of a triangulated product, the
-Cartier congruences with one local HNF per vertex, and Cart as one
-congruence kernel over all edges."""
+rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree
+counts, random trees and diagonal policies, the closed-form local rank
+of a triangulated product, the Cartier congruences with one local HNF
+per vertex, and Cart as one congruence kernel over all edges."""
 
 import heapq
 import random
 
-from tropic_pic.divisor_theory import _cartier_conditions, _condition_matrix, local_matrix
-from tropic_pic.exact_lattice import IntMatrix, Lattice, LatticeError, kernel, lattice_conditions
+from tropic_pic.divisor_theory import _cartier_conditions, local_matrix
+from tropic_pic.exact_lattice import (
+    IntMatrix,
+    Lattice,
+    LatticeError,
+    condition_matrix,
+    kernel,
+    lattice_conditions,
+)
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
 from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct, graph_star
 
@@ -94,6 +101,18 @@ def rank(m: IntMatrix) -> int:
     return r
 
 
+def echelon_pivots(h: IntMatrix) -> list:
+    """Pivot rows of a column-echelon matrix, one per nonzero column, by a
+    scan of its dense columns."""
+    piv = []
+    for j in range(h.cols):
+        i = next((i for i, x in enumerate(h.col(j)) if x != 0), None)
+        if i is None:
+            break
+        piv.append(i)
+    return piv
+
+
 def spanning_tree_count(g: Multigraph) -> int:
     """Kirchhoff count: any cofactor determinant of the Laplacian."""
     n = g.n_vertices
@@ -169,7 +188,7 @@ def congruence_kernel_cart(tp: TriangulatedProduct) -> Lattice:
     congruences, with |E| + (one slack per congruence) columns, cut to
     the first |E| coordinates."""
     ne = tp.n_edges
-    ker = kernel(_condition_matrix(ne, _cartier_conditions(tp)))
+    ker = kernel(condition_matrix(ne, _cartier_conditions(tp)))
     return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
 
 
@@ -179,6 +198,6 @@ def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
     out = []
     for v in tp.vertices:
         star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
-        for row, modulus in lattice_conditions(Lattice.from_matrix(local_matrix(tp, v))):
-            out.append((tuple((i, c) for i, c in zip(star_idx, row) if c), modulus))
+        for terms, modulus in lattice_conditions(Lattice.from_matrix(local_matrix(tp, v))):
+            out.append((tuple((star_idx[i], c) for i, c in terms), modulus))
     return tuple(out)

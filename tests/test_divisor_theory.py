@@ -526,6 +526,16 @@ def test_divisor_json_rejects_non_objects(p2p2):
         divisor_from_json(p2p2, "[1, 2]")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("nope", "line 1 column 1"),
+    ('{"h:e0:0": 1,}', "line 1 column 14"),
+    ("{\n  1: 2}", "line 2 column 3"),
+])
+def test_divisor_json_rejects_invalid_json_with_its_position(p2p2, text, where):
+    with pytest.raises(ComplexError, match=f"not valid at {where}: "):
+        divisor_from_json(p2p2, text)
+
+
 def test_divisor_json_keys_are_injective():
     # Unescaped, edge "a" at vertex "b:c" and edge "a:b" at vertex "c"
     # would both give the key h:a:b:c.

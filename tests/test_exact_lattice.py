@@ -13,7 +13,7 @@ import pytest
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import det, from_rows, full_lattice, identity, matmul, rank
+from oracles import det, echelon_pivots, from_rows, full_lattice, identity, matmul, rank
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
@@ -23,15 +23,17 @@ from tropic_pic.exact_lattice import (
     hnf,
     invariant_factors,
     kernel,
+    condition_matrix,
     lattice_conditions,
     lattice_contains,
+    lattice_cut,
     lattice_intersect,
     lattice_member,
     quotient,
+    satisfies,
     snf,
 )
 from tropic_pic import exact_lattice
-from tropic_pic.exact_lattice import _echelon_pivots
 from tropic_pic.divisor_theory import (
     balancing_matrix,
     cart_lattice,
@@ -149,16 +151,42 @@ def test_from_matrix_equals_nonzero_hnf_columns():
     assert deficient >= 20
 
 
+def check_sparse_form(lat):
+    """lat's columns, pivots and rank agree with its dense basis, read by
+    the dense pivot scan, and the checked constructor on that basis gives
+    an equal lattice with the same hash."""
+    b = lat.basis
+    assert (b.rows, b.cols) == (lat.ambient_dim, lat.rank)
+    assert list(lat.pivots) == echelon_pivots(b)
+    assert lat.columns == tuple(tuple((i, x) for i, x in enumerate(b.col(j)) if x)
+                                for j in range(b.cols))
+    direct = Lattice(lat.ambient_dim, b)
+    assert direct == lat and hash(direct) == hash(lat) and direct.basis == b
+
+
 def test_lattice_pivots_match_echelon_pivots():
+    """The sparse form of lattices from every constructor agrees with the
+    dense basis: pivots by the dense scan, rank, columns, and equality and
+    hash with equality of the bases."""
     rng = random.Random(12)
-    for m in _shapes_and_matrices(rng):
-        lat = Lattice.from_matrix(m)
-        assert list(lat.pivots) == _echelon_pivots(lat.basis)
-        direct = Lattice(lat.ambient_dim, lat.basis)
-        assert direct._pivots is None
-        assert list(direct.pivots) == _echelon_pivots(lat.basis)
+    lattices = [Lattice.from_matrix(m) for m in _shapes_and_matrices(rng)]
+    lattices += [kernel(m) for m in _kernel_inputs(random.Random(44))]
+    lattices += [lattice_cut(lat, _random_conditions(rng, lat.ambient_dim))
+                 for lat in lattices[:150]]
+    lattices += [Lattice.zero(n) for n in range(4)] + [full_lattice(n) for n in range(4)]
+    for lat in lattices:
+        check_sparse_form(lat)
     assert full_lattice(3).pivots == (0, 1, 2)
     assert Lattice.zero(3).pivots == ()
+    # Equality and hash agree with equality of the dense bases.
+    by_basis = {}
+    for lat in lattices:
+        by_basis.setdefault((lat.ambient_dim, lat.basis), []).append(lat)
+    assert len(set(lattices)) == len(by_basis) < len(lattices)
+    for same in by_basis.values():
+        assert all(lat == same[0] and hash(lat) == hash(same[0]) for lat in same)
+    firsts = [same[0] for same in by_basis.values()]
+    assert all(a != b for i, a in enumerate(firsts) for b in firsts[i + 1:])
 
 
 @pytest.mark.parametrize("build", [
@@ -382,7 +410,7 @@ def check_kernel(m, k):
     assert k.rank == m.cols - rank(m)
     assert invariant_factors(k.basis) == [1] * k.rank
     assert Lattice.from_matrix(k.basis) == k == Lattice(m.cols, k.basis)
-    assert list(k.pivots) == _echelon_pivots(k.basis)
+    assert list(k.pivots) == echelon_pivots(k.basis)
 
 
 def _kernel_inputs(rng):
@@ -453,6 +481,12 @@ def test_member_trivial_examples():
     assert lattice_member(lat3, (2, 2))[0]
 
 
+@pytest.mark.parametrize("v", [("a", 0), (2.0, 3.0), (True, 0), (1, None)])
+def test_member_rejects_entries_that_are_not_ints(v):
+    with pytest.raises(LatticeError, match="vector entries must be ints"):
+        lattice_member(Lattice.from_generators(2, [(2, 0), (0, 3)]), v)
+
+
 def test_member_against_brute_force():
     rng = random.Random(23)
     for _ in range(30):
@@ -476,8 +510,9 @@ def test_member_against_brute_force():
 
 
 def test_member_witness_on_built_and_direct_lattices():
-    """A lattice built directly from a basis starts with no cached
-    columns; both kinds give witnesses with basis @ w == v."""
+    """A lattice built by the checked constructor and one built by
+    ``from_generators`` have the same columns, and both give witnesses
+    with basis @ w == v."""
     rng = random.Random(41)
     non_members = 0
     for _ in range(40):
@@ -485,7 +520,6 @@ def test_member_witness_on_built_and_direct_lattices():
         gens = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         built = Lattice.from_generators(n, gens)
         direct = Lattice(n, built.basis)
-        assert direct._columns is None
         for lat in (built, direct):
             for _ in range(6):
                 coeffs = [rng.randint(-3, 3) for _ in gens]
@@ -499,27 +533,43 @@ def test_member_witness_on_built_and_direct_lattices():
                 else:
                     assert w is None and not brute_force_member(gens, x)
                     non_members += 1
-        assert direct._columns == built._columns
+        assert direct.columns == built.columns
     assert non_members > 20
     assert lattice_member(Lattice(2, from_rows([[2, 0], [1, 3]])), (1, 0)) == (False, None)
     assert lattice_member(Lattice(2, from_rows([[2, 0], [1, 3]])), (2, 4)) == (True, [1, 1])
 
 
-def satisfies(conditions, v):
-    return all((sum(r * x for r, x in zip(row, v)) % m if m
-                else sum(r * x for r, x in zip(row, v))) == 0
-               for row, m in conditions)
+def dense_satisfies(conditions, v):
+    """``satisfies`` by dense rows: each condition's terms written out as a
+    row over v's indices, then the dot product with v."""
+    for terms, m in conditions:
+        row = [0] * len(v)
+        for i, c in terms:
+            row[i] += c
+        dot = sum(r * x for r, x in zip(row, v))
+        if (dot % m if m else dot) != 0:
+            return False
+    return True
+
+
+def _random_conditions(rng, n):
+    """Up to three conditions over n indices: sparse terms with small
+    coefficients, some empty, and moduli 0 (an equation) or 2 to 4."""
+    return [(tuple((i, rng.choice((-3, -2, -1, 1, 2, 3)))
+                   for i in range(n) if rng.random() < 0.5),
+             rng.choice((0, 0, 2, 3, 4)))
+            for _ in range(rng.randint(0, 3))]
 
 
 def test_conditions_worked_examples():
     assert lattice_conditions(Lattice.from_generators(2, [(2, 0), (0, 3)])) == [
-        ((1, 0), 2), ((0, 1), 3)]
+        (((0, 1),), 2), (((1, 1),), 3)]
     # (2, 1) is saturated but its pivot is 2; the congruence it gives is
     # implied by the equation 2 v1 = v0.
     assert lattice_conditions(Lattice.from_generators(2, [(2, 1)])) == [
-        ((1, 0), 2), ((-1, 2), 0)]
+        (((0, 1),), 2), (((0, -1), (1, 2)), 0)]
     assert lattice_conditions(full_lattice(3)) == []
-    assert lattice_conditions(Lattice.zero(2)) == [((1, 0), 0), ((0, 1), 0)]
+    assert lattice_conditions(Lattice.zero(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
 
 
 def test_conditions_match_membership():
@@ -534,11 +584,49 @@ def test_conditions_match_membership():
         saw_big_pivot |= any(next(x for x in lat.basis.col(j) if x) > 1
                              for j in range(lat.rank))
         conditions = lattice_conditions(lat)
-        for row, m in conditions:
-            assert len(row) == n and any(row) and m != 1
+        for terms, m in conditions:
+            indices = [i for i, _ in terms]
+            assert indices == sorted(set(indices)) and set(indices) <= set(range(n))
+            assert terms and all(c for _, c in terms) and m != 1
         for v in product(range(-4, 5), repeat=n):
+            assert satisfies(conditions, v) == dense_satisfies(conditions, v)
             assert satisfies(conditions, v) == lattice_member(lat, v)[0]
     assert saw_big_pivot and saw_deficient
+
+
+def test_condition_matrix_kernel_is_what_the_conditions_cut_out():
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        conditions = _random_conditions(rng, n)
+        m = condition_matrix(n, conditions)
+        assert (m.rows, m.cols) == (len(conditions), n + sum(1 for _, q in conditions if q))
+        ker = kernel(m)
+        cut = Lattice.from_generators(n, [ker.basis.col(j)[:n] for j in range(ker.rank)])
+        for v in product(range(-4, 5), repeat=n):
+            assert lattice_member(cut, v)[0] == dense_satisfies(conditions, v)
+
+
+def test_lattice_cut_against_membership():
+    """v lies in lattice_cut(lat, conditions) iff v lies in lat and meets
+    the conditions; a cut that removes nothing returns lat itself."""
+    rng = random.Random(61)
+    uncut = smaller = 0
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        lat = Lattice.from_generators(n, gens)
+        conditions = _random_conditions(rng, n)
+        cut = lattice_cut(lat, conditions)
+        uncut += cut is lat
+        smaller += cut != lat
+        for v in product(range(-4, 5), repeat=n):
+            assert lattice_member(cut, v)[0] == (lattice_member(lat, v)[0]
+                                                 and dense_satisfies(conditions, v))
+    assert uncut > 10 and smaller > 10
+    z2 = full_lattice(2)
+    assert lattice_cut(z2, [(((0, 2), (1, 4)), 2)]) is z2
+    assert lattice_cut(z2, [(((0, 1), (1, 1)), 2)]) == Lattice.from_generators(2, [(1, 1), (0, 2)])
 
 
 # -- intersection --------------------------------------------------------------
@@ -628,6 +716,13 @@ def test_abgroup_validation_and_str():
         AbGroup(0, (4, 6))
 
 
+@pytest.mark.parametrize("free_rank, torsion", [
+    (1.5, ()), (True, ()), ("1", ()), (1, ("a",)), (1, (2.0,)), (1, (True,)), (1, [2]), (1, 2)])
+def test_abgroup_rejects_values_that_are_not_ints(free_rank, torsion):
+    with pytest.raises(LatticeError, match="must be"):
+        AbGroup(free_rank, torsion)
+
+
 def test_abgroup_direct_sum_canonicalizes():
     a = AbGroup(1, (3,))
     b = AbGroup(1, (4,))
@@ -674,9 +769,13 @@ def test_lattice_rejects_a_non_canonical_basis(ambient, basis):
 
 def test_built_lattices_skip_the_basis_check(monkeypatch):
     checked = []
-    monkeypatch.setattr(Lattice, "__post_init__", lambda self: checked.append(self))
+    real = Lattice.__init__
+    monkeypatch.setattr(Lattice, "__init__",
+                        lambda self, *args: checked.append(args) or real(self, *args))
     built = [Lattice.from_matrix(from_rows([[2, 1], [0, 3]])), Lattice.from_generators(2, [(1, 1)]),
-             Lattice.zero(3), kernel(from_rows([[1, 1, 2], [0, 2, 4]]))]
+             Lattice.zero(3), kernel(from_rows([[1, 1, 2], [0, 2, 4]])),
+             lattice_cut(Lattice.zero(2), [(((0, 1),), 2)]),
+             lattice_cut(Lattice.from_matrix(identity(2)), [(((0, 1), (1, 1)), 2)])]
     assert checked == []
     assert Lattice(2, identity(2)) == full_lattice(2)
     assert len(checked) == 2

@@ -1,5 +1,6 @@
 """Tests for multigraphs, Laplacians, spanning-tree counts and Picard groups."""
 
+import re
 from decimal import Decimal
 from math import prod
 
@@ -188,6 +189,22 @@ def test_genus():
     assert genus(random_tree(10, 99)) == 0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Multigraph(5, []), "^vertices must be an iterable, got 5$"),
+    (lambda: Multigraph([0], 7), "^edges must be an iterable, got 7$"),
+])
+def test_rejects_arguments_that_are_not_iterable(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("query", ["degree", "incident_edges"])
+@pytest.mark.parametrize("vertex", [99, [0]])
+def test_vertex_queries_name_an_unknown_vertex(query, vertex):
+    with pytest.raises(GraphError, match=f"^unknown vertex {re.escape(repr(vertex))}$"):
+        getattr(cycle_graph(3), query)(vertex)
+
+
 # -- families ----------------------------------------------------------------------
 
 
@@ -199,6 +216,25 @@ def test_families_shapes():
     t = random_tree(7, 3)
     assert t.n_edges == t.n_vertices - 1 == 6
     assert random_tree(7, 3) == random_tree(7, 3)
+
+
+@pytest.mark.parametrize("family, size", [
+    (theta_graph, True),
+    (cycle_graph, 3.5),
+    (path_graph, "3"),
+    (complete_graph, 4.0),
+    (cycle_graph, False),
+])
+def test_family_sizes_must_be_ints(family, size):
+    with pytest.raises(GraphError, match=rf"count must be an int, got {size!r}$"):
+        family(size)
+
+
+@pytest.mark.parametrize("family, size", [
+    (path_graph, 0), (cycle_graph, 2), (complete_graph, 1), (theta_graph, 0)])
+def test_family_sizes_below_the_least(family, size):
+    with pytest.raises(GraphError, match=f"must be at least {size + 1}, got {size}$"):
+        family(size)
 
 
 # -- text format -------------------------------------------------------------------

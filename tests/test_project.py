@@ -1,5 +1,7 @@
-"""Packaging metadata: every declared console script resolves to a callable,
-and the test extra declares every third-party module the tests import."""
+"""Packaging metadata and module boundaries: every declared console
+script resolves to a callable, the test extra declares every third-party
+module the tests import, and no library module imports a private name
+from another."""
 
 import ast
 import glob
@@ -57,3 +59,26 @@ def test_test_extra_declares_third_party_imports():
     dists = packages_distributions()
     for module in sorted(third_party):
         assert {_normalize(d) for d in dists.get(module, [module])} & declared, module
+
+
+def _private_imports(source):
+    """``_``-prefixed names that source imports from the package."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "tropic_pic"):
+            names.extend(alias.name for alias in node.names if alias.name.startswith("_"))
+    return names
+
+
+def test_library_modules_import_no_private_names():
+    """A ``_`` name is private to its module, so no module under
+    src/tropic_pic/ imports one from a sibling; the tests may."""
+    assert _private_imports("from .exact_lattice import IntMatrix, _nonzeros") == ["_nonzeros"]
+    assert _private_imports("from tropic_pic.product_complex import _x") == ["_x"]
+    assert _private_imports("from __future__ import annotations\nfrom os import _exit") == []
+    paths = glob.glob(os.path.join(ROOT, "src", "tropic_pic", "*.py"))
+    assert len(paths) >= 5
+    for path in paths:
+        with open(path) as f:
+            assert _private_imports(f.read()) == [], os.path.basename(path)
