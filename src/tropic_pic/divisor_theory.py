@@ -235,23 +235,20 @@ def qcart_lattice(tp: TriangulatedProduct) -> Lattice:
 # Picard and class groups
 # ---------------------------------------------------------------------------
 
-def _mod_prin(tp: TriangulatedProduct, lattice: Lattice) -> AbGroup:
-    """lattice / Prin, once per lattice object in the product's memo;
-    Prin is given by P's sparse columns, which need no elimination."""
-    memo = tp._memo.setdefault("_mod_prin", {})
-    if id(lattice) not in memo:
-        memo[id(lattice)] = quotient(lattice, principal_matrix(tp))
-    return memo[id(lattice)]
-
-
+@_per_product
 def pic(tp: TriangulatedProduct) -> AbGroup:
-    """Cartier divisors modulo principal divisors; cl's quotient when Cart is QCart."""
-    return _mod_prin(tp, cart_lattice(tp))
+    """Cartier divisors modulo principal divisors; cl itself when Cart is QCart."""
+    cart = cart_lattice(tp)
+    if cart is qcart_lattice(tp):
+        return cl(tp)
+    return quotient(cart, principal_matrix(tp))
 
 
+@_per_product
 def cl(tp: TriangulatedProduct) -> AbGroup:
-    """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones."""
-    return _mod_prin(tp, qcart_lattice(tp))
+    """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones.
+    Prin is given by P's sparse columns, which need no elimination."""
+    return quotient(qcart_lattice(tp), principal_matrix(tp))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +270,8 @@ def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
     """Inverse of ``divisor_to_json``; every coefficient must be a JSON integer."""
+    if not isinstance(text, str):
+        raise ComplexError(f"divisor JSON must be a str, got {type(text).__name__}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -560,11 +560,33 @@ def quotient(big: Lattice, gens: IntMatrix) -> "AbGroup":
     return cokernel(IntMatrix.from_cols(coeff_cols, nrows=big.rank))
 
 
+def _check_conditions(width: int, conditions: Sequence) -> None:
+    """Raise LatticeError unless every ``(terms, modulus)`` condition
+    reads ints at indices in [0, width) and has an int modulus >= 0."""
+    if type(width) is not int or width < 0:
+        raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
+    for r, (terms, modulus) in enumerate(conditions):
+        if type(modulus) is not int or modulus < 0:
+            raise LatticeError(f"condition {r}: modulus must be an int >= 0, got {modulus!r}")
+        for i, c in terms:
+            if type(i) is not int or not 0 <= i < width:
+                raise LatticeError(f"condition {r}: term index {i!r} is outside [0, {width})")
+            if type(c) is not int:
+                raise LatticeError(f"condition {r}: coefficient {c!r} is not an int")
+
+
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     """Whether v meets every ``(terms, modulus)`` condition: the sum of
-    ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0."""
+    ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0.
+    The conditions are read in order up to the first that v fails; a
+    term index read outside [0, len(v)) raises LatticeError."""
+    n = len(v)
     for terms, modulus in conditions:
-        s = sum(c * v[i] for i, c in terms)
+        s = 0
+        for i, c in terms:
+            if not 0 <= i < n:
+                raise LatticeError(f"term index {i!r} is outside [0, {n})")
+            s += c * v[i]
         if (s % modulus if modulus else s):
             return False
     return True
@@ -572,7 +594,9 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
 
 def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
     """[A | diag(m > 0)]: the conditions as rows over ``width`` columns,
-    plus one slack column holding m for each congruence with modulus m > 0."""
+    plus one slack column holding m for each congruence with modulus m > 0.
+    The terms of a row that share an index add up."""
+    _check_conditions(width, conditions)
     n_slack = sum(1 for _, modulus in conditions if modulus)
     total = width + n_slack
     flat = [0] * (len(conditions) * total)
@@ -580,11 +604,11 @@ def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
     for r, (terms, modulus) in enumerate(conditions):
         base = r * total
         for i, c in terms:
-            flat[base + i] = c
+            flat[base + i] += c
         if modulus:
             flat[base + slack] = modulus
             slack += 1
-    return IntMatrix(len(conditions), total, flat)
+    return IntMatrix._trusted(len(conditions), total, tuple(flat))
 
 
 def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
@@ -596,6 +620,7 @@ def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
     when none is left, lat itself is returned.  Otherwise the y are the
     kernel of [R | diag(m > 0)] cut to K's coordinates.
     """
+    _check_conditions(lat.ambient_dim, conditions)
     k = lat.rank
     rows = [[] for _ in range(lat.ambient_dim)]  # per row of K: (column, value)
     for j, col in enumerate(lat.columns):

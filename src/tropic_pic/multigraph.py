@@ -133,13 +133,13 @@ class Multigraph:
     def vertex_index(self, v) -> int:
         try:
             return self._vindex[v]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id is no vertex
             raise GraphError(f"unknown vertex {v!r}") from None
 
     def edge_index(self, eid) -> int:
         try:
             return self._eindex[eid]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id is no edge
             raise GraphError(f"unknown edge {eid!r}") from None
 
     def endpoints(self, eid) -> tuple:
@@ -147,7 +147,7 @@ class Multigraph:
         return u, w
 
     def _neighbours(self, v) -> tuple:
-        """``(edge id, far endpoint)`` of each edge at v."""
+        """``(edge id, far endpoint)`` of each edge at v, in the global edge order."""
         try:
             return self._adj[v]
         except (KeyError, TypeError):
@@ -158,8 +158,7 @@ class Multigraph:
 
     def incident_edges(self, v) -> tuple:
         """Edge ids at v, in the global edge order."""
-        at_v = {eid for eid, _ in self._neighbours(v)}
-        return tuple(e[0] for e in self.edges if e[0] in at_v)
+        return tuple(eid for eid, _ in self._neighbours(v))
 
     def is_simple(self) -> bool:
         seen = set()

@@ -15,6 +15,16 @@ weak tropical complex: for every edge r,
 alpha is 1 on (diagonal, endpoint) pairs, and on a non-diagonal edge r
 with endpoint v it counts the triangles on r whose diagonal avoids v.
 
+Every triangle lies in one square, so the construction is one pass over
+the squares after the horizontal and vertical edges, which start the
+stars and get alpha 0 at both ends.  A square over G-edge umin-umax and
+H-edge bmin-bmax has corners ll = (umin, bmin), lr = (umax, bmin),
+ul = (umin, bmax) and ur = (umax, bmax).  Its diagonal p-q is ll-ur, or
+lr-ul when flipped; it gets alpha 1 at p and q and ends their stars.
+Each of its two triangles has sides s1 = p-c and s2 = c-q at the corner
+c off the diagonal: c gains 1 in alpha on s1 and on s2, and the link
+counts (edge, opposite vertex) gain s1 -> q, s2 -> p and diagonal -> c.
+
 Orderings are deterministic: vertices lexicographic in (G-order,
 H-order); edges in blocks horizontal / vertical / diagonal, each block
 lexicographic, so the diagonal block is contiguous at the end.
@@ -101,15 +111,21 @@ def parse_policy_text(text: str) -> DiagonalPolicy:
 
 class ProductEdge(NamedTuple):
     eid: tuple          # ("h", g_edge, h_vertex) / ("v", g_vertex, h_edge) / ("d", g_edge, h_edge)
-    u: tuple            # endpoint (a, b), earlier in vertex order
-    w: tuple            # endpoint (a, b), later in vertex order
+    u: tuple            # endpoint (a, b), earlier in vertex order, except lr on a flipped diagonal
+    w: tuple            # the other endpoint (ul on a flipped diagonal)
     kind: str           # "horizontal" | "vertical" | "diagonal"
 
 
 class Triangle(NamedTuple):
-    verts: tuple        # 3 vertices, in vertex order
-    edge_ids: tuple     # the 3 edge ids, matching opposite_of
+    verts: tuple        # (ll, lr, ur), (ll, ul, ur); flipped: (ll, lr, ul), (lr, ur, ul)
+    edge_ids: tuple     # the sides s1, s2, then the diagonal
     diag: tuple         # the diagonal edge id
+
+
+def _ordered_ends(graph: Multigraph) -> dict:
+    """Edge id -> its endpoints (earlier, later) in the graph's vertex order."""
+    return {eid: (u, w) if graph.vertex_index(u) < graph.vertex_index(w) else (w, u)
+            for eid, u, w in graph.edges}
 
 
 class TriangulatedProduct:
@@ -120,9 +136,8 @@ class TriangulatedProduct:
     """
 
     __slots__ = ("g", "h", "policy", "vertices", "edges", "squares", "triangles",
-                 "_vindex", "_eindex", "_alpha", "_star",
-                 "_link_count", "_diag_at", "n_horizontal", "n_vertical", "n_diagonal",
-                 "_memo", "__weakref__")
+                 "_vindex", "_eindex", "_alpha", "_star", "_link_count",
+                 "n_horizontal", "n_vertical", "n_diagonal", "_memo", "__weakref__")
 
     def __init__(self, g: Multigraph, h: Multigraph, policy: DiagonalPolicy):
         if g.n_edges < 1 or h.n_edges < 1:
@@ -134,50 +149,45 @@ class TriangulatedProduct:
 
         self.vertices = tuple((a, b) for a in g.vertices for b in h.vertices)
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        g_ends, h_ends = _ordered_ends(g), _ordered_ends(h)
 
-        def ordered(graph, eid):
-            u, w = graph.endpoints(eid)
-            if graph.vertex_index(u) > graph.vertex_index(w):
-                u, w = w, u
-            return u, w
+        edges = [ProductEdge(("h", ge, b), (u, b), (w, b), "horizontal")
+                 for ge, (u, w) in g_ends.items() for b in h.vertices]
+        edges += [ProductEdge(("v", a, he), (a, u), (a, w), "vertical")
+                  for a in g.vertices for he, (u, w) in h_ends.items()]
+        star = {v: [] for v in self.vertices}
+        alpha = {}
+        for e in edges:
+            star[e.u].append(e.eid)
+            star[e.w].append(e.eid)
+            alpha[(e.eid, e.u)] = alpha[(e.eid, e.w)] = 0
 
-        edges = []
-        for ge, *_ in g.edges:
-            umin, umax = ordered(g, ge)
-            for b in h.vertices:
-                edges.append(ProductEdge(("h", ge, b), (umin, b), (umax, b), "horizontal"))
-        for a in g.vertices:
-            for he, *_ in h.edges:
-                bmin, bmax = ordered(h, he)
-                edges.append(ProductEdge(("v", a, he), (a, bmin), (a, bmax), "vertical"))
-
-        square_keys = [(ge, he) for ge, *_ in g.edges for he, *_ in h.edges]
-        flips = policy.resolve(square_keys)
-
-        squares = []
-        triangles = []
-        diag_edges = []
-        for ge, he in square_keys:
-            umin, umax = ordered(g, ge)
-            bmin, bmax = ordered(h, he)
-            ll, lr = (umin, bmin), (umax, bmin)
-            ul, ur = (umin, bmax), (umax, bmax)
-            did = ("d", ge, he)
-            flipped = flips[(ge, he)]
-            squares.append((ge, he, flipped))
-            if not flipped:
-                diag_edges.append(ProductEdge(did, ll, ur, "diagonal"))
-                triangles.append(Triangle((ll, lr, ur),
-                                          (("h", ge, bmin), ("v", umax, he), did), did))
-                triangles.append(Triangle((ll, ul, ur),
-                                          (("v", umin, he), ("h", ge, bmax), did), did))
+        flips = policy.resolve([(ge, he) for ge in g_ends for he in h_ends])
+        squares, triangles, link_count = [], [], Counter()
+        for (ge, he), flipped in flips.items():
+            (umin, umax), (bmin, bmax) = g_ends[ge], h_ends[he]
+            ll, lr, ul, ur = (umin, bmin), (umax, bmin), (umin, bmax), (umax, bmax)
+            bottom, top = ("h", ge, bmin), ("h", ge, bmax)
+            left, right = ("v", umin, he), ("v", umax, he)
+            if flipped:
+                p, q = lr, ul
+                halves = (((ll, lr, ul), bottom, left, ll), ((lr, ur, ul), right, top, ur))
             else:
-                diag_edges.append(ProductEdge(did, lr, ul, "diagonal"))
-                triangles.append(Triangle((ll, lr, ul),
-                                          (("h", ge, bmin), ("v", umin, he), did), did))
-                triangles.append(Triangle((lr, ur, ul),
-                                          (("v", umax, he), ("h", ge, bmax), did), did))
-        edges.extend(diag_edges)
+                p, q = ll, ur
+                halves = (((ll, lr, ur), bottom, right, lr), ((ll, ul, ur), left, top, ul))
+            did = ("d", ge, he)
+            squares.append((ge, he, flipped))
+            edges.append(ProductEdge(did, p, q, "diagonal"))
+            star[p].append(did)
+            star[q].append(did)
+            alpha[(did, p)] = alpha[(did, q)] = 1
+            for verts, s1, s2, c in halves:
+                triangles.append(Triangle(verts, (s1, s2, did), did))
+                alpha[(s1, c)] += 1
+                alpha[(s2, c)] += 1
+                link_count[(s1, q)] += 1
+                link_count[(s2, p)] += 1
+                link_count[(did, c)] += 1
 
         self.edges = tuple(edges)
         self.squares = tuple(squares)
@@ -186,47 +196,11 @@ class TriangulatedProduct:
         self.n_horizontal = g.n_edges * h.n_vertices
         self.n_vertical = g.n_vertices * h.n_edges
         self.n_diagonal = g.n_edges * h.n_edges
-
-        star = {v: [] for v in self.vertices}
-        diag_at = {v: [] for v in self.vertices}
-        for e in self.edges:
-            star[e.u].append(e.eid)
-            star[e.w].append(e.eid)
-            if e.kind == "diagonal":
-                diag_at[e.u].append(e.eid)
-                diag_at[e.w].append(e.eid)
         self._star = {v: tuple(s) for v, s in star.items()}
-        self._diag_at = {v: tuple(s) for v, s in diag_at.items()}
-
-        # alpha and link multiplicities from the triangle list
-        alpha = {}
-        link_count = {}
-        for e in self.edges:
-            if e.kind == "diagonal":
-                alpha[(e.eid, e.u)] = 1
-                alpha[(e.eid, e.w)] = 1
-            else:
-                alpha[(e.eid, e.u)] = 0
-                alpha[(e.eid, e.w)] = 0
-        for tri in self.triangles:
-            dends = set(self._endpoints(tri.diag))
-            for eid in tri.edge_ids:
-                eu, ew = self._endpoints(eid)
-                opposite = next(v for v in tri.verts if v != eu and v != ew)
-                key = (eid, opposite)
-                link_count[key] = link_count.get(key, 0) + 1
-                if eid != tri.diag:
-                    for v in (eu, ew):
-                        if v not in dends:
-                            alpha[(eid, v)] += 1
         self._alpha = alpha
         self._link_count = link_count
 
         self._validate_weights()
-
-    def _endpoints(self, eid) -> tuple:
-        e = self.edges[self._eindex[eid]]
-        return e.u, e.w
 
     def _validate_weights(self):
         n_triangles = Counter(eid for tri in self.triangles for eid in tri.edge_ids)
@@ -249,13 +223,13 @@ class TriangulatedProduct:
     def vertex_index(self, v) -> int:
         try:
             return self._vindex[v]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id is no vertex
             raise ComplexError(f"unknown vertex {v!r}") from None
 
     def edge_index(self, eid) -> int:
         try:
             return self._eindex[eid]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id is no edge
             raise ComplexError(f"unknown edge {eid!r}") from None
 
     def endpoints(self, eid) -> tuple:
@@ -263,8 +237,10 @@ class TriangulatedProduct:
         return e.u, e.w
 
     def diagonals_at(self, v) -> tuple:
-        self.vertex_index(v)
-        return self._diag_at[v]
+        """Diagonal ids at v = (a, b): the tail of v's star, after its
+        deg_G(a) horizontal and deg_H(b) vertical edges."""
+        a, b = self.vertices[self.vertex_index(v)]
+        return self._star[v][self.g.degree(a) + self.h.degree(b):]
 
     def __repr__(self) -> str:
         return (f"TriangulatedProduct({self.n_vertices} vertices, "

@@ -1,9 +1,10 @@
 """Reference code that only the tests use: matrices from rows, the
 identity and the full lattice, matrix product, Bareiss determinant and
 rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree
-counts, random trees and diagonal policies, the closed-form local rank
-of a triangulated product, the Cartier congruences with one local HNF
-per vertex, and Cart as one congruence kernel over all edges."""
+counts, random trees and diagonal policies, a product's weights by a
+scan of its triangles, the closed-form local rank of a triangulated
+product, the Cartier congruences with one local HNF per vertex, and
+Cart as one congruence kernel over all edges."""
 
 import heapq
 import random
@@ -152,6 +153,32 @@ def random_tree(n_vertices: int, seed: int) -> Multigraph:
     w = heapq.heappop(leaves)
     edges.append((f"e{k}", u, w))
     return Multigraph(list(range(n)), edges)
+
+
+def weights_by_triangle_scan(tp: TriangulatedProduct) -> tuple:
+    """``(alpha, link counts)`` of tp from ``tp.edges`` and ``tp.triangles`` alone.
+
+    alpha is 1 at both ends of a diagonal and 0 at both ends of any other
+    edge, plus 1 at an endpoint for each triangle on that edge whose
+    diagonal avoids it; the link count of (edge, vertex) is the number of
+    triangles on the edge with that opposite vertex.
+    """
+    ends = {e.eid: (e.u, e.w) for e in tp.edges}
+    alpha = {}
+    for e in tp.edges:
+        alpha[(e.eid, e.u)] = alpha[(e.eid, e.w)] = int(e.kind == "diagonal")
+    link_count = {}
+    for tri in tp.triangles:
+        diagonal_ends = set(ends[tri.diag])
+        for eid in tri.edge_ids:
+            eu, ew = ends[eid]
+            opposite = next(v for v in tri.verts if v != eu and v != ew)
+            link_count[(eid, opposite)] = link_count.get((eid, opposite), 0) + 1
+            if eid != tri.diag:
+                for v in (eu, ew):
+                    if v not in diagonal_ends:
+                        alpha[(eid, v)] += 1
+    return alpha, link_count
 
 
 def local_rank_expected(tp: TriangulatedProduct, v) -> int:

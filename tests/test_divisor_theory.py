@@ -526,6 +526,12 @@ def test_divisor_json_rejects_non_objects(p2p2):
         divisor_from_json(p2p2, "[1, 2]")
 
 
+@pytest.mark.parametrize("text", [None, b"{}", bytearray(b"{}"), 5, {}])
+def test_divisor_json_takes_only_a_str(p2p2, text):
+    with pytest.raises(ComplexError, match=f"^divisor JSON must be a str, got {type(text).__name__}$"):
+        divisor_from_json(p2p2, text)
+
+
 @pytest.mark.parametrize("text, where", [
     ("nope", "line 1 column 1"),
     ('{"h:e0:0": 1,}', "line 1 column 14"),

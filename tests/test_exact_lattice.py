@@ -629,6 +629,52 @@ def test_lattice_cut_against_membership():
     assert lattice_cut(z2, [(((0, 1), (1, 1)), 2)]) == Lattice.from_generators(2, [(1, 1), (0, 2)])
 
 
+@pytest.mark.parametrize("terms", [((-1, 1),), ((2, 1),), ((0, 1), (5, 1))])
+def test_condition_indices_outside_the_width_are_refused(terms):
+    conditions = [(terms, 0), (((0, 1),), 0)]
+    message = r"term index -?\d+ is outside \[0, 2\)"
+    with pytest.raises(LatticeError, match=message):
+        condition_matrix(2, conditions)
+    with pytest.raises(LatticeError, match=message):
+        lattice_cut(full_lattice(2), conditions)
+    with pytest.raises(LatticeError, match=message):
+        satisfies(conditions, (0, 5))
+
+
+@pytest.mark.parametrize("width, conditions", [
+    (-1, []),
+    (2.0, []),
+    (2, [(((0, 1),), -2)]),
+    (2, [(((0, 1),), 2.0)]),
+    (2, [(((0, 1.5),), 0)]),
+    (2, [(((0, True),), 0)]),
+    (2, [(((True, 1),), 0)]),
+])
+def test_condition_matrix_refuses_bad_widths_coefficients_and_moduli(width, conditions):
+    with pytest.raises(LatticeError):
+        condition_matrix(width, conditions)
+
+
+def test_repeated_condition_indices_add_up():
+    """(((0, 1), (0, 1)), 2) reads 2 x = 0 mod 2, which every x meets."""
+    conditions = [(((0, 1), (0, 1)), 2)]
+    assert condition_matrix(1, conditions) == IntMatrix(1, 2, [2, 2])
+    assert kernel(condition_matrix(1, conditions)).rank == 2 - 1
+    assert satisfies(conditions, (1,)) and dense_satisfies(conditions, (1,))
+    assert lattice_cut(full_lattice(1), conditions) == full_lattice(1)
+
+
+def test_condition_matrix_builds_its_matrix_unchecked(monkeypatch):
+    checked = []
+    real = IntMatrix.__init__
+    monkeypatch.setattr(IntMatrix, "__init__",
+                        lambda self, *args: checked.append(args) or real(self, *args))
+    m = condition_matrix(3, [(((0, 1), (2, -1)), 0), (((1, 1),), 2)])
+    assert checked == []
+    monkeypatch.undo()
+    assert m == from_rows([[1, 0, -1, 0], [0, 1, 0, 2]])
+
+
 # -- intersection --------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Tests for multigraphs, Laplacians, spanning-tree counts and Picard groups."""
 
+import random
 import re
 from decimal import Decimal
 from math import prod
@@ -198,11 +199,34 @@ def test_rejects_arguments_that_are_not_iterable(build, message):
         build()
 
 
-@pytest.mark.parametrize("query", ["degree", "incident_edges"])
+@pytest.mark.parametrize("query", ["degree", "incident_edges", "vertex_index"])
 @pytest.mark.parametrize("vertex", [99, [0]])
 def test_vertex_queries_name_an_unknown_vertex(query, vertex):
     with pytest.raises(GraphError, match=f"^unknown vertex {re.escape(repr(vertex))}$"):
         getattr(cycle_graph(3), query)(vertex)
+
+
+@pytest.mark.parametrize("query", ["edge_index", "endpoints"])
+@pytest.mark.parametrize("eid", ["e9", [0]])
+def test_edge_queries_name_an_unknown_edge(query, eid):
+    with pytest.raises(GraphError, match=f"^unknown edge {re.escape(repr(eid))}$"):
+        getattr(cycle_graph(3), query)(eid)
+
+
+def test_incident_edges_equal_a_scan_of_all_edges():
+    rng = random.Random(67)
+    parallel = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [rng.choice(pairs) if rng.random() < 0.5 else tuple(rng.sample(range(n), 2))
+                  for _ in range(rng.randint(1, 4))]
+        ids = rng.sample(range(100), len(pairs))
+        g = Multigraph(range(n), [(f"e{k}", u, w) for k, (u, w) in zip(ids, pairs)])
+        parallel += not g.is_simple()
+        for v in g.vertices:
+            assert g.incident_edges(v) == tuple(eid for eid, u, w in g.edges if v in (u, w))
+    assert parallel > 10
 
 
 # -- families ----------------------------------------------------------------------

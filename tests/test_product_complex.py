@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import weights_by_triangle_scan
 from tropic_pic.multigraph import (
     Multigraph,
     complete_graph,
@@ -88,6 +89,12 @@ def test_weight_axiom_exhaustive(mixed_products):
             assert total == degrees[e.eid]
 
 
+def test_weights_equal_the_triangle_scan(mixed_products):
+    theta2 = theta_graph(2)
+    for tp in list(mixed_products) + [build_product(theta2, theta2)]:
+        assert weights_by_triangle_scan(tp) == (tp._alpha, tp._link_count)
+
+
 def test_weight_axiom_violation_is_rejected():
     tp = build_product(path_graph(2), path_graph(2))
     tp._validate_weights()
@@ -124,6 +131,17 @@ def test_alpha_unknown_ids_rejected(k2k2):
         alpha(k2k2, ("h", "nope", 0), (0, 0))
     with pytest.raises(ComplexError):
         alpha(k2k2, ("h", "e0", 0), (9, 9))
+
+
+@pytest.mark.parametrize("query, what", [
+    ("vertex_index", "vertex"), ("diagonals_at", "vertex"),
+    ("edge_index", "edge"), ("endpoints", "edge"),
+])
+def test_unhashable_ids_are_unknown(k2k2, query, what):
+    with pytest.raises(ComplexError, match=rf"^unknown {what} \[0\]$"):
+        getattr(k2k2, query)([0])
+    with pytest.raises(ComplexError, match=r"^unknown vertex \[0\]$"):
+        graph_star(k2k2, [0])
 
 
 def test_alpha_horizontal_formula_simple_graphs():
@@ -167,6 +185,8 @@ def test_star_in_global_edge_order(mixed_products):
         for v in tp.vertices:
             idx = [order[eid] for eid in graph_star(tp, v)]
             assert idx == sorted(idx)
+            assert tp.diagonals_at(v) == tuple(e.eid for e in tp.edges
+                                               if e.kind == "diagonal" and v in (e.u, e.w))
 
 
 # -- policies -------------------------------------------------------------------

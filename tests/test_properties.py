@@ -17,7 +17,12 @@ the nonzero diagonal of ``snf``.
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import cartier_conditions_per_vertex, congruence_kernel_cart, random_policy
+from oracles import (
+    cartier_conditions_per_vertex,
+    congruence_kernel_cart,
+    random_policy,
+    weights_by_triangle_scan,
+)
 from tropic_pic.divisor_theory import (
     _cartier_conditions,
     balancing_matrix,
@@ -131,6 +136,13 @@ def test_pic_of_simple_factors_is_the_closed_form(tp):
 @given(products())
 def test_cartier_conditions_equal_the_per_vertex_oracle(tp):
     assert _cartier_conditions(tp) == cartier_conditions_per_vertex(tp)
+
+
+@SETTINGS
+@given(multigraphs(), multigraphs(), st.integers(0, 2**16))
+def test_weights_equal_the_triangle_scan(g, h, seed):
+    tp = build_product(g, h, random_policy(g, h, seed))
+    assert weights_by_triangle_scan(tp) == (tp._alpha, tp._link_count)
 
 
 @st.composite
