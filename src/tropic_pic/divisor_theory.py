@@ -9,7 +9,9 @@ integer vector indexed by vertices; its divisor on edge r is
                   - sum over endpoints v of r of alpha(r, v) * phi(v).
 
 The principal matrix P has div(phi_v) as column v, so div(phi) = P phi
-and the principal divisors are the integer column span of P.
+and the principal divisors are the integer column span of P.  P is
+built once per product as sparse rows, one per edge; the dense P and
+the local matrices are both read from them.
 
 Cartier and Q-Cartier divisors are both cut out by per-vertex linear
 conditions over the edge order, in ``exact_lattice``'s one format
@@ -17,16 +19,23 @@ conditions over the edge order, in ``exact_lattice``'s one format
 ``condition_matrix`` writes them as rows, and ``lattice_cut`` cuts a
 lattice by them.
 
-Cartier: at every vertex v the restriction of d to the edges at v lies
-in the integer span of the same restriction of P's columns (the local
-matrix M_v), which ``exact_lattice.lattice_conditions`` turns into
-congruences, computed once per distinct local matrix.  Q-Cartier: d
-meets the balancing equations at every vertex (see
-``_balancing_conditions``), of modulus 0, and QCart is their kernel.
-Cart is cut from QCart by the restricted congruences; on simple factors
-none is left, Cart is QCart, and Pic and Cl are one quotient.  Pic and
-Cl quotient by P's columns, not by Prin's HNF basis, which only
-``is_principal`` builds.
+Cartier (locally principal): at every vertex v the restriction of d to
+the edges at v lies in L_v, the integer span of the same restriction
+of P's columns (the local matrix M_v), which
+``exact_lattice.lattice_conditions`` turns into congruences, computed
+once per distinct local matrix.  Q-Cartier (locally balanced): d meets
+the balancing equations at every vertex (see ``_balancing_conditions``),
+of modulus 0, and QCart is their kernel; at v they cut out Q_v from the
+edges at v.  Principal divisors are balanced, so L_v lies in Q_v.
+
+So Cart = QCart as soon as L_v = Q_v at every vertex, which holds when
+M_v has rank Q_v's rank and all its invariant factors are 1.  That test
+runs once per distinct local matrix.  When every vertex passes (the
+tests find this on every product of simple factors they draw),
+``cart_lattice`` is QCart itself, no congruence is built, and Pic and
+Cl are one quotient.  Otherwise Cart is cut from QCart by the
+restricted congruences.  Pic and Cl quotient by P's columns, not by
+Prin's HNF basis, which only ``is_principal`` builds.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .exact_lattice import (
     IntMatrix,
     Lattice,
     condition_matrix,
+    invariant_factors,
     kernel,
     lattice_conditions,
     lattice_cut,
@@ -93,22 +103,27 @@ def _per_product(fn):
 # ---------------------------------------------------------------------------
 
 @_per_product
-def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
-    """|E| x |V| matrix whose column v is div of the indicator of v.
+def _principal_rows(tp: TriangulatedProduct) -> tuple:
+    """P's rows, sparse: per edge r in the edge order, ``(vertex index,
+    value)`` pairs in vertex order, -alpha(r, v) at each endpoint v and
+    the number of triangles on r with opposite vertex v at each other v.
 
-    Entry (r, v) is -alpha(r, v) when v is an endpoint of r, and the
-    number of triangles on r with opposite vertex v otherwise.  Every
-    column sums to zero and the all-ones PL function lies in the kernel.
+    The endpoint pairs are kept when alpha is 0, so a row names exactly
+    the endpoints of r and the opposite vertices of its triangles.
     """
-    ne, nv = tp.n_edges, tp.n_vertices
-    flat = [0] * (ne * nv)
-    for i, e in enumerate(tp.edges):
-        base = i * nv
-        flat[base + tp.vertex_index(e.u)] = -tp._alpha[(e.eid, e.u)]
-        flat[base + tp.vertex_index(e.w)] = -tp._alpha[(e.eid, e.w)]
+    rows = [{tp.vertex_index(e.u): -tp._alpha[(e.eid, e.u)],
+             tp.vertex_index(e.w): -tp._alpha[(e.eid, e.w)]} for e in tp.edges]
     for (eid, v), mult in tp._link_count.items():
-        flat[tp.edge_index(eid) * nv + tp.vertex_index(v)] = mult
-    return IntMatrix(ne, nv, flat)
+        rows[tp.edge_index(eid)][tp.vertex_index(v)] = mult
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+@_per_product
+def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
+    """|E| x |V| matrix whose column v is div of the indicator of v, the
+    rows of ``_principal_rows`` written out.  Every column sums to zero
+    and the all-ones PL function lies in the kernel."""
+    return condition_matrix(tp.n_vertices, [(row, 0) for row in _principal_rows(tp)])
 
 
 def div(tp: TriangulatedProduct, phi: Sequence[int]) -> tuple:
@@ -135,14 +150,22 @@ def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     """Rows of the principal matrix restricted to the edges at v.
 
     Only the columns of the closed star of v are kept: v and the far
-    endpoints of its edges, in vertex order.  Every other column is zero
-    on these rows (a triangle on an edge at v has its third vertex next
-    to v), so the local lattice is the same as with all |V| columns.
+    endpoints of its edges, in vertex order.  These are the vertices
+    that the rows of ``_principal_rows`` at v name (the third vertex of
+    a triangle on an edge at v is next to v), and every other column is
+    zero on these rows, so the local lattice is the same as with all
+    |V| columns.
     """
-    star = graph_star(tp, v)
-    rows = [tp.edge_index(eid) for eid in star]
-    closed_star = {u for eid in star for u in tp.endpoints(eid)}
-    return principal_matrix(tp).submatrix(rows, sorted(map(tp.vertex_index, closed_star)))
+    rows = _principal_rows(tp)
+    star_rows = [rows[i] for i in map(tp.edge_index, graph_star(tp, v))]
+    closed_star = sorted({j for row in star_rows for j, _ in row})
+    column = {j: k for k, j in enumerate(closed_star)}
+    width = len(closed_star)
+    flat = [0] * (len(star_rows) * width)
+    for base, row in zip(range(0, len(flat), width), star_rows):
+        for j, c in row:
+            flat[base + column[j]] = c
+    return IntMatrix(len(star_rows), width, flat)
 
 
 @_per_product
@@ -174,14 +197,46 @@ def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     return satisfies(_cartier_conditions(tp), d)
 
 
+def _locally_saturated(tp: TriangulatedProduct) -> bool:
+    """Whether every local lattice L_v equals Q_v, the kernel of the
+    balancing equations at v on the edges at v.
+
+    L_v lies in Q_v, which is saturated of rank |star(v)| minus its
+    deg_G(a) - 1 + deg_H(b) - 1 equations (independent: each has an
+    edge, horizontal or vertical, of its own).  So L_v = Q_v iff the
+    local matrix has that many invariant factors, all 1.  Each distinct
+    (local matrix, rank) is tested once.
+    """
+    passed = set()
+    for v in tp.vertices:
+        a, b = v
+        m = local_matrix(tp, v)
+        rank_q = m.rows - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
+        if (m, rank_q) not in passed:
+            if invariant_factors(m) != [1] * rank_q:
+                return False
+            passed.add((m, rank_q))
+    return True
+
+
 @_per_product
 def cart_lattice(tp: TriangulatedProduct) -> Lattice:
-    """Cartier divisors: QCart cut by every local congruence.  Exact, as
-    Cart lies in QCart: each Cartier condition and balancing equation at
-    v reads only the edges at v, and principal divisors are balanced.  On
-    simple factors each congruence holds on all of QCart, and Cart is
-    QCart itself."""
-    return lattice_cut(qcart_lattice(tp), _cartier_conditions(tp))
+    """Cartier divisors: QCart itself when every vertex is locally
+    saturated, and otherwise QCart cut by every local congruence.
+
+    Both are exact.  QCart is the set of d whose restriction to each
+    star lies in Q_v, and Cart the set whose restriction lies in L_v, so
+    L_v = Q_v at every vertex gives Cart = QCart.  In general Cart lies
+    in QCart, because each Cartier condition and balancing equation at
+    v reads only the edges at v and principal divisors are balanced, so
+    cutting QCart by the congruences gives Cart.  Products of simple
+    factors take the first branch; multigraph factors may need the
+    second.
+    """
+    qcart = qcart_lattice(tp)
+    if _locally_saturated(tp):
+        return qcart
+    return lattice_cut(qcart, _cartier_conditions(tp))
 
 
 @_per_product

@@ -147,14 +147,6 @@ class IntMatrix:
             out.append(sum(r * x for r, x in zip(row, v) if r))
         return tuple(out)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        for what, idx, n in (("row", row_idx, self.rows), ("column", col_idx, self.cols)):
-            bad = [i for i in idx if not 0 <= i < n]
-            if bad:
-                raise IndexError(f"{what} {bad[0]} of a {self.rows} x {self.cols} matrix")
-        flat = tuple(self._e[i * self.cols + j] for i in row_idx for j in col_idx)
-        return IntMatrix._trusted(len(row_idx), len(col_idx), flat)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self._e == other._e)
@@ -579,16 +571,25 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     """Whether v meets every ``(terms, modulus)`` condition: the sum of
     ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0.
     The conditions are read in order up to the first that v fails; a
-    term index read outside [0, len(v)) raises LatticeError."""
+    term index that is not an int in [0, len(v)), or a nonzero modulus
+    that is not an int > 0, raises LatticeError when it is read."""
     n = len(v)
-    for terms, modulus in conditions:
-        s = 0
-        for i, c in terms:
-            if not 0 <= i < n:
-                raise LatticeError(f"term index {i!r} is outside [0, {n})")
-            s += c * v[i]
-        if (s % modulus if modulus else s):
-            return False
+    try:
+        for terms, modulus in conditions:
+            s = 0
+            for i, c in terms:
+                if not 0 <= i < n:
+                    raise LatticeError(f"term index {i!r} is outside [0, {n})")
+                s += c * v[i]
+            if modulus:
+                if type(modulus) is not int or modulus < 0:
+                    raise LatticeError(f"modulus must be an int >= 0, got {modulus!r}")
+                if s % modulus:
+                    return False
+            elif s:
+                return False
+    except TypeError as exc:  # a term index, coefficient or entry that is no number
+        raise LatticeError(f"conditions and vector must hold ints: {exc}") from None
     return True
 
 

@@ -1,10 +1,12 @@
 """Reference code that only the tests use: matrices from rows, the
-identity and the full lattice, matrix product, Bareiss determinant and
-rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree
-counts, random trees and diagonal policies, a product's weights by a
-scan of its triangles, the closed-form local rank of a triangulated
-product, the Cartier congruences with one local HNF per vertex, and
-Cart as one congruence kernel over all edges."""
+identity and the full lattice, submatrices, matrix product, Bareiss
+determinant and rank, the pivot rows of a dense echelon matrix,
+Kirchhoff spanning-tree counts, random trees and diagonal policies, a
+product's weights by a scan of its triangles, the principal matrix
+written out densely and its local matrices cut from it, the
+closed-form local rank of a triangulated product, the Cartier
+congruences with one local HNF per vertex, and Cart as one congruence
+kernel over all edges."""
 
 import heapq
 import random
@@ -38,6 +40,12 @@ def identity(n: int) -> IntMatrix:
 def full_lattice(n: int) -> Lattice:
     """Z^n, with the identity as its basis."""
     return Lattice(n, identity(n))
+
+
+def submatrix(m: IntMatrix, rows, cols) -> IntMatrix:
+    """The entries of m at the given rows and columns, each index
+    checked by ``IntMatrix.__getitem__``."""
+    return IntMatrix(len(rows), len(cols), [m[i, j] for i in rows for j in cols])
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -121,7 +129,7 @@ def spanning_tree_count(g: Multigraph) -> int:
         return 1
     lap = laplacian(g)
     idx = list(range(1, n))
-    return abs(det(lap.submatrix(idx, idx)))
+    return abs(det(submatrix(lap, idx, idx)))
 
 
 def random_tree(n_vertices: int, seed: int) -> Multigraph:
@@ -179,6 +187,30 @@ def weights_by_triangle_scan(tp: TriangulatedProduct) -> tuple:
                     if v not in diagonal_ends:
                         alpha[(eid, v)] += 1
     return alpha, link_count
+
+
+def dense_principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
+    """The principal matrix, entry by entry into a dense |E| x |V| list:
+    -alpha(r, v) at the endpoints v of each edge r, then each link count
+    at (edge, opposite vertex)."""
+    ne, nv = tp.n_edges, tp.n_vertices
+    flat = [0] * (ne * nv)
+    for i, e in enumerate(tp.edges):
+        base = i * nv
+        flat[base + tp.vertex_index(e.u)] = -tp._alpha[(e.eid, e.u)]
+        flat[base + tp.vertex_index(e.w)] = -tp._alpha[(e.eid, e.w)]
+    for (eid, v), mult in tp._link_count.items():
+        flat[tp.edge_index(eid) * nv + tp.vertex_index(v)] = mult
+    return IntMatrix(ne, nv, flat)
+
+
+def submatrix_local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
+    """The local matrix at v cut from ``dense_principal_matrix``: the rows
+    of the edges at v, the columns of the endpoints of those edges."""
+    star = graph_star(tp, v)
+    rows = [tp.edge_index(eid) for eid in star]
+    closed_star = {u for eid in star for u in tp.endpoints(eid)}
+    return submatrix(dense_principal_matrix(tp), rows, sorted(map(tp.vertex_index, closed_star)))
 
 
 def local_rank_expected(tp: TriangulatedProduct, v) -> int:

@@ -9,20 +9,26 @@ from sympy import Matrix as SymMatrix
 
 from oracles import (
     cartier_conditions_per_vertex,
+    dense_principal_matrix,
     full_lattice,
     local_rank,
     local_rank_expected,
+    matmul,
     random_policy,
     random_tree,
     rank,
+    submatrix,
+    submatrix_local_matrix,
 )
 from tropic_pic import divisor_theory
 from tropic_pic.exact_lattice import (
     AbGroup,
+    IntMatrix,
     Lattice,
     invariant_factors,
     lattice_conditions,
     lattice_contains,
+    lattice_cut,
     lattice_intersect,
     lattice_member,
     quotient,
@@ -187,10 +193,34 @@ def test_local_matrix_shape(p2p2, mixed_products):
             closed = sorted({tp.vertex_index(u) for eid in star for u in tp.endpoints(eid)})
             m = local_matrix(tp, v)
             assert (m.rows, m.cols) == (len(star), len(closed))
-            full = p.submatrix(rows, range(tp.n_vertices))
+            full = submatrix(p, rows, range(tp.n_vertices))
             for j in set(range(tp.n_vertices)) - set(closed):
                 assert not any(full.col(j))
             assert Lattice.from_matrix(m) == Lattice.from_matrix(full)
+
+
+def test_principal_and_local_matrices_equal_the_dense_construction(mixed_products):
+    rng = random.Random(31)
+    products = list(mixed_products) + [theta2_theta2()]
+    for k in range(10):
+        g, h = random_multigraph(rng), random_multigraph(rng)
+        products.append(build_product(g, h, random_policy(g, h, k)))
+    for tp in products:
+        assert principal_matrix(tp) == dense_principal_matrix(tp)
+        for v in tp.vertices:
+            assert local_matrix(tp, v) == submatrix_local_matrix(tp, v)
+
+
+def test_principal_matrix_is_built_unchecked(monkeypatch):
+    checked = []
+    real = IntMatrix.__init__
+    monkeypatch.setattr(IntMatrix, "__init__",
+                        lambda self, *args: checked.append(args) or real(self, *args))
+    tp = build_product(cycle_graph(4), theta_graph(2))
+    p = principal_matrix(tp)
+    assert checked == []
+    monkeypatch.undo()
+    assert p == dense_principal_matrix(tp)
 
 
 def test_local_rank_law(mixed_products):
@@ -279,11 +309,10 @@ def test_balancing_row_count_formula(mixed_products):
 
 
 def test_balancing_kills_principal_columns(mixed_products):
-    for tp in mixed_products:
-        c = balancing_matrix(tp)
-        p = principal_matrix(tp)
-        for j in range(p.cols):
-            assert all(x == 0 for x in c.mul_vec(p.col(j)))
+    # Principal divisors are balanced: the fact Cart in QCart rests on.
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        c, p = balancing_matrix(tp), principal_matrix(tp)
+        assert matmul(c, p) == IntMatrix.zeros(c.rows, p.cols)
 
 
 def test_unit_diagonal_divisor_fails_balancing(p2p2):
@@ -355,6 +384,19 @@ def test_cart_matches_intersection_chain_on_random_multigraphs():
     assert n_parallel >= 10
 
 
+def test_cart_is_qcart_cut_by_the_congruences(mixed_products):
+    # Locally saturated products return QCart itself, the others cut it;
+    # both equal the cut by every congruence.
+    saturated = []
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        cart, qcart = cart_lattice(tp), qcart_lattice(tp)
+        assert cart == lattice_cut(qcart, divisor_theory._cartier_conditions(tp))
+        saturated.append(divisor_theory._locally_saturated(tp))
+        if saturated[-1]:
+            assert cart is qcart
+    assert any(saturated) and not all(saturated)
+
+
 def test_is_cartier_matches_local_membership(mixed_products):
     rng = random.Random(47)
     # Q-Cartier divisors that are not Cartier but satisfy every local
@@ -378,43 +420,48 @@ def test_is_cartier_matches_local_membership(mixed_products):
     assert congruence_only > 0
 
 
-def quotient_calls(monkeypatch, tp):
-    """A fresh copy of tp, and the number of ``divisor_theory.quotient``
-    calls that pic and cl make on it together."""
-    calls = []
-    real = divisor_theory.quotient
-
-    def counted(big, small):
-        calls.append(1)
-        return real(big, small)
-
+def pic_and_cl_calls(monkeypatch, tp):
+    """A fresh copy of tp, and the number of calls of each of
+    ``divisor_theory``'s ``quotient``, ``_cartier_conditions`` and
+    ``lattice_cut`` that pic and cl make on it together."""
+    calls = {}
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        patch.setattr(divisor_theory, "quotient", counted)
+        for name in ("quotient", "_cartier_conditions", "lattice_cut"):
+            calls[name] = 0
+            real = getattr(divisor_theory, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            patch.setattr(divisor_theory, name, counted)
         pic(fresh)
         cl(fresh)
         pic(fresh)
-    return fresh, len(calls)
+    return fresh, calls
 
 
 def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monkeypatch):
+    # No congruence is built and nothing is cut: every vertex is locally
+    # saturated, so Cart is QCart without them.
     k4, c4 = complete_graph(4), cycle_graph(4)
     products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 7)]
     products += [build_product(k4, c4, random_policy(k4, c4, seed)) for seed in (1, 2, 3)]
     products += [tp for tp in mixed_products if tp.g.is_simple() and tp.h.is_simple()]
     assert len(products) == 15
     for tp in products:
-        fresh, calls = quotient_calls(monkeypatch, tp)
+        fresh, calls = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
-        assert calls == 1
+        assert calls == {"quotient": 1, "_cartier_conditions": 0, "lattice_cut": 0}
         assert pic(fresh) == cl(fresh)
 
 
 def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
-        fresh, calls = quotient_calls(monkeypatch, build_product(g, h))
+        fresh, calls = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
-        assert calls == 2
+        assert calls == {"quotient": 2, "_cartier_conditions": 1, "lattice_cut": 1}
 
 
 def test_quotient_by_principal_columns_equals_by_prin_basis(mixed_products):

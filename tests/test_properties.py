@@ -20,17 +20,20 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     cartier_conditions_per_vertex,
     congruence_kernel_cart,
+    matmul,
     random_policy,
     weights_by_triangle_scan,
 )
 from tropic_pic.divisor_theory import (
     _cartier_conditions,
+    _locally_saturated,
     balancing_matrix,
     cart_lattice,
     is_cartier,
     is_q_cartier,
     pic,
     prin_lattice,
+    principal_matrix,
     qcart_lattice,
 )
 from tropic_pic.exact_lattice import (
@@ -38,6 +41,7 @@ from tropic_pic.exact_lattice import (
     IntMatrix,
     invariant_factors,
     lattice_contains,
+    lattice_cut,
     lattice_member,
     snf,
 )
@@ -120,6 +124,27 @@ def test_prin_in_cart_in_qcart(tp):
 @given(products())
 def test_cart_is_the_congruence_kernel(tp):
     assert cart_lattice(tp) == congruence_kernel_cart(tp)
+
+
+@SETTINGS
+@given(products(simple_graphs) | products())
+def test_principal_divisors_are_balanced(tp):
+    c, p = balancing_matrix(tp), principal_matrix(tp)
+    assert matmul(c, p) == IntMatrix.zeros(c.rows, p.cols)
+
+
+@SETTINGS
+@given(products())
+def test_cart_is_qcart_cut_by_the_congruences(tp):
+    assert cart_lattice(tp) == lattice_cut(qcart_lattice(tp), _cartier_conditions(tp))
+
+
+@SETTINGS
+@given(products(simple_graphs))
+def test_simple_factors_are_locally_saturated(tp):
+    assert _locally_saturated(tp)
+    qcart = qcart_lattice(tp)
+    assert cart_lattice(tp) is qcart == lattice_cut(qcart, _cartier_conditions(tp))
 
 
 @SETTINGS
