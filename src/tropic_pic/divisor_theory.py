@@ -160,12 +160,14 @@ def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     star_rows = [rows[i] for i in map(tp.edge_index, graph_star(tp, v))]
     closed_star = sorted({j for row in star_rows for j, _ in row})
     column = {j: k for k, j in enumerate(closed_star)}
-    width = len(closed_star)
-    flat = [0] * (len(star_rows) * width)
-    for base, row in zip(range(0, len(flat), width), star_rows):
-        for j, c in row:
-            flat[base + column[j]] = c
-    return IntMatrix(len(star_rows), width, flat)
+    return condition_matrix(len(closed_star),
+                            [(tuple((column[j], c) for j, c in row), 0) for row in star_rows])
+
+
+@_per_product
+def _local_matrices(tp: TriangulatedProduct) -> tuple:
+    """``local_matrix`` at every vertex, in vertex order."""
+    return tuple(local_matrix(tp, v) for v in tp.vertices)
 
 
 @_per_product
@@ -179,9 +181,8 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
     """
     by_matrix = {}
     out = []
-    for v in tp.vertices:
+    for v, m in zip(tp.vertices, _local_matrices(tp)):
         star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
-        m = local_matrix(tp, v)
         if m not in by_matrix:
             by_matrix[m] = lattice_conditions(Lattice.from_matrix(m))
         out.extend((tuple((star_idx[i], c) for i, c in terms), modulus)
@@ -208,9 +209,7 @@ def _locally_saturated(tp: TriangulatedProduct) -> bool:
     (local matrix, rank) is tested once.
     """
     passed = set()
-    for v in tp.vertices:
-        a, b = v
-        m = local_matrix(tp, v)
+    for (a, b), m in zip(tp.vertices, _local_matrices(tp)):
         rank_q = m.rows - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
         if (m, rank_q) not in passed:
             if invariant_factors(m) != [1] * rank_q:

@@ -218,9 +218,11 @@ def test_principal_matrix_is_built_unchecked(monkeypatch):
                         lambda self, *args: checked.append(args) or real(self, *args))
     tp = build_product(cycle_graph(4), theta_graph(2))
     p = principal_matrix(tp)
+    local = [local_matrix(tp, v) for v in tp.vertices]
     assert checked == []
     monkeypatch.undo()
     assert p == dense_principal_matrix(tp)
+    assert local == [submatrix_local_matrix(tp, v) for v in tp.vertices]
 
 
 def test_local_rank_law(mixed_products):
@@ -422,12 +424,13 @@ def test_is_cartier_matches_local_membership(mixed_products):
 
 def pic_and_cl_calls(monkeypatch, tp):
     """A fresh copy of tp, and the number of calls of each of
-    ``divisor_theory``'s ``quotient``, ``_cartier_conditions`` and
-    ``lattice_cut`` that pic and cl make on it together."""
+    ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
+    ``lattice_cut`` and ``local_matrix`` that pic and cl make on it
+    together."""
     calls = {}
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        for name in ("quotient", "_cartier_conditions", "lattice_cut"):
+        for name in ("quotient", "_cartier_conditions", "lattice_cut", "local_matrix"):
             calls[name] = 0
             real = getattr(divisor_theory, name)
 
@@ -453,7 +456,8 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
     for tp in products:
         fresh, calls = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
-        assert calls == {"quotient": 1, "_cartier_conditions": 0, "lattice_cut": 0}
+        assert calls == {"quotient": 1, "_cartier_conditions": 0, "lattice_cut": 0,
+                         "local_matrix": fresh.n_vertices}
         assert pic(fresh) == cl(fresh)
 
 
@@ -461,7 +465,9 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
         fresh, calls = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
-        assert calls == {"quotient": 2, "_cartier_conditions": 1, "lattice_cut": 1}
+        # The saturation test and the congruences share one local matrix per vertex.
+        assert calls == {"quotient": 2, "_cartier_conditions": 1, "lattice_cut": 1,
+                         "local_matrix": fresh.n_vertices}
 
 
 def test_quotient_by_principal_columns_equals_by_prin_basis(mixed_products):

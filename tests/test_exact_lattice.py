@@ -224,6 +224,10 @@ def test_col_is_bounds_checked():
     for ij in ((0, 3), (0, -1), (2, 0), (-1, 0)):
         with pytest.raises(IndexError):
             m[ij]
+    assert submatrix(m, [1, 0], [2, 0]) == from_rows([[6, 4], [3, 1]])
+    for rows, cols in (([0], [3]), ([0], [-1]), ([2], [0]), ([-1], [0]), ([0, 5], [0, 1])):
+        with pytest.raises(IndexError):
+            submatrix(m, rows, cols)
 
 
 # -- snf ---------------------------------------------------------------------
