@@ -13,29 +13,24 @@ and the principal divisors are the integer column span of P.  P is
 built once per product as sparse rows, one per edge; the dense P and
 the local matrices are both read from them.
 
-Cartier and Q-Cartier divisors are both cut out by per-vertex linear
-conditions over the edge order, in ``exact_lattice``'s one format
-``(terms, modulus)``: ``satisfies`` tests a divisor against them,
-``condition_matrix`` writes them as rows, and ``lattice_cut`` cuts a
-lattice by them.
+Cartier and Q-Cartier divisors are cut out by per-vertex conditions in
+``exact_lattice``'s ``(terms, modulus)`` format.  Cartier (locally
+principal): at every vertex v the restriction of d to the edges at v
+lies in L_v, the integer span of the local matrix M_v (P's rows there),
+which ``lattice_conditions`` turns into congruences once per distinct
+M_v.  Q-Cartier (locally balanced): d meets the balancing equations
+(``_balancing_conditions``), which cut out Q_v at v; QCart is their
+kernel.  Principal divisors are balanced, so L_v lies in Q_v.
 
-Cartier (locally principal): at every vertex v the restriction of d to
-the edges at v lies in L_v, the integer span of the same restriction
-of P's columns (the local matrix M_v), which
-``exact_lattice.lattice_conditions`` turns into congruences, computed
-once per distinct local matrix.  Q-Cartier (locally balanced): d meets
-the balancing equations at every vertex (see ``_balancing_conditions``),
-of modulus 0, and QCart is their kernel; at v they cut out Q_v from the
-edges at v.  Principal divisors are balanced, so L_v lies in Q_v.
-
-So Cart = QCart as soon as L_v = Q_v at every vertex, which holds when
-M_v has rank Q_v's rank and all its invariant factors are 1.  That test
-runs once per distinct local matrix.  When every vertex passes (the
-tests find this on every product of simple factors they draw),
-``cart_lattice`` is QCart itself, no congruence is built, and Pic and
-Cl are one quotient.  Otherwise Cart is cut from QCart by the
-restricted congruences.  Pic and Cl quotient by P's columns, not by
-Prin's HNF basis, which only ``is_principal`` builds.
+Cart = QCart as soon as L_v = Q_v at every vertex, which one invariant
+factor test per distinct M_v decides.  Then (on every product of
+simple factors the tests draw) ``cart_lattice`` is QCart itself,
+``is_cartier`` reads the balancing equations, Pic and Cl are one
+quotient, and no congruence is built.  Otherwise Cart is QCart cut by
+the congruences, which ``is_cartier`` reads.  Pic and Cl quotient by
+P's columns, not by Prin's HNF basis, which only ``is_principal``
+builds.  ``divisor_to_json`` joins its text from a per-product table
+of the escaped, sorted keys.
 """
 
 from __future__ import annotations
@@ -191,13 +186,15 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
 
 
 def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
-    """Locally principal: at every vertex the restriction of d to the
-    star lies in the integer span of the local matrix columns, that is,
-    d satisfies every vertex's local congruences."""
+    """Locally principal: d meets every vertex's local congruences, or,
+    when every vertex is locally saturated and so Cart = QCart (see
+    ``cart_lattice``), the balancing equations, and none is built."""
     _check_divisor(tp, d)
-    return satisfies(_cartier_conditions(tp), d)
+    conditions = _balancing_conditions if _locally_saturated(tp) else _cartier_conditions
+    return satisfies(conditions(tp), d)
 
 
+@_per_product
 def _locally_saturated(tp: TriangulatedProduct) -> bool:
     """Whether every local lattice L_v equals Q_v, the kernel of the
     balancing equations at v on the edges at v.
@@ -211,10 +208,9 @@ def _locally_saturated(tp: TriangulatedProduct) -> bool:
     passed = set()
     for (a, b), m in zip(tp.vertices, _local_matrices(tp)):
         rank_q = m.rows - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
-        if (m, rank_q) not in passed:
-            if invariant_factors(m) != [1] * rank_q:
-                return False
-            passed.add((m, rank_q))
+        if (m, rank_q) not in passed and invariant_factors(m) != [1] * rank_q:
+            return False
+        passed.add((m, rank_q))
     return True
 
 
@@ -223,14 +219,12 @@ def cart_lattice(tp: TriangulatedProduct) -> Lattice:
     """Cartier divisors: QCart itself when every vertex is locally
     saturated, and otherwise QCart cut by every local congruence.
 
-    Both are exact.  QCart is the set of d whose restriction to each
-    star lies in Q_v, and Cart the set whose restriction lies in L_v, so
-    L_v = Q_v at every vertex gives Cart = QCart.  In general Cart lies
-    in QCart, because each Cartier condition and balancing equation at
-    v reads only the edges at v and principal divisors are balanced, so
-    cutting QCart by the congruences gives Cart.  Products of simple
-    factors take the first branch; multigraph factors may need the
-    second.
+    Both are exact.  QCart and Cart are the d whose restriction to each
+    star lies in Q_v and in L_v, so L_v = Q_v at every vertex gives
+    Cart = QCart.  In general Cart lies in QCart, as the conditions at v
+    read only the edges at v and L_v lies in Q_v, so cutting QCart by
+    the congruences gives Cart.  Simple factors take the first branch;
+    multigraph factors may need the second.
     """
     qcart = qcart_lattice(tp)
     if _locally_saturated(tp):
@@ -315,11 +309,16 @@ def _edge_keys(tp: TriangulatedProduct) -> dict:
     return {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
 
 
+@_per_product
+def _json_keys(tp: TriangulatedProduct) -> tuple:
+    """(``json.dumps`` of the key, edge index), sorted by key."""
+    return tuple((json.dumps(key), i) for key, i in sorted(_edge_keys(tp).items()))
+
+
 def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
-    """JSON object mapping edge-id strings to coefficients, zeros omitted."""
+    """``json.dumps`` of {edge-id key: coefficient} over the nonzero ones, keys sorted."""
     _check_divisor(tp, d)
-    obj = {key: c for key, c in zip(_edge_keys(tp), d) if c}
-    return json.dumps(obj, sort_keys=True)
+    return "{" + ", ".join([f"{key}: {d[i]}" for key, i in _json_keys(tp) if d[i]]) + "}"
 
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
@@ -336,9 +335,9 @@ def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
     by_str = _edge_keys(tp)
     d = [0] * tp.n_edges
     for key, val in obj.items():
-        if key not in by_str:
+        if (i := by_str.get(key)) is None:
             raise ComplexError(f"unknown edge id {key!r}")
-        if isinstance(val, bool) or not isinstance(val, int):
+        if type(val) is not int:
             raise ComplexError(f"coefficient of edge {key!r} is not an integer: {val!r}")
-        d[by_str[key]] = val
+        d[i] = val
     return tuple(d)

@@ -107,10 +107,6 @@ class IntMatrix:
                 raise LatticeError(f"column of length {len(c)}, expected {nrows}")
         return cls(nrows, len(cols), _flat_from_cols(cols))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> int:
@@ -515,7 +511,10 @@ def lattice_conditions(lat: Lattice) -> list:
 
 
 def lattice_contains(big: Lattice, small: Lattice) -> bool:
-    return all(lattice_member(big, small.basis.col(j))[0] for j in range(small.rank))
+    if big.ambient_dim != small.ambient_dim:
+        raise LatticeError("ambient dimension mismatch")
+    return all(lattice_member(big, [col.get(i, 0) for i in range(big.ambient_dim)])[0]
+               for col in map(dict, small.columns))
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
@@ -553,18 +552,26 @@ def quotient(big: Lattice, gens: IntMatrix) -> "AbGroup":
 
 
 def _check_conditions(width: int, conditions: Sequence) -> None:
-    """Raise LatticeError unless every ``(terms, modulus)`` condition
-    reads ints at indices in [0, width) and has an int modulus >= 0."""
+    """Raise LatticeError unless each condition is a ``(terms, modulus)``
+    pair of ``(int index in [0, width), int)`` terms and an int modulus >= 0."""
     if type(width) is not int or width < 0:
         raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
-    for r, (terms, modulus) in enumerate(conditions):
-        if type(modulus) is not int or modulus < 0:
-            raise LatticeError(f"condition {r}: modulus must be an int >= 0, got {modulus!r}")
-        for i, c in terms:
-            if type(i) is not int or not 0 <= i < width:
-                raise LatticeError(f"condition {r}: term index {i!r} is outside [0, {width})")
-            if type(c) is not int:
-                raise LatticeError(f"condition {r}: coefficient {c!r} is not an int")
+    r = condition = None
+    try:
+        for r, condition in enumerate(conditions):
+            terms, modulus = condition
+            if type(modulus) is not int or modulus < 0:
+                raise LatticeError(f"condition {r}: modulus must be an int >= 0, got {modulus!r}")
+            for i, c in terms:
+                if type(i) is not int or not 0 <= i < width:
+                    raise LatticeError(f"condition {r}: term index {i!r} is outside [0, {width})")
+                if type(c) is not int:
+                    raise LatticeError(f"condition {r}: coefficient {c!r} is not an int")
+    except LatticeError:
+        raise
+    except (TypeError, ValueError):  # a condition or term that does not unpack as a pair
+        raise LatticeError(f"condition {r} is not a (terms, modulus) pair with (index, "
+                           f"coefficient) terms: {condition!r}") from None
 
 
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:

@@ -271,6 +271,8 @@ def theta_graph(n_edges: int) -> Multigraph:
 
 def parse_graph_text(text: str) -> Multigraph:
     """Parse the ``v``/``e`` line format; errors carry line numbers."""
+    if not isinstance(text, str):
+        raise GraphParseError(f"graph text must be a str, got {type(text).__name__}")
     vertices = []
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -90,6 +90,8 @@ class DiagonalPolicy:
 
 def parse_policy_text(text: str) -> DiagonalPolicy:
     """Parse explicit-policy lines ``d <g-edge-id> <h-edge-id> <0|1>``."""
+    if not isinstance(text, str):
+        raise ComplexError(f"policy text must be a str, got {type(text).__name__}")
     choices = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

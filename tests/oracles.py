@@ -1,14 +1,15 @@
-"""Reference code that only the tests use: matrices from rows, the
-identity and the full lattice, submatrices, matrix product, Bareiss
-determinant and rank, the pivot rows of a dense echelon matrix,
-Kirchhoff spanning-tree counts, random trees and diagonal policies, a
-product's weights by a scan of its triangles, the principal matrix
-written out densely and its local matrices cut from it, the
-closed-form local rank of a triangulated product, the Cartier
-congruences with one local HNF per vertex, and Cart as one congruence
-kernel over all edges."""
+"""Reference code that only the tests use: matrices from rows, the zero
+and identity matrices and the full lattice, submatrices, matrix
+product, Bareiss determinant and rank, the pivot rows of a dense
+echelon matrix, Kirchhoff spanning-tree counts, random trees and
+diagonal policies, a product's weights by a scan of its triangles, the
+principal matrix written out densely and its local matrices cut from
+it, the closed-form local rank of a triangulated product, the Cartier
+congruences with one local HNF per vertex, Cart as one congruence
+kernel over all edges, and a divisor's JSON by ``json.dumps``."""
 
 import heapq
+import json
 import random
 
 from tropic_pic.divisor_theory import _cartier_conditions, local_matrix
@@ -21,7 +22,12 @@ from tropic_pic.exact_lattice import (
     lattice_conditions,
 )
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
-from tropic_pic.product_complex import DiagonalPolicy, TriangulatedProduct, graph_star
+from tropic_pic.product_complex import (
+    DiagonalPolicy,
+    TriangulatedProduct,
+    edge_id_str,
+    graph_star,
+)
 
 
 def from_rows(rows) -> IntMatrix:
@@ -30,6 +36,11 @@ def from_rows(rows) -> IntMatrix:
     if any(len(r) != nc for r in rows):
         raise LatticeError("ragged rows")
     return IntMatrix(len(rows), nc, [x for r in rows for x in r])
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    """The rows x cols zero matrix."""
+    return IntMatrix(rows, cols, [0] * (rows * cols))
 
 
 def identity(n: int) -> IntMatrix:
@@ -260,3 +271,9 @@ def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
         for terms, modulus in lattice_conditions(Lattice.from_matrix(local_matrix(tp, v))):
             out.append((tuple((star_idx[i], c) for i, c in terms), modulus))
     return tuple(out)
+
+
+def divisor_json_dumps(tp: TriangulatedProduct, d) -> str:
+    """``json.dumps`` of the nonzero coefficients of d by edge-id key,
+    keys sorted: the text ``divisor_to_json`` must write."""
+    return json.dumps({edge_id_str(e.eid): c for e, c in zip(tp.edges, d) if c}, sort_keys=True)

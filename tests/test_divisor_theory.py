@@ -1,5 +1,6 @@
 """Tests for divisors, balancing conditions, Cartier predicates, Pic and Cl."""
 
+import functools
 import gc
 import random
 import weakref
@@ -10,6 +11,7 @@ from sympy import Matrix as SymMatrix
 from oracles import (
     cartier_conditions_per_vertex,
     dense_principal_matrix,
+    divisor_json_dumps,
     full_lattice,
     local_rank,
     local_rank_expected,
@@ -19,6 +21,7 @@ from oracles import (
     rank,
     submatrix,
     submatrix_local_matrix,
+    zeros,
 )
 from tropic_pic import divisor_theory
 from tropic_pic.exact_lattice import (
@@ -32,6 +35,7 @@ from tropic_pic.exact_lattice import (
     lattice_intersect,
     lattice_member,
     quotient,
+    satisfies,
 )
 from tropic_pic.divisor_theory import (
     balancing_matrix,
@@ -314,7 +318,7 @@ def test_balancing_kills_principal_columns(mixed_products):
     # Principal divisors are balanced: the fact Cart in QCart rests on.
     for tp in list(mixed_products) + [theta2_theta2()]:
         c, p = balancing_matrix(tp), principal_matrix(tp)
-        assert matmul(c, p) == IntMatrix.zeros(c.rows, p.cols)
+        assert matmul(c, p) == zeros(c.rows, p.cols)
 
 
 def test_unit_diagonal_divisor_fails_balancing(p2p2):
@@ -420,6 +424,48 @@ def test_is_cartier_matches_local_membership(mixed_products):
             d = [rng.randint(-2, 2) for _ in range(tp.n_edges)]
             assert is_cartier(tp, d) == locally_principal(tp, d)
     assert congruence_only > 0
+
+
+def test_is_cartier_equals_the_congruences(mixed_products):
+    # is_cartier reads the balancing equations on locally saturated
+    # products; its answer must be the congruences' on every product.
+    rng = random.Random(53)
+    paths = set()
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        fresh = build_product(tp.g, tp.h, tp.policy)
+        qcart = qcart_lattice(fresh).basis
+        divisors = [qcart.col(j) for j in range(qcart.cols)]
+        for _ in range(6):
+            d = list(qcart.mul_vec([rng.randint(-2, 2) for _ in range(qcart.cols)]))
+            d[rng.randrange(fresh.n_edges)] += rng.choice([0, 1, 2])
+            divisors += [d, [rng.randint(-2, 2) for _ in range(fresh.n_edges)]]
+        answers = [is_cartier(fresh, d) for d in divisors]
+        conditions = divisor_theory._cartier_conditions(fresh)
+        assert answers == [satisfies(conditions, d) for d in divisors]
+        paths.add(divisor_theory._locally_saturated(fresh))
+    assert paths == {True, False}
+
+
+def test_is_cartier_builds_the_congruences_only_where_needed(monkeypatch):
+    builds = []
+    real = divisor_theory._cartier_conditions.__wrapped__
+
+    @functools.wraps(real)
+    def counted(tp):
+        builds.append(tp)
+        return real(tp)
+
+    monkeypatch.setattr(divisor_theory, "_cartier_conditions", divisor_theory._per_product(counted))
+    rng = random.Random(59)
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    for tp, n_builds in ((build_product(cycle_graph(6), cycle_graph(6)), 0),
+                         (build_product(k4, c4, random_policy(k4, c4, 1)), 0),
+                         (theta2_theta2(), 1)):
+        builds.clear()
+        for _ in range(10):
+            assert not is_cartier(tp, [rng.randint(-2, 2) for _ in range(tp.n_edges)])
+        assert is_cartier(tp, principal_matrix(tp).col(0))
+        assert builds == [tp] * n_builds
 
 
 def pic_and_cl_calls(monkeypatch, tp):
@@ -563,8 +609,31 @@ def test_divisor_json_roundtrip(p2p2):
     assert divisor_to_json(p2p2, [0] * p2p2.n_edges) == "{}"
 
 
+def test_divisor_json_is_the_sorted_json_dumps(mixed_products):
+    # Ids that JSON escapes (" and \), that the key escapes (\ and :),
+    # and non-ASCII ones, which json.dumps writes as \u escapes.
+    g = Multigraph(["a", "b", "c"], [('q"', "a", "b"), ("\u00e9:", "b", "c"), ("x\\", "c", "a")])
+    h = Multigraph(["\\", "\u00fc:", '"'], [("e", "\\", "\u00fc:"), ("\u2603", "\u00fc:", '"')])
+    escaped = build_product(g, h)
+    rng = random.Random(67)
+    for tp in list(mixed_products) + [theta2_theta2(), escaped]:
+        n = tp.n_edges
+        divisors = [[0] * n, [1] * n, [-(2**64)] + [0] * (n - 1)]
+        for _ in range(8):
+            divisors.append([rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9),
+                                         rng.randint(2**64, 2**80), -rng.randint(2**64, 2**80)))
+                             for _ in range(n)])
+        for d in divisors:
+            text = divisor_to_json(tp, d)
+            assert text == divisor_json_dumps(tp, d)
+            assert divisor_from_json(tp, text) == tuple(d)
+        assert divisor_to_json(tp, [0] * n) == "{}"
+    text = divisor_to_json(escaped, [1] * escaped.n_edges)
+    assert all(part in text for part in ('\\"', "\\\\", "\\u00e9", "\\u2603"))
+
+
 def test_divisor_json_rejects_unknown_edges(p2p2):
-    with pytest.raises(Exception):
+    with pytest.raises(ComplexError, match=r"^unknown edge id 'h:zz:9'$"):
         divisor_from_json(p2p2, '{"h:zz:9": 1}')
 
 

@@ -13,7 +13,17 @@ import pytest
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from oracles import det, echelon_pivots, from_rows, full_lattice, identity, matmul, rank, submatrix
+from oracles import (
+    det,
+    echelon_pivots,
+    from_rows,
+    full_lattice,
+    identity,
+    matmul,
+    rank,
+    submatrix,
+    zeros,
+)
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
@@ -81,7 +91,7 @@ def test_hnf_identity():
 
 
 def test_hnf_zero_matrix():
-    m = IntMatrix.zeros(2, 3)
+    m = zeros(2, 3)
     h, u = hnf(m)
     assert h == m
     assert abs(det(u)) == 1
@@ -201,7 +211,7 @@ def test_lattice_pivots_match_echelon_pivots():
     lambda: IntMatrix.from_cols([[1, 2], [3, 4, 5]]),
     lambda: IntMatrix.from_cols([[1], [2, 3]], nrows=1),
     lambda: IntMatrix(-1, -1, [1]),
-    lambda: IntMatrix.zeros(-1, 2),
+    lambda: zeros(-1, 2),
     lambda: identity(-1),
     lambda: from_rows([[1], [2, 3], []]),  # 3 entries, as many as 3 x 1
 ])
@@ -240,8 +250,8 @@ def test_snf_diag_2_3():
 
 
 def test_snf_zero():
-    d, s, t = snf(IntMatrix.zeros(2, 2))
-    assert d == IntMatrix.zeros(2, 2)
+    d, s, t = snf(zeros(2, 2))
+    assert d == zeros(2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -264,8 +274,8 @@ def _snf_inputs(rng, n_dense, c6c6_pic_matrix):
         rows, cols = rng.randint(0, 8), rng.randint(0, 8)
         yield IntMatrix(rows, cols, [rng.randint(-9, 9) if rng.random() < 0.25 else 0
                                      for _ in range(rows * cols)])
-    yield IntMatrix.zeros(0, 3)
-    yield IntMatrix.zeros(4, 0)
+    yield zeros(0, 3)
+    yield zeros(4, 0)
     for diag in ((6, 4, 10), (3, 1), (0, 2), (0, 4, 0, 6)):
         n = len(diag)
         yield IntMatrix(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
@@ -331,7 +341,7 @@ def test_unit_stripping_matches_sympy():
     """Sparse matrices rich in +-1 entries, others with none, zero rows,
     and 0 rows or 0 columns."""
     rng = random.Random(29)
-    cases = [IntMatrix.zeros(0, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0),
+    cases = [zeros(0, 4), zeros(3, 0), zeros(0, 0),
              from_rows([[0, 0, 0], [1, -1, 2], [0, 0, 0]]), from_rows([[2, 4], [6, 3]])]
     for entries in ((1, -1, 1, -1, 2, -2, 3, 6), (2, -2, 3, 4, -6)):
         for _ in range(40):
@@ -355,7 +365,7 @@ def test_invariant_factors_calls_snf_once(c6c6_pic_matrix, monkeypatch):
     real = exact_lattice.snf
     monkeypatch.setattr(exact_lattice, "snf", lambda m: calls.append(m) or real(m))
     for run in (lambda: invariant_factors(c6c6_pic_matrix), lambda: invariant_factors(identity(4)),
-                lambda: invariant_factors(IntMatrix.zeros(0, 0)),
+                lambda: invariant_factors(zeros(0, 0)),
                 lambda: cokernel(from_rows([[2, 0], [0, 3]])),
                 lambda: AbGroup.direct_sum(AbGroup(0, (2,)), AbGroup(1, (3,)))):
         calls.clear()
@@ -406,7 +416,7 @@ def check_kernel(m, k):
     """k is ker m, checked without ``kernel``: exact, of rank cols - rank m,
     saturated (every invariant factor of the basis is 1), and canonical."""
     assert (k.ambient_dim, k.basis.rows) == (m.cols, m.cols)
-    assert matmul(m, k.basis) == IntMatrix.zeros(m.rows, k.rank)
+    assert matmul(m, k.basis) == zeros(m.rows, k.rank)
     assert k.rank == m.cols - rank(m)
     assert invariant_factors(k.basis) == [1] * k.rank
     assert Lattice.from_matrix(k.basis) == k == Lattice(m.cols, k.basis)
@@ -416,8 +426,8 @@ def check_kernel(m, k):
 def _kernel_inputs(rng):
     """Sparse random matrices rich in +-1 or with none, so that pivots are
     unit and not, some with a zero row or column, and 0 x n and n x 0."""
-    yield from (IntMatrix.zeros(0, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0),
-                IntMatrix.zeros(2, 3), from_rows([[2, 0, 1, 4]]), from_rows([[0, 3], [0, 6]]))
+    yield from (zeros(0, 4), zeros(3, 0), zeros(0, 0),
+                zeros(2, 3), from_rows([[2, 0, 1, 4]]), from_rows([[0, 3], [0, 6]]))
     for entries in ((1, -1, 1, -1, 2, -3, 4), (2, -2, 3, 4, -6)):
         for _ in range(60):
             rows, cols = rng.randint(1, 7), rng.randint(1, 9)
@@ -655,6 +665,25 @@ def test_condition_matrix_refuses_bad_widths_coefficients_and_moduli(width, cond
         condition_matrix(width, conditions)
 
 
+@pytest.mark.parametrize("conditions, bad", [
+    ([((0, 1), 0)], "condition 0"),  # terms not a tuple of pairs
+    ([(((0, 1),), 0), (((0, 1, 2),), 0)], "condition 1"),  # a term of three
+    ([(((0, 1),), 0), 5], "condition 1"),  # a condition that is no pair
+    ([(((0, 1),), 0, 1)], "condition 0"),  # a condition of three
+    ([(None, 0)], "condition 0"),
+])
+def test_condition_that_is_not_pairs_of_pairs_is_refused(conditions, bad):
+    with pytest.raises(LatticeError, match=f"^{bad} is not a \\(terms, modulus\\) pair"):
+        condition_matrix(2, conditions)
+    with pytest.raises(LatticeError, match=f"^{bad} is not"):
+        lattice_cut(full_lattice(2), conditions)
+
+
+def test_conditions_that_are_not_a_sequence_are_refused():
+    with pytest.raises(LatticeError, match="^condition None is not"):
+        condition_matrix(2, None)
+
+
 @pytest.mark.parametrize("conditions, v", [
     ([(((0.0, 1),), 0)], (1,)),
     ([(((None, 1),), 0)], (1,)),
@@ -727,6 +756,30 @@ def test_intersect_is_greatest_lower_bound():
             assert lattice_member(a, v)[0] and lattice_member(b, v)[0]
 
 
+def test_lattice_contains_refuses_other_ambient_dimensions():
+    plane = Lattice.from_matrix(identity(2))
+    for small, big in ((Lattice.zero(3), plane), (plane, Lattice.zero(3)),
+                       (Lattice.from_generators(3, [(1, 0, 0)]), plane)):
+        with pytest.raises(LatticeError, match="ambient dimension mismatch"):
+            lattice_contains(big, small)
+    assert lattice_contains(plane, Lattice.zero(2))
+    assert not lattice_contains(Lattice.zero(2), plane)
+    line = Lattice.from_generators(2, [(2, 4)])
+    assert lattice_contains(line, Lattice.from_generators(2, [(4, 8)]))
+    assert not lattice_contains(line, Lattice.from_generators(2, [(1, 2)]))
+
+
+def test_lattice_contains_reads_no_dense_basis():
+    rng = random.Random(41)
+    for _ in range(10):
+        a = Lattice.from_matrix(random_matrix(rng, 4, rng.randint(0, 4)))
+        b = Lattice.from_matrix(random_matrix(rng, 4, rng.randint(0, 4)))
+        expected = all(lattice_member(a, b.basis.col(j))[0] for j in range(b.rank))
+        fresh = Lattice.from_generators(4, [b.basis.col(j) for j in range(b.rank)])
+        assert lattice_contains(a, fresh) == expected
+        assert "basis" not in fresh.__dict__
+
+
 # -- quotient -------------------------------------------------------------------
 
 
@@ -797,13 +850,13 @@ def test_cokernel_free_part():
 
 
 def test_empty_edge_cases():
-    empty = IntMatrix.zeros(0, 0)
+    empty = zeros(0, 0)
     h, u = hnf(empty)
     assert h.rows == 0 and h.cols == 0
     d, s, t = snf(empty)
     assert d.rows == 0
-    assert kernel(IntMatrix.zeros(0, 3)).rank == 3
-    assert kernel(IntMatrix.zeros(3, 0)).rank == 0
+    assert kernel(zeros(0, 3)).rank == 3
+    assert kernel(zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
     assert quotient(full_lattice(2), Lattice.zero(2).basis) == AbGroup(2, ())
 

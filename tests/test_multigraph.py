@@ -282,6 +282,13 @@ def test_parse_comments_and_errors():
         parse_graph_text("v a\nv b\ne only_two_fields a\n")
 
 
+@pytest.mark.parametrize("text", [None, b"v a\n", 5, ["v a"]])
+def test_parse_takes_only_a_str(text):
+    message = f"^graph text must be a str, got {type(text).__name__}$"
+    with pytest.raises(GraphParseError, match=message):
+        parse_graph_text(text)
+
+
 def test_parse_duplicate_endpoint_pairs_allowed():
     text = "v a\nv b\ne e1 a b\ne e2 a b\n"
     g = parse_graph_text(text)

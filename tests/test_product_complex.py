@@ -218,6 +218,13 @@ def test_explicit_policy_validation():
         parse_policy_text("d e0 e0 0\nd e0 e0 1\n")
 
 
+@pytest.mark.parametrize("text", [None, b"d e0 e0 1\n", 5, ["d e0 e0 1"]])
+def test_parse_policy_takes_only_a_str(text):
+    message = f"^policy text must be a str, got {type(text).__name__}$"
+    with pytest.raises(ComplexError, match=message):
+        parse_policy_text(text)
+
+
 def test_parallel_edges_make_distinct_squares():
     tp = build_product(theta_graph(2), path_graph(1))
     assert len(tp.squares) == 2

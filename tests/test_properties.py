@@ -23,6 +23,7 @@ from oracles import (
     matmul,
     random_policy,
     weights_by_triangle_scan,
+    zeros,
 )
 from tropic_pic.divisor_theory import (
     _cartier_conditions,
@@ -43,6 +44,7 @@ from tropic_pic.exact_lattice import (
     lattice_contains,
     lattice_cut,
     lattice_member,
+    satisfies,
     snf,
 )
 from tropic_pic.multigraph import Multigraph, critical_group, genus
@@ -101,8 +103,12 @@ def products_and_divisors(draw):
 @SETTINGS
 @given(products_and_divisors())
 def test_is_cartier_is_cart_membership(case):
+    # is_cartier runs first, so on locally saturated products it reads
+    # the balancing equations before any congruence is built.
     tp, d = case
-    assert is_cartier(tp, d) == lattice_member(cart_lattice(tp), d)[0]
+    cartier = is_cartier(tp, d)
+    assert cartier == satisfies(_cartier_conditions(tp), d)
+    assert cartier == lattice_member(cart_lattice(tp), d)[0]
 
 
 @SETTINGS
@@ -130,7 +136,7 @@ def test_cart_is_the_congruence_kernel(tp):
 @given(products(simple_graphs) | products())
 def test_principal_divisors_are_balanced(tp):
     c, p = balancing_matrix(tp), principal_matrix(tp)
-    assert matmul(c, p) == IntMatrix.zeros(c.rows, p.cols)
+    assert matmul(c, p) == zeros(c.rows, p.cols)
 
 
 @SETTINGS
