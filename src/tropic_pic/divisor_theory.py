@@ -20,7 +20,8 @@ lies in L_v, the integer span of the local matrix M_v (P's rows there),
 which ``lattice_conditions`` turns into congruences once per distinct
 M_v.  Q-Cartier (locally balanced): d meets the balancing equations
 (``_balancing_conditions``), which cut out Q_v at v; QCart is their
-kernel.  Principal divisors are balanced, so L_v lies in Q_v.
+kernel, taken on their sparse rows by ``condition_kernel``.  Principal
+divisors are balanced, so L_v lies in Q_v.
 
 Cart = QCart as soon as L_v = Q_v at every vertex, which one invariant
 factor test per distinct M_v decides.  Then (on every product of
@@ -37,15 +38,16 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from typing import Sequence
 
 from .exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
+    condition_kernel,
     condition_matrix,
     invariant_factors,
-    kernel,
     lattice_conditions,
     lattice_cut,
     lattice_member,
@@ -276,7 +278,7 @@ def is_q_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
 
 @_per_product
 def qcart_lattice(tp: TriangulatedProduct) -> Lattice:
-    return kernel(balancing_matrix(tp))
+    return condition_kernel(tp.n_edges, _balancing_conditions(tp))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,11 @@ def _json_keys(tp: TriangulatedProduct) -> tuple:
 def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
     """``json.dumps`` of {edge-id key: coefficient} over the nonzero ones, keys sorted."""
     _check_divisor(tp, d)
-    return "{" + ", ".join([f"{key}: {d[i]}" for key, i in _json_keys(tp) if d[i]]) + "}"
+    try:
+        return "{" + ", ".join([f"{key}: {d[i]}" for key, i in _json_keys(tp) if d[i]]) + "}"
+    except ValueError:  # a coefficient past CPython's int -> str digit limit; the largest is
+        key = edge_id_str(tp.edges[max(range(tp.n_edges), key=lambda i: abs(d[i]))].eid)
+        raise ComplexError(f"coefficient of edge {key!r} has too many digits") from None
 
 
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
@@ -330,6 +336,9 @@ def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
     except json.JSONDecodeError as exc:
         raise ComplexError(f"divisor JSON is not valid at line {exc.lineno} "
                            f"column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer past CPython's str -> int digit limit: keep it as text
+        limit = sys.get_int_max_str_digits()
+        obj = json.loads(text, parse_int=lambda s: int(s) if len(s.lstrip("-")) <= limit else (s,))
     if not isinstance(obj, dict):
         raise ComplexError("divisor JSON must be an object")
     by_str = _edge_keys(tp)
@@ -338,6 +347,7 @@ def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
         if (i := by_str.get(key)) is None:
             raise ComplexError(f"unknown edge id {key!r}")
         if type(val) is not int:
-            raise ComplexError(f"coefficient of edge {key!r} is not an integer: {val!r}")
+            what = "has too many digits" if type(val) is tuple else f"is not an integer: {val!r}"
+            raise ComplexError(f"coefficient of edge {key!r} {what}")
         d[i] = val
     return tuple(d)

@@ -15,22 +15,23 @@ basis is canonical, and the lattices this module builds skip that check.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
-is behind ``hnf``, ``snf``, ``kernel`` and ``Lattice.from_matrix``.  It
-works on column lists in place, runs each column operation over the
-nonzero entries of its source column only, and carries a unimodular
-transform only for ``hnf`` and ``snf``, which return one.  ``kernel``
-row-echelons m last column first, and only the rows whose pivot is not
-a unit go to ``hnf``; its canonical basis, lifted through the unit
-rows, is ker m's, with no second echelon.  Membership solves,
-congruences and cuts run over a lattice's sparse columns.
+is behind ``hnf``, ``snf`` and ``Lattice.from_matrix``.  It works on
+column lists in place, runs each column operation over the nonzero
+entries of its source column only, and carries a unimodular transform
+only for ``hnf`` and ``snf``, which return one.  ``condition_kernel``,
+behind ``kernel``, row-echelons dict rows last column first, and only
+the rows whose pivot is not a unit go to ``hnf``; their canonical
+kernel, lifted through the unit rows, is the whole kernel's, with no
+second echelon and no dense matrix.  Membership solves, congruences and
+cuts run over a lattice's sparse columns.
 ``invariant_factors`` first strips unit pivots by sparse row
 operations, one factor 1 each, and runs ``snf`` only on what is left
 (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
-``lattice_conditions``, ``satisfies``, ``condition_matrix`` and
-``lattice_cut`` write and read it.
+``lattice_conditions``, ``satisfies``, ``condition_matrix``,
+``condition_kernel`` and ``lattice_cut`` write and read it.
 
 Conventions
 -----------
@@ -412,40 +413,75 @@ class Lattice:
         return IntMatrix._trusted(n, r, tuple(flat))
 
 
-def kernel(m: IntMatrix) -> Lattice:
-    """The saturated lattice {x in Z^cols : m @ x = 0}.
+def condition_kernel(width: int, conditions: Sequence) -> Lattice:
+    """``kernel(condition_matrix(width, conditions))``, on sparse rows.
 
-    m's rows go to row echelon form, last column first, without a
-    transform.  A row with pivot 1 at column d gives x_d by earlier
-    columns; after the canonical reduction its other entries, and all
-    other rows, lie in S, the columns no unit row owns.  So x is y on
-    S, y in the ``hnf`` kernel of the other rows cut to S, and
-    x_d = -row_d . y.  The lift of y's canonical basis is canonical:
-    its pivot rows and reduced entries lie in S, and x_d is zero above
-    y's first nonzero, as row_d reads only columns before d.
+    Dict rows go to row echelon form last column first, a column -> rows
+    index naming the rows not yet placed.  A row with pivot +-1 at d is
+    kept as it is: x_d = -row_d . x reads only columns before d.  The
+    other rows, cleared of those unit columns, lie on S, the columns no
+    unit row owns; y, their ``hnf`` kernel on S, is lifted one basis row
+    at a time in ascending d.  The lift of y's canonical basis is
+    canonical: its pivots and reduced entries lie in S, and x_d is zero
+    above y's first nonzero, as row_d reads only columns before d.
     """
-    n = m.cols
-    rows = [list(m.row(i)[::-1]) for i in range(m.rows)]  # column n - 1 first
-    pivots = _echelon(rows, n)
-    units = {n - 1 - p: row for row, p in zip(rows, pivots) if row[p] == 1}
-    rest = [row for row, p in zip(rows, pivots) if row[p] != 1]
+    _check_conditions(width, conditions)
+    n = width + sum(1 for _, modulus in conditions if modulus)
+    rows, rows_at, slack = [], [set() for _ in range(n)], iter(range(width, n))
+    for r, (terms, modulus) in enumerate(conditions):
+        row = {next(slack): modulus} if modulus else {}
+        for i, c in terms:
+            row[i] = row.get(i, 0) + c
+        rows.append({i: c for i, c in row.items() if c})
+        for j in rows[r]:
+            rows_at[j].add(r)
+    units, rest = {}, []
+    for j in range(n - 1, -1, -1):
+        while len(rows_at[j]) > 1:  # Euclid on column j, smallest entry (then sparsest row) first
+            k = min(rows_at[j], key=lambda r: (abs(rows[r][j]), len(rows[r]), r))
+            for r in rows_at[j] - {k}:
+                row, q = rows[r], rows[r][j] // rows[k][j]
+                for c, x in rows[k].items():
+                    if y := row.get(c, 0) - q * x:
+                        row[c] = y
+                        rows_at[c].add(r)
+                    else:
+                        del row[c]
+                        rows_at[c].discard(r)
+        if rows_at[j]:
+            row = rows[k := rows_at[j].pop()]
+            for c in row:
+                rows_at[c].discard(k)
+            if abs(p := row[j]) == 1:
+                units[j] = {c: p * x for c, x in row.items() if c != j}
+            else:
+                rest.append(row)
+    for d in sorted(units, reverse=True):  # clear the unit columns, last first
+        for row in rest:
+            for c, x in units[d].items() if (f := row.pop(d, 0)) else ():
+                row[c] = row.get(c, 0) - f * x
     s = [j for j in range(n) if j not in units]
-    h, u = hnf(IntMatrix._trusted(len(rest), len(s),
-                                  tuple(row[n - 1 - j] for row in rest for j in s)))
+    _, u = hnf(IntMatrix._trusted(len(rest), len(s),
+                                 tuple(row.get(j, 0) for row in rest for j in s)))
     small = Lattice.from_generators(len(s), [u.col(j) for j in range(len(rest), len(s))])
-    reads = [[] for _ in range(n)]  # per column j in S: (d, row_d[j]) of the unit rows
-    for d, row in units.items():
-        for p, c in _nonzeros(row, n - d):
-            reads[n - 1 - p].append((d, c))
-    columns = []
-    for y in small.columns:
-        x = {}
+    lifted = [{} for _ in range(n)]  # per coordinate: basis column -> entry
+    for b, y in enumerate(small.columns):
         for t, c in y:
-            x[s[t]] = c
-            for d, a in reads[s[t]]:
-                x[d] = x.get(d, 0) - a * c
-        columns.append(tuple(sorted((i, c) for i, c in x.items() if c)))
-    return Lattice._trusted(n, tuple(columns))
+            lifted[s[t]][b] = c
+    columns = [[] for _ in small.columns]
+    for d, x in enumerate(lifted):
+        for c, a in units.get(d, {}).items():
+            for b, v in lifted[c].items():
+                x[b] = x.get(b, 0) - a * v
+        for b, c in x.items():
+            if c:
+                columns[b].append((d, c))
+    return Lattice._trusted(n, tuple(map(tuple, columns)))
+
+
+def kernel(m: IntMatrix) -> Lattice:
+    """The saturated lattice {x in Z^cols : m @ x = 0}, from m's rows."""
+    return condition_kernel(m.cols, [(_nonzeros(m.row(i)), 0) for i in range(m.rows)])
 
 
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
@@ -518,18 +554,10 @@ def lattice_contains(big: Lattice, small: Lattice) -> bool:
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection, via the kernel of [basis_a | -basis_b]."""
+    """Intersection: a cut by the congruences that cut out b."""
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
-    if a.rank == 0 or b.rank == 0:
-        return Lattice.zero(a.ambient_dim)
-    cols = a.basis.col_list() + [[-x for x in c] for c in b.basis.col_list()]
-    ker = kernel(IntMatrix.from_cols(cols, nrows=a.ambient_dim))
-    gens = []
-    for j in range(ker.rank):
-        coeffs = ker.basis.col(j)[:a.rank]
-        gens.append(a.basis.mul_vec(coeffs))
-    return Lattice.from_generators(a.ambient_dim, gens)
+    return lattice_cut(a, lattice_conditions(b))
 
 
 def quotient(big: Lattice, gens: IntMatrix) -> "AbGroup":
@@ -595,8 +623,10 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
                     return False
             elif s:
                 return False
-    except TypeError as exc:  # a term index, coefficient or entry that is no number
-        raise LatticeError(f"conditions and vector must hold ints: {exc}") from None
+    except LatticeError:
+        raise
+    except (TypeError, ValueError) as exc:  # no number, or no pair where one is due
+        raise LatticeError(f"conditions must be pairs of pairs over ints: {exc}") from None
     return True
 
 
@@ -644,7 +674,7 @@ def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
             restricted.append((_nonzeros(acc), modulus))
     if not restricted:
         return lat
-    ker = kernel(condition_matrix(k, restricted))
+    ker = condition_kernel(k, restricted)
     gens = [[0] * lat.ambient_dim for _ in range(ker.rank)]
     for x, y in zip(gens, ker.columns):
         for j, c in y:

@@ -6,7 +6,8 @@ diagonal policies, a product's weights by a scan of its triangles, the
 principal matrix written out densely and its local matrices cut from
 it, the closed-form local rank of a triangulated product, the Cartier
 congruences with one local HNF per vertex, Cart as one congruence
-kernel over all edges, and a divisor's JSON by ``json.dumps``."""
+kernel over all edges, a divisor's JSON by ``json.dumps``, and the
+kernel by a dense row echelon of the whole matrix."""
 
 import heapq
 import json
@@ -17,8 +18,10 @@ from tropic_pic.exact_lattice import (
     IntMatrix,
     Lattice,
     LatticeError,
+    _echelon,
+    _nonzeros,
     condition_matrix,
-    kernel,
+    hnf,
     lattice_conditions,
 )
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
@@ -258,7 +261,7 @@ def congruence_kernel_cart(tp: TriangulatedProduct) -> Lattice:
     congruences, with |E| + (one slack per congruence) columns, cut to
     the first |E| coordinates."""
     ne = tp.n_edges
-    ker = kernel(condition_matrix(ne, _cartier_conditions(tp)))
+    ker = dense_kernel(condition_matrix(ne, _cartier_conditions(tp)))
     return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
 
 
@@ -277,3 +280,37 @@ def divisor_json_dumps(tp: TriangulatedProduct, d) -> str:
     """``json.dumps`` of the nonzero coefficients of d by edge-id key,
     keys sorted: the text ``divisor_to_json`` must write."""
     return json.dumps({edge_id_str(e.eid): c for e, c in zip(tp.edges, d) if c}, sort_keys=True)
+
+
+def dense_kernel(m: IntMatrix) -> Lattice:
+    """The saturated lattice {x in Z^cols : m @ x = 0}, by a dense row
+    echelon of all of m.
+
+    m's rows go to canonical row echelon form, last column first.  A row
+    with pivot 1 at column d gives x_d by earlier columns; after the
+    canonical reduction its other entries, and all other rows, lie in S,
+    the columns no unit row owns.  So x is y on S, y in the ``hnf``
+    kernel of the other rows cut to S, and x_d = -row_d . y, lifted one
+    basis column at a time.
+    """
+    n = m.cols
+    rows = [list(m.row(i)[::-1]) for i in range(m.rows)]  # column n - 1 first
+    pivots = _echelon(rows, n)
+    units = {n - 1 - p: row for row, p in zip(rows, pivots) if row[p] == 1}
+    rest = [row for row, p in zip(rows, pivots) if row[p] != 1]
+    s = [j for j in range(n) if j not in units]
+    _, u = hnf(IntMatrix(len(rest), len(s), [row[n - 1 - j] for row in rest for j in s]))
+    small = Lattice.from_generators(len(s), [u.col(j) for j in range(len(rest), len(s))])
+    reads = [[] for _ in range(n)]  # per column j in S: (d, row_d[j]) of the unit rows
+    for d, row in units.items():
+        for p, c in _nonzeros(row, n - d):
+            reads[n - 1 - p].append((d, c))
+    columns = []
+    for y in small.columns:
+        x = {}
+        for t, c in y:
+            x[s[t]] = c
+            for d, a in reads[s[t]]:
+                x[d] = x.get(d, 0) - a * c
+        columns.append(tuple(sorted((i, c) for i, c in x.items() if c)))
+    return Lattice._trusted(n, tuple(columns))

@@ -3,6 +3,7 @@
 import functools
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -641,6 +642,40 @@ def test_divisor_json_rejects_unknown_edges(p2p2):
 def test_divisor_json_rejects_non_integer_coefficients(p2p2, value):
     with pytest.raises(ComplexError, match="h:e0:0"):
         divisor_from_json(p2p2, '{"h:e0:0": %s}' % value)
+
+
+def _int_digit_limit():
+    """CPython's int <-> str digit limit, or a skip where there is none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts ints of any length")
+    return limit
+
+
+def test_divisor_json_names_the_edge_of_a_coefficient_past_the_digit_limit(p2p2):
+    limit = _int_digit_limit()
+    d = [0] * p2p2.n_edges
+    d[1], d[4] = 10**limit, -(10**(limit + 5))
+    key = edge_id_str(p2p2.edges[4].eid)
+    with pytest.raises(ComplexError, match=f"^coefficient of edge '{key}' has too many digits$"):
+        divisor_to_json(p2p2, d)
+    d[1], d[4] = 10**limit - 1, -(10**limit - 1)  # limit digits each: still written
+    assert divisor_from_json(p2p2, divisor_to_json(p2p2, d)) == tuple(d)
+
+
+@pytest.mark.parametrize("digits", ["9", "-9"])
+def test_divisor_json_names_the_edge_of_a_literal_past_the_digit_limit(p2p2, digits):
+    limit = _int_digit_limit()
+    long_literal = digits + "9" * limit
+    text = '{"h:e0:0": 3, "h:e1:0": %s}' % long_literal
+    with pytest.raises(ComplexError, match="^coefficient of edge 'h:e1:0' has too many digits$"):
+        divisor_from_json(p2p2, text)
+    with pytest.raises(ComplexError, match=r"^coefficient of edge 'h:e1:0' is not an integer: \["):
+        divisor_from_json(p2p2, '{"h:e0:0": 3, "h:e1:0": [%s]}' % long_literal)
+    with pytest.raises(ComplexError, match="^unknown edge id 'h:zz:9'$"):
+        divisor_from_json(p2p2, '{"h:zz:9": %s}' % long_literal)
+    with pytest.raises(ComplexError, match="^divisor JSON must be an object$"):
+        divisor_from_json(p2p2, "[%s]" % long_literal)
 
 
 def test_divisor_json_rejects_non_objects(p2p2):

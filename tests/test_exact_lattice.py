@@ -14,6 +14,7 @@ from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from oracles import (
+    dense_kernel,
     det,
     echelon_pivots,
     from_rows,
@@ -33,6 +34,7 @@ from tropic_pic.exact_lattice import (
     hnf,
     invariant_factors,
     kernel,
+    condition_kernel,
     condition_matrix,
     lattice_conditions,
     lattice_contains,
@@ -43,7 +45,7 @@ from tropic_pic.exact_lattice import (
     satisfies,
     snf,
 )
-from tropic_pic import exact_lattice
+from tropic_pic import divisor_theory, exact_lattice
 from tropic_pic.divisor_theory import (
     balancing_matrix,
     cart_lattice,
@@ -51,6 +53,7 @@ from tropic_pic.divisor_theory import (
     pic,
     prin_lattice,
     principal_matrix,
+    qcart_lattice,
 )
 from tropic_pic.multigraph import cycle_graph
 from tropic_pic.product_complex import build_product
@@ -449,7 +452,9 @@ def test_kernel_is_exact_saturated_and_canonical(monkeypatch):
     real = exact_lattice.hnf
     monkeypatch.setattr(exact_lattice, "hnf", lambda m: shapes.append((m.rows, m.cols)) or real(m))
     for m in _kernel_inputs(random.Random(43)):
-        check_kernel(m, kernel(m))
+        k = kernel(m)
+        check_kernel(m, k)
+        assert k.columns == dense_kernel(m).columns
     assert len(shapes) == 126
     assert sum(rows > 0 for rows, _ in shapes) > 40
     assert sum(rows == 0 for rows, _ in shapes) > 40
@@ -459,6 +464,8 @@ def test_kernel_of_product_matrices(mixed_products):
     products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 9)]
     for tp in products + list(mixed_products):
         check_kernel(balancing_matrix(tp), kernel(balancing_matrix(tp)))
+        b = balancing_matrix(tp)
+        assert qcart_lattice(tp) == kernel(b) == dense_kernel(b)
     for tp in mixed_products:
         check_kernel(principal_matrix(tp), kernel(principal_matrix(tp)))
 
@@ -473,6 +480,21 @@ def test_c6c6_kernel_runs_one_small_hnf(monkeypatch):
     pic(tp)
     cl(tp)
     assert len(shapes) == 1 and shapes[0][0] <= 6
+
+
+def test_c6c6_pic_and_cl_build_no_dense_balancing_matrix(monkeypatch):
+    """QCart is taken on the balancing conditions' sparse rows: neither
+    ``balancing_matrix`` nor ``condition_matrix`` over all edges runs."""
+    tp = build_product(cycle_graph(6), cycle_graph(6))
+    widths = []
+    real = exact_lattice.condition_matrix
+    for module in (exact_lattice, divisor_theory):
+        monkeypatch.setattr(module, "condition_matrix",
+                            lambda width, rows: widths.append(width) or real(width, rows))
+    monkeypatch.setattr(divisor_theory, "balancing_matrix", lambda tp: pytest.fail("dense B"))
+    pic(tp)
+    cl(tp)
+    assert widths and tp.n_edges not in widths
 
 
 # -- membership ---------------------------------------------------------------
@@ -612,6 +634,7 @@ def test_condition_matrix_kernel_is_what_the_conditions_cut_out():
         m = condition_matrix(n, conditions)
         assert (m.rows, m.cols) == (len(conditions), n + sum(1 for _, q in conditions if q))
         ker = kernel(m)
+        assert condition_kernel(n, conditions) == ker == dense_kernel(m)
         cut = Lattice.from_generators(n, [ker.basis.col(j)[:n] for j in range(ker.rank)])
         for v in product(range(-4, 5), repeat=n):
             assert lattice_member(cut, v)[0] == dense_satisfies(conditions, v)
@@ -697,11 +720,30 @@ def test_satisfies_refuses_bad_indices_and_moduli(conditions, v):
         satisfies(conditions, v)
 
 
+@pytest.mark.parametrize("conditions", [
+    [(((0, 1, 2),), 0)],  # a term of three
+    [(((0, 1),), 0, 1)],  # a condition of three
+    [(((0,),), 0)],  # a term of one
+    [((0, 1), 0)],  # terms not pairs
+    [5],
+])
+def test_satisfies_refuses_conditions_that_are_not_pairs_of_pairs(conditions):
+    with pytest.raises(LatticeError, match="^conditions must be pairs of pairs over ints: "):
+        satisfies(conditions, (1,))
+
+
+def test_satisfies_passes_its_own_errors_on_as_they_are():
+    with pytest.raises(LatticeError, match=r"^term index 3 is outside \[0, 1\)$"):
+        satisfies([(((3, 1),), 0)], (1,))
+
+
 def test_repeated_condition_indices_add_up():
     """(((0, 1), (0, 1)), 2) reads 2 x = 0 mod 2, which every x meets."""
     conditions = [(((0, 1), (0, 1)), 2)]
     assert condition_matrix(1, conditions) == IntMatrix(1, 2, [2, 2])
     assert kernel(condition_matrix(1, conditions)).rank == 2 - 1
+    assert condition_kernel(1, conditions) == kernel(condition_matrix(1, conditions)) \
+        == Lattice.from_generators(2, [(1, -1)])
     assert satisfies(conditions, (1,)) and dense_satisfies(conditions, (1,))
     assert lattice_cut(full_lattice(1), conditions) == full_lattice(1)
 

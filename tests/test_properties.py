@@ -12,7 +12,11 @@ oracle here.
 
 Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
 ``invariant_factors``, which strips unit pivots before its SNF, gives
-the nonzero diagonal of ``snf``.
+the nonzero diagonal of ``snf``.  Sparse matrices up to 6 x 8, with
+zero rows and columns, pivots -1 and 1 and pivots that are not units,
+and condition systems with moduli and repeated term indices check that
+``kernel`` and ``condition_kernel`` give, byte for byte, the kernel of
+a dense row echelon.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     cartier_conditions_per_vertex,
     congruence_kernel_cart,
+    dense_kernel,
     matmul,
     random_policy,
     weights_by_triangle_scan,
@@ -40,7 +45,10 @@ from tropic_pic.divisor_theory import (
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
+    condition_kernel,
+    condition_matrix,
     invariant_factors,
+    kernel,
     lattice_contains,
     lattice_cut,
     lattice_member,
@@ -190,3 +198,50 @@ def test_invariant_factors_are_the_snf_diagonal(m):
     d, _, _ = snf(m)
     diagonal = [d[i, i] for i in range(min(m.rows, m.cols))]
     assert invariant_factors(m) == [x for x in diagonal if x]
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Sparse matrices up to 6 x 8 whose entries are mostly 0 and +-1,
+    with up to two rows and two columns set to zero."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entries = st.sampled_from((0, 0, 0, 1, -1)) | st.integers(-6, 6)
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)) if rows else ():
+        m[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else ():
+        for row in m:
+            row[j] = 0
+    return IntMatrix(rows, cols, [x for row in m for x in row])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_matrices())
+def test_kernel_is_the_dense_kernel_byte_for_byte(m):
+    sparse, dense = kernel(m), dense_kernel(m)
+    assert (sparse.ambient_dim, sparse.columns) == (dense.ambient_dim, dense.columns)
+
+
+@st.composite
+def condition_systems(draw):
+    """(width, conditions): terms over few indices, so that they repeat,
+    and moduli 0, 1 and larger."""
+    width = draw(st.integers(0, 4))
+    terms = st.lists(st.tuples(st.integers(0, width - 1), st.integers(-4, 4)), max_size=4) \
+        if width else st.just([])
+    modulus = st.sampled_from((0, 0, 1, 2, 3, 6))
+    return width, draw(st.lists(st.tuples(terms.map(tuple), modulus), max_size=5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(condition_systems())
+def test_condition_kernel_is_the_kernel_of_the_condition_matrix(system):
+    width, conditions = system
+    m = condition_matrix(width, conditions)
+    assert condition_kernel(width, conditions) == kernel(m) == dense_kernel(m)
+
+
+@SETTINGS
+@given(products(simple_graphs) | products())
+def test_qcart_is_the_dense_balancing_kernel(tp):
+    assert qcart_lattice(tp) == dense_kernel(balancing_matrix(tp))
