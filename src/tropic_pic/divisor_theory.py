@@ -10,28 +10,29 @@ integer vector indexed by vertices; its divisor on edge r is
 
 The principal matrix P has div(phi_v) as column v, so div(phi) = P phi
 and the principal divisors are the integer column span of P.  P is
-built once per product as sparse rows, one per edge; the dense P and
-the local matrices are both read from them.
+built once per product as sparse rows, one per edge.  Pic and Cl read
+only these, their transpose and their rows at each star; the dense P
+and ``local_matrix`` are written out from them for the API.
 
 Cartier and Q-Cartier divisors are cut out by per-vertex conditions in
 ``exact_lattice``'s ``(terms, modulus)`` format.  Cartier (locally
 principal): at every vertex v the restriction of d to the edges at v
 lies in L_v, the integer span of the local matrix M_v (P's rows there),
 which ``lattice_conditions`` turns into congruences once per distinct
-M_v.  Q-Cartier (locally balanced): d meets the balancing equations
+star.  Q-Cartier (locally balanced): d meets the balancing equations
 (``_balancing_conditions``), which cut out Q_v at v; QCart is their
 kernel, taken on their sparse rows by ``condition_kernel``.  Principal
 divisors are balanced, so L_v lies in Q_v.
 
 Cart = QCart as soon as L_v = Q_v at every vertex, which one invariant
-factor test per distinct M_v decides.  Then (on every product of
-simple factors the tests draw) ``cart_lattice`` is QCart itself,
-``is_cartier`` reads the balancing equations, Pic and Cl are one
-quotient, and no congruence is built.  Otherwise Cart is QCart cut by
-the congruences, which ``is_cartier`` reads.  Pic and Cl quotient by
-P's columns, not by Prin's HNF basis, which only ``is_principal``
-builds.  ``divisor_to_json`` joins its text from a per-product table
-of the escaped, sorted keys.
+factor test per distinct star decides on P's sparse rows there.  Then
+(on every product of simple factors the tests draw) ``cart_lattice`` is
+QCart itself, ``is_cartier`` reads the balancing equations, Pic and Cl
+are one quotient, and no congruence is built.  Otherwise Cart is QCart
+cut by the congruences, which ``is_cartier`` reads.  Pic and Cl
+quotient by P's columns, not by Prin's HNF basis, which only
+``is_principal`` builds.  ``divisor_to_json`` joins its text from a
+per-product table of the escaped, sorted keys.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .exact_lattice import (
     lattice_member,
     quotient,
     satisfies,
+    transpose,
 )
 from .product_complex import (
     ComplexError,
@@ -161,10 +163,13 @@ def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
                             [(tuple((column[j], c) for j, c in row), 0) for row in star_rows])
 
 
-@_per_product
-def _local_matrices(tp: TriangulatedProduct) -> tuple:
-    """``local_matrix`` at every vertex, in vertex order."""
-    return tuple(local_matrix(tp, v) for v in tp.vertices)
+def _local_key(tp: TriangulatedProduct, v) -> tuple:
+    """The rows of ``_principal_rows`` at the edges at v, their columns
+    renumbered by first appearance: the local matrix up to column order,
+    which changes neither its lattice nor its invariant factors."""
+    rows, edge, column = _principal_rows(tp), tp._eindex, {}
+    return tuple([tuple([(column.setdefault(j, len(column)), c) for j, c in rows[edge[e]]])
+                  for e in tp._star[v]])
 
 
 @_per_product
@@ -172,18 +177,19 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
     """Every vertex's local congruences, lifted to the global edge order.
 
     One ``(terms, modulus)`` per congruence, with ``terms`` the nonzero
-    ``(edge index, coefficient)`` pairs of its row.  Equal local matrices
+    ``(edge index, coefficient)`` pairs of its row.  Equal local keys
     give equal congruences in local coordinates, so each distinct one is
-    solved once (9 for the 36 vertices of C6 x C6).
+    solved once, on the local matrix of its first vertex (9 for the 36
+    vertices of C6 x C6).
     """
-    by_matrix = {}
+    by_key = {}
     out = []
-    for v, m in zip(tp.vertices, _local_matrices(tp)):
+    for v in tp.vertices:
         star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
-        if m not in by_matrix:
-            by_matrix[m] = lattice_conditions(Lattice.from_matrix(m))
+        if (key := _local_key(tp, v)) not in by_key:
+            by_key[key] = lattice_conditions(Lattice.from_matrix(local_matrix(tp, v)))
         out.extend((tuple((star_idx[i], c) for i, c in terms), modulus)
-                   for terms, modulus in by_matrix[m])
+                   for terms, modulus in by_key[key])
     return tuple(out)
 
 
@@ -205,14 +211,16 @@ def _locally_saturated(tp: TriangulatedProduct) -> bool:
     deg_G(a) - 1 + deg_H(b) - 1 equations (independent: each has an
     edge, horizontal or vertical, of its own).  So L_v = Q_v iff the
     local matrix has that many invariant factors, all 1.  Each distinct
-    (local matrix, rank) is tested once.
+    (``_local_key``, rank) is tested once, on the key's sparse rows.
     """
     passed = set()
-    for (a, b), m in zip(tp.vertices, _local_matrices(tp)):
-        rank_q = m.rows - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
-        if (m, rank_q) not in passed and invariant_factors(m) != [1] * rank_q:
-            return False
-        passed.add((m, rank_q))
+    for a, b in tp.vertices:
+        rows = _local_key(tp, (a, b))
+        rank_q = len(rows) - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
+        if (key := (rows, rank_q)) not in passed:
+            if invariant_factors(rows) != [1] * rank_q:
+                return False
+            passed.add(key)
     return True
 
 
@@ -291,14 +299,14 @@ def pic(tp: TriangulatedProduct) -> AbGroup:
     cart = cart_lattice(tp)
     if cart is qcart_lattice(tp):
         return cl(tp)
-    return quotient(cart, principal_matrix(tp))
+    return quotient(cart, transpose(_principal_rows(tp), tp.n_vertices))
 
 
 @_per_product
 def cl(tp: TriangulatedProduct) -> AbGroup:
     """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones.
     Prin is given by P's sparse columns, which need no elimination."""
-    return quotient(qcart_lattice(tp), principal_matrix(tp))
+    return quotient(qcart_lattice(tp), transpose(_principal_rows(tp), tp.n_vertices))
 
 
 # ---------------------------------------------------------------------------

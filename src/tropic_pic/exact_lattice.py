@@ -4,14 +4,16 @@ quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  All values
-are immutable and all functions are pure.  An ``IntMatrix`` is dense;
-it is the form in which matrices enter and leave.  Its entries must be
-ints (``bool`` is refused), checked once where a matrix enters from
-outside; matrices this module builds itself skip the check.  A
-``Lattice`` is kept sparse, as its canonical basis columns, each the
-``(row, value)`` pairs of its nonzero entries; its dense basis is built
-only when asked for.  ``Lattice(ambient_dim, basis)`` checks that the
-basis is canonical, and the lattices this module builds skip that check.
+are immutable and all functions are pure.  ``invariant_factors``,
+``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
+``(index, value)`` pairs (the terms of the condition format below),
+whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
+dense ``IntMatrix``.  Entries must be ints (``bool`` is refused),
+checked once per call where they enter from outside; matrices this
+module builds itself skip the check.  A ``Lattice`` is kept as its
+canonical basis columns, each the ``(row, value)`` pairs of its nonzero
+entries; its dense basis is built only when asked for, and the lattices
+this module builds skip the check that a basis is canonical.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
@@ -24,9 +26,10 @@ the rows whose pivot is not a unit go to ``hnf``; their canonical
 kernel, lifted through the unit rows, is the whole kernel's, with no
 second echelon and no dense matrix.  Membership solves, congruences and
 cuts run over a lattice's sparse columns.
-``invariant_factors`` first strips unit pivots by sparse row
-operations, one factor 1 each, and runs ``snf`` only on what is left
-(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+``quotient`` writes its witnesses straight into sparse rows, and
+``invariant_factors`` strips unit pivots from them, one factor 1 each,
+running ``snf`` only on what is left (Dumas, Saunders and Villard,
+J. Symbolic Comput. 32, 2001).
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
@@ -50,12 +53,13 @@ Conventions
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
-from typing import Iterable, Optional, Sequence
 
 
 class LatticeError(ValueError):
@@ -77,12 +81,12 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        e = tuple(entries)
-        if not set(map(type, e)) <= {int}:
-            bad = next(x for x in e if type(x) is not int)
-            raise LatticeError(f"matrix entries must be ints, got {bad!r}")
-        if rows < 0 or cols < 0 or len(e) != rows * cols:
-            raise LatticeError(f"a {rows} x {cols} matrix cannot have {len(e)} entries")
+        e = tuple(entries) if isinstance(entries, Iterable) else None
+        if e is None or not set(map(type, e)) <= {int}:
+            bad = entries if e is None else next(x for x in e if type(x) is not int)
+            raise LatticeError(f"matrix entries must be an iterable of ints, got {bad!r}")
+        if {type(rows), type(cols)} != {int} or rows < 0 or cols < 0 or len(e) != rows * cols:
+            raise LatticeError(f"a {rows!r} x {cols!r} matrix cannot have {len(e)} entries")
         self.rows = rows
         self.cols = cols
         self._e = e
@@ -100,7 +104,7 @@ class IntMatrix:
         return m
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
+    def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
         for c in cols:
@@ -136,8 +140,8 @@ class IntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
-        if len(v) != self.cols:
-            raise LatticeError("vector length mismatch")
+        if len(v) != self.cols or not set(map(type, v)) <= {int}:
+            raise LatticeError(f"expected a vector of {self.cols} ints")
         out = []
         for i in range(self.rows):
             row = self._e[i * self.cols:(i + 1) * self.cols]
@@ -259,6 +263,10 @@ def snf(m: IntMatrix) -> tuple:
     resume, which replaces the pair by its gcd and lcm.
     """
     nr, nc = m.rows, m.cols
+    if not (nr and nc):  # m is empty, its own Smith form
+        s, t = (IntMatrix._trusted(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+                for n in (nr, nc))
+        return m, s, t
     cols = _with_identity(m.col_list())  # m over T
     rows = _with_identity(m.row_list())  # m beside S
     while True:
@@ -286,45 +294,42 @@ def snf(m: IntMatrix) -> tuple:
             IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
 
 
-def _strip_units(m: IntMatrix) -> tuple:
-    """(u, rest): u unit pivots eliminated from m, and the nonzero rows
-    and columns left, whose invariant factors follow u ones in m's.
+def _strip_units(sparse_rows: Sequence) -> tuple:
+    """(u, rest): u unit pivots eliminated from the sparse rows, and the
+    nonzero rows and columns left, dense, whose factors follow u ones.
 
     Rows are dicts; a pivot +-1 clears its column by row operations and
     its row and column are dropped.  The pivot taken next has the fewest
     other nonzeros in its row times its column (Markowitz), kept in a
     heap whose stale costs are renewed when popped.
     """
-    rows = [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
-    at = [set() for _ in range(m.cols)]  # column -> rows nonzero there
-    for i, row in enumerate(rows):
-        for j in row:
+    rows, at = [], defaultdict(set)  # at: column -> rows nonzero there
+    for i, d in enumerate(_sparse_dicts(sparse_rows, "rows")):
+        rows.append({j: x for j, x in d.items() if x} if 0 in d.values() else d)
+        for j in rows[i]:
             at[j].add(i)
 
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(at[j]) - 1), i, j
-
-    heap = [cost(i, j) for i, row in enumerate(rows) for j, x in row.items() if abs(x) == 1]
+    heap = [((len(row) - 1) * (len(at[j]) - 1), i, j)
+            for i, row in enumerate(rows) for j, x in row.items() if x == 1 or x == -1]
     heapify(heap)
     units = 0
     while heap:
-        _, i, j = entry = heappop(heap)
+        cost, i, j = heappop(heap)
         pivot = rows[i]
-        if abs(pivot.get(j, 0)) != 1:
+        if (p := pivot.get(j)) != 1 and p != -1:
             continue
-        if entry != cost(i, j):
-            heappush(heap, cost(i, j))
+        if (now := (len(pivot) - 1) * (len(at[j]) - 1)) != cost:
+            heappush(heap, (now, i, j))
             continue
         for k in at[j] - {i}:
             row = rows[k]
-            f = row[j] * pivot[j]
+            f = row[j] * p
             for c, x in pivot.items():
-                y = row.get(c, 0) - f * x
-                if y:
+                if y := row.get(c, 0) - f * x:
                     row[c] = y
                     at[c].add(k)
-                    if abs(y) == 1:
-                        heappush(heap, cost(k, c))
+                    if y == 1 or y == -1:
+                        heappush(heap, ((len(row) - 1) * (len(at[c]) - 1), k, c))
                 else:
                     del row[c]
                     at[c].discard(k)
@@ -338,10 +343,10 @@ def _strip_units(m: IntMatrix) -> tuple:
                                      tuple(row.get(j, 0) for row in rest for j in keep))
 
 
-def invariant_factors(m: IntMatrix) -> list:
-    """Nonzero diagonal entries of the SNF, in divisibility order: one 1
-    per unit pivot stripped, then those of the SNF of what is left."""
-    units, rest = _strip_units(m)
+def invariant_factors(rows: Sequence) -> list:
+    """Nonzero SNF diagonal of the matrix with these sparse rows, in
+    divisibility order: one 1 per unit pivot stripped, then the rest's."""
+    units, rest = _strip_units(rows)
     d, _, _ = snf(rest)
     return [1] * units + [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
 
@@ -486,8 +491,8 @@ def kernel(m: IntMatrix) -> Lattice:
 
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
-    if len(v) != lat.ambient_dim:
-        raise LatticeError("vector length != ambient dimension")
+    if not (type(v) in (list, tuple) or isinstance(v, Sequence)) or len(v) != lat.ambient_dim:
+        raise LatticeError(f"vector must be a sequence of length {lat.ambient_dim}")
     if not set(map(type, v)) <= {int}:
         bad = next(x for x in v if type(x) is not int)
         raise LatticeError(f"vector entries must be ints, got {bad!r}")
@@ -495,7 +500,7 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     y = []
     for col in lat.columns:
         p, piv = col[0]
-        q, r = divmod(w[p], piv)
+        q, r = divmod(w[p], piv) if w[p] else (0, 0)
         if r:
             return False, None
         if q:
@@ -560,23 +565,54 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     return lattice_cut(a, lattice_conditions(b))
 
 
-def quotient(big: Lattice, gens: IntMatrix) -> "AbGroup":
+def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     """Structure of big/L as a finitely generated abelian group, where L
-    is spanned by the columns of ``gens``, which need not be a basis.
+    is spanned by the sparse columns ``gens``, shaped like
+    ``Lattice.columns`` (repeated rows add up), which need not be a basis.
 
     Each column is written in coordinates of ``big``'s basis (a
     LatticeError if that fails, i.e. L is not a sublattice), and the
-    quotient is the cokernel of the coefficient matrix.
+    quotient is the cokernel of the sparse coefficient rows.
     """
-    if big.ambient_dim != gens.rows:
-        raise LatticeError("ambient dimension mismatch")
-    coeff_cols = []
-    for j in range(gens.cols):
-        ok, w = lattice_member(big, gens.col(j))
+    coeff_rows = [[] for _ in big.columns]
+    for j, col in enumerate(_sparse_dicts(gens, "generators", big.ambient_dim)):
+        _sub_nonzeros(v := [0] * big.ambient_dim, col.items(), -1)
+        ok, w = lattice_member(big, v)
         if not ok:
             raise LatticeError(f"quotient: generator {j} is not in the first lattice")
-        coeff_cols.append(w)
-    return cokernel(IntMatrix.from_cols(coeff_cols, nrows=big.rank))
+        for t in compress(range(len(w)), w):
+            coeff_rows[t].append((j, w[t]))
+    return cokernel(coeff_rows)
+
+
+def transpose(lines: Sequence, n: int) -> list:
+    """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j."""
+    out = [[] for _ in range(n)]
+    for j, line in enumerate(lines):
+        for i, c in line:
+            out[i].append((j, c))
+    return out
+
+
+def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> list:
+    """The lines as dicts index -> value, repeated indices added up, or
+    LatticeError unless they are (index, int) pairs (no bool), index in
+    [0, bound).  The types are tested once over the dicts' keys and values."""
+    try:
+        pairs = len(lines) and sum(map(len, lines))
+        dicts = list(map(dict, lines))
+        if sum(map(len, dicts)) < pairs:  # repeated indices add up; no bool may hide in a sum
+            for d, line in zip(dicts, lines):
+                d.clear()
+                for i, x in line:
+                    d[i] = d.get(i, 0) + x if type(i) is type(x) is int else None
+    except (TypeError, ValueError):
+        dicts = [{None: None}]
+    index = set(chain.from_iterable(dicts))
+    if not (set(map(type, index)) | set(map(type, chain.from_iterable(map(dict.values, dicts))))
+            <= {int} and min(index, default=0) >= 0 and max(index, default=-1) < bound):
+        raise LatticeError(f"{what} must be sequences of (index, int) pairs in [0, {bound})")
+    return dicts
 
 
 def _check_conditions(width: int, conditions: Sequence) -> None:
@@ -660,10 +696,7 @@ def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
     """
     _check_conditions(lat.ambient_dim, conditions)
     k = lat.rank
-    rows = [[] for _ in range(lat.ambient_dim)]  # per row of K: (column, value)
-    for j, col in enumerate(lat.columns):
-        for i, c in col:
-            rows[i].append((j, c))
+    rows = transpose(lat.columns, lat.ambient_dim)
     restricted = []
     for terms, modulus in conditions:
         acc = [0] * k
@@ -720,10 +753,7 @@ class AbGroup:
         factors = [d for g in groups for d in g.torsion]
         if not factors:
             return cls(free, ())
-        n = len(factors)
-        diag = IntMatrix(n, n, [factors[i] if i == j else 0
-                                for i in range(n) for j in range(n)])
-        canon = [f for f in invariant_factors(diag) if f > 1]
+        canon = [f for f in invariant_factors([((i, f),) for i, f in enumerate(factors)]) if f > 1]
         return cls(free, tuple(canon))
 
     def __str__(self) -> str:
@@ -736,10 +766,10 @@ class AbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(m: IntMatrix) -> AbGroup:
-    """Structure of Z^rows / column-span(m)."""
-    factors = invariant_factors(m)
-    free_rank = m.rows - len(factors)
+def cokernel(rows: Sequence) -> AbGroup:
+    """Structure of Z^len(rows) / the column span of these sparse rows."""
+    factors = invariant_factors(rows)
+    free_rank = len(rows) - len(factors)
     torsion = tuple(f for f in factors if f > 1)
     return AbGroup(free_rank, torsion)
 

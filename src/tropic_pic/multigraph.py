@@ -207,7 +207,7 @@ def pic_group(g: Multigraph) -> AbGroup:
     For connected g the free rank is 1 and the torsion part is the
     critical group, whose order is the spanning-tree count.
     """
-    return cokernel(laplacian(g))
+    return cokernel([tuple(enumerate(row)) for row in laplacian(g).row_list()])
 
 
 def critical_group(g: Multigraph) -> AbGroup:

@@ -1,7 +1,7 @@
-"""Reference code that only the tests use: matrices from rows, the zero
-and identity matrices and the full lattice, submatrices, matrix
-product, Bareiss determinant and rank, the pivot rows of a dense
-echelon matrix, Kirchhoff spanning-tree counts, random trees and
+"""Reference code that only the tests use: matrices from rows, the
+sparse rows and columns of a matrix, the zero and identity matrices
+and the full lattice, submatrices, matrix product, Bareiss determinant
+and rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random trees and
 diagonal policies, a product's weights by a scan of its triangles, the
 principal matrix written out densely and its local matrices cut from
 it, the closed-form local rank of a triangulated product, the Cartier
@@ -39,6 +39,16 @@ def from_rows(rows) -> IntMatrix:
     if any(len(r) != nc for r in rows):
         raise LatticeError("ragged rows")
     return IntMatrix(len(rows), nc, [x for r in rows for x in r])
+
+
+def sparse_rows(m: IntMatrix) -> list:
+    """Per row of m, the ``(column, value)`` pairs of its nonzero entries."""
+    return [_nonzeros(m.row(i)) for i in range(m.rows)]
+
+
+def sparse_columns(m: IntMatrix) -> list:
+    """Per column of m, the ``(row, value)`` pairs of its nonzero entries."""
+    return [_nonzeros(m.col(j)) for j in range(m.cols)]
 
 
 def zeros(rows: int, cols: int) -> IntMatrix:

@@ -20,6 +20,8 @@ from oracles import (
     random_policy,
     random_tree,
     rank,
+    sparse_columns,
+    sparse_rows,
     submatrix,
     submatrix_local_matrix,
     zeros,
@@ -260,7 +262,7 @@ def test_local_torsion_is_covered(mixed_products):
     for tp in mixed_products:
         for v in tp.vertices:
             m = local_matrix(tp, v)
-            factors = invariant_factors(m)
+            factors = invariant_factors(sparse_rows(m))
             if any(f > 1 for f in factors):
                 moduli = [q for _, q in lattice_conditions(Lattice.from_matrix(m))]
                 torsion.append((factors, 3 in moduli))
@@ -472,12 +474,13 @@ def test_is_cartier_builds_the_congruences_only_where_needed(monkeypatch):
 def pic_and_cl_calls(monkeypatch, tp):
     """A fresh copy of tp, and the number of calls of each of
     ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
-    ``lattice_cut`` and ``local_matrix`` that pic and cl make on it
-    together."""
+    ``lattice_cut``, ``local_matrix`` and ``invariant_factors`` (only
+    the local test calls it there) that pic and cl make on it together."""
     calls = {}
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        for name in ("quotient", "_cartier_conditions", "lattice_cut", "local_matrix"):
+        for name in ("quotient", "_cartier_conditions", "lattice_cut", "local_matrix",
+                     "invariant_factors"):
             calls[name] = 0
             real = getattr(divisor_theory, name)
 
@@ -500,27 +503,36 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
     products += [build_product(k4, c4, random_policy(k4, c4, seed)) for seed in (1, 2, 3)]
     products += [tp for tp in mixed_products if tp.g.is_simple() and tp.h.is_simple()]
     assert len(products) == 15
+    stars = []
     for tp in products:
         fresh, calls = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
+        # One local invariant factor test per distinct star, and no dense
+        # local matrix.
+        stars.append(len({local_matrix(fresh, v) for v in fresh.vertices}))
         assert calls == {"quotient": 1, "_cartier_conditions": 0, "lattice_cut": 0,
-                         "local_matrix": fresh.n_vertices}
+                         "local_matrix": 0, "invariant_factors": stars[-1]}
         assert pic(fresh) == cl(fresh)
+    assert (products[3].n_vertices, stars[3]) == (36, 9)  # C6 x C6
 
 
 def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
         fresh, calls = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
-        # The saturation test and the congruences share one local matrix per vertex.
+        # The congruences are solved on one dense local matrix per distinct
+        # star, here every star, and the local test stops at the first
+        # vertex, whose star already fails it.
+        assert len({local_matrix(fresh, v) for v in fresh.vertices}) == fresh.n_vertices
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "lattice_cut": 1,
-                         "local_matrix": fresh.n_vertices}
+                         "local_matrix": fresh.n_vertices, "invariant_factors": 1}
 
 
 def test_quotient_by_principal_columns_equals_by_prin_basis(mixed_products):
     for tp in list(mixed_products) + [theta2_theta2()]:
         for lat in (cart_lattice(tp), qcart_lattice(tp)):
-            assert quotient(lat, principal_matrix(tp)) == quotient(lat, prin_lattice(tp).basis)
+            assert quotient(lat, sparse_columns(principal_matrix(tp))) \
+                == quotient(lat, prin_lattice(tp).columns)
 
 
 def test_pic_and_cl_build_no_prin_lattice(mixed_products):

@@ -22,6 +22,7 @@ from oracles import (
     identity,
     matmul,
     rank,
+    sparse_rows,
     submatrix,
     zeros,
 )
@@ -217,6 +218,13 @@ def test_lattice_pivots_match_echelon_pivots():
     lambda: zeros(-1, 2),
     lambda: identity(-1),
     lambda: from_rows([[1], [2, 3], []]),  # 3 entries, as many as 3 x 1
+    lambda: IntMatrix(1, 1, None),
+    lambda: IntMatrix(1, 1, 5),
+    lambda: IntMatrix(1.0, 1, [1]),
+    lambda: IntMatrix(1, True, [1]),
+    lambda: IntMatrix(1, 1, [1]).mul_vec([1.5]),
+    lambda: IntMatrix(1, 1, [1]).mul_vec([True]),
+    lambda: IntMatrix(1, 1, [1]).mul_vec([1, 2]),
 ])
 def test_intmatrix_rejects_bad_entries_and_shapes(build):
     with pytest.raises(LatticeError):
@@ -318,7 +326,7 @@ def test_snf_minor_gcd_oracle():
     rng = random.Random(13)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -4, 4)
-        facs = invariant_factors(m)
+        facs = invariant_factors(sparse_rows(m))
         r = len(facs)
         assert r == rank(m)
         if r:
@@ -337,7 +345,7 @@ def sympy_factors(m):
 def test_snf_matches_sympy(c6c6_pic_matrix):
     rng = random.Random(17)
     for m in _snf_inputs(rng, 20, c6c6_pic_matrix):
-        assert invariant_factors(m) == sympy_factors(m)
+        assert invariant_factors(sparse_rows(m)) == sympy_factors(m)
 
 
 def test_unit_stripping_matches_sympy():
@@ -353,29 +361,118 @@ def test_unit_stripping_matches_sympy():
                                                 for _ in range(rows * cols)]))
     stripped = left = 0
     for m in cases:
-        units, rest = exact_lattice._strip_units(m)
+        units, rest = exact_lattice._strip_units(sparse_rows(m))
         assert not {1, -1} & set(rest._e)
         assert all(any(rest.row(i)) for i in range(rest.rows))
         assert all(any(rest.col(j)) for j in range(rest.cols))
         stripped += units
         left += rest.rows > 0
-        assert invariant_factors(m) == sympy_factors(m)
+        assert invariant_factors(sparse_rows(m)) == sympy_factors(m)
     assert stripped > 60 and left > 40
+
+
+def _written_out(rng, m):
+    """m's rows as sparse rows that add up to them: each nonzero entry
+    split into two pairs on its column, one of them perhaps 0, some zero
+    entries written as an explicit (column, 0) pair, in shuffled order."""
+    rows = []
+    for i in range(m.rows):
+        terms = []
+        for j, x in enumerate(m.row(i)):
+            if x:
+                part = rng.choice((0, 1, -1, x, 2 * x))
+                terms += [(j, x - part), (j, part)]
+            elif rng.random() < 0.5:
+                terms.append((j, 0))
+        rng.shuffle(terms)
+        rows.append(tuple(terms))
+    return rows
+
+
+def test_sparse_rows_with_zero_pairs_repeated_columns_and_empty_rows():
+    """Explicit zero pairs (P's rows keep one where alpha is 0), repeated
+    columns, which add up as in ``condition_matrix``, empty rows and no
+    rows at all: the invariant factors are those of the matrix the rows
+    add up to, by sympy and by the dense ``snf``."""
+    rng = random.Random(67)
+    cases = [([], zeros(0, 0)), ([()], zeros(1, 0)), ([(), (), ()], zeros(3, 0)),
+             ([((0, 0),)], zeros(1, 1)), ([((1, 0), (0, 2)), ()], from_rows([[2, 0], [0, 0]])),
+             ([((0, 1), (0, 1))], from_rows([[2]])),
+             ([((0, 3), (1, 1), (0, -3))], from_rows([[0, 1]])),
+             ([((2, 0), (0, 1)), ((0, -1), (1, 0), (1, 0))], from_rows([[1, 0, 0], [-1, 0, 0]]))]
+    for _ in range(80):
+        m = IntMatrix(rows := rng.randint(0, 6), cols := rng.randint(0, 6),
+                      [rng.choice((0, 0, 0, 1, -1, 2, 3, -4)) for _ in range(rows * cols)])
+        cases.append((_written_out(rng, m), m))
+    for sparse, m in cases:
+        d, _, _ = snf(m)
+        diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
+        assert invariant_factors(sparse) == diagonal == sympy_factors(m)
+        assert cokernel(sparse) == cokernel(sparse_rows(m))
+        units, rest = exact_lattice._strip_units(sparse)
+        assert all(any(rest.row(i)) for i in range(rest.rows))
+        assert all(any(rest.col(j)) for j in range(rest.cols))
+
+
+def test_principal_rows_and_local_keys_keep_zero_pairs(mixed_products):
+    """The sparse rows that Pic and the local test read, zero pairs and
+    all, give the factors of the dense matrices they write out."""
+    zero_pairs = 0
+    for tp in mixed_products:
+        rows = divisor_theory._principal_rows(tp)
+        zero_pairs += sum(c == 0 for row in rows for _, c in row)
+        assert invariant_factors(rows) == invariant_factors(sparse_rows(principal_matrix(tp)))
+        for v in tp.vertices:
+            key = divisor_theory._local_key(tp, v)
+            assert invariant_factors(key) == sympy_factors(divisor_theory.local_matrix(tp, v))
+    assert zero_pairs > 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: invariant_factors([[1]]),  # a row of ints, not of pairs
+    lambda: invariant_factors(None),
+    lambda: invariant_factors(identity(2)),  # dense
+    lambda: invariant_factors(iter([((0, 1),)])),  # not a sequence
+    lambda: invariant_factors([iter([(0, 1)])]),  # a row that is no sequence
+    lambda: invariant_factors([((0, 1, 2),)]),
+    lambda: invariant_factors([((0, 1.0),)]),
+    lambda: invariant_factors([((0, True),)]),
+    lambda: invariant_factors([((0, 2), (0, True))]),  # a bool among repeated columns
+    lambda: invariant_factors([((1, 2), (True, 3))]),  # a bool column that equals column 1
+    lambda: invariant_factors([((False, 1),)]),
+    lambda: invariant_factors([((0.0, 1),)]),
+    lambda: invariant_factors([((-1, 1),)]),
+    lambda: invariant_factors([((-1, 0),)]),  # a negative column, though its value is 0
+    lambda: cokernel(None),
+    lambda: cokernel([((0, "2"),)]),
+    lambda: quotient(full_lattice(2), None),
+    lambda: quotient(full_lattice(2), identity(2)),
+    lambda: quotient(full_lattice(2), [((2, 1),)]),  # a row past the ambient dimension
+    lambda: quotient(full_lattice(2), [((0, 1), (-1, 1))]),
+    lambda: quotient(full_lattice(2), [((0, 1.5),)]),
+    lambda: quotient(full_lattice(2), [((0, False),)]),
+    lambda: lattice_member(full_lattice(2), None),
+    lambda: lattice_member(full_lattice(2), 5),
+    lambda: lattice_member(full_lattice(2), {0: 1, 1: 1}),
+])
+def test_sparse_entry_points_refuse_what_is_not_sparse_int_rows(call):
+    with pytest.raises(LatticeError):
+        call()
 
 
 def test_invariant_factors_calls_snf_once(c6c6_pic_matrix, monkeypatch):
     calls = []
     real = exact_lattice.snf
     monkeypatch.setattr(exact_lattice, "snf", lambda m: calls.append(m) or real(m))
-    for run in (lambda: invariant_factors(c6c6_pic_matrix), lambda: invariant_factors(identity(4)),
-                lambda: invariant_factors(zeros(0, 0)),
-                lambda: cokernel(from_rows([[2, 0], [0, 3]])),
+    for run in (lambda: invariant_factors(sparse_rows(c6c6_pic_matrix)),
+                lambda: invariant_factors(sparse_rows(identity(4))), lambda: invariant_factors([]),
+                lambda: cokernel([((0, 2),), ((1, 3),)]),
                 lambda: AbGroup.direct_sum(AbGroup(0, (2,)), AbGroup(1, (3,)))):
         calls.clear()
         run()
         assert len(calls) == 1
     calls.clear()
-    assert invariant_factors(c6c6_pic_matrix)[-3:] == [1, 6, 6]
+    assert invariant_factors(sparse_rows(c6c6_pic_matrix))[-3:] == [1, 6, 6]
     # 33 unit pivots leave a 4 x 2 block, whose factors are 6 and 6.
     assert (calls[0].rows, calls[0].cols) == (4, 2)
 
@@ -421,7 +518,7 @@ def check_kernel(m, k):
     assert (k.ambient_dim, k.basis.rows) == (m.cols, m.cols)
     assert matmul(m, k.basis) == zeros(m.rows, k.rank)
     assert k.rank == m.cols - rank(m)
-    assert invariant_factors(k.basis) == [1] * k.rank
+    assert invariant_factors(sparse_rows(k.basis)) == [1] * k.rank
     assert Lattice.from_matrix(k.basis) == k == Lattice(m.cols, k.basis)
     assert list(k.pivots) == echelon_pivots(k.basis)
 
@@ -483,18 +580,17 @@ def test_c6c6_kernel_runs_one_small_hnf(monkeypatch):
 
 
 def test_c6c6_pic_and_cl_build_no_dense_balancing_matrix(monkeypatch):
-    """QCart is taken on the balancing conditions' sparse rows: neither
-    ``balancing_matrix`` nor ``condition_matrix`` over all edges runs."""
+    """QCart is taken on the balancing conditions' sparse rows, the local
+    test on P's sparse rows at each star, and the quotient on P's sparse
+    columns: no ``balancing_matrix``, ``condition_matrix``,
+    ``principal_matrix`` or ``local_matrix`` runs."""
     tp = build_product(cycle_graph(6), cycle_graph(6))
-    widths = []
-    real = exact_lattice.condition_matrix
-    for module in (exact_lattice, divisor_theory):
-        monkeypatch.setattr(module, "condition_matrix",
-                            lambda width, rows: widths.append(width) or real(width, rows))
-    monkeypatch.setattr(divisor_theory, "balancing_matrix", lambda tp: pytest.fail("dense B"))
-    pic(tp)
-    cl(tp)
-    assert widths and tp.n_edges not in widths
+    dense = [(exact_lattice, "condition_matrix"), (divisor_theory, "condition_matrix"),
+             (divisor_theory, "balancing_matrix"), (divisor_theory, "principal_matrix"),
+             (divisor_theory, "local_matrix")]
+    for module, name in dense:
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"dense {name}"))
+    assert pic(tp) == cl(tp) == AbGroup(3, (6, 6))
 
 
 # -- membership ---------------------------------------------------------------
@@ -828,20 +924,20 @@ def test_lattice_contains_reads_no_dense_basis():
 def test_quotient_z2_mod_2z2():
     big = full_lattice(2)
     small = Lattice.from_generators(2, [(2, 0), (0, 2)])
-    q = quotient(big, small.basis)
+    q = quotient(big, small.columns)
     assert q == AbGroup(0, (2, 2))
 
 
 def test_quotient_self_is_trivial():
     lat = Lattice.from_generators(3, [(1, 2, 3), (0, 1, 1)])
-    assert quotient(lat, lat.basis) == AbGroup(0, ())
+    assert quotient(lat, lat.columns) == AbGroup(0, ())
 
 
 def test_quotient_rejects_non_sublattice():
     big = Lattice.from_generators(2, [(2, 0)])
     small = Lattice.from_generators(2, [(1, 0)])
     with pytest.raises(LatticeError):
-        quotient(big, small.basis)
+        quotient(big, small.columns)
 
 
 def test_quotient_rank_additivity():
@@ -853,7 +949,7 @@ def test_quotient_rank_additivity():
         mult = random_matrix(rng, big.rank, rng.randint(0, big.rank), -3, 3)
         small_gens = [big.basis.mul_vec(mult.col(j)) for j in range(mult.cols)]
         small = Lattice.from_generators(4, small_gens)
-        q = quotient(big, small.basis)
+        q = quotient(big, small.columns)
         assert q.free_rank + small.rank == big.rank
 
 
@@ -888,7 +984,7 @@ def test_abgroup_direct_sum_canonicalizes():
 
 def test_cokernel_free_part():
     m = from_rows([[2, 0], [0, 0]])
-    assert cokernel(m) == AbGroup(1, (2,))
+    assert cokernel(sparse_rows(m)) == AbGroup(1, (2,))
 
 
 def test_empty_edge_cases():
@@ -900,7 +996,7 @@ def test_empty_edge_cases():
     assert kernel(zeros(0, 3)).rank == 3
     assert kernel(zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
-    assert quotient(full_lattice(2), Lattice.zero(2).basis) == AbGroup(2, ())
+    assert quotient(full_lattice(2), Lattice.zero(2).columns) == AbGroup(2, ())
 
 
 # -- the Lattice constructor ------------------------------------------------------

@@ -11,8 +11,13 @@ the closed form Z^(2 + g(G) g(H)) + Jac(G) + Jac(H), used only as an
 oracle here.
 
 Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
-``invariant_factors``, which strips unit pivots before its SNF, gives
-the nonzero diagonal of ``snf``.  Sparse matrices up to 6 x 8, with
+``invariant_factors``, which strips unit pivots from sparse rows before
+its SNF, gives the nonzero diagonal of the dense ``snf``, whether the
+rows list only the nonzero entries, write out the zeros, or split
+entries into pairs on one column that add up.  Cl is checked against
+Z^(rank QCart - rank P) + tors coker P, with coker P from the dense
+``snf`` of the principal matrix, so the sparse quotient meets an
+independent oracle on every product.  Sparse matrices up to 6 x 8, with
 zero rows and columns, pivots -1 and 1 and pivots that are not units,
 and condition systems with moduli and repeated term indices check that
 ``kernel`` and ``condition_kernel`` give, byte for byte, the kernel of
@@ -27,6 +32,7 @@ from oracles import (
     dense_kernel,
     matmul,
     random_policy,
+    sparse_rows,
     weights_by_triangle_scan,
     zeros,
 )
@@ -35,6 +41,7 @@ from tropic_pic.divisor_theory import (
     _locally_saturated,
     balancing_matrix,
     cart_lattice,
+    cl,
     is_cartier,
     is_q_cartier,
     pic,
@@ -195,9 +202,16 @@ def small_matrices(draw):
 @SETTINGS
 @given(small_matrices())
 def test_invariant_factors_are_the_snf_diagonal(m):
+    """The same matrix as sparse rows three ways: its nonzero entries,
+    every entry with the zeros written out, and every entry x split into
+    x - 1 and 1 on its column, which add up."""
     d, _, _ = snf(m)
-    diagonal = [d[i, i] for i in range(min(m.rows, m.cols))]
-    assert invariant_factors(m) == [x for x in diagonal if x]
+    diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
+    rows = [m.row(i) for i in range(m.rows)]
+    assert invariant_factors(sparse_rows(m)) == diagonal
+    assert invariant_factors([tuple(enumerate(row)) for row in rows]) == diagonal
+    assert invariant_factors([tuple((j, c) for j, x in enumerate(row) for c in (x - 1, 1))
+                              for row in rows]) == diagonal
 
 
 @st.composite
@@ -239,6 +253,19 @@ def test_condition_kernel_is_the_kernel_of_the_condition_matrix(system):
     width, conditions = system
     m = condition_matrix(width, conditions)
     assert condition_kernel(width, conditions) == kernel(m) == dense_kernel(m)
+
+
+@SETTINGS
+@given(products(simple_graphs) | products())
+def test_cl_is_free_of_the_rank_difference_plus_the_torsion_of_coker_p(tp):
+    """Cl = Z^(rank QCart - rank P) + tors coker P.  QCart, the kernel of
+    the balancing equations, is saturated and contains im P, so im P's
+    saturation lies in it.  rank P and coker P come from the dense
+    ``snf`` of P, which shares no code with the sparse quotient."""
+    d, _, _ = snf(principal_matrix(tp))
+    diagonal = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+    torsion = tuple(x for x in diagonal if x > 1)
+    assert cl(tp) == AbGroup(qcart_lattice(tp).rank - len(diagonal), torsion)
 
 
 @SETTINGS
