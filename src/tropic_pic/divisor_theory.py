@@ -24,8 +24,8 @@ star.  Q-Cartier (locally balanced): d meets the balancing equations
 kernel, taken on their sparse rows by ``condition_kernel``.  Principal
 divisors are balanced, so L_v lies in Q_v.
 
-Cart = QCart as soon as L_v = Q_v at every vertex, which one invariant
-factor test per distinct star decides on P's sparse rows there.  Then
+Cart = QCart as soon as L_v = Q_v at every vertex, which one Smith
+form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
 (on every product of simple factors the tests draw) ``cart_lattice`` is
 QCart itself, ``is_cartier`` reads the balancing equations, Pic and Cl
 are one quotient, and no congruence is built.  Otherwise Cart is QCart
@@ -207,21 +207,21 @@ def _locally_saturated(tp: TriangulatedProduct) -> bool:
     """Whether every local lattice L_v equals Q_v, the kernel of the
     balancing equations at v on the edges at v.
 
-    L_v lies in Q_v, which is saturated of rank |star(v)| minus its
-    deg_G(a) - 1 + deg_H(b) - 1 equations (independent: each has an
-    edge, horizontal or vertical, of its own).  So L_v = Q_v iff the
-    local matrix has that many invariant factors, all 1.  Each distinct
-    (``_local_key``, rank) is tested once, on the key's sparse rows.
+    L_v lies in Q_v, which is saturated of rank rank_q = |star(v)| minus
+    its deg_G(a) - 1 + deg_H(b) - 1 equations (independent: each has an
+    edge, horizontal or vertical, of its own), so rank M_v <= rank_q and
+    L_v = Q_v iff M_v has rank_q invariant factors, all 1.  The distinct
+    (``_local_key``, rank_q) go side by side as diagonal blocks, whose
+    cokernel is the direct sum of theirs: it has sum(rank_q) factors,
+    all 1, iff every block has its rank_q.
     """
-    passed = set()
-    for a, b in tp.vertices:
-        rows = _local_key(tp, (a, b))
-        rank_q = len(rows) - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
-        if (key := (rows, rank_q)) not in passed:
-            if invariant_factors(rows) != [1] * rank_q:
-                return False
-            passed.add(key)
-    return True
+    stars = dict.fromkeys((_local_key(tp, (a, b)), len(tp._star[a, b]) - tp.g.degree(a)
+                           - tp.h.degree(b) + 2) for a, b in tp.vertices)
+    block, width = [], 0
+    for rows, _ in stars:
+        block += [tuple([(width + j, c) for j, c in row]) for row in rows]
+        width += len({j for row in rows for j, _ in row})
+    return invariant_factors(block) == [1] * sum(rank_q for _, rank_q in stars)
 
 
 @_per_product

@@ -28,8 +28,8 @@ second echelon and no dense matrix.  Membership solves, congruences and
 cuts run over a lattice's sparse columns.
 ``quotient`` writes its witnesses straight into sparse rows, and
 ``invariant_factors`` strips unit pivots from them, one factor 1 each,
-running ``snf`` only on what is left (Dumas, Saunders and Villard,
-J. Symbolic Comput. 32, 2001).
+under a cost cap that doubles, running ``snf`` only on what is left
+(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
@@ -57,7 +57,6 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import gcd
 
@@ -298,10 +297,11 @@ def _strip_units(sparse_rows: Sequence) -> tuple:
     """(u, rest): u unit pivots eliminated from the sparse rows, and the
     nonzero rows and columns left, dense, whose factors follow u ones.
 
-    Rows are dicts; a pivot +-1 clears its column by row operations and
-    its row and column are dropped.  The pivot taken next has the fewest
-    other nonzeros in its row times its column (Markowitz), kept in a
-    heap whose stale costs are renewed when popped.
+    Rows are dicts on a stack.  A row's pivot, its +-1 in the lowest
+    column with the fewest rows, clears that column by row operations,
+    which restack the rows they change, if its Markowitz cost (other
+    nonzeros in its row times in its column) is at most a cap; the cap
+    doubles when only dearer rows are left, so dear pivots come last.
     """
     rows, at = [], defaultdict(set)  # at: column -> rows nonzero there
     for i, d in enumerate(_sparse_dicts(sparse_rows, "rows")):
@@ -309,30 +309,33 @@ def _strip_units(sparse_rows: Sequence) -> tuple:
         for j in rows[i]:
             at[j].add(i)
 
-    heap = [((len(row) - 1) * (len(at[j]) - 1), i, j)
-            for i, row in enumerate(rows) for j, x in row.items() if x == 1 or x == -1]
-    heapify(heap)
+    stack, queued, deferred, limit = list(range(len(rows))), [True] * len(rows), [], 8
     units = 0
-    while heap:
-        cost, i, j = heappop(heap)
-        pivot = rows[i]
-        if (p := pivot.get(j)) != 1 and p != -1:
+    while stack or deferred:
+        if not stack:
+            stack, deferred, limit = deferred, [], 2 * limit + 1
+        pivot = rows[i := stack.pop()]
+        best = min([(len(at[c]), c) for c, x in pivot.items() if x == 1 or x == -1], default=None)
+        if best is None:
+            queued[i] = False
             continue
-        if (now := (len(pivot) - 1) * (len(at[j]) - 1)) != cost:
-            heappush(heap, (now, i, j))
+        n, j = best
+        if (len(pivot) - 1) * (n - 1) > limit:
+            deferred.append(i)
             continue
         for k in at[j] - {i}:
             row = rows[k]
-            f = row[j] * p
+            f = row[j] * pivot[j]
             for c, x in pivot.items():
                 if y := row.get(c, 0) - f * x:
                     row[c] = y
                     at[c].add(k)
-                    if y == 1 or y == -1:
-                        heappush(heap, ((len(row) - 1) * (len(at[c]) - 1), k, c))
                 else:
                     del row[c]
                     at[c].discard(k)
+            if not queued[k]:
+                queued[k] = True
+                stack.append(k)
         for c in pivot:
             at[c].discard(i)
         rows[i] = {}
@@ -425,10 +428,11 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     index naming the rows not yet placed.  A row with pivot +-1 at d is
     kept as it is: x_d = -row_d . x reads only columns before d.  The
     other rows, cleared of those unit columns, lie on S, the columns no
-    unit row owns; y, their ``hnf`` kernel on S, is lifted one basis row
-    at a time in ascending d.  The lift of y's canonical basis is
-    canonical: its pivots and reduced entries lie in S, and x_d is zero
-    above y's first nonzero, as row_d reads only columns before d.
+    unit row owns; y, their kernel on S (the last columns of ``hnf``'s U,
+    echelonned in place), is lifted one basis row at a time in ascending
+    d.  The lift of y's canonical basis is canonical: its pivots and
+    reduced entries lie in S, and x_d is zero above y's first nonzero,
+    as row_d reads only columns before d.
     """
     _check_conditions(width, conditions)
     n = width + sum(1 for _, modulus in conditions if modulus)
@@ -468,12 +472,13 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     s = [j for j in range(n) if j not in units]
     _, u = hnf(IntMatrix._trusted(len(rest), len(s),
                                  tuple(row.get(j, 0) for row in rest for j in s)))
-    small = Lattice.from_generators(len(s), [u.col(j) for j in range(len(rest), len(s))])
+    small = [list(u.col(j)) for j in range(len(rest), len(s))]  # independent: u is unimodular
+    small = [_nonzeros(c, p) for c, p in zip(small, _echelon(small, len(s)))]
     lifted = [{} for _ in range(n)]  # per coordinate: basis column -> entry
-    for b, y in enumerate(small.columns):
+    for b, y in enumerate(small):
         for t, c in y:
             lifted[s[t]][b] = c
-    columns = [[] for _ in small.columns]
+    columns = [[] for _ in small]
     for d, x in enumerate(lifted):
         for c, a in units.get(d, {}).items():
             for b, v in lifted[c].items():

@@ -5,15 +5,16 @@ and rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree coun
 diagonal policies, a product's weights by a scan of its triangles, the
 principal matrix written out densely and its local matrices cut from
 it, the closed-form local rank of a triangulated product, the Cartier
-congruences with one local HNF per vertex, Cart as one congruence
-kernel over all edges, a divisor's JSON by ``json.dumps``, and the
-kernel by a dense row echelon of the whole matrix."""
+congruences with one local HNF per vertex, the local saturation test
+with one invariant factor test per distinct star, Cart as one
+congruence kernel over all edges, a divisor's JSON by ``json.dumps``,
+and the kernel by a dense row echelon of the whole matrix."""
 
 import heapq
 import json
 import random
 
-from tropic_pic.divisor_theory import _cartier_conditions, local_matrix
+from tropic_pic.divisor_theory import _cartier_conditions, _local_key, local_matrix
 from tropic_pic.exact_lattice import (
     IntMatrix,
     Lattice,
@@ -22,6 +23,7 @@ from tropic_pic.exact_lattice import (
     _nonzeros,
     condition_matrix,
     hnf,
+    invariant_factors,
     lattice_conditions,
 )
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
@@ -284,6 +286,21 @@ def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
         for terms, modulus in lattice_conditions(Lattice.from_matrix(local_matrix(tp, v))):
             out.append((tuple((star_idx[i], c) for i, c in terms), modulus))
     return tuple(out)
+
+
+def locally_saturated_per_star(tp: TriangulatedProduct) -> bool:
+    """Whether L_v = Q_v at every vertex, by one invariant factor test per
+    distinct (local key, rank of Q_v), stopping at the first star that
+    fails: rank_q invariant factors, all 1, on the key's sparse rows."""
+    passed = set()
+    for a, b in tp.vertices:
+        rows = _local_key(tp, (a, b))
+        rank_q = len(rows) - (tp.g.degree(a) - 1) - (tp.h.degree(b) - 1)
+        if (key := (rows, rank_q)) not in passed:
+            if invariant_factors(rows) != [1] * rank_q:
+                return False
+            passed.add(key)
+    return True
 
 
 def divisor_json_dumps(tp: TriangulatedProduct, d) -> str:

@@ -16,6 +16,7 @@ from oracles import (
     full_lattice,
     local_rank,
     local_rank_expected,
+    locally_saturated_per_star,
     matmul,
     random_policy,
     random_tree,
@@ -406,6 +407,16 @@ def test_cart_is_qcart_cut_by_the_congruences(mixed_products):
     assert any(saturated) and not all(saturated)
 
 
+def test_local_test_equals_the_per_star_oracle(mixed_products):
+    # One Smith form on the block sum of the distinct stars decides what
+    # one test per distinct star decides; theta3 x P2 (in mixed_products)
+    # and theta2 x theta2 fail it.
+    products = list(mixed_products) + [theta2_theta2()]
+    answers = [divisor_theory._locally_saturated(tp) for tp in products]
+    assert answers == [locally_saturated_per_star(tp) for tp in products]
+    assert answers.count(False) == 2
+
+
 def test_is_cartier_matches_local_membership(mixed_products):
     rng = random.Random(47)
     # Q-Cartier divisors that are not Cartier but satisfy every local
@@ -472,11 +483,12 @@ def test_is_cartier_builds_the_congruences_only_where_needed(monkeypatch):
 
 
 def pic_and_cl_calls(monkeypatch, tp):
-    """A fresh copy of tp, and the number of calls of each of
+    """A fresh copy of tp, the number of calls of each of
     ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
     ``lattice_cut``, ``local_matrix`` and ``invariant_factors`` (only
-    the local test calls it there) that pic and cl make on it together."""
-    calls = {}
+    the local test calls it there) that pic and cl make on it together,
+    and the rows passed to each ``invariant_factors`` call."""
+    calls, local_rows = {}, []
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
         for name in ("quotient", "_cartier_conditions", "lattice_cut", "local_matrix",
@@ -486,13 +498,15 @@ def pic_and_cl_calls(monkeypatch, tp):
 
             def counted(*args, name=name, real=real):
                 calls[name] += 1
+                if name == "invariant_factors":
+                    local_rows.append(args[0])
                 return real(*args)
 
             patch.setattr(divisor_theory, name, counted)
         pic(fresh)
         cl(fresh)
         pic(fresh)
-    return fresh, calls
+    return fresh, calls, local_rows
 
 
 def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monkeypatch):
@@ -505,27 +519,31 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
     assert len(products) == 15
     stars = []
     for tp in products:
-        fresh, calls = pic_and_cl_calls(monkeypatch, tp)
+        fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
-        # One local invariant factor test per distinct star, and no dense
-        # local matrix.
-        stars.append(len({local_matrix(fresh, v) for v in fresh.vertices}))
+        # One local invariant factor test per product, on the distinct
+        # stars' rows together, and no dense local matrix.
+        distinct = {local_matrix(fresh, v) for v in fresh.vertices}
+        stars.append(len(distinct))
         assert calls == {"quotient": 1, "_cartier_conditions": 0, "lattice_cut": 0,
-                         "local_matrix": 0, "invariant_factors": stars[-1]}
+                         "local_matrix": 0, "invariant_factors": 1}
+        assert len(local_rows[0]) == sum(m.rows for m in distinct)
         assert pic(fresh) == cl(fresh)
     assert (products[3].n_vertices, stars[3]) == (36, 9)  # C6 x C6
 
 
 def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
-        fresh, calls = pic_and_cl_calls(monkeypatch, build_product(g, h))
+        fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
         # The congruences are solved on one dense local matrix per distinct
-        # star, here every star, and the local test stops at the first
-        # vertex, whose star already fails it.
-        assert len({local_matrix(fresh, v) for v in fresh.vertices}) == fresh.n_vertices
+        # star, here every star, and the local test is one invariant factor
+        # call on every star's rows together.
+        distinct = {local_matrix(fresh, v) for v in fresh.vertices}
+        assert len(distinct) == fresh.n_vertices
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "lattice_cut": 1,
                          "local_matrix": fresh.n_vertices, "invariant_factors": 1}
+        assert len(local_rows[0]) == sum(m.rows for m in distinct)
 
 
 def test_quotient_by_principal_columns_equals_by_prin_basis(mixed_products):

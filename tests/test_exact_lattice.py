@@ -6,7 +6,7 @@ forms as a cross-implementation check.
 """
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -21,6 +21,7 @@ from oracles import (
     full_lattice,
     identity,
     matmul,
+    random_policy,
     rank,
     sparse_rows,
     submatrix,
@@ -56,7 +57,7 @@ from tropic_pic.divisor_theory import (
     principal_matrix,
     qcart_lattice,
 )
-from tropic_pic.multigraph import cycle_graph
+from tropic_pic.multigraph import complete_graph, cycle_graph
 from tropic_pic.product_complex import build_product
 
 
@@ -412,6 +413,39 @@ def test_sparse_rows_with_zero_pairs_repeated_columns_and_empty_rows():
         units, rest = exact_lattice._strip_units(sparse)
         assert all(any(rest.row(i)) for i in range(rest.rows))
         assert all(any(rest.col(j)) for j in range(rest.cols))
+
+
+def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
+    """Dense +-1 blocks, where every unit's Markowitz cost (at least 9)
+    is over the starting cap of 8, so the cap has to double; rows whose
+    only +-1 appears after one or two eliminations, in every row order;
+    and P's rows of C8 x C8 and of K4 x C4 under a random policy (tall,
+    with zero pairs).  Nothing of +-1 is left, and the factors are
+    sympy's and the dense ``snf``'s."""
+    rng = random.Random(71)
+    cases = []
+    for k in (4, 5, 6, 7):
+        m = IntMatrix(k, k, [rng.choice((1, -1)) for _ in range(k * k)])
+        cases.append((sparse_rows(m), m))
+    # Row 1's only +-1 shows after row 0's pivot, row 2's after row 1's.
+    hidden = [[1, 2, 0, 0], [2, 3, 2, 0], [0, 2, -3, 2]]
+    for order in permutations(hidden):
+        m = from_rows(list(order))
+        cases.append((sparse_rows(m), m))
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    for tp in (build_product(cycle_graph(8), cycle_graph(8)),
+               build_product(k4, c4, random_policy(k4, c4, 3))):
+        rows = divisor_theory._principal_rows(tp)
+        assert any(c == 0 for row in rows for _, c in row)
+        cases.append((rows, principal_matrix(tp)))
+    for sparse, m in cases:
+        units, rest = exact_lattice._strip_units(sparse)
+        assert units > 0 and not {1, -1} & set(rest._e)
+        assert all(any(rest.row(i)) for i in range(rest.rows))
+        assert all(any(rest.col(j)) for j in range(rest.cols))
+        d, _, _ = snf(m)
+        diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
+        assert invariant_factors(sparse) == diagonal == sympy_factors(m)
 
 
 def test_principal_rows_and_local_keys_keep_zero_pairs(mixed_products):

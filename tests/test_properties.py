@@ -8,7 +8,8 @@ kernel of the balancing equations rather than the saturation of Cart.
 
 Simple factors have 2 to 4 vertices, and their Pic is checked against
 the closed form Z^(2 + g(G) g(H)) + Jac(G) + Jac(H), used only as an
-oracle here.
+oracle here.  The local saturation test, one Smith form on the block
+sum of the distinct stars, agrees with one test per distinct star.
 
 Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
 ``invariant_factors``, which strips unit pivots from sparse rows before
@@ -30,6 +31,7 @@ from oracles import (
     cartier_conditions_per_vertex,
     congruence_kernel_cart,
     dense_kernel,
+    locally_saturated_per_star,
     matmul,
     random_policy,
     sparse_rows,
@@ -158,6 +160,12 @@ def test_principal_divisors_are_balanced(tp):
 @given(products())
 def test_cart_is_qcart_cut_by_the_congruences(tp):
     assert cart_lattice(tp) == lattice_cut(qcart_lattice(tp), _cartier_conditions(tp))
+
+
+@SETTINGS
+@given(products())
+def test_local_test_equals_the_per_star_oracle(tp):
+    assert _locally_saturated(tp) == locally_saturated_per_star(tp)
 
 
 @SETTINGS
