@@ -9,8 +9,9 @@ integer vector indexed by vertices; its divisor on edge r is
                   - sum over endpoints v of r of alpha(r, v) * phi(v).
 
 The principal matrix P has div(phi_v) as column v, so div(phi) = P phi
-and the principal divisors are the integer column span of P.  P is
-built once per product as sparse rows, one per edge.  Pic and Cl read
+and the principal divisors are the integer column span of P.  P's
+sparse rows, one per edge, are the product's ``principal_rows``, which
+``build_product`` writes in its pass over the squares.  Pic and Cl read
 only these, their transpose and their rows at each star; the dense P
 and ``local_matrix`` are written out from them for the API.
 
@@ -64,23 +65,24 @@ from .product_complex import (
 )
 
 
-def _check_ints(values: Sequence[int], what: str) -> None:
-    """Raise ComplexError at the first entry that is not an int (bools included)."""
+def _check_vector(values: Sequence[int], n: int, what: str, entry: str, per: str) -> None:
+    """Raise ComplexError unless values is a sequence of n ints (bools refused)."""
+    try:
+        if len(values) != n:
+            raise ComplexError(f"{what} must have one {entry} per {per}")
+    except TypeError:  # no len(): None, an int
+        raise ComplexError(f"{what} must be a sequence, got {type(values).__name__}") from None
     if not set(map(type, values)) <= {int}:
         i = next(i for i, x in enumerate(values) if type(x) is not int)
-        raise ComplexError(f"{what} at index {i} is not an integer: {values[i]!r}")
+        raise ComplexError(f"{what} {entry} at index {i} is not an integer: {values[i]!r}")
 
 
 def _check_divisor(tp: TriangulatedProduct, d: Sequence[int]) -> None:
-    if len(d) != tp.n_edges:
-        raise ComplexError("divisor must have one coefficient per edge")
-    _check_ints(d, "divisor coefficient")
+    _check_vector(d, tp.n_edges, "divisor", "coefficient", "edge")
 
 
 def _check_pl(tp: TriangulatedProduct, phi: Sequence[int]) -> None:
-    if len(phi) != tp.n_vertices:
-        raise ComplexError("PL function must have one value per vertex")
-    _check_ints(phi, "PL function value")
+    _check_vector(phi, tp.n_vertices, "PL function", "value", "vertex")
 
 
 def _per_product(fn):
@@ -102,27 +104,11 @@ def _per_product(fn):
 # ---------------------------------------------------------------------------
 
 @_per_product
-def _principal_rows(tp: TriangulatedProduct) -> tuple:
-    """P's rows, sparse: per edge r in the edge order, ``(vertex index,
-    value)`` pairs in vertex order, -alpha(r, v) at each endpoint v and
-    the number of triangles on r with opposite vertex v at each other v.
-
-    The endpoint pairs are kept when alpha is 0, so a row names exactly
-    the endpoints of r and the opposite vertices of its triangles.
-    """
-    rows = [{tp.vertex_index(e.u): -tp._alpha[(e.eid, e.u)],
-             tp.vertex_index(e.w): -tp._alpha[(e.eid, e.w)]} for e in tp.edges]
-    for (eid, v), mult in tp._link_count.items():
-        rows[tp.edge_index(eid)][tp.vertex_index(v)] = mult
-    return tuple(tuple(sorted(row.items())) for row in rows)
-
-
-@_per_product
 def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
     """|E| x |V| matrix whose column v is div of the indicator of v, the
-    rows of ``_principal_rows`` written out.  Every column sums to zero
+    product's ``principal_rows`` written out.  Every column sums to zero
     and the all-ones PL function lies in the kernel."""
-    return condition_matrix(tp.n_vertices, [(row, 0) for row in _principal_rows(tp)])
+    return condition_matrix(tp.n_vertices, [(row, 0) for row in tp.principal_rows])
 
 
 def div(tp: TriangulatedProduct, phi: Sequence[int]) -> tuple:
@@ -150,13 +136,12 @@ def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
 
     Only the columns of the closed star of v are kept: v and the far
     endpoints of its edges, in vertex order.  These are the vertices
-    that the rows of ``_principal_rows`` at v name (the third vertex of
+    that the rows of ``principal_rows`` at v name (the third vertex of
     a triangle on an edge at v is next to v), and every other column is
     zero on these rows, so the local lattice is the same as with all
     |V| columns.
     """
-    rows = _principal_rows(tp)
-    star_rows = [rows[i] for i in map(tp.edge_index, graph_star(tp, v))]
+    star_rows = [tp.principal_rows[i] for i in map(tp.edge_index, graph_star(tp, v))]
     closed_star = sorted({j for row in star_rows for j, _ in row})
     column = {j: k for k, j in enumerate(closed_star)}
     return condition_matrix(len(closed_star),
@@ -164,10 +149,10 @@ def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
 
 
 def _local_key(tp: TriangulatedProduct, v) -> tuple:
-    """The rows of ``_principal_rows`` at the edges at v, their columns
+    """The rows of ``principal_rows`` at the edges at v, their columns
     renumbered by first appearance: the local matrix up to column order,
     which changes neither its lattice nor its invariant factors."""
-    rows, edge, column = _principal_rows(tp), tp._eindex, {}
+    rows, edge, column = tp.principal_rows, tp._eindex, {}
     return tuple([tuple([(column.setdefault(j, len(column)), c) for j, c in rows[edge[e]]])
                   for e in tp._star[v]])
 
@@ -299,14 +284,14 @@ def pic(tp: TriangulatedProduct) -> AbGroup:
     cart = cart_lattice(tp)
     if cart is qcart_lattice(tp):
         return cl(tp)
-    return quotient(cart, transpose(_principal_rows(tp), tp.n_vertices))
+    return quotient(cart, transpose(tp.principal_rows, tp.n_vertices))
 
 
 @_per_product
 def cl(tp: TriangulatedProduct) -> AbGroup:
     """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones.
     Prin is given by P's sparse columns, which need no elimination."""
-    return quotient(qcart_lattice(tp), transpose(_principal_rows(tp), tp.n_vertices))
+    return quotient(qcart_lattice(tp), transpose(tp.principal_rows, tp.n_vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,11 @@ class IntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
-        if len(v) != self.cols or not set(map(type, v)) <= {int}:
-            raise LatticeError(f"expected a vector of {self.cols} ints")
+        try:
+            if len(v) != self.cols or not set(map(type, v)) <= {int}:
+                raise LatticeError(f"expected a vector of {self.cols} ints")
+        except TypeError:  # no len(): None, an int
+            raise LatticeError(f"a {type(v).__name__} is no vector of {self.cols} ints") from None
         out = []
         for i in range(self.rows):
             row = self._e[i * self.cols:(i + 1) * self.cols]
@@ -262,10 +265,6 @@ def snf(m: IntMatrix) -> tuple:
     resume, which replaces the pair by its gcd and lcm.
     """
     nr, nc = m.rows, m.cols
-    if not (nr and nc):  # m is empty, its own Smith form
-        s, t = (IntMatrix._trusted(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-                for n in (nr, nc))
-        return m, s, t
     cols = _with_identity(m.col_list())  # m over T
     rows = _with_identity(m.row_list())  # m beside S
     while True:
@@ -398,6 +397,8 @@ class Lattice:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Lattice":
+        if type(ambient_dim) is not int or ambient_dim < 0:
+            raise LatticeError(f"ambient dimension must be an int >= 0, got {ambient_dim!r}")
         return cls._trusted(ambient_dim, ())
 
     @property
@@ -591,10 +592,13 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
 
 
 def transpose(lines: Sequence, n: int) -> list:
-    """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j."""
+    """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j.
+    An index i outside [0, n) raises LatticeError."""
     out = [[] for _ in range(n)]
     for j, line in enumerate(lines):
         for i, c in line:
+            if not 0 <= i < n:
+                raise LatticeError(f"line {j}: index {i!r} is outside [0, {n})")
             out[i].append((j, c))
     return out
 
@@ -648,8 +652,12 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0.
     The conditions are read in order up to the first that v fails; a
     term index that is not an int in [0, len(v)), or a nonzero modulus
-    that is not an int > 0, raises LatticeError when it is read."""
-    n = len(v)
+    that is not an int > 0, raises LatticeError when it is read, as
+    does a v without a length."""
+    try:
+        n = len(v)
+    except TypeError:  # no len(): None, an int
+        raise LatticeError(f"v must be a sequence, got {type(v).__name__}") from None
     try:
         for terms, modulus in conditions:
             s = 0

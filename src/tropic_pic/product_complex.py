@@ -7,23 +7,26 @@ into two triangles by a chosen diagonal; the choice per square is the
 DiagonalPolicy.  Squares coming from parallel edges are distinct cells
 with distinct diagonals.
 
-The integer weight table alpha on (edge, vertex) pairs makes this a
-weak tropical complex: for every edge r,
+The integer weights alpha on (edge, vertex) pairs make this a weak
+tropical complex: for every edge r,
 
     sum over endpoints v of alpha(r, v)  ==  number of triangles on r.
 
 alpha is 1 on (diagonal, endpoint) pairs, and on a non-diagonal edge r
 with endpoint v it counts the triangles on r whose diagonal avoids v.
+They and the triangle links are kept as the rows of the principal
+matrix P, ``principal_rows``: row r is -alpha(r, v) at each endpoint v,
+and elsewhere the number of triangles on r with opposite vertex v.
 
 Every triangle lies in one square, so the construction is one pass over
 the squares after the horizontal and vertical edges, which start the
-stars and get alpha 0 at both ends.  A square over G-edge umin-umax and
+stars and rows with 0 at both ends.  A square over G-edge umin-umax and
 H-edge bmin-bmax has corners ll = (umin, bmin), lr = (umax, bmin),
 ul = (umin, bmax) and ur = (umax, bmax).  Its diagonal p-q is ll-ur, or
-lr-ul when flipped; it gets alpha 1 at p and q and ends their stars.
-Each of its two triangles has sides s1 = p-c and s2 = c-q at the corner
-c off the diagonal: c gains 1 in alpha on s1 and on s2, and the link
-counts (edge, opposite vertex) gain s1 -> q, s2 -> p and diagonal -> c.
+lr-ul when flipped; its row starts at -1 at p and q, and it ends their
+stars.  Each of its two triangles has sides s1 = p-c and s2 = c-q at
+the corner c off the diagonal: the rows of s1 and s2 lose 1 at c, the
+row of s1 gains 1 at q, that of s2 at p and the diagonal's at c.
 
 Orderings are deterministic: vertices lexicographic in (G-order,
 H-order); edges in blocks horizontal / vertical / diagonal, each block
@@ -133,12 +136,14 @@ def _ordered_ends(graph: Multigraph) -> dict:
 class TriangulatedProduct:
     """Immutable 2-dimensional Delta-complex over G x H with alpha weights.
 
+    ``principal_rows``, read-only, has per edge P's row as ``(vertex
+    index, value)`` pairs sorted by index, endpoints kept at alpha 0.
     ``_memo`` holds values derived from the complex (the divisor lattices
     of ``divisor_theory``), so they live exactly as long as the product.
     """
 
     __slots__ = ("g", "h", "policy", "vertices", "edges", "squares", "triangles",
-                 "_vindex", "_eindex", "_alpha", "_star", "_link_count",
+                 "principal_rows", "_vindex", "_eindex", "_star",
                  "n_horizontal", "n_vertical", "n_diagonal", "_memo", "__weakref__")
 
     def __init__(self, g: Multigraph, h: Multigraph, policy: DiagonalPolicy):
@@ -150,7 +155,7 @@ class TriangulatedProduct:
         self._memo = {}
 
         self.vertices = tuple((a, b) for a in g.vertices for b in h.vertices)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        self._vindex = vi = {v: i for i, v in enumerate(self.vertices)}
         g_ends, h_ends = _ordered_ends(g), _ordered_ends(h)
 
         edges = [ProductEdge(("h", ge, b), (u, b), (w, b), "horizontal")
@@ -158,14 +163,14 @@ class TriangulatedProduct:
         edges += [ProductEdge(("v", a, he), (a, u), (a, w), "vertical")
                   for a in g.vertices for he, (u, w) in h_ends.items()]
         star = {v: [] for v in self.vertices}
-        alpha = {}
+        rows = {}
         for e in edges:
             star[e.u].append(e.eid)
             star[e.w].append(e.eid)
-            alpha[(e.eid, e.u)] = alpha[(e.eid, e.w)] = 0
+            rows[e.eid] = {vi[e.u]: 0, vi[e.w]: 0}
 
         flips = policy.resolve([(ge, he) for ge in g_ends for he in h_ends])
-        squares, triangles, link_count = [], [], Counter()
+        squares, triangles = [], []
         for (ge, he), flipped in flips.items():
             (umin, umax), (bmin, bmax) = g_ends[ge], h_ends[he]
             ll, lr, ul, ur = (umin, bmin), (umax, bmin), (umin, bmax), (umax, bmax)
@@ -182,35 +187,35 @@ class TriangulatedProduct:
             edges.append(ProductEdge(did, p, q, "diagonal"))
             star[p].append(did)
             star[q].append(did)
-            alpha[(did, p)] = alpha[(did, q)] = 1
+            pi, qi = vi[p], vi[q]
+            rows[did] = diagonal = {pi: -1, qi: -1}
             for verts, s1, s2, c in halves:
                 triangles.append(Triangle(verts, (s1, s2, did), did))
-                alpha[(s1, c)] += 1
-                alpha[(s2, c)] += 1
-                link_count[(s1, q)] += 1
-                link_count[(s2, p)] += 1
-                link_count[(did, c)] += 1
+                r1, r2, ci = rows[s1], rows[s2], vi[c]
+                r1[ci] -= 1
+                r2[ci] -= 1
+                r1[qi] = r1.get(qi, 0) + 1
+                r2[pi] = r2.get(pi, 0) + 1
+                diagonal[ci] = 1
 
         self.edges = tuple(edges)
         self.squares = tuple(squares)
         self.triangles = tuple(triangles)
+        self.principal_rows = tuple(tuple(sorted(rows[e.eid].items())) for e in edges)
         self._eindex = {e.eid: i for i, e in enumerate(self.edges)}
         self.n_horizontal = g.n_edges * h.n_vertices
         self.n_vertical = g.n_vertices * h.n_edges
         self.n_diagonal = g.n_edges * h.n_edges
         self._star = {v: tuple(s) for v, s in star.items()}
-        self._alpha = alpha
-        self._link_count = link_count
 
         self._validate_weights()
 
     def _validate_weights(self):
         n_triangles = Counter(eid for tri in self.triangles for eid in tri.edge_ids)
-        for e in self.edges:
-            total = self._alpha[(e.eid, e.u)] + self._alpha[(e.eid, e.w)]
+        for e, row in zip(self.edges, self.principal_rows):
+            total = -sum(c for j, c in row if j in (self._vindex[e.u], self._vindex[e.w]))
             if total != n_triangles[e.eid]:
-                raise ComplexError(
-                    f"weight axiom fails on {e.eid}: {total} != deg")
+                raise ComplexError(f"weight axiom fails on {e.eid}: {total} != deg")
 
     # -- queries -----------------------------------------------------------
 
@@ -257,9 +262,8 @@ def build_product(g: Multigraph, h: Multigraph,
 
 def alpha(tp: TriangulatedProduct, eid, v) -> int:
     """Weight alpha(edge, vertex); 0 when v is not an endpoint."""
-    tp.edge_index(eid)
-    tp.vertex_index(v)
-    return tp._alpha.get((eid, v), 0)
+    i, j = tp.edge_index(eid), tp.vertex_index(v)
+    return -dict(tp.principal_rows[i])[j] if v in tp.endpoints(eid) else 0
 
 
 def graph_star(tp: TriangulatedProduct, v) -> tuple:

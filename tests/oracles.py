@@ -1,14 +1,15 @@
 """Reference code that only the tests use: matrices from rows, the
-sparse rows and columns of a matrix, the zero and identity matrices
-and the full lattice, submatrices, matrix product, Bareiss determinant
-and rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random trees and
-diagonal policies, a product's weights by a scan of its triangles, the
-principal matrix written out densely and its local matrices cut from
-it, the closed-form local rank of a triangulated product, the Cartier
-congruences with one local HNF per vertex, the local saturation test
-with one invariant factor test per distinct star, Cart as one
-congruence kernel over all edges, a divisor's JSON by ``json.dumps``,
-and the kernel by a dense row echelon of the whole matrix."""
+sparse rows and columns of a matrix, the zero and identity matrices and
+the full lattice, submatrices, matrix product, Bareiss determinant and
+rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree
+counts, random trees and diagonal policies, a product's weights by a
+scan of its triangles, P's sparse rows and the dense principal matrix
+written from that scan, the local matrices cut from it, the closed-form
+local rank of a triangulated product, the Cartier congruences with one
+local HNF per vertex, the local saturation test with one invariant
+factor test per distinct star, Cart as one congruence kernel over all
+edges, a divisor's JSON by ``json.dumps``, and the kernel by a dense row
+echelon of the whole matrix."""
 
 import heapq
 import json
@@ -190,7 +191,8 @@ def random_tree(n_vertices: int, seed: int) -> Multigraph:
 
 
 def weights_by_triangle_scan(tp: TriangulatedProduct) -> tuple:
-    """``(alpha, link counts)`` of tp from ``tp.edges`` and ``tp.triangles`` alone.
+    """``(alpha, link counts)`` of tp from ``tp.edges`` and ``tp.triangles`` alone,
+    as dicts keyed by ``(edge id, vertex)``.
 
     alpha is 1 at both ends of a diagonal and 0 at both ends of any other
     edge, plus 1 at an endpoint for each triangle on that edge whose
@@ -215,17 +217,27 @@ def weights_by_triangle_scan(tp: TriangulatedProduct) -> tuple:
     return alpha, link_count
 
 
+def rows_from_weights(tp: TriangulatedProduct, alpha: dict, link_count: dict) -> tuple:
+    """P's sparse rows in the format of ``principal_rows``, from alpha and
+    link-count dicts keyed by ``(edge id, vertex)``."""
+    rows = [{} for _ in tp.edges]
+    for (eid, v), a in alpha.items():
+        rows[tp.edge_index(eid)][tp.vertex_index(v)] = -a
+    for (eid, v), mult in link_count.items():
+        rows[tp.edge_index(eid)][tp.vertex_index(v)] = mult
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
 def dense_principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
-    """The principal matrix, entry by entry into a dense |E| x |V| list:
-    -alpha(r, v) at the endpoints v of each edge r, then each link count
-    at (edge, opposite vertex)."""
+    """The principal matrix, entry by entry into a dense |E| x |V| list
+    from ``weights_by_triangle_scan``: -alpha(r, v) at the endpoints v of
+    each edge r, then each link count at (edge, opposite vertex)."""
     ne, nv = tp.n_edges, tp.n_vertices
     flat = [0] * (ne * nv)
-    for i, e in enumerate(tp.edges):
-        base = i * nv
-        flat[base + tp.vertex_index(e.u)] = -tp._alpha[(e.eid, e.u)]
-        flat[base + tp.vertex_index(e.w)] = -tp._alpha[(e.eid, e.w)]
-    for (eid, v), mult in tp._link_count.items():
+    alpha, link_count = weights_by_triangle_scan(tp)
+    for (eid, v), a in alpha.items():
+        flat[tp.edge_index(eid) * nv + tp.vertex_index(v)] = -a
+    for (eid, v), mult in link_count.items():
         flat[tp.edge_index(eid) * nv + tp.vertex_index(v)] = mult
     return IntMatrix(ne, nv, flat)
 

@@ -755,6 +755,16 @@ def test_divisor_and_pl_inputs_must_be_ints(c3c3, bad):
         div(c3c3, phi)
 
 
+@pytest.mark.parametrize("bad", [None, 5])
+def test_divisor_and_pl_inputs_must_be_sequences(c3c3, bad):
+    what = f"must be a sequence, got {type(bad).__name__}$"
+    for check in (is_principal, is_cartier, is_q_cartier, divisor_to_json):
+        with pytest.raises(ComplexError, match=f"^divisor {what}"):
+            check(c3c3, bad)
+    with pytest.raises(ComplexError, match=f"^PL function {what}"):
+        div(c3c3, bad)
+
+
 def test_half_integer_divisor_is_rejected(c3c3):
     # Half a principal divisor is balanced: only the integer check rejects it.
     half = [x / 2 for x in principal_matrix(c3c3).col(0)]

@@ -46,6 +46,7 @@ from tropic_pic.exact_lattice import (
     quotient,
     satisfies,
     snf,
+    transpose,
 )
 from tropic_pic import divisor_theory, exact_lattice
 from tropic_pic.divisor_theory import (
@@ -435,7 +436,7 @@ def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
     k4, c4 = complete_graph(4), cycle_graph(4)
     for tp in (build_product(cycle_graph(8), cycle_graph(8)),
                build_product(k4, c4, random_policy(k4, c4, 3))):
-        rows = divisor_theory._principal_rows(tp)
+        rows = tp.principal_rows
         assert any(c == 0 for row in rows for _, c in row)
         cases.append((rows, principal_matrix(tp)))
     for sparse, m in cases:
@@ -453,7 +454,7 @@ def test_principal_rows_and_local_keys_keep_zero_pairs(mixed_products):
     all, give the factors of the dense matrices they write out."""
     zero_pairs = 0
     for tp in mixed_products:
-        rows = divisor_theory._principal_rows(tp)
+        rows = tp.principal_rows
         zero_pairs += sum(c == 0 for row in rows for _, c in row)
         assert invariant_factors(rows) == invariant_factors(sparse_rows(principal_matrix(tp)))
         for v in tp.vertices:
@@ -862,6 +863,14 @@ def test_satisfies_refuses_conditions_that_are_not_pairs_of_pairs(conditions):
         satisfies(conditions, (1,))
 
 
+@pytest.mark.parametrize("v", [None, 5])
+def test_vectors_without_a_length_are_refused(v):
+    with pytest.raises(LatticeError, match=f"^v must be a sequence, got {type(v).__name__}$"):
+        satisfies([(((0, 1),), 0)], v)
+    with pytest.raises(LatticeError, match=f"^a {type(v).__name__} is no vector of 2 ints$"):
+        identity(2).mul_vec(v)
+
+
 def test_satisfies_passes_its_own_errors_on_as_they_are():
     with pytest.raises(LatticeError, match=r"^term index 3 is outside \[0, 1\)$"):
         satisfies([(((3, 1),), 0)], (1,))
@@ -1027,10 +1036,25 @@ def test_empty_edge_cases():
     assert h.rows == 0 and h.cols == 0
     d, s, t = snf(empty)
     assert d.rows == 0
+    for rows, cols in ((0, 3), (3, 0)):  # S and T are identities
+        assert snf(zeros(rows, cols)) == (zeros(rows, cols), identity(rows), identity(cols))
     assert kernel(zeros(0, 3)).rank == 3
     assert kernel(zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
     assert quotient(full_lattice(2), Lattice.zero(2).columns) == AbGroup(2, ())
+
+
+@pytest.mark.parametrize("n", [-1, "a", 2.0, True, None])
+def test_zero_lattice_needs_a_dimension_that_is_an_int_at_least_0(n):
+    with pytest.raises(LatticeError, match="^ambient dimension must be an int >= 0"):
+        Lattice.zero(n)
+
+
+@pytest.mark.parametrize("index", [-1, -2, 2, 5])
+def test_transpose_refuses_an_index_outside_the_range(index):
+    assert transpose([[(1, 7)], [(0, 1), (1, 2)]], 2) == [[(1, 1)], [(0, 7), (1, 2)]]
+    with pytest.raises(LatticeError, match=rf"^line 1: index {index} is outside \[0, 2\)$"):
+        transpose([[(1, 7)], [(index, 1)]], 2)
 
 
 # -- the Lattice constructor ------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Tests for the triangulated product and its weight table."""
+"""Tests for the triangulated product and its weights, the rows of P."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from oracles import weights_by_triangle_scan
+from oracles import rows_from_weights, weights_by_triangle_scan
 from tropic_pic.multigraph import (
     Multigraph,
     complete_graph,
@@ -92,14 +92,17 @@ def test_weight_axiom_exhaustive(mixed_products):
 def test_weights_equal_the_triangle_scan(mixed_products):
     theta2 = theta_graph(2)
     for tp in list(mixed_products) + [build_product(theta2, theta2)]:
-        assert weights_by_triangle_scan(tp) == (tp._alpha, tp._link_count)
+        scan_alpha, link_count = weights_by_triangle_scan(tp)
+        assert tp.principal_rows == rows_from_weights(tp, scan_alpha, link_count)
+        assert all(alpha(tp, eid, v) == a for (eid, v), a in scan_alpha.items())
 
 
 def test_weight_axiom_violation_is_rejected():
     tp = build_product(path_graph(2), path_graph(2))
     tp._validate_weights()
-    e = tp.edges[0]
-    tp._alpha[(e.eid, e.u)] += 1
+    (j, c), *rest = tp.principal_rows[0]
+    assert j == tp.vertex_index(tp.edges[0].u)  # -alpha at the endpoint u comes first
+    tp.principal_rows = (((j, c - 1), *rest),) + tp.principal_rows[1:]
     with pytest.raises(ComplexError, match=r"weight axiom fails on \('h', 'e0', 0\)"):
         tp._validate_weights()
 

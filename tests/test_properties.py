@@ -18,8 +18,9 @@ rows list only the nonzero entries, write out the zeros, or split
 entries into pairs on one column that add up.  Cl is checked against
 Z^(rank QCart - rank P) + tors coker P, with coker P from the dense
 ``snf`` of the principal matrix, so the sparse quotient meets an
-independent oracle on every product.  Sparse matrices up to 6 x 8, with
-zero rows and columns, pivots -1 and 1 and pivots that are not units,
+independent oracle on every product, and tors Cl against Jac(G) +
+Jac(H) from the factors' critical groups.  Sparse matrices up to 6 x 8,
+with zero rows and columns, pivots -1 and 1 and pivots that are not units,
 and condition systems with moduli and repeated term indices check that
 ``kernel`` and ``condition_kernel`` give, byte for byte, the kernel of
 a dense row echelon.
@@ -34,6 +35,7 @@ from oracles import (
     locally_saturated_per_star,
     matmul,
     random_policy,
+    rows_from_weights,
     sparse_rows,
     weights_by_triangle_scan,
     zeros,
@@ -196,7 +198,7 @@ def test_cartier_conditions_equal_the_per_vertex_oracle(tp):
 @given(multigraphs(), multigraphs(), st.integers(0, 2**16))
 def test_weights_equal_the_triangle_scan(g, h, seed):
     tp = build_product(g, h, random_policy(g, h, seed))
-    assert weights_by_triangle_scan(tp) == (tp._alpha, tp._link_count)
+    assert tp.principal_rows == rows_from_weights(tp, *weights_by_triangle_scan(tp))
 
 
 @st.composite
@@ -274,6 +276,18 @@ def test_cl_is_free_of_the_rank_difference_plus_the_torsion_of_coker_p(tp):
     diagonal = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
     torsion = tuple(x for x in diagonal if x > 1)
     assert cl(tp) == AbGroup(qcart_lattice(tp).rank - len(diagonal), torsion)
+
+
+@SETTINGS
+@given(products(simple_graphs) | products())
+def test_torsion_of_cl_is_the_sum_of_the_factor_jacobians(tp):
+    """tors Cl = Jac(G) + Jac(H), with Jac the critical group of
+    Baker and Norine (Adv. Math. 2007), on multigraph and simple factors
+    under any policy.  QCart is saturated and contains Prin, so tors Cl
+    is tors coker P, read from P's rows; the law is an observation about
+    Cartwright's complexes (arXiv 1308.3813) used only as an oracle."""
+    jacobians = AbGroup.direct_sum(critical_group(tp.g), critical_group(tp.h))
+    assert cl(tp).torsion == jacobians.torsion
 
 
 @SETTINGS
