@@ -19,11 +19,11 @@ Cartier and Q-Cartier divisors are cut out by per-vertex conditions in
 ``exact_lattice``'s ``(terms, modulus)`` format.  Cartier (locally
 principal): at every vertex v the restriction of d to the edges at v
 lies in L_v, the integer span of the local matrix M_v (P's rows there),
-which ``lattice_conditions`` turns into congruences once per distinct
-star.  Q-Cartier (locally balanced): d meets the balancing equations
-(``_balancing_conditions``), which cut out Q_v at v; QCart is their
-kernel, taken on their sparse rows by ``condition_kernel``.  Principal
-divisors are balanced, so L_v lies in Q_v.
+whose Smith form gives ``lattice_conditions``' minimal congruences once
+per distinct star.  Q-Cartier (locally balanced): d meets the balancing
+equations (``_balancing_conditions``), which cut out Q_v at v; QCart is
+their kernel, taken on their sparse rows by ``condition_kernel``.
+Principal divisors are balanced, so L_v lies in Q_v.
 
 Cart = QCart as soon as L_v = Q_v at every vertex, which one Smith
 form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
@@ -161,11 +161,11 @@ def _local_key(tp: TriangulatedProduct, v) -> tuple:
 def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
     """Every vertex's local congruences, lifted to the global edge order.
 
-    One ``(terms, modulus)`` per congruence, with ``terms`` the nonzero
-    ``(edge index, coefficient)`` pairs of its row.  Equal local keys
-    give equal congruences in local coordinates, so each distinct one is
-    solved once, on the local matrix of its first vertex (9 for the 36
-    vertices of C6 x C6).
+    One ``(terms, modulus)`` per factor of M_v above 1 or missing rank,
+    ``terms`` the nonzero ``(edge index, coefficient)`` pairs of its
+    row.  Equal local keys give equal congruences in local coordinates,
+    so each distinct one is solved once, on the local matrix of its
+    first vertex (9 for the 36 vertices of C6 x C6).
     """
     by_key = {}
     out = []

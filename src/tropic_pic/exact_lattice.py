@@ -24,8 +24,8 @@ only for ``hnf`` and ``snf``, which return one.  ``condition_kernel``,
 behind ``kernel``, row-echelons dict rows last column first, and only
 the rows whose pivot is not a unit go to ``hnf``; their canonical
 kernel, lifted through the unit rows, is the whole kernel's, with no
-second echelon and no dense matrix.  Membership solves, congruences and
-cuts run over a lattice's sparse columns.
+second echelon and no dense matrix.  Membership solves and cuts run
+over a lattice's sparse columns.
 ``quotient`` writes its witnesses straight into sparse rows, and
 ``invariant_factors`` strips unit pivots from them, one factor 1 each,
 under a cost cap that doubles, running ``snf`` only on what is left
@@ -33,8 +33,8 @@ under a cost cap that doubles, running ``snf`` only on what is left
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
-``lattice_conditions``, ``satisfies``, ``condition_matrix``,
-``condition_kernel`` and ``lattice_cut`` write and read it.
+``lattice_conditions`` writes it off a Smith form's S; ``satisfies``,
+``condition_matrix``, ``condition_kernel`` and ``lattice_cut`` read it.
 
 Conventions
 -----------
@@ -44,11 +44,11 @@ Conventions
   entries in each pivot row are reduced into ``[0, pivot)``, and zero
   columns are pushed to the right.  Equal column spans give equal ``h``,
   so lattices compare by their canonical basis.
-* SNF ``snf(m)`` returns ``(d, s, t)`` with ``d = s @ m @ t`` diagonal,
-  nonnegative, and ``d1 | d2 | ...``.  It runs the same echelon routine
-  as ``hnf``, alternating passes over the columns and over the rows
-  until m is diagonal; a diagonal entry that does not divide the next
-  gets the next row added to its row, and the passes resume.
+* SNF ``snf(m)`` returns ``(d, s)``, with ``d = s @ m @ t`` diagonal,
+  nonnegative and ``d1 | d2 | ...`` for unimodular s and t; t is not
+  built.  Passes over the columns and over the rows alternate until m
+  is diagonal; a diagonal entry that does not divide the next gets the
+  next row added to its row, and the passes resume.
 """
 
 from __future__ import annotations
@@ -58,11 +58,17 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from math import gcd
 
 
 class LatticeError(ValueError):
     """Raised on precondition violations (dimension mismatch, non-sublattice)."""
+
+
+def _check_type(cls: type, *values) -> None:
+    """Raise LatticeError unless every value is a cls."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise LatticeError(f"expected a {cls.__name__}, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +249,7 @@ def hnf(m: IntMatrix) -> tuple:
     integer column spans iff their h parts agree (after dropping zero
     columns).
     """
+    _check_type(IntMatrix, m)
     nr, nc = m.rows, m.cols
     cols = _with_identity(m.col_list())
     _echelon(cols, nr)
@@ -255,17 +262,18 @@ def hnf(m: IntMatrix) -> tuple:
 # ---------------------------------------------------------------------------
 
 def snf(m: IntMatrix) -> tuple:
-    """Smith normal form: (d, s, t) with d = s @ m @ t.
+    """Smith normal form: (d, s) with d = s @ m @ t for some unimodular t.
 
-    d is diagonal with nonnegative entries and d1 | d2 | ...; s and t
-    are unimodular.  Column and row echelon passes alternate until m is
-    diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979): T rides
-    under the columns and S beside the rows.  Where a diagonal entry does
-    not divide the next, the next row is added to its row and the passes
-    resume, which replaces the pair by its gcd and lcm.
+    d is diagonal with nonnegative entries and d1 | d2 | ...; s is
+    unimodular.  Column and row echelon passes alternate until m is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979), S riding
+    beside the rows.  Where a diagonal entry does not divide the next,
+    the next row is added to its row and the passes resume, which
+    replaces the pair by its gcd and lcm.
     """
+    _check_type(IntMatrix, m)
     nr, nc = m.rows, m.cols
-    cols = _with_identity(m.col_list())  # m over T
+    cols = m.col_list()
     rows = _with_identity(m.row_list())  # m beside S
     while True:
         _echelon(cols, nr)
@@ -280,16 +288,14 @@ def snf(m: IntMatrix) -> tuple:
             order = sorted(range(k), key=lambda i: (not rows[i][i], rows[i][i]))
             perm = order + list(range(k, nc))
             rows = [[r[j] for j in perm] + r[nc:] for r in [rows[i] for i in order] + rows[k:]]
-            cols = [cols[j] for j in perm]
             i = next((i for i in range(1, k)
                       if rows[i - 1][i - 1] and rows[i][i] % rows[i - 1][i - 1]), None)
             if i is None:
                 break
             rows[i - 1] = [a + b for a, b in zip(rows[i - 1], rows[i])]
-        cols = [[r[j] for r in rows] + c[nr:] for j, c in enumerate(cols)]
+        cols = [[r[j] for r in rows] for j in range(nc)]
     return (IntMatrix._trusted(nr, nc, tuple(chain.from_iterable(r[:nc] for r in rows))),
-            IntMatrix._trusted(nr, nr, tuple(chain.from_iterable(r[nc:] for r in rows))),
-            IntMatrix._trusted(nc, nc, _flat_from_cols([c[nr:] for c in cols])))
+            IntMatrix._trusted(nr, nr, tuple(chain.from_iterable(r[nc:] for r in rows))))
 
 
 def _strip_units(sparse_rows: Sequence) -> tuple:
@@ -349,7 +355,7 @@ def invariant_factors(rows: Sequence) -> list:
     """Nonzero SNF diagonal of the matrix with these sparse rows, in
     divisibility order: one 1 per unit pivot stripped, then the rest's."""
     units, rest = _strip_units(rows)
-    d, _, _ = snf(rest)
+    d, _ = snf(rest)
     return [1] * units + [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
 
 
@@ -373,8 +379,7 @@ class Lattice:
     def __init__(self, ambient_dim: int, basis: IntMatrix):
         # The canonical basis of a lattice is unique, so a basis is
         # canonical iff echelonning it again leaves it as it is.
-        if not (isinstance(basis, IntMatrix) and basis.rows == ambient_dim
-                and (lat := Lattice.from_matrix(basis)).basis == basis):
+        if (lat := Lattice.from_matrix(basis)).basis != basis or basis.rows != ambient_dim:
             raise LatticeError(f"not a canonical basis with {ambient_dim} rows: {basis!r}")
         self.__dict__.update(lat.__dict__)
 
@@ -387,6 +392,7 @@ class Lattice:
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "Lattice":
+        _check_type(IntMatrix, m)
         cols = m.col_list()
         pivots = _echelon(cols, m.rows)
         return cls._trusted(m.rows, tuple(tuple(_nonzeros(c, p)) for c, p in zip(cols, pivots)))
@@ -404,11 +410,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.columns)
-
-    @property
-    def pivots(self) -> tuple:
-        """Pivot row of each basis column."""
-        return tuple(col[0][0] for col in self.columns)
 
     @cached_property
     def basis(self) -> IntMatrix:
@@ -492,11 +493,13 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
 
 def kernel(m: IntMatrix) -> Lattice:
     """The saturated lattice {x in Z^cols : m @ x = 0}, from m's rows."""
+    _check_type(IntMatrix, m)
     return condition_kernel(m.cols, [(_nonzeros(m.row(i)), 0) for i in range(m.rows)])
 
 
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
+    _check_type(Lattice, lat)
     if not (type(v) in (list, tuple) or isinstance(v, Sequence)) or len(v) != lat.ambient_dim:
         raise LatticeError(f"vector must be a sequence of length {lat.ambient_dim}")
     if not set(map(type, v)) <= {int}:
@@ -522,42 +525,25 @@ def lattice_conditions(lat: Lattice) -> list:
     that ``satisfies`` reads: ``terms`` are the nonzero ``(index, c)``
     entries of a row, and modulus 0 asks for an equation.
 
-    This is ``lattice_member``'s echelon solve run on the identity:
-    ``w[i]`` holds, times the product ``scale`` of the pivots passed so
-    far, the linear form that gives the remainder at row i.  Each pivot
-    asks that its remainder be divisible by the pivot, and the
-    remainders left at the end must vanish.  Each row is divided by
-    gcd(content, modulus); rows whose modulus becomes 1 hold for every v
-    and are dropped.
+    With d = s @ basis @ t the Smith form of the basis, of rank r, v lies
+    in the lattice iff (s v)_i is 0 mod d_i for i < r and 0 for i >= r:
+    a minimal set, one congruence per d_i > 1, its row reduced mod d_i,
+    and one equation per i >= r.  The rows of a unimodular s are
+    primitive, so no reduced row is zero or has a content to divide out.
     """
-    n = lat.ambient_dim
-    w = [[int(i == j) for j in range(n)] for i in range(n)]
-    scale = 1
-    raw = []
-    for col in lat.columns:
-        (p, piv), below = col[0], dict(col[1:])
-        prow = w[p]
-        raw.append((prow, scale * piv))
-        # Rows above p are final: no later column reaches them.
-        for i in range(p + 1, n):
-            c = below.get(i)
-            if c:
-                w[i] = [piv * a - c * b for a, b in zip(w[i], prow)]
-            elif piv != 1:
-                w[i] = [piv * a for a in w[i]]
-        scale *= piv
-    pivot_set = set(lat.pivots)
-    raw.extend((w[i], 0) for i in range(n) if i not in pivot_set)
+    _check_type(Lattice, lat)
+    d, s = snf(lat.basis)
     out = []
-    for row, modulus in raw:
-        g = gcd(*row, modulus)
-        if g == 0 or g == modulus:
-            continue
-        out.append((tuple((j, x // g) for j, x in enumerate(row) if x), modulus // g))
+    for i in range(lat.ambient_dim):
+        modulus = d[i, i] if i < lat.rank else 0
+        if modulus != 1:
+            row = s.row(i) if not modulus else [x % modulus for x in s.row(i)]
+            out.append((tuple((j, x) for j, x in enumerate(row) if x), modulus))
     return out
 
 
 def lattice_contains(big: Lattice, small: Lattice) -> bool:
+    _check_type(Lattice, big, small)
     if big.ambient_dim != small.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
     return all(lattice_member(big, [col.get(i, 0) for i in range(big.ambient_dim)])[0]
@@ -566,6 +552,7 @@ def lattice_contains(big: Lattice, small: Lattice) -> bool:
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     """Intersection: a cut by the congruences that cut out b."""
+    _check_type(Lattice, a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
     return lattice_cut(a, lattice_conditions(b))
@@ -580,6 +567,7 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     LatticeError if that fails, i.e. L is not a sublattice), and the
     quotient is the cokernel of the sparse coefficient rows.
     """
+    _check_type(Lattice, big)
     coeff_rows = [[] for _ in big.columns]
     for j, col in enumerate(_sparse_dicts(gens, "generators", big.ambient_dim)):
         _sub_nonzeros(v := [0] * big.ambient_dim, col.items(), -1)
@@ -593,13 +581,21 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
 
 def transpose(lines: Sequence, n: int) -> list:
     """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j.
-    An index i outside [0, n) raises LatticeError."""
+    An index i outside [0, n), one that is not an int, or a term that is
+    not a pair raises LatticeError naming its line."""
     out = [[] for _ in range(n)]
-    for j, line in enumerate(lines):
-        for i, c in line:
-            if not 0 <= i < n:
-                raise LatticeError(f"line {j}: index {i!r} is outside [0, {n})")
-            out[i].append((j, c))
+    j = line = None
+    try:
+        for j, line in enumerate(lines):
+            for i, c in line:
+                if i < 0:  # out[i] raises it for an i past the end of out
+                    raise IndexError
+                out[i].append((j, c))
+    except IndexError:
+        raise LatticeError(f"line {j}: index {i!r} is outside [0, {n})") from None
+    except (TypeError, ValueError):  # out[1.5], "a" < 0, a term of three
+        raise LatticeError(f"line {j} is no sequence of (int index, value) pairs: "
+                           f"{line!r}") from None
     return out
 
 
@@ -651,9 +647,11 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     """Whether v meets every ``(terms, modulus)`` condition: the sum of
     ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0.
     The conditions are read in order up to the first that v fails; a
-    term index that is not an int in [0, len(v)), or a nonzero modulus
-    that is not an int > 0, raises LatticeError when it is read, as
-    does a v without a length."""
+    term index that is not an int in [0, len(v)), a coefficient that is
+    not an int, or a modulus that is not an int >= 0, raises
+    LatticeError when it is read, as does a v without a length.  A float
+    coefficient or modulus makes ``sum + modulus`` no int: one type test
+    per condition covers the terms, and a bool modulus is refused apart."""
     try:
         n = len(v)
     except TypeError:  # no len(): None, an int
@@ -662,18 +660,18 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
         for terms, modulus in conditions:
             s = 0
             for i, c in terms:
-                if not 0 <= i < n:
-                    raise LatticeError(f"term index {i!r} is outside [0, {n})")
+                if i < 0:  # v[i] raises it for an i past the end of v
+                    raise IndexError
                 s += c * v[i]
-            if modulus:
-                if type(modulus) is not int or modulus < 0:
-                    raise LatticeError(f"modulus must be an int >= 0, got {modulus!r}")
-                if s % modulus:
-                    return False
-            elif s:
+            if type(s + modulus) is not int or modulus and (modulus < 0 or type(modulus) is bool):
+                raise LatticeError("conditions need int coefficients and a modulus that is "
+                                   f"an int >= 0, got {(terms, modulus)!r}")
+            if s % modulus if modulus else s:
                 return False
     except LatticeError:
         raise
+    except IndexError:
+        raise LatticeError(f"term index {i!r} is outside [0, {n})") from None
     except (TypeError, ValueError) as exc:  # no number, or no pair where one is due
         raise LatticeError(f"conditions must be pairs of pairs over ints: {exc}") from None
     return True
@@ -707,6 +705,7 @@ def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
     when none is left, lat itself is returned.  Otherwise the y are the
     kernel of [R | diag(m > 0)] cut to K's coordinates.
     """
+    _check_type(Lattice, lat)
     _check_conditions(lat.ambient_dim, conditions)
     k = lat.rank
     rows = transpose(lat.columns, lat.ambient_dim)

@@ -284,6 +284,9 @@ def test_c6c6_solves_nine_local_lattices(monkeypatch):
     conditions = divisor_theory._cartier_conditions(tp)
     assert tp.n_vertices == 36 and len(solved) == 9
     assert conditions == cartier_conditions_per_vertex(tp)
+    # Every local lattice is saturated: two equations per vertex, and no
+    # congruence.
+    assert len(conditions) == 72 and all(m == 0 for _, m in conditions)
 
 
 def test_local_rank_two_without_diagonals(p2p2):

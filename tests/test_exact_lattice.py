@@ -173,7 +173,7 @@ def check_sparse_form(lat):
     an equal lattice with the same hash."""
     b = lat.basis
     assert (b.rows, b.cols) == (lat.ambient_dim, lat.rank)
-    assert list(lat.pivots) == echelon_pivots(b)
+    assert [col[0][0] for col in lat.columns] == echelon_pivots(b)
     assert lat.columns == tuple(tuple((i, x) for i, x in enumerate(b.col(j)) if x)
                                 for j in range(b.cols))
     direct = Lattice(lat.ambient_dim, b)
@@ -192,8 +192,8 @@ def test_lattice_pivots_match_echelon_pivots():
     lattices += [Lattice.zero(n) for n in range(4)] + [full_lattice(n) for n in range(4)]
     for lat in lattices:
         check_sparse_form(lat)
-    assert full_lattice(3).pivots == (0, 1, 2)
-    assert Lattice.zero(3).pivots == ()
+    assert [col[0][0] for col in full_lattice(3).columns] == [0, 1, 2]
+    assert [col[0][0] for col in Lattice.zero(3).columns] == []
     # Equality and hash agree with equality of the dense bases.
     by_basis = {}
     for lat in lattices:
@@ -257,13 +257,13 @@ def test_col_is_bounds_checked():
 
 
 def test_snf_diag_2_3():
-    d, s, t = snf(from_rows([[2, 0], [0, 3]]))
+    d, s = snf(from_rows([[2, 0], [0, 3]]))
     assert [d[0, 0], d[1, 1]] == [1, 6]
     assert d[0, 1] == d[1, 0] == 0
 
 
 def test_snf_zero():
-    d, s, t = snf(zeros(2, 2))
+    d, s = snf(zeros(2, 2))
     assert d == zeros(2, 2)
 
 
@@ -298,10 +298,10 @@ def _snf_inputs(rng, n_dense, c6c6_pic_matrix):
 def test_snf_factorization_divisibility_unimodular(c6c6_pic_matrix, monkeypatch):
     rng = random.Random(11)
     for m in _snf_inputs(rng, 60, c6c6_pic_matrix):
-        d, s, t = snf(m)
-        assert matmul(matmul(s, m), t) == d
+        d, s = snf(m)
+        # d = s m t for a unimodular t iff s m and d span one column lattice.
+        assert Lattice.from_matrix(matmul(s, m)) == Lattice.from_matrix(d)
         assert abs(det(s)) == 1
-        assert abs(det(t)) == 1
         diag = [d[i, i] for i in range(min(d.rows, d.cols))]
         for i in range(d.rows):
             for j in range(d.cols):
@@ -407,7 +407,7 @@ def test_sparse_rows_with_zero_pairs_repeated_columns_and_empty_rows():
                       [rng.choice((0, 0, 0, 1, -1, 2, 3, -4)) for _ in range(rows * cols)])
         cases.append((_written_out(rng, m), m))
     for sparse, m in cases:
-        d, _, _ = snf(m)
+        d, _ = snf(m)
         diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
         assert invariant_factors(sparse) == diagonal == sympy_factors(m)
         assert cokernel(sparse) == cokernel(sparse_rows(m))
@@ -444,7 +444,7 @@ def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
         assert units > 0 and not {1, -1} & set(rest._e)
         assert all(any(rest.row(i)) for i in range(rest.rows))
         assert all(any(rest.col(j)) for j in range(rest.cols))
-        d, _, _ = snf(m)
+        d, _ = snf(m)
         diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
         assert invariant_factors(sparse) == diagonal == sympy_factors(m)
 
@@ -555,7 +555,7 @@ def check_kernel(m, k):
     assert k.rank == m.cols - rank(m)
     assert invariant_factors(sparse_rows(k.basis)) == [1] * k.rank
     assert Lattice.from_matrix(k.basis) == k == Lattice(m.cols, k.basis)
-    assert list(k.pivots) == echelon_pivots(k.basis)
+    assert [col[0][0] for col in k.columns] == echelon_pivots(k.basis)
 
 
 def _kernel_inputs(rng):
@@ -725,36 +725,45 @@ def _random_conditions(rng, n):
 
 
 def test_conditions_worked_examples():
+    # The Smith form is diag(1, 6): one congruence, 3 v0 + 4 v1 = 0 mod 6,
+    # which is v0 even and v1 a multiple of 3.
     assert lattice_conditions(Lattice.from_generators(2, [(2, 0), (0, 3)])) == [
-        (((0, 1),), 2), (((1, 1),), 3)]
-    # (2, 1) is saturated but its pivot is 2; the congruence it gives is
-    # implied by the equation 2 v1 = v0.
+        (((0, 3), (1, 4)), 6)]
+    # (2, 1) is saturated though its HNF pivot is 2: the equation
+    # v0 = 2 v1 alone, and no congruence mod 2.
     assert lattice_conditions(Lattice.from_generators(2, [(2, 1)])) == [
-        (((0, 1),), 2), (((0, -1), (1, 2)), 0)]
+        (((0, 1), (1, -2)), 0)]
     assert lattice_conditions(full_lattice(3)) == []
     assert lattice_conditions(Lattice.zero(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
 
 
 def test_conditions_match_membership():
+    """The conditions cut out the lattice, and they are minimal: one
+    congruence per invariant factor above 1 of the basis, one equation
+    per missing rank, and no congruence on a saturated lattice whose HNF
+    has a pivot above 1."""
     rng = random.Random(53)
-    saw_big_pivot = saw_deficient = False
+    saw_big_pivot = saw_deficient = saw_torsion = False
     for _ in range(60):
         n = rng.randint(1, 3)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
         lat = Lattice.from_generators(n, gens)
         saw_deficient |= lat.rank < n
         # the first nonzero entry of an echelon column is its pivot
-        saw_big_pivot |= any(next(x for x in lat.basis.col(j) if x) > 1
-                             for j in range(lat.rank))
+        saw_big_pivot |= any(col[0][1] > 1 for col in lat.columns)
         conditions = lattice_conditions(lat)
         for terms, m in conditions:
             indices = [i for i, _ in terms]
             assert indices == sorted(set(indices)) and set(indices) <= set(range(n))
             assert terms and all(c for _, c in terms) and m != 1
+        moduli = sorted(m for _, m in conditions if m)
+        assert moduli == [f for f in sympy_factors(lat.basis) if f > 1]
+        assert sum(1 for _, m in conditions if not m) == n - lat.rank
+        saw_torsion |= bool(moduli)
         for v in product(range(-4, 5), repeat=n):
             assert satisfies(conditions, v) == dense_satisfies(conditions, v)
             assert satisfies(conditions, v) == lattice_member(lat, v)[0]
-    assert saw_big_pivot and saw_deficient
+    assert saw_big_pivot and saw_deficient and saw_torsion
 
 
 def test_condition_matrix_kernel_is_what_the_conditions_cut_out():
@@ -1034,10 +1043,10 @@ def test_empty_edge_cases():
     empty = zeros(0, 0)
     h, u = hnf(empty)
     assert h.rows == 0 and h.cols == 0
-    d, s, t = snf(empty)
-    assert d.rows == 0
-    for rows, cols in ((0, 3), (3, 0)):  # S and T are identities
-        assert snf(zeros(rows, cols)) == (zeros(rows, cols), identity(rows), identity(cols))
+    d, s = snf(empty)
+    assert d.rows == 0 and s == identity(0)
+    for rows, cols in ((0, 3), (3, 0)):  # S is the identity
+        assert snf(zeros(rows, cols)) == (zeros(rows, cols), identity(rows))
     assert kernel(zeros(0, 3)).rank == 3
     assert kernel(zeros(3, 0)).rank == 0
     assert Lattice.zero(4).rank == 0
@@ -1055,6 +1064,55 @@ def test_transpose_refuses_an_index_outside_the_range(index):
     assert transpose([[(1, 7)], [(0, 1), (1, 2)]], 2) == [[(1, 1)], [(0, 7), (1, 2)]]
     with pytest.raises(LatticeError, match=rf"^line 1: index {index} is outside \[0, 2\)$"):
         transpose([[(1, 7)], [(index, 1)]], 2)
+
+
+@pytest.mark.parametrize("lines, line", [
+    ([[(1.5, 1)]], 0),
+    ([[(0, 1)], [("a", 1)]], 1),
+    ([[(0, 1)], [(1, 2, 3)]], 1),  # a term of three
+    ([[(0, 1)], None], 1),
+])
+def test_transpose_refuses_an_index_that_is_not_an_int(lines, line):
+    with pytest.raises(LatticeError, match=rf"^line {line} is no sequence of \(int index, value\)"):
+        transpose(lines, 2)
+
+
+@pytest.mark.parametrize("conditions, v", [
+    ([(((0, 1.5),), 0)], (2,)),  # a sum of 3.0, which is not 0
+    ([(((0, 1.5),), 2)], (2,)),
+    ([(((0, 1),), 0.0)], (0,)),  # a zero modulus that is not the int 0
+    ([(((0, 1),), 0), (((0, 1),), 0.0)], (0,)),  # read after a condition that holds
+    ([(((0, 1),), True)], (2,)),  # a bool, which adds up as an int
+])
+def test_satisfies_refuses_a_coefficient_or_modulus_that_is_not_an_int(conditions, v):
+    with pytest.raises(LatticeError, match="^conditions need int coefficients and a modulus"):
+        satisfies(conditions, v)
+
+
+_TYPED_CALLS = {
+    "lattice_conditions": lattice_conditions,
+    "lattice_member": lambda x: lattice_member(x, (0,)),
+    "lattice_contains big": lambda x: lattice_contains(x, full_lattice(1)),
+    "lattice_contains small": lambda x: lattice_contains(full_lattice(1), x),
+    "lattice_intersect a": lambda x: lattice_intersect(x, full_lattice(1)),
+    "lattice_intersect b": lambda x: lattice_intersect(full_lattice(1), x),
+    "lattice_cut": lambda x: lattice_cut(x, []),
+    "quotient": lambda x: quotient(x, []),
+    "hnf": hnf,
+    "snf": snf,
+    "kernel": kernel,
+    "Lattice.from_matrix": Lattice.from_matrix,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_TYPED_CALLS))
+@pytest.mark.parametrize("value", [None, [[1, 0], [0, 1]]])
+def test_an_argument_of_the_wrong_type_raises_lattice_error(call, value):
+    """A non-Lattice where a Lattice is due, and a non-IntMatrix where an
+    IntMatrix is due, each raise LatticeError naming the expected type."""
+    expected = "IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix") else "Lattice"
+    with pytest.raises(LatticeError, match=f"^expected a {expected}, got {type(value).__name__}$"):
+        _TYPED_CALLS[call](value)
 
 
 # -- the Lattice constructor ------------------------------------------------------

@@ -215,7 +215,7 @@ def test_invariant_factors_are_the_snf_diagonal(m):
     """The same matrix as sparse rows three ways: its nonzero entries,
     every entry with the zeros written out, and every entry x split into
     x - 1 and 1 on its column, which add up."""
-    d, _, _ = snf(m)
+    d, _ = snf(m)
     diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
     rows = [m.row(i) for i in range(m.rows)]
     assert invariant_factors(sparse_rows(m)) == diagonal
@@ -272,7 +272,7 @@ def test_cl_is_free_of_the_rank_difference_plus_the_torsion_of_coker_p(tp):
     the balancing equations, is saturated and contains im P, so im P's
     saturation lies in it.  rank P and coker P come from the dense
     ``snf`` of P, which shares no code with the sparse quotient."""
-    d, _, _ = snf(principal_matrix(tp))
+    d, _ = snf(principal_matrix(tp))
     diagonal = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
     torsion = tuple(x for x in diagonal if x > 1)
     assert cl(tp) == AbGroup(qcart_lattice(tp).rank - len(diagonal), torsion)
