@@ -29,11 +29,11 @@ Cart = QCart as soon as L_v = Q_v at every vertex, which one Smith
 form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
 (on every product of simple factors the tests draw) ``cart_lattice`` is
 QCart itself, ``is_cartier`` reads the balancing equations, Pic and Cl
-are one quotient, and no congruence is built.  Otherwise Cart is QCart
-cut by the congruences, which ``is_cartier`` reads.  Pic and Cl
-quotient by P's columns, not by Prin's HNF basis, which only
-``is_principal`` builds.  ``divisor_to_json`` joins its text from a
-per-product table of the escaped, sorted keys.
+are one quotient, and no congruence is built.  Otherwise Cart is the
+kernel of the congruences, which ``is_cartier`` reads, and no QCart
+is built for Cart or Pic.  Pic and Cl quotient by P's columns, not by
+Prin's HNF basis, which only ``is_principal`` builds; ``divisor_to_json``
+joins its text from a per-product table of the escaped, sorted keys.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .exact_lattice import (
     condition_matrix,
     invariant_factors,
     lattice_conditions,
-    lattice_cut,
     lattice_member,
     quotient,
     satisfies,
@@ -212,19 +211,18 @@ def _locally_saturated(tp: TriangulatedProduct) -> bool:
 @_per_product
 def cart_lattice(tp: TriangulatedProduct) -> Lattice:
     """Cartier divisors: QCart itself when every vertex is locally
-    saturated, and otherwise QCart cut by every local congruence.
+    saturated, and otherwise the kernel of every local congruence.
 
     Both are exact.  QCart and Cart are the d whose restriction to each
     star lies in Q_v and in L_v, so L_v = Q_v at every vertex gives
-    Cart = QCart.  In general Cart lies in QCart, as the conditions at v
-    read only the edges at v and L_v lies in Q_v, so cutting QCart by
-    the congruences gives Cart.  Simple factors take the first branch;
-    multigraph factors may need the second.
+    Cart = QCart.  In general the congruences at v cut out the d whose
+    restriction lies in L_v, so together they cut out Cart, and no
+    QCart is built.  Simple factors take the first branch; multigraph
+    factors may need the second.
     """
-    qcart = qcart_lattice(tp)
     if _locally_saturated(tp):
-        return qcart
-    return lattice_cut(qcart, _cartier_conditions(tp))
+        return qcart_lattice(tp)
+    return condition_kernel(tp.n_edges, _cartier_conditions(tp))
 
 
 @_per_product
@@ -280,9 +278,10 @@ def qcart_lattice(tp: TriangulatedProduct) -> Lattice:
 
 @_per_product
 def pic(tp: TriangulatedProduct) -> AbGroup:
-    """Cartier divisors modulo principal divisors; cl itself when Cart is QCart."""
+    """Cartier divisors modulo principal divisors; cl itself when every
+    vertex is locally saturated, so that Cart is QCart."""
     cart = cart_lattice(tp)
-    if cart is qcart_lattice(tp):
+    if _locally_saturated(tp):
         return cl(tp)
     return quotient(cart, transpose(tp.principal_rows, tp.n_vertices))
 

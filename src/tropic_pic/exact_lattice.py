@@ -21,11 +21,11 @@ is behind ``hnf``, ``snf`` and ``Lattice.from_matrix``.  It works on
 column lists in place, runs each column operation over the nonzero
 entries of its source column only, and carries a unimodular transform
 only for ``hnf`` and ``snf``, which return one.  ``condition_kernel``,
-behind ``kernel``, row-echelons dict rows last column first, and only
-the rows whose pivot is not a unit go to ``hnf``; their canonical
-kernel, lifted through the unit rows, is the whole kernel's, with no
-second echelon and no dense matrix.  Membership solves and cuts run
-over a lattice's sparse columns.
+behind ``kernel`` and ``lattice_intersect``, row-echelons dict rows
+last column first, and only the rows whose pivot is not a unit go to
+``hnf``; their canonical kernel, lifted through the unit rows, is the
+whole kernel's, with no second echelon and no dense matrix.
+Membership solves run over a lattice's sparse columns.
 ``quotient`` writes its witnesses straight into sparse rows, and
 ``invariant_factors`` strips unit pivots from them, one factor 1 each,
 under a cost cap that doubles, running ``snf`` only on what is left
@@ -33,8 +33,10 @@ under a cost cap that doubles, running ``snf`` only on what is left
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
-``lattice_conditions`` writes it off a Smith form's S; ``satisfies``,
-``condition_matrix``, ``condition_kernel`` and ``lattice_cut`` read it.
+``lattice_conditions`` writes it off a Smith form's S; ``satisfies`` and
+``condition_matrix`` read it, and ``condition_kernel`` returns the
+lattice in Z^width it cuts out, which is how ``kernel`` and
+``lattice_intersect`` build theirs.
 
 Conventions
 -----------
@@ -107,15 +109,6 @@ class IntMatrix:
         m.cols = cols
         m._e = e
         return m
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
-        if nrows is None:
-            nrows = len(cols[0]) if cols else 0
-        for c in cols:
-            if len(c) != nrows:
-                raise LatticeError(f"column of length {len(c)}, expected {nrows}")
-        return cls(nrows, len(cols), _flat_from_cols(cols))
 
     # -- access ------------------------------------------------------------
 
@@ -398,10 +391,6 @@ class Lattice:
         return cls._trusted(m.rows, tuple(tuple(_nonzeros(c, p)) for c, p in zip(cols, pivots)))
 
     @classmethod
-    def from_generators(cls, ambient_dim: int, gens: Sequence[Sequence[int]]) -> "Lattice":
-        return cls.from_matrix(IntMatrix.from_cols(list(gens), nrows=ambient_dim))
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Lattice":
         if type(ambient_dim) is not int or ambient_dim < 0:
             raise LatticeError(f"ambient dimension must be an int >= 0, got {ambient_dim!r}")
@@ -424,7 +413,11 @@ class Lattice:
 
 
 def condition_kernel(width: int, conditions: Sequence) -> Lattice:
-    """``kernel(condition_matrix(width, conditions))``, on sparse rows.
+    """The lattice in Z^width that the conditions cut out: the kernel of
+    ``condition_matrix(width, conditions)``, on sparse rows, with the
+    slack coordinates dropped.  A congruence's slack is fixed by x, so
+    every nonzero kernel vector has its pivot in the first width rows,
+    and the projection of the canonical basis is canonical.
 
     Dict rows go to row echelon form last column first, a column -> rows
     index naming the rows not yet placed.  A row with pivot +-1 at d is
@@ -481,14 +474,14 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
         for t, c in y:
             lifted[s[t]][b] = c
     columns = [[] for _ in small]
-    for d, x in enumerate(lifted):
+    for d, x in enumerate(lifted[:width]):  # row_d reads only columns before d
         for c, a in units.get(d, {}).items():
             for b, v in lifted[c].items():
                 x[b] = x.get(b, 0) - a * v
         for b, c in x.items():
             if c:
                 columns[b].append((d, c))
-    return Lattice._trusted(n, tuple(map(tuple, columns)))
+    return Lattice._trusted(width, tuple(map(tuple, columns)))
 
 
 def kernel(m: IntMatrix) -> Lattice:
@@ -551,11 +544,11 @@ def lattice_contains(big: Lattice, small: Lattice) -> bool:
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection: a cut by the congruences that cut out b."""
+    """Intersection: the kernel of the congruences that cut out a and b."""
     _check_type(Lattice, a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
-    return lattice_cut(a, lattice_conditions(b))
+    return condition_kernel(a.ambient_dim, lattice_conditions(a) + lattice_conditions(b))
 
 
 def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
@@ -581,8 +574,11 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
 
 def transpose(lines: Sequence, n: int) -> list:
     """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j.
-    An index i outside [0, n), one that is not an int, or a term that is
-    not a pair raises LatticeError naming its line."""
+    An n that is not an int >= 0 raises LatticeError, as does an index i
+    outside [0, n), one that is not an int, or a term that is not a pair,
+    naming its line."""
+    if type(n) is not int or n < 0:
+        raise LatticeError(f"n must be an int >= 0, got {n!r}")
     out = [[] for _ in range(n)]
     j = line = None
     try:
@@ -696,38 +692,6 @@ def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
     return IntMatrix._trusted(len(conditions), total, tuple(flat))
 
 
-def lattice_cut(lat: Lattice, conditions: Sequence) -> Lattice:
-    """The vectors of ``lat`` that meet every ``(terms, modulus)`` condition.
-
-    With K the basis of lat, these are K y over the y that meet each
-    condition restricted to K: its row times K, reduced mod its modulus.
-    A restricted row that is zero holds on all of lat and is dropped;
-    when none is left, lat itself is returned.  Otherwise the y are the
-    kernel of [R | diag(m > 0)] cut to K's coordinates.
-    """
-    _check_type(Lattice, lat)
-    _check_conditions(lat.ambient_dim, conditions)
-    k = lat.rank
-    rows = transpose(lat.columns, lat.ambient_dim)
-    restricted = []
-    for terms, modulus in conditions:
-        acc = [0] * k
-        for i, c in terms:
-            _sub_nonzeros(acc, rows[i], -c)
-        acc = [a % modulus for a in acc] if modulus else acc
-        if any(acc):
-            restricted.append((_nonzeros(acc), modulus))
-    if not restricted:
-        return lat
-    ker = condition_kernel(k, restricted)
-    gens = [[0] * lat.ambient_dim for _ in range(ker.rank)]
-    for x, y in zip(gens, ker.columns):
-        for j, c in y:
-            if j < k:
-                _sub_nonzeros(x, lat.columns[j], -c)
-    return Lattice.from_generators(lat.ambient_dim, gens)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -761,6 +725,7 @@ class AbGroup:
     @classmethod
     def direct_sum(cls, *groups: "AbGroup") -> "AbGroup":
         """Canonical invariant-factor form of a direct sum."""
+        _check_type(AbGroup, *groups)
         free = sum(g.free_rank for g in groups)
         factors = [d for g in groups for d in g.torsion]
         if not factors:

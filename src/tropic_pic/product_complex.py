@@ -147,6 +147,10 @@ class TriangulatedProduct:
                  "n_horizontal", "n_vertical", "n_diagonal", "_memo", "__weakref__")
 
     def __init__(self, g: Multigraph, h: Multigraph, policy: DiagonalPolicy):
+        for what, value, cls in (("factor G", g, Multigraph), ("factor H", h, Multigraph),
+                                 ("policy", policy, DiagonalPolicy)):
+            if not isinstance(value, cls):
+                raise ComplexError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
         if g.n_edges < 1 or h.n_edges < 1:
             raise ComplexError("both factors need at least one edge")
         self.g = g
@@ -257,7 +261,7 @@ class TriangulatedProduct:
 def build_product(g: Multigraph, h: Multigraph,
                   policy: Optional[DiagonalPolicy] = None) -> TriangulatedProduct:
     """Triangulate G x H under the given diagonal policy (default standard)."""
-    return TriangulatedProduct(g, h, policy or DiagonalPolicy.standard())
+    return TriangulatedProduct(g, h, DiagonalPolicy.standard() if policy is None else policy)
 
 
 def alpha(tp: TriangulatedProduct, eid, v) -> int:

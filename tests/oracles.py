@@ -1,15 +1,18 @@
-"""Reference code that only the tests use: matrices from rows, the
-sparse rows and columns of a matrix, the zero and identity matrices and
-the full lattice, submatrices, matrix product, Bareiss determinant and
-rank, the pivot rows of a dense echelon matrix, Kirchhoff spanning-tree
-counts, random trees and diagonal policies, a product's weights by a
-scan of its triangles, P's sparse rows and the dense principal matrix
-written from that scan, the local matrices cut from it, the closed-form
-local rank of a triangulated product, the Cartier congruences with one
-local HNF per vertex, the local saturation test with one invariant
-factor test per distinct star, Cart as one congruence kernel over all
-edges, a divisor's JSON by ``json.dumps``, and the kernel by a dense row
-echelon of the whole matrix."""
+"""Reference code that only the tests use: matrices from rows or
+columns, a lattice from generators, the sparse rows and columns of a
+matrix, the zero and identity matrices and the full lattice,
+submatrices, matrix product, Bareiss determinant and rank, the pivot
+rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random
+trees and diagonal policies, a product's weights by a scan of its
+triangles, P's sparse rows and the dense principal matrix written from
+that scan, the local matrices cut from it, the closed-form local rank
+of a triangulated product, the Cartier congruences with one local lattice
+per vertex, the local saturation test with one invariant factor test
+per distinct star, the lattice that conditions cut out as a dense kernel
+with its slack columns cut off (Cart is the one of every congruence),
+a lattice cut by conditions restricted to its basis, a divisor's JSON
+by ``json.dumps``, and the kernel by a dense row echelon of the whole
+matrix."""
 
 import heapq
 import json
@@ -21,7 +24,9 @@ from tropic_pic.exact_lattice import (
     Lattice,
     LatticeError,
     _echelon,
+    _flat_from_cols,
     _nonzeros,
+    _sub_nonzeros,
     condition_matrix,
     hnf,
     invariant_factors,
@@ -42,6 +47,22 @@ def from_rows(rows) -> IntMatrix:
     if any(len(r) != nc for r in rows):
         raise LatticeError("ragged rows")
     return IntMatrix(len(rows), nc, [x for r in rows for x in r])
+
+
+def from_cols(cols, nrows=None) -> IntMatrix:
+    """The matrix with the given columns, each of length nrows (by
+    default the length of the first)."""
+    if nrows is None:
+        nrows = len(cols[0]) if cols else 0
+    for c in cols:
+        if len(c) != nrows:
+            raise LatticeError(f"column of length {len(c)}, expected {nrows}")
+    return IntMatrix(nrows, len(cols), _flat_from_cols(cols))
+
+
+def from_generators(ambient_dim: int, gens) -> Lattice:
+    """The lattice in Z^ambient_dim spanned by the generators."""
+    return Lattice.from_matrix(from_cols(list(gens), nrows=ambient_dim))
 
 
 def sparse_rows(m: IntMatrix) -> list:
@@ -280,13 +301,52 @@ def random_policy(g: Multigraph, h: Multigraph, seed: int) -> DiagonalPolicy:
                                     for ge, *_ in g.edges for he, *_ in h.edges})
 
 
+def dense_condition_kernel(width: int, conditions) -> Lattice:
+    """The lattice in Z^width that the conditions cut out: the dense
+    kernel of [A | diag(m > 0)], one slack column per congruence, its
+    basis columns cut to the first width entries and passed to the
+    checked ``Lattice`` constructor, which refuses a basis that is not
+    canonical."""
+    ker = dense_kernel(condition_matrix(width, conditions))
+    return Lattice(width, from_cols([ker.basis.col(j)[:width] for j in range(ker.rank)], width))
+
+
 def congruence_kernel_cart(tp: TriangulatedProduct) -> Lattice:
-    """Cart as one kernel of [A | diag(m > 0)] over every vertex's local
-    congruences, with |E| + (one slack per congruence) columns, cut to
-    the first |E| coordinates."""
-    ne = tp.n_edges
-    ker = dense_kernel(condition_matrix(ne, _cartier_conditions(tp)))
-    return Lattice.from_generators(ne, [ker.basis.col(j)[:ne] for j in range(ker.rank)])
+    """Cart as one dense kernel over every vertex's local congruences."""
+    return dense_condition_kernel(tp.n_edges, _cartier_conditions(tp))
+
+
+def cut_by_restriction(lat: Lattice, conditions) -> Lattice:
+    """The vectors of ``lat`` that meet every ``(terms, modulus)`` condition.
+
+    With K the basis of lat, these are K y over the y that meet each
+    condition restricted to K: its row times K, reduced mod its modulus.
+    A restricted row that is zero holds on all of lat and is dropped;
+    when none is left, lat itself is returned.  Otherwise the y are the
+    dense kernel of [R | diag(m > 0)] cut to K's coordinates.
+    """
+    k = lat.rank
+    rows = [[] for _ in range(lat.ambient_dim)]
+    for j, col in enumerate(lat.columns):
+        for i, c in col:
+            rows[i].append((j, c))
+    restricted = []
+    for terms, modulus in conditions:
+        acc = [0] * k
+        for i, c in terms:
+            _sub_nonzeros(acc, rows[i], -c)
+        acc = [a % modulus for a in acc] if modulus else acc
+        if any(acc):
+            restricted.append((_nonzeros(acc), modulus))
+    if not restricted:
+        return lat
+    ker = dense_kernel(condition_matrix(k, restricted))
+    gens = [[0] * lat.ambient_dim for _ in range(ker.rank)]
+    for x, y in zip(gens, ker.columns):
+        for j, c in y:
+            if j < k:
+                _sub_nonzeros(x, lat.columns[j], -c)
+    return from_generators(lat.ambient_dim, gens)
 
 
 def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
@@ -339,7 +399,7 @@ def dense_kernel(m: IntMatrix) -> Lattice:
     rest = [row for row, p in zip(rows, pivots) if row[p] != 1]
     s = [j for j in range(n) if j not in units]
     _, u = hnf(IntMatrix(len(rest), len(s), [row[n - 1 - j] for row in rest for j in s]))
-    small = Lattice.from_generators(len(s), [u.col(j) for j in range(len(rest), len(s))])
+    small = from_generators(len(s), [u.col(j) for j in range(len(rest), len(s))])
     reads = [[] for _ in range(n)]  # per column j in S: (d, row_d[j]) of the unit rows
     for d, row in units.items():
         for p, c in _nonzeros(row, n - d):

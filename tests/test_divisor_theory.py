@@ -11,8 +11,10 @@ from sympy import Matrix as SymMatrix
 
 from oracles import (
     cartier_conditions_per_vertex,
+    cut_by_restriction,
     dense_principal_matrix,
     divisor_json_dumps,
+    from_generators,
     full_lattice,
     local_rank,
     local_rank_expected,
@@ -35,7 +37,6 @@ from tropic_pic.exact_lattice import (
     invariant_factors,
     lattice_conditions,
     lattice_contains,
-    lattice_cut,
     lattice_intersect,
     lattice_member,
     quotient,
@@ -90,7 +91,7 @@ def intersection_chain_cart(tp):
             gens.append(lifted)
         for i in set(range(ne)) - set(star_idx):
             gens.append([int(k == i) for k in range(ne)])
-        result = lattice_intersect(result, Lattice.from_generators(ne, gens))
+        result = lattice_intersect(result, from_generators(ne, gens))
     return result
 
 
@@ -398,12 +399,12 @@ def test_cart_matches_intersection_chain_on_random_multigraphs():
 
 
 def test_cart_is_qcart_cut_by_the_congruences(mixed_products):
-    # Locally saturated products return QCart itself, the others cut it;
-    # both equal the cut by every congruence.
+    # Locally saturated products return QCart itself, the others the
+    # kernel of the congruences; both equal QCart cut by every congruence.
     saturated = []
     for tp in list(mixed_products) + [theta2_theta2()]:
         cart, qcart = cart_lattice(tp), qcart_lattice(tp)
-        assert cart == lattice_cut(qcart, divisor_theory._cartier_conditions(tp))
+        assert cart == cut_by_restriction(qcart, divisor_theory._cartier_conditions(tp))
         saturated.append(divisor_theory._locally_saturated(tp))
         if saturated[-1]:
             assert cart is qcart
@@ -488,13 +489,13 @@ def test_is_cartier_builds_the_congruences_only_where_needed(monkeypatch):
 def pic_and_cl_calls(monkeypatch, tp):
     """A fresh copy of tp, the number of calls of each of
     ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
-    ``lattice_cut``, ``local_matrix`` and ``invariant_factors`` (only
+    ``condition_kernel``, ``local_matrix`` and ``invariant_factors`` (only
     the local test calls it there) that pic and cl make on it together,
     and the rows passed to each ``invariant_factors`` call."""
     calls, local_rows = {}, []
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        for name in ("quotient", "_cartier_conditions", "lattice_cut", "local_matrix",
+        for name in ("quotient", "_cartier_conditions", "condition_kernel", "local_matrix",
                      "invariant_factors"):
             calls[name] = 0
             real = getattr(divisor_theory, name)
@@ -513,8 +514,8 @@ def pic_and_cl_calls(monkeypatch, tp):
 
 
 def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monkeypatch):
-    # No congruence is built and nothing is cut: every vertex is locally
-    # saturated, so Cart is QCart without them.
+    # No congruence is built and one kernel is taken, QCart's: every
+    # vertex is locally saturated, so Cart is QCart without them.
     k4, c4 = complete_graph(4), cycle_graph(4)
     products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 7)]
     products += [build_product(k4, c4, random_policy(k4, c4, seed)) for seed in (1, 2, 3)]
@@ -528,7 +529,7 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
         # stars' rows together, and no dense local matrix.
         distinct = {local_matrix(fresh, v) for v in fresh.vertices}
         stars.append(len(distinct))
-        assert calls == {"quotient": 1, "_cartier_conditions": 0, "lattice_cut": 0,
+        assert calls == {"quotient": 1, "_cartier_conditions": 0, "condition_kernel": 1,
                          "local_matrix": 0, "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
         assert pic(fresh) == cl(fresh)
@@ -541,12 +542,27 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
         assert cart_lattice(fresh) != qcart_lattice(fresh)
         # The congruences are solved on one dense local matrix per distinct
         # star, here every star, and the local test is one invariant factor
-        # call on every star's rows together.
+        # call on every star's rows together.  Two kernels are taken: Cart's
+        # of the congruences, and QCart's for Cl.
         distinct = {local_matrix(fresh, v) for v in fresh.vertices}
         assert len(distinct) == fresh.n_vertices
-        assert calls == {"quotient": 2, "_cartier_conditions": 1, "lattice_cut": 1,
+        assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
                          "local_matrix": fresh.n_vertices, "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
+
+
+def test_cart_and_pic_build_no_qcart_off_the_saturated_branch():
+    # theta3 x P2 and theta2 x theta2 are not locally saturated: Cart is the
+    # kernel of the congruences, and Pic quotients it, with no balancing
+    # equation written and no QCart built.
+    for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
+        for run in ((cart_lattice,), (pic,), (cart_lattice, pic)):
+            fresh = build_product(g, h)
+            for fn in run:
+                fn(fresh)
+            assert not divisor_theory._locally_saturated(fresh)
+            assert {"qcart_lattice", "_balancing_conditions"}.isdisjoint(fresh._memo)
+            assert {fn.__name__ for fn in run} <= set(fresh._memo)
 
 
 def test_quotient_by_principal_columns_equals_by_prin_basis(mixed_products):

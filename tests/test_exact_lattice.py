@@ -14,9 +14,13 @@ from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from oracles import (
+    cut_by_restriction,
+    dense_condition_kernel,
     dense_kernel,
     det,
     echelon_pivots,
+    from_cols,
+    from_generators,
     from_rows,
     full_lattice,
     identity,
@@ -40,7 +44,6 @@ from tropic_pic.exact_lattice import (
     condition_matrix,
     lattice_conditions,
     lattice_contains,
-    lattice_cut,
     lattice_intersect,
     lattice_member,
     quotient,
@@ -149,7 +152,7 @@ def _shapes_and_matrices(rng):
                 if cols >= 2 and rng.random() < 0.3:
                     c = m.col_list()
                     c[-1] = [2 * x - y for x, y in zip(c[0], c[1])]
-                    m = IntMatrix.from_cols(c, nrows=rows)
+                    m = from_cols(c, nrows=rows)
                 yield m
 
 
@@ -159,7 +162,7 @@ def test_from_matrix_equals_nonzero_hnf_columns():
     for m in _shapes_and_matrices(rng):
         h, _ = hnf(m)
         nonzero = [c for c in h.col_list() if any(c)]
-        expected = Lattice(m.rows, IntMatrix.from_cols(nonzero, nrows=m.rows))
+        expected = Lattice(m.rows, from_cols(nonzero, nrows=m.rows))
         lat = Lattice.from_matrix(m)
         assert lat == expected
         assert (lat.basis.rows, lat.basis.cols) == (m.rows, len(nonzero))
@@ -187,8 +190,9 @@ def test_lattice_pivots_match_echelon_pivots():
     rng = random.Random(12)
     lattices = [Lattice.from_matrix(m) for m in _shapes_and_matrices(rng)]
     lattices += [kernel(m) for m in _kernel_inputs(random.Random(44))]
-    lattices += [lattice_cut(lat, _random_conditions(rng, lat.ambient_dim))
-                 for lat in lattices[:150]]
+    cut = [condition_kernel(lat.ambient_dim, _random_conditions(rng, lat.ambient_dim))
+           for lat in lattices[:150]]
+    lattices += cut + [lattice_intersect(a, b) for a, b in zip(lattices[:150], cut)]
     lattices += [Lattice.zero(n) for n in range(4)] + [full_lattice(n) for n in range(4)]
     for lat in lattices:
         check_sparse_form(lat)
@@ -211,11 +215,7 @@ def test_lattice_pivots_match_echelon_pivots():
     lambda: IntMatrix(1, 1, [2.0]),
     lambda: IntMatrix(1, 1, ["1"]),
     lambda: from_rows([[1, 2], [3, 4.5]]),
-    lambda: IntMatrix.from_cols([[1, False]]),
-    lambda: IntMatrix.from_cols([[1, 2]], nrows=3),
-    lambda: IntMatrix.from_cols([[1, 2], [3]]),
-    lambda: IntMatrix.from_cols([[1, 2], [3, 4, 5]]),
-    lambda: IntMatrix.from_cols([[1], [2, 3]], nrows=1),
+    lambda: from_cols([[1, False]]),
     lambda: IntMatrix(-1, -1, [1]),
     lambda: zeros(-1, 2),
     lambda: identity(-1),
@@ -273,8 +273,8 @@ def c6c6_pic_matrix():
     diagonal form has 2, 3 and 6 among unit entries; its SNF ends 6, 6."""
     tp = build_product(cycle_graph(6), cycle_graph(6))
     cart, prin = cart_lattice(tp), prin_lattice(tp)
-    return IntMatrix.from_cols([lattice_member(cart, prin.basis.col(j))[1]
-                                for j in range(prin.rank)], nrows=cart.rank)
+    return from_cols([lattice_member(cart, prin.basis.col(j))[1]
+                      for j in range(prin.rank)], nrows=cart.rank)
 
 
 def _snf_inputs(rng, n_dense, c6c6_pic_matrix):
@@ -632,22 +632,22 @@ def test_c6c6_pic_and_cl_build_no_dense_balancing_matrix(monkeypatch):
 
 
 def test_member_trivial_examples():
-    lat = Lattice.from_generators(2, [(1, 1), (1, -1)])
+    lat = from_generators(2, [(1, 1), (1, -1)])
     ok, w = lattice_member(lat, (2, 0))
     assert ok
     assert lat.basis.mul_vec(w) == (2, 0)
 
-    lat2 = Lattice.from_generators(2, [(2, 0)])
+    lat2 = from_generators(2, [(2, 0)])
     assert lattice_member(lat2, (1, 0)) == (False, None)
 
-    lat3 = Lattice.from_generators(2, [(2, 0), (0, 2)])
+    lat3 = from_generators(2, [(2, 0), (0, 2)])
     assert lattice_member(lat3, (2, 2))[0]
 
 
 @pytest.mark.parametrize("v", [("a", 0), (2.0, 3.0), (True, 0), (1, None)])
 def test_member_rejects_entries_that_are_not_ints(v):
     with pytest.raises(LatticeError, match="vector entries must be ints"):
-        lattice_member(Lattice.from_generators(2, [(2, 0), (0, 3)]), v)
+        lattice_member(from_generators(2, [(2, 0), (0, 3)]), v)
 
 
 def test_member_against_brute_force():
@@ -655,7 +655,7 @@ def test_member_against_brute_force():
     for _ in range(30):
         ncols = rng.randint(1, 3)
         gens = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(ncols)]
-        lat = Lattice.from_generators(4, gens)
+        lat = from_generators(4, gens)
         for _ in range(6):
             if rng.random() < 0.5:
                 coeffs = [rng.randint(-4, 4) for _ in range(ncols)]
@@ -681,7 +681,7 @@ def test_member_witness_on_built_and_direct_lattices():
     for _ in range(40):
         n = rng.randint(1, 3)
         gens = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
-        built = Lattice.from_generators(n, gens)
+        built = from_generators(n, gens)
         direct = Lattice(n, built.basis)
         for lat in (built, direct):
             for _ in range(6):
@@ -727,11 +727,11 @@ def _random_conditions(rng, n):
 def test_conditions_worked_examples():
     # The Smith form is diag(1, 6): one congruence, 3 v0 + 4 v1 = 0 mod 6,
     # which is v0 even and v1 a multiple of 3.
-    assert lattice_conditions(Lattice.from_generators(2, [(2, 0), (0, 3)])) == [
+    assert lattice_conditions(from_generators(2, [(2, 0), (0, 3)])) == [
         (((0, 3), (1, 4)), 6)]
     # (2, 1) is saturated though its HNF pivot is 2: the equation
     # v0 = 2 v1 alone, and no congruence mod 2.
-    assert lattice_conditions(Lattice.from_generators(2, [(2, 1)])) == [
+    assert lattice_conditions(from_generators(2, [(2, 1)])) == [
         (((0, 1), (1, -2)), 0)]
     assert lattice_conditions(full_lattice(3)) == []
     assert lattice_conditions(Lattice.zero(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
@@ -747,7 +747,7 @@ def test_conditions_match_membership():
     for _ in range(60):
         n = rng.randint(1, 3)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
-        lat = Lattice.from_generators(n, gens)
+        lat = from_generators(n, gens)
         saw_deficient |= lat.rank < n
         # the first nonzero entry of an echelon column is its pivot
         saw_big_pivot |= any(col[0][1] > 1 for col in lat.columns)
@@ -773,33 +773,34 @@ def test_condition_matrix_kernel_is_what_the_conditions_cut_out():
         conditions = _random_conditions(rng, n)
         m = condition_matrix(n, conditions)
         assert (m.rows, m.cols) == (len(conditions), n + sum(1 for _, q in conditions if q))
-        ker = kernel(m)
-        assert condition_kernel(n, conditions) == ker == dense_kernel(m)
-        cut = Lattice.from_generators(n, [ker.basis.col(j)[:n] for j in range(ker.rank)])
+        assert kernel(m) == dense_kernel(m)
+        cut = condition_kernel(n, conditions)
+        assert cut.ambient_dim == n and cut == dense_condition_kernel(n, conditions)
         for v in product(range(-4, 5), repeat=n):
             assert lattice_member(cut, v)[0] == dense_satisfies(conditions, v)
 
 
-def test_lattice_cut_against_membership():
-    """v lies in lattice_cut(lat, conditions) iff v lies in lat and meets
-    the conditions; a cut that removes nothing returns lat itself."""
+def test_lattice_cut_by_conditions_against_membership():
+    """v lies in lat intersected with the kernel of the conditions iff v
+    lies in lat and meets them, and that lattice is lat cut by the
+    conditions restricted to its basis."""
     rng = random.Random(61)
     uncut = smaller = 0
     for _ in range(80):
         n = rng.randint(1, 3)
         gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
-        lat = Lattice.from_generators(n, gens)
+        lat = from_generators(n, gens)
         conditions = _random_conditions(rng, n)
-        cut = lattice_cut(lat, conditions)
-        uncut += cut is lat
+        cut = lattice_intersect(lat, condition_kernel(n, conditions))
+        assert cut == cut_by_restriction(lat, conditions)
+        uncut += cut == lat
         smaller += cut != lat
         for v in product(range(-4, 5), repeat=n):
             assert lattice_member(cut, v)[0] == (lattice_member(lat, v)[0]
                                                  and dense_satisfies(conditions, v))
     assert uncut > 10 and smaller > 10
-    z2 = full_lattice(2)
-    assert lattice_cut(z2, [(((0, 2), (1, 4)), 2)]) is z2
-    assert lattice_cut(z2, [(((0, 1), (1, 1)), 2)]) == Lattice.from_generators(2, [(1, 1), (0, 2)])
+    assert condition_kernel(2, [(((0, 2), (1, 4)), 2)]) == full_lattice(2)
+    assert condition_kernel(2, [(((0, 1), (1, 1)), 2)]) == from_generators(2, [(1, 1), (0, 2)])
 
 
 @pytest.mark.parametrize("terms", [((-1, 1),), ((2, 1),), ((0, 1), (5, 1))])
@@ -809,7 +810,7 @@ def test_condition_indices_outside_the_width_are_refused(terms):
     with pytest.raises(LatticeError, match=message):
         condition_matrix(2, conditions)
     with pytest.raises(LatticeError, match=message):
-        lattice_cut(full_lattice(2), conditions)
+        condition_kernel(2, conditions)
     with pytest.raises(LatticeError, match=message):
         satisfies(conditions, (0, 5))
 
@@ -839,7 +840,7 @@ def test_condition_that_is_not_pairs_of_pairs_is_refused(conditions, bad):
     with pytest.raises(LatticeError, match=f"^{bad} is not a \\(terms, modulus\\) pair"):
         condition_matrix(2, conditions)
     with pytest.raises(LatticeError, match=f"^{bad} is not"):
-        lattice_cut(full_lattice(2), conditions)
+        condition_kernel(2, conditions)
 
 
 def test_conditions_that_are_not_a_sequence_are_refused():
@@ -889,11 +890,10 @@ def test_repeated_condition_indices_add_up():
     """(((0, 1), (0, 1)), 2) reads 2 x = 0 mod 2, which every x meets."""
     conditions = [(((0, 1), (0, 1)), 2)]
     assert condition_matrix(1, conditions) == IntMatrix(1, 2, [2, 2])
-    assert kernel(condition_matrix(1, conditions)).rank == 2 - 1
-    assert condition_kernel(1, conditions) == kernel(condition_matrix(1, conditions)) \
-        == Lattice.from_generators(2, [(1, -1)])
+    assert kernel(condition_matrix(1, conditions)) == from_generators(2, [(1, -1)])
+    assert condition_kernel(1, conditions) == dense_condition_kernel(1, conditions) \
+        == full_lattice(1)
     assert satisfies(conditions, (1,)) and dense_satisfies(conditions, (1,))
-    assert lattice_cut(full_lattice(1), conditions) == full_lattice(1)
 
 
 def test_condition_matrix_builds_its_matrix_unchecked(monkeypatch):
@@ -911,10 +911,10 @@ def test_condition_matrix_builds_its_matrix_unchecked(monkeypatch):
 
 
 def test_intersect_scaled_lattices():
-    a = Lattice.from_generators(2, [(2, 0), (0, 2)])
-    b = Lattice.from_generators(2, [(3, 0), (0, 3)])
+    a = from_generators(2, [(2, 0), (0, 2)])
+    b = from_generators(2, [(3, 0), (0, 3)])
     c = lattice_intersect(a, b)
-    assert c == Lattice.from_generators(2, [(6, 0), (0, 6)])
+    assert c == from_generators(2, [(6, 0), (0, 6)])
 
 
 def test_intersect_with_full_lattice_is_identity():
@@ -927,8 +927,8 @@ def test_intersect_with_full_lattice_is_identity():
 
 
 def test_intersect_orthogonal_lines_is_zero():
-    a = Lattice.from_generators(2, [(1, 0)])
-    b = Lattice.from_generators(2, [(0, 1)])
+    a = from_generators(2, [(1, 0)])
+    b = from_generators(2, [(0, 1)])
     assert lattice_intersect(a, b).rank == 0
 
 
@@ -949,14 +949,14 @@ def test_intersect_is_greatest_lower_bound():
 def test_lattice_contains_refuses_other_ambient_dimensions():
     plane = Lattice.from_matrix(identity(2))
     for small, big in ((Lattice.zero(3), plane), (plane, Lattice.zero(3)),
-                       (Lattice.from_generators(3, [(1, 0, 0)]), plane)):
+                       (from_generators(3, [(1, 0, 0)]), plane)):
         with pytest.raises(LatticeError, match="ambient dimension mismatch"):
             lattice_contains(big, small)
     assert lattice_contains(plane, Lattice.zero(2))
     assert not lattice_contains(Lattice.zero(2), plane)
-    line = Lattice.from_generators(2, [(2, 4)])
-    assert lattice_contains(line, Lattice.from_generators(2, [(4, 8)]))
-    assert not lattice_contains(line, Lattice.from_generators(2, [(1, 2)]))
+    line = from_generators(2, [(2, 4)])
+    assert lattice_contains(line, from_generators(2, [(4, 8)]))
+    assert not lattice_contains(line, from_generators(2, [(1, 2)]))
 
 
 def test_lattice_contains_reads_no_dense_basis():
@@ -965,7 +965,7 @@ def test_lattice_contains_reads_no_dense_basis():
         a = Lattice.from_matrix(random_matrix(rng, 4, rng.randint(0, 4)))
         b = Lattice.from_matrix(random_matrix(rng, 4, rng.randint(0, 4)))
         expected = all(lattice_member(a, b.basis.col(j))[0] for j in range(b.rank))
-        fresh = Lattice.from_generators(4, [b.basis.col(j) for j in range(b.rank)])
+        fresh = from_generators(4, [b.basis.col(j) for j in range(b.rank)])
         assert lattice_contains(a, fresh) == expected
         assert "basis" not in fresh.__dict__
 
@@ -975,19 +975,19 @@ def test_lattice_contains_reads_no_dense_basis():
 
 def test_quotient_z2_mod_2z2():
     big = full_lattice(2)
-    small = Lattice.from_generators(2, [(2, 0), (0, 2)])
+    small = from_generators(2, [(2, 0), (0, 2)])
     q = quotient(big, small.columns)
     assert q == AbGroup(0, (2, 2))
 
 
 def test_quotient_self_is_trivial():
-    lat = Lattice.from_generators(3, [(1, 2, 3), (0, 1, 1)])
+    lat = from_generators(3, [(1, 2, 3), (0, 1, 1)])
     assert quotient(lat, lat.columns) == AbGroup(0, ())
 
 
 def test_quotient_rejects_non_sublattice():
-    big = Lattice.from_generators(2, [(2, 0)])
-    small = Lattice.from_generators(2, [(1, 0)])
+    big = from_generators(2, [(2, 0)])
+    small = from_generators(2, [(1, 0)])
     with pytest.raises(LatticeError):
         quotient(big, small.columns)
 
@@ -1000,7 +1000,7 @@ def test_quotient_rank_additivity():
             continue
         mult = random_matrix(rng, big.rank, rng.randint(0, big.rank), -3, 3)
         small_gens = [big.basis.mul_vec(mult.col(j)) for j in range(mult.cols)]
-        small = Lattice.from_generators(4, small_gens)
+        small = from_generators(4, small_gens)
         q = quotient(big, small.columns)
         assert q.free_rank + small.rank == big.rank
 
@@ -1066,6 +1066,13 @@ def test_transpose_refuses_an_index_outside_the_range(index):
         transpose([[(1, 7)], [(index, 1)]], 2)
 
 
+@pytest.mark.parametrize("lines", [[], [[(0, 1)]]])
+@pytest.mark.parametrize("n", [-1, "a", 2.0, True, None])
+def test_transpose_needs_a_count_that_is_an_int_at_least_0(lines, n):
+    with pytest.raises(LatticeError, match=f"^n must be an int >= 0, got {n!r}$"):
+        transpose(lines, n)
+
+
 @pytest.mark.parametrize("lines, line", [
     ([[(1.5, 1)]], 0),
     ([[(0, 1)], [("a", 1)]], 1),
@@ -1096,21 +1103,23 @@ _TYPED_CALLS = {
     "lattice_contains small": lambda x: lattice_contains(full_lattice(1), x),
     "lattice_intersect a": lambda x: lattice_intersect(x, full_lattice(1)),
     "lattice_intersect b": lambda x: lattice_intersect(full_lattice(1), x),
-    "lattice_cut": lambda x: lattice_cut(x, []),
     "quotient": lambda x: quotient(x, []),
     "hnf": hnf,
     "snf": snf,
     "kernel": kernel,
     "Lattice.from_matrix": Lattice.from_matrix,
+    "AbGroup.direct_sum": AbGroup.direct_sum,
 }
 
 
 @pytest.mark.parametrize("call", sorted(_TYPED_CALLS))
 @pytest.mark.parametrize("value", [None, [[1, 0], [0, 1]]])
 def test_an_argument_of_the_wrong_type_raises_lattice_error(call, value):
-    """A non-Lattice where a Lattice is due, and a non-IntMatrix where an
-    IntMatrix is due, each raise LatticeError naming the expected type."""
-    expected = "IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix") else "Lattice"
+    """A non-Lattice where a Lattice is due, a non-IntMatrix where an
+    IntMatrix is due and a non-AbGroup where an AbGroup is due each raise
+    LatticeError naming the expected type."""
+    expected = ("IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix")
+                else "AbGroup" if call == "AbGroup.direct_sum" else "Lattice")
     with pytest.raises(LatticeError, match=f"^expected a {expected}, got {type(value).__name__}$"):
         _TYPED_CALLS[call](value)
 
@@ -1138,10 +1147,12 @@ def test_built_lattices_skip_the_basis_check(monkeypatch):
     real = Lattice.__init__
     monkeypatch.setattr(Lattice, "__init__",
                         lambda self, *args: checked.append(args) or real(self, *args))
-    built = [Lattice.from_matrix(from_rows([[2, 1], [0, 3]])), Lattice.from_generators(2, [(1, 1)]),
+    built = [Lattice.from_matrix(from_rows([[2, 1], [0, 3]])), from_generators(2, [(1, 1)]),
              Lattice.zero(3), kernel(from_rows([[1, 1, 2], [0, 2, 4]])),
-             lattice_cut(Lattice.zero(2), [(((0, 1),), 2)]),
-             lattice_cut(Lattice.from_matrix(identity(2)), [(((0, 1), (1, 1)), 2)])]
+             condition_kernel(2, [(((0, 1),), 2)]),
+             lattice_intersect(Lattice.zero(2), Lattice.from_matrix(identity(2))),
+             lattice_intersect(Lattice.from_matrix(identity(2)),
+                               condition_kernel(2, [(((0, 1), (1, 1)), 2)]))]
     assert checked == []
     assert Lattice(2, identity(2)) == full_lattice(2)
     assert len(checked) == 2

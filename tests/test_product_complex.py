@@ -65,6 +65,18 @@ def test_rejects_edgeless_factor():
         build_product(single, path_graph(1))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((None, cycle_graph(3)), "factor G must be a Multigraph, got NoneType"),
+    ((cycle_graph(3), "C3"), "factor H must be a Multigraph, got str"),
+    ((cycle_graph(3), cycle_graph(3), "x"), "policy must be a DiagonalPolicy, got str"),
+    ((cycle_graph(3), cycle_graph(3), {}), "policy must be a DiagonalPolicy, got dict"),
+    ((cycle_graph(3), cycle_graph(3), False), "policy must be a DiagonalPolicy, got bool"),
+])
+def test_rejects_factors_and_policies_of_the_wrong_type(args, message):
+    with pytest.raises(ComplexError, match=f"^{message}$"):
+        build_product(*args)
+
+
 def test_diagonal_block_is_contiguous_tail(mixed_products):
     for tp in mixed_products:
         kinds = [e.kind for e in tp.edges]

@@ -22,8 +22,10 @@ independent oracle on every product, and tors Cl against Jac(G) +
 Jac(H) from the factors' critical groups.  Sparse matrices up to 6 x 8,
 with zero rows and columns, pivots -1 and 1 and pivots that are not units,
 and condition systems with moduli and repeated term indices check that
-``kernel`` and ``condition_kernel`` give, byte for byte, the kernel of
-a dense row echelon.
+``kernel`` gives, byte for byte, the kernel of a dense row echelon, and
+``condition_kernel`` that kernel with its slack coordinates cut off.
+Cart is checked against QCart cut by the congruences restricted to its
+basis, the route that Cart took before it was the congruences' kernel.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     cartier_conditions_per_vertex,
     congruence_kernel_cart,
+    cut_by_restriction,
+    dense_condition_kernel,
     dense_kernel,
     locally_saturated_per_star,
     matmul,
@@ -61,7 +65,6 @@ from tropic_pic.exact_lattice import (
     invariant_factors,
     kernel,
     lattice_contains,
-    lattice_cut,
     lattice_member,
     satisfies,
     snf,
@@ -161,7 +164,7 @@ def test_principal_divisors_are_balanced(tp):
 @SETTINGS
 @given(products())
 def test_cart_is_qcart_cut_by_the_congruences(tp):
-    assert cart_lattice(tp) == lattice_cut(qcart_lattice(tp), _cartier_conditions(tp))
+    assert cart_lattice(tp) == cut_by_restriction(qcart_lattice(tp), _cartier_conditions(tp))
 
 
 @SETTINGS
@@ -175,7 +178,7 @@ def test_local_test_equals_the_per_star_oracle(tp):
 def test_simple_factors_are_locally_saturated(tp):
     assert _locally_saturated(tp)
     qcart = qcart_lattice(tp)
-    assert cart_lattice(tp) is qcart == lattice_cut(qcart, _cartier_conditions(tp))
+    assert cart_lattice(tp) is qcart == cut_by_restriction(qcart, _cartier_conditions(tp))
 
 
 @SETTINGS
@@ -262,7 +265,9 @@ def condition_systems(draw):
 def test_condition_kernel_is_the_kernel_of_the_condition_matrix(system):
     width, conditions = system
     m = condition_matrix(width, conditions)
-    assert condition_kernel(width, conditions) == kernel(m) == dense_kernel(m)
+    assert kernel(m) == dense_kernel(m)
+    cut = condition_kernel(width, conditions)
+    assert cut.ambient_dim == width and cut == dense_condition_kernel(width, conditions)
 
 
 @SETTINGS
