@@ -21,9 +21,10 @@ principal): at every vertex v the restriction of d to the edges at v
 lies in L_v, the integer span of the local matrix M_v (P's rows there),
 whose Smith form gives ``lattice_conditions``' minimal congruences once
 per distinct star.  Q-Cartier (locally balanced): d meets the balancing
-equations (``_balancing_conditions``), which cut out Q_v at v; QCart is
-their kernel, taken on their sparse rows by ``condition_kernel``.
-Principal divisors are balanced, so L_v lies in Q_v.
+equations (``_balancing_conditions``), which cut out Q_v at v and are
+read off v's star alone, as each edge id names the factor edges under
+it; QCart is their kernel, taken on their sparse rows by
+``condition_kernel``.  Principal divisors are balanced, so L_v lies in Q_v.
 
 Cart = QCart as soon as L_v = Q_v at every vertex, which one Smith
 form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
@@ -227,29 +228,33 @@ def cart_lattice(tp: TriangulatedProduct) -> Lattice:
 
 @_per_product
 def _balancing_conditions(tp: TriangulatedProduct) -> tuple:
-    """The balancing equations as ``(terms, 0)`` conditions.
+    """The balancing equations as ``(terms, 0)`` conditions, read off
+    each vertex's star in one pass.
 
     At v = (a, b) the edges at v projecting to a G-edge at a are one
     horizontal edge and the diagonals at v over that G-edge, and the
     sums of d over these sets must agree for all G-edges at a; likewise
-    on the H side.  Per vertex: the G block, then the H block, each the
-    sum at the first incident factor edge minus the sum at each later
-    one, so deg_G(a) + deg_H(b) - 2 conditions per vertex.
+    on the H side.  An edge id names the factor edges it lies over:
+    ``("h", ge, b)`` lies over ge, ``("v", a, he)`` over he and
+    ``("d", ge, he)`` over both.  The star is in the global edge order,
+    so each set starts at its horizontal or vertical edge, those in
+    their factor's edge order.  Per vertex: the G block, then the H
+    block, each the sum at the first factor edge minus the sum at each
+    later one, so deg_G(a) + deg_H(b) - 2 conditions per vertex.
     """
-    out = []
+    edge, out = tp._eindex, []
     for v in tp.vertices:
-        a, b = v
         over_g, over_h = {}, {}
-        for did in tp.diagonals_at(v):
-            _, ge, he = did
-            i = tp.edge_index(did)
-            over_g.setdefault(ge, []).append(i)
-            over_h.setdefault(he, []).append(i)
-        blocks = (
-            [[tp.edge_index(("h", ge, b)), *over_g.get(ge, ())] for ge in tp.g.incident_edges(a)],
-            [[tp.edge_index(("v", a, he)), *over_h.get(he, ())] for he in tp.h.incident_edges(b)],
-        )
-        for anchor, *others in blocks:
+        for eid in tp._star[v]:
+            kind, x, y = eid
+            if kind == "h":
+                over_g[x] = [edge[eid]]
+            elif kind == "v":
+                over_h[y] = [edge[eid]]
+            else:
+                over_g[x].append(edge[eid])
+                over_h[y].append(edge[eid])
+        for anchor, *others in (over_g.values(), over_h.values()):
             for other in others:
                 out.append((tuple([(i, 1) for i in anchor] + [(i, -1) for i in other]), 0))
     return tuple(out)

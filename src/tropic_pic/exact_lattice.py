@@ -390,12 +390,6 @@ class Lattice:
         pivots = _echelon(cols, m.rows)
         return cls._trusted(m.rows, tuple(tuple(_nonzeros(c, p)) for c, p in zip(cols, pivots)))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Lattice":
-        if type(ambient_dim) is not int or ambient_dim < 0:
-            raise LatticeError(f"ambient dimension must be an int >= 0, got {ambient_dim!r}")
-        return cls._trusted(ambient_dim, ())
-
     @property
     def rank(self) -> int:
         return len(self.columns)
@@ -575,8 +569,9 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
 def transpose(lines: Sequence, n: int) -> list:
     """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j.
     An n that is not an int >= 0 raises LatticeError, as does an index i
-    outside [0, n), one that is not an int, or a term that is not a pair,
-    naming its line."""
+    outside [0, n), a term that is not a pair, or an index or value that
+    is not an int (a bool is not), naming its line.  The types are
+    tested term by term in the one pass that moves the terms."""
     if type(n) is not int or n < 0:
         raise LatticeError(f"n must be an int >= 0, got {n!r}")
     out = [[] for _ in range(n)]
@@ -584,13 +579,15 @@ def transpose(lines: Sequence, n: int) -> list:
     try:
         for j, line in enumerate(lines):
             for i, c in line:
+                if type(i) is not int or type(c) is not int:  # True would be row 1
+                    raise TypeError
                 if i < 0:  # out[i] raises it for an i past the end of out
                     raise IndexError
                 out[i].append((j, c))
     except IndexError:
         raise LatticeError(f"line {j}: index {i!r} is outside [0, {n})") from None
-    except (TypeError, ValueError):  # out[1.5], "a" < 0, a term of three
-        raise LatticeError(f"line {j} is no sequence of (int index, value) pairs: "
+    except (TypeError, ValueError):  # a bool, float or str term, a term of three
+        raise LatticeError(f"line {j} is no sequence of (int index, int value) pairs: "
                            f"{line!r}") from None
     return out
 

@@ -28,6 +28,12 @@ stars.  Each of its two triangles has sides s1 = p-c and s2 = c-q at
 the corner c off the diagonal: the rows of s1 and s2 lose 1 at c, the
 row of s1 gains 1 at q, that of s2 at p and the diagonal's at c.
 
+So the weight axiom holds by construction and is not checked at run
+time: each triangle adds 1 to the alpha of its sides at c, and a
+diagonal, in exactly two triangles, has alpha 1 at both ends.  The four
+corners of a square are distinct, as the factors have no loops, so no
++1 lands on an endpoint of its row.
+
 Orderings are deterministic: vertices lexicographic in (G-order,
 H-order); edges in blocks horizontal / vertical / diagonal, each block
 lexicographic, so the diagonal block is contiguous at the end.
@@ -35,7 +41,6 @@ lexicographic, so the diagonal block is contiguous at the end.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -137,7 +142,9 @@ class TriangulatedProduct:
     """Immutable 2-dimensional Delta-complex over G x H with alpha weights.
 
     ``principal_rows``, read-only, has per edge P's row as ``(vertex
-    index, value)`` pairs sorted by index, endpoints kept at alpha 0.
+    index, value)`` pairs sorted by index, endpoints kept at alpha 0:
+    alpha lives there alone, alpha(r, v) being minus row r's entry at an
+    endpoint v, and holds the weight axiom by construction.
     ``_memo`` holds values derived from the complex (the divisor lattices
     of ``divisor_theory``), so they live exactly as long as the product.
     """
@@ -212,15 +219,6 @@ class TriangulatedProduct:
         self.n_diagonal = g.n_edges * h.n_edges
         self._star = {v: tuple(s) for v, s in star.items()}
 
-        self._validate_weights()
-
-    def _validate_weights(self):
-        n_triangles = Counter(eid for tri in self.triangles for eid in tri.edge_ids)
-        for e, row in zip(self.edges, self.principal_rows):
-            total = -sum(c for j, c in row if j in (self._vindex[e.u], self._vindex[e.w]))
-            if total != n_triangles[e.eid]:
-                raise ComplexError(f"weight axiom fails on {e.eid}: {total} != deg")
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -243,10 +241,6 @@ class TriangulatedProduct:
         except (KeyError, TypeError):  # an unhashable id is no edge
             raise ComplexError(f"unknown edge {eid!r}") from None
 
-    def endpoints(self, eid) -> tuple:
-        e = self.edges[self.edge_index(eid)]
-        return e.u, e.w
-
     def diagonals_at(self, v) -> tuple:
         """Diagonal ids at v = (a, b): the tail of v's star, after its
         deg_G(a) horizontal and deg_H(b) vertical edges."""
@@ -262,12 +256,6 @@ def build_product(g: Multigraph, h: Multigraph,
                   policy: Optional[DiagonalPolicy] = None) -> TriangulatedProduct:
     """Triangulate G x H under the given diagonal policy (default standard)."""
     return TriangulatedProduct(g, h, DiagonalPolicy.standard() if policy is None else policy)
-
-
-def alpha(tp: TriangulatedProduct, eid, v) -> int:
-    """Weight alpha(edge, vertex); 0 when v is not an endpoint."""
-    i, j = tp.edge_index(eid), tp.vertex_index(v)
-    return -dict(tp.principal_rows[i])[j] if v in tp.endpoints(eid) else 0
 
 
 def graph_star(tp: TriangulatedProduct, v) -> tuple:

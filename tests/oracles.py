@@ -1,18 +1,19 @@
 """Reference code that only the tests use: matrices from rows or
 columns, a lattice from generators, the sparse rows and columns of a
-matrix, the zero and identity matrices and the full lattice,
+matrix, the zero and identity matrices, the zero and full lattices,
 submatrices, matrix product, Bareiss determinant and rank, the pivot
 rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random
-trees and diagonal policies, a product's weights by a scan of its
-triangles, P's sparse rows and the dense principal matrix written from
-that scan, the local matrices cut from it, the closed-form local rank
-of a triangulated product, the Cartier congruences with one local lattice
-per vertex, the local saturation test with one invariant factor test
-per distinct star, the lattice that conditions cut out as a dense kernel
-with its slack columns cut off (Cart is the one of every congruence),
-a lattice cut by conditions restricted to its basis, a divisor's JSON
-by ``json.dumps``, and the kernel by a dense row echelon of the whole
-matrix."""
+trees and diagonal policies, a product edge's endpoints, a product's
+weights by a scan of its triangles, P's sparse rows and the dense
+principal matrix written from that scan, the local matrices cut from
+it, the closed-form local rank of a triangulated product, the Cartier
+congruences with one local lattice per vertex, the local saturation
+test with one invariant factor test per distinct star, the balancing
+equations grouped through the factor graphs, the lattice that
+conditions cut out as a dense kernel with its slack columns cut off
+(Cart is the one of every congruence), a lattice cut by conditions
+restricted to its basis, a divisor's JSON by ``json.dumps``, and the
+kernel by a dense row echelon of the whole matrix."""
 
 import heapq
 import json
@@ -88,6 +89,11 @@ def identity(n: int) -> IntMatrix:
 def full_lattice(n: int) -> Lattice:
     """Z^n, with the identity as its basis."""
     return Lattice(n, identity(n))
+
+
+def zero_lattice(n: int) -> Lattice:
+    """The zero lattice in Z^n, spanned by no column."""
+    return Lattice.from_matrix(zeros(n, 0))
 
 
 def submatrix(m: IntMatrix, rows, cols) -> IntMatrix:
@@ -263,12 +269,18 @@ def dense_principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
     return IntMatrix(ne, nv, flat)
 
 
+def ends(tp: TriangulatedProduct, eid) -> tuple:
+    """The endpoints (u, w) of the product edge eid."""
+    e = tp.edges[tp.edge_index(eid)]
+    return e.u, e.w
+
+
 def submatrix_local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     """The local matrix at v cut from ``dense_principal_matrix``: the rows
     of the edges at v, the columns of the endpoints of those edges."""
     star = graph_star(tp, v)
     rows = [tp.edge_index(eid) for eid in star]
-    closed_star = {u for eid in star for u in tp.endpoints(eid)}
+    closed_star = {u for eid in star for u in ends(tp, eid)}
     return submatrix(dense_principal_matrix(tp), rows, sorted(map(tp.vertex_index, closed_star)))
 
 
@@ -286,7 +298,7 @@ def local_rank_expected(tp: TriangulatedProduct, v) -> int:
     with the differences e_d - e_d' of diagonals d, d' at v sharing a
     far endpoint.
     """
-    far = {u for did in tp.diagonals_at(v) for u in tp.endpoints(did)} - {v}
+    far = {u for did in tp.diagonals_at(v) for u in ends(tp, did)} - {v}
     return len(far) + 2
 
 
@@ -373,6 +385,32 @@ def locally_saturated_per_star(tp: TriangulatedProduct) -> bool:
                 return False
             passed.add(key)
     return True
+
+
+def balancing_conditions_by_factor_edges(tp: TriangulatedProduct) -> tuple:
+    """The balancing equations in the format and order of
+    ``_balancing_conditions``, grouped through the factor graphs: at
+    v = (a, b), per G-edge ge at a (in ``incident_edges`` order) the
+    horizontal edge ("h", ge, b) and the diagonals at v over ge, then
+    likewise per H-edge at b; the first group's sum in each block minus
+    each later group's sum must vanish."""
+    out = []
+    for v in tp.vertices:
+        a, b = v
+        over_g, over_h = {}, {}
+        for did in tp.diagonals_at(v):
+            _, ge, he = did
+            i = tp.edge_index(did)
+            over_g.setdefault(ge, []).append(i)
+            over_h.setdefault(he, []).append(i)
+        blocks = (
+            [[tp.edge_index(("h", ge, b)), *over_g.get(ge, ())] for ge in tp.g.incident_edges(a)],
+            [[tp.edge_index(("v", a, he)), *over_h.get(he, ())] for he in tp.h.incident_edges(b)],
+        )
+        for anchor, *others in blocks:
+            for other in others:
+                out.append((tuple([(i, 1) for i in anchor] + [(i, -1) for i in other]), 0))
+    return tuple(out)
 
 
 def divisor_json_dumps(tp: TriangulatedProduct, d) -> str:

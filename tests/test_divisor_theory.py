@@ -10,10 +10,12 @@ import pytest
 from sympy import Matrix as SymMatrix
 
 from oracles import (
+    balancing_conditions_by_factor_edges,
     cartier_conditions_per_vertex,
     cut_by_restriction,
     dense_principal_matrix,
     divisor_json_dumps,
+    ends,
     from_generators,
     full_lattice,
     local_rank,
@@ -43,6 +45,7 @@ from tropic_pic.exact_lattice import (
     satisfies,
 )
 from tropic_pic.divisor_theory import (
+    _balancing_conditions,
     balancing_matrix,
     cart_lattice,
     cl,
@@ -199,7 +202,7 @@ def test_local_matrix_shape(p2p2, mixed_products):
         for v in tp.vertices:
             star = graph_star(tp, v)
             rows = [tp.edge_index(eid) for eid in star]
-            closed = sorted({tp.vertex_index(u) for eid in star for u in tp.endpoints(eid)})
+            closed = sorted({tp.vertex_index(u) for eid in star for u in ends(tp, eid)})
             m = local_matrix(tp, v)
             assert (m.rows, m.cols) == (len(star), len(closed))
             full = submatrix(p, rows, range(tp.n_vertices))
@@ -246,7 +249,7 @@ def test_local_rank_law(mixed_products):
             r = local_rank(tp, v)
             diagonals = tp.diagonals_at(v)
             n_diag = len(diagonals)
-            n_far = len({w for d in diagonals for w in tp.endpoints(d)} - {v})
+            n_far = len({w for d in diagonals for w in ends(tp, d)} - {v})
             star = len(graph_star(tp, v))
             if simple:
                 assert n_far == n_diag
@@ -313,6 +316,15 @@ def test_k2k2_balancing_is_empty(k2k2):
     for _ in range(5):
         d = [rng.randint(-4, 4) for _ in range(k2k2.n_edges)]
         assert is_q_cartier(k2k2, d)
+
+
+def test_balancing_conditions_equal_the_factor_edge_grouping(mixed_products):
+    # Read off each vertex's star, the equations are the ones grouped
+    # through the factor graphs: the same tuple, in the same order.
+    products = list(mixed_products) + [theta2_theta2(),
+                                       build_product(theta_graph(3), cycle_graph(6))]
+    for tp in products:
+        assert _balancing_conditions(tp) == balancing_conditions_by_factor_edges(tp)
 
 
 def test_balancing_row_count_formula(mixed_products):

@@ -6,6 +6,7 @@ forms as a cross-implementation check.
 """
 
 import random
+import re
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -29,6 +30,7 @@ from oracles import (
     rank,
     sparse_rows,
     submatrix,
+    zero_lattice,
     zeros,
 )
 from tropic_pic.exact_lattice import (
@@ -193,11 +195,11 @@ def test_lattice_pivots_match_echelon_pivots():
     cut = [condition_kernel(lat.ambient_dim, _random_conditions(rng, lat.ambient_dim))
            for lat in lattices[:150]]
     lattices += cut + [lattice_intersect(a, b) for a, b in zip(lattices[:150], cut)]
-    lattices += [Lattice.zero(n) for n in range(4)] + [full_lattice(n) for n in range(4)]
+    lattices += [zero_lattice(n) for n in range(4)] + [full_lattice(n) for n in range(4)]
     for lat in lattices:
         check_sparse_form(lat)
     assert [col[0][0] for col in full_lattice(3).columns] == [0, 1, 2]
-    assert [col[0][0] for col in Lattice.zero(3).columns] == []
+    assert [col[0][0] for col in zero_lattice(3).columns] == []
     # Equality and hash agree with equality of the dense bases.
     by_basis = {}
     for lat in lattices:
@@ -734,7 +736,7 @@ def test_conditions_worked_examples():
     assert lattice_conditions(from_generators(2, [(2, 1)])) == [
         (((0, 1), (1, -2)), 0)]
     assert lattice_conditions(full_lattice(3)) == []
-    assert lattice_conditions(Lattice.zero(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
+    assert lattice_conditions(zero_lattice(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
 
 
 def test_conditions_match_membership():
@@ -948,12 +950,12 @@ def test_intersect_is_greatest_lower_bound():
 
 def test_lattice_contains_refuses_other_ambient_dimensions():
     plane = Lattice.from_matrix(identity(2))
-    for small, big in ((Lattice.zero(3), plane), (plane, Lattice.zero(3)),
+    for small, big in ((zero_lattice(3), plane), (plane, zero_lattice(3)),
                        (from_generators(3, [(1, 0, 0)]), plane)):
         with pytest.raises(LatticeError, match="ambient dimension mismatch"):
             lattice_contains(big, small)
-    assert lattice_contains(plane, Lattice.zero(2))
-    assert not lattice_contains(Lattice.zero(2), plane)
+    assert lattice_contains(plane, zero_lattice(2))
+    assert not lattice_contains(zero_lattice(2), plane)
     line = from_generators(2, [(2, 4)])
     assert lattice_contains(line, from_generators(2, [(4, 8)]))
     assert not lattice_contains(line, from_generators(2, [(1, 2)]))
@@ -1049,14 +1051,8 @@ def test_empty_edge_cases():
         assert snf(zeros(rows, cols)) == (zeros(rows, cols), identity(rows))
     assert kernel(zeros(0, 3)).rank == 3
     assert kernel(zeros(3, 0)).rank == 0
-    assert Lattice.zero(4).rank == 0
-    assert quotient(full_lattice(2), Lattice.zero(2).columns) == AbGroup(2, ())
-
-
-@pytest.mark.parametrize("n", [-1, "a", 2.0, True, None])
-def test_zero_lattice_needs_a_dimension_that_is_an_int_at_least_0(n):
-    with pytest.raises(LatticeError, match="^ambient dimension must be an int >= 0"):
-        Lattice.zero(n)
+    assert zero_lattice(4).rank == 0
+    assert quotient(full_lattice(2), zero_lattice(2).columns) == AbGroup(2, ())
 
 
 @pytest.mark.parametrize("index", [-1, -2, 2, 5])
@@ -1080,8 +1076,22 @@ def test_transpose_needs_a_count_that_is_an_int_at_least_0(lines, n):
     ([[(0, 1)], None], 1),
 ])
 def test_transpose_refuses_an_index_that_is_not_an_int(lines, line):
-    with pytest.raises(LatticeError, match=rf"^line {line} is no sequence of \(int index, value\)"):
+    with pytest.raises(LatticeError, match=rf"^line {line} is no sequence of \(int index, int value\)"):
         transpose(lines, 2)
+
+
+@pytest.mark.parametrize("lines, n, line", [
+    ([[(0, "x")]], 1, 0),  # a value that is not an int
+    ([[(True, 2)]], 2, 0),  # a bool index, which would land in line 1
+    ([[(0, 1)], [(False, 1)]], 2, 1),
+    ([[(0, 1)], [(1, True)]], 2, 1),  # a bool value
+    ([[(0, 1)], [(1, 2.0)]], 2, 1),
+    ([[(0, 1)], [(1, None)]], 2, 1),
+])
+def test_transpose_refuses_bools_and_values_that_are_not_ints(lines, n, line):
+    message = rf"^line {line} is no sequence of \(int index, int value\) pairs: "
+    with pytest.raises(LatticeError, match=message + re.escape(repr(lines[line])) + "$"):
+        transpose(lines, n)
 
 
 @pytest.mark.parametrize("conditions, v", [
@@ -1148,9 +1158,9 @@ def test_built_lattices_skip_the_basis_check(monkeypatch):
     monkeypatch.setattr(Lattice, "__init__",
                         lambda self, *args: checked.append(args) or real(self, *args))
     built = [Lattice.from_matrix(from_rows([[2, 1], [0, 3]])), from_generators(2, [(1, 1)]),
-             Lattice.zero(3), kernel(from_rows([[1, 1, 2], [0, 2, 4]])),
+             zero_lattice(3), kernel(from_rows([[1, 1, 2], [0, 2, 4]])),
              condition_kernel(2, [(((0, 1),), 2)]),
-             lattice_intersect(Lattice.zero(2), Lattice.from_matrix(identity(2))),
+             lattice_intersect(zero_lattice(2), Lattice.from_matrix(identity(2))),
              lattice_intersect(Lattice.from_matrix(identity(2)),
                                condition_kernel(2, [(((0, 1), (1, 1)), 2)]))]
     assert checked == []

@@ -26,11 +26,18 @@ and condition systems with moduli and repeated term indices check that
 ``condition_kernel`` that kernel with its slack coordinates cut off.
 Cart is checked against QCart cut by the congruences restricted to its
 basis, the route that Cart took before it was the congruences' kernel.
+The balancing equations, read off each vertex's star, are checked
+against the ones grouped through the factor graphs, tuple for tuple,
+and the weight axiom, which ``build_product`` does not check, on
+random multigraph products.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    balancing_conditions_by_factor_edges,
     cartier_conditions_per_vertex,
     congruence_kernel_cart,
     cut_by_restriction,
@@ -45,6 +52,7 @@ from oracles import (
     zeros,
 )
 from tropic_pic.divisor_theory import (
+    _balancing_conditions,
     _cartier_conditions,
     _locally_saturated,
     balancing_matrix,
@@ -198,10 +206,23 @@ def test_cartier_conditions_equal_the_per_vertex_oracle(tp):
 
 
 @SETTINGS
+@given(products(simple_graphs) | products())
+def test_balancing_conditions_equal_the_factor_edge_grouping(tp):
+    assert _balancing_conditions(tp) == balancing_conditions_by_factor_edges(tp)
+
+
+@SETTINGS
 @given(multigraphs(), multigraphs(), st.integers(0, 2**16))
 def test_weights_equal_the_triangle_scan(g, h, seed):
     tp = build_product(g, h, random_policy(g, h, seed))
     assert tp.principal_rows == rows_from_weights(tp, *weights_by_triangle_scan(tp))
+    # The weight axiom, which build_product does not check: alpha(r, u) +
+    # alpha(r, w), the negated sum of P's row r at u and w, is the number
+    # of triangles on r.
+    on_edge = Counter(eid for tri in tp.triangles for eid in tri.edge_ids)
+    for e, row in zip(tp.edges, tp.principal_rows):
+        ends = {tp.vertex_index(e.u), tp.vertex_index(e.w)}
+        assert -sum(c for j, c in row if j in ends) == on_edge[e.eid]
 
 
 @st.composite
