@@ -13,18 +13,19 @@ and the principal divisors are the integer column span of P.  P's
 sparse rows, one per edge, are the product's ``principal_rows``, which
 ``build_product`` writes in its pass over the squares.  Pic and Cl read
 only these, their transpose and their rows at each star; the dense P
-and ``local_matrix`` are written out from them for the API.
+is written out from them for the API.
 
 Cartier and Q-Cartier divisors are cut out by per-vertex conditions in
 ``exact_lattice``'s ``(terms, modulus)`` format.  Cartier (locally
 principal): at every vertex v the restriction of d to the edges at v
 lies in L_v, the integer span of the local matrix M_v (P's rows there),
-whose Smith form gives ``lattice_conditions``' minimal congruences once
-per distinct star.  Q-Cartier (locally balanced): d meets the balancing
-equations (``_balancing_conditions``), which cut out Q_v at v and are
-read off v's star alone, as each edge id names the factor edges under
-it; QCart is their kernel, taken on their sparse rows by
-``condition_kernel``.  Principal divisors are balanced, so L_v lies in Q_v.
+cut out by minimal congruences that ``lattice_conditions`` reads off
+the Smith form of M_v itself, once per distinct star.  Q-Cartier (locally
+balanced): d meets the balancing equations (``_balancing_conditions``),
+which cut out Q_v at v and are read off v's star alone, as each edge id
+names the factor edges under it; QCart is their kernel, taken on their
+sparse rows by ``condition_kernel``.  Principal divisors are balanced,
+so L_v lies in Q_v.
 
 Cart = QCart as soon as L_v = Q_v at every vertex, which one Smith
 form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
@@ -61,8 +62,12 @@ from .product_complex import (
     ComplexError,
     TriangulatedProduct,
     edge_id_str,
-    graph_star,
 )
+
+
+def _check_product(tp) -> None:
+    if not isinstance(tp, TriangulatedProduct):
+        raise ComplexError(f"expected a TriangulatedProduct, got {type(tp).__name__}")
 
 
 def _check_vector(values: Sequence[int], n: int, what: str, entry: str, per: str) -> None:
@@ -78,11 +83,8 @@ def _check_vector(values: Sequence[int], n: int, what: str, entry: str, per: str
 
 
 def _check_divisor(tp: TriangulatedProduct, d: Sequence[int]) -> None:
+    _check_product(tp)
     _check_vector(d, tp.n_edges, "divisor", "coefficient", "edge")
-
-
-def _check_pl(tp: TriangulatedProduct, phi: Sequence[int]) -> None:
-    _check_vector(phi, tp.n_vertices, "PL function", "value", "vertex")
 
 
 def _per_product(fn):
@@ -91,6 +93,7 @@ def _per_product(fn):
 
     @functools.wraps(fn)
     def cached(tp):
+        _check_product(tp)
         memo = tp._memo
         if key not in memo:
             memo[key] = fn(tp)
@@ -113,8 +116,9 @@ def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
 
 def div(tp: TriangulatedProduct, phi: Sequence[int]) -> tuple:
     """Divisor of the PL function with vertex values phi."""
-    _check_pl(tp, phi)
-    return principal_matrix(tp).mul_vec(phi)
+    p = principal_matrix(tp)
+    _check_vector(phi, p.cols, "PL function", "value", "vertex")
+    return p.mul_vec(phi)
 
 
 @_per_product
@@ -131,23 +135,6 @@ def is_principal(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
 # Cartier and Q-Cartier: (terms, modulus) conditions over the edge order
 # ---------------------------------------------------------------------------
 
-def local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
-    """Rows of the principal matrix restricted to the edges at v.
-
-    Only the columns of the closed star of v are kept: v and the far
-    endpoints of its edges, in vertex order.  These are the vertices
-    that the rows of ``principal_rows`` at v name (the third vertex of
-    a triangle on an edge at v is next to v), and every other column is
-    zero on these rows, so the local lattice is the same as with all
-    |V| columns.
-    """
-    star_rows = [tp.principal_rows[i] for i in map(tp.edge_index, graph_star(tp, v))]
-    closed_star = sorted({j for row in star_rows for j, _ in row})
-    column = {j: k for k, j in enumerate(closed_star)}
-    return condition_matrix(len(closed_star),
-                            [(tuple((column[j], c) for j, c in row), 0) for row in star_rows])
-
-
 def _local_key(tp: TriangulatedProduct, v) -> tuple:
     """The rows of ``principal_rows`` at the edges at v, their columns
     renumbered by first appearance: the local matrix up to column order,
@@ -163,16 +150,17 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
 
     One ``(terms, modulus)`` per factor of M_v above 1 or missing rank,
     ``terms`` the nonzero ``(edge index, coefficient)`` pairs of its
-    row.  Equal local keys give equal congruences in local coordinates,
-    so each distinct one is solved once, on the local matrix of its
-    first vertex (9 for the 36 vertices of C6 x C6).
+    row.  Each distinct local key is solved once (9 for the 36 vertices
+    of C6 x C6), its rows written over len(key) + 1 columns: they name
+    v and the far endpoints of its edges, and a column left zero, where
+    two edges share a far endpoint, adds no congruence.
     """
     by_key = {}
     out = []
     for v in tp.vertices:
-        star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
         if (key := _local_key(tp, v)) not in by_key:
-            by_key[key] = lattice_conditions(Lattice.from_matrix(local_matrix(tp, v)))
+            by_key[key] = lattice_conditions(condition_matrix(len(key) + 1, [(r, 0) for r in key]))
+        star_idx = [tp._eindex[eid] for eid in tp._star[v]]
         out.extend((tuple((star_idx[i], c) for i, c in terms), modulus)
                    for terms, modulus in by_key[key])
     return tuple(out)

@@ -7,8 +7,8 @@ precision, so no overflow is possible at any magnitude.  All values
 are immutable and all functions are pure.  ``invariant_factors``,
 ``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
 ``(index, value)`` pairs (the terms of the condition format below),
-whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
-dense ``IntMatrix``.  Entries must be ints (``bool`` is refused),
+whose repeated indices add up; ``hnf``, ``snf``, ``kernel`` and
+``lattice_conditions`` take a dense ``IntMatrix``.  Entries must be ints (``bool`` is refused),
 checked once per call where they enter from outside; matrices this
 module builds itself skip the check.  A ``Lattice`` is kept as its
 canonical basis columns, each the ``(row, value)`` pairs of its nonzero
@@ -33,10 +33,10 @@ under a cost cap that doubles, running ``snf`` only on what is left
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
-``lattice_conditions`` writes it off a Smith form's S; ``satisfies`` and
-``condition_matrix`` read it, and ``condition_kernel`` returns the
-lattice in Z^width it cuts out, which is how ``kernel`` and
-``lattice_intersect`` build theirs.
+``lattice_conditions`` writes it off the Smith form's S of any matrix
+whose columns span the lattice; ``satisfies`` and ``condition_matrix``
+read it, and ``condition_kernel`` returns the lattice in Z^width it cuts
+out, which is how ``kernel`` and ``lattice_intersect`` build theirs.
 
 Conventions
 -----------
@@ -507,22 +507,22 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     return True, y
 
 
-def lattice_conditions(lat: Lattice) -> list:
-    """Congruences that cut out the lattice, as ``(terms, modulus)`` pairs
-    that ``satisfies`` reads: ``terms`` are the nonzero ``(index, c)``
-    entries of a row, and modulus 0 asks for an equation.
+def lattice_conditions(m: IntMatrix) -> list:
+    """Congruences that cut out the integer column span of m, any
+    generating matrix, as ``(terms, modulus)`` pairs that ``satisfies``
+    reads: ``terms`` are the nonzero ``(index, c)`` entries of a row,
+    and modulus 0 asks for an equation.
 
-    With d = s @ basis @ t the Smith form of the basis, of rank r, v lies
-    in the lattice iff (s v)_i is 0 mod d_i for i < r and 0 for i >= r:
-    a minimal set, one congruence per d_i > 1, its row reduced mod d_i,
-    and one equation per i >= r.  The rows of a unimodular s are
+    With d = s @ m @ t the Smith form of m, v lies in the span iff
+    (s v)_i is 0 mod d_i, and 0 where d_i is 0 or missing: a minimal
+    set, one congruence per d_i > 1, its row reduced mod d_i, and one
+    equation per zero or missing d_i.  The rows of a unimodular s are
     primitive, so no reduced row is zero or has a content to divide out.
     """
-    _check_type(Lattice, lat)
-    d, s = snf(lat.basis)
+    d, s = snf(m)
     out = []
-    for i in range(lat.ambient_dim):
-        modulus = d[i, i] if i < lat.rank else 0
+    for i in range(m.rows):
+        modulus = d[i, i] if i < m.cols else 0
         if modulus != 1:
             row = s.row(i) if not modulus else [x % modulus for x in s.row(i)]
             out.append((tuple((j, x) for j, x in enumerate(row) if x), modulus))
@@ -542,7 +542,8 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     _check_type(Lattice, a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
-    return condition_kernel(a.ambient_dim, lattice_conditions(a) + lattice_conditions(b))
+    return condition_kernel(a.ambient_dim,
+                            lattice_conditions(a.basis) + lattice_conditions(b.basis))
 
 
 def quotient(big: Lattice, gens: Sequence) -> "AbGroup":

@@ -62,10 +62,21 @@ class DiagonalPolicy:
 
     ``standard`` (no choices) joins the (min, min) corner to the
     (max, max) corner under the fixed vertex orders.  ``explicit``
-    carries a full map (g_edge_id, h_edge_id) -> flipped flag.
+    carries a full map (g_edge_id, h_edge_id) -> flipped flag; built
+    directly or not, its keys must be distinct and its flags bools.
     """
 
     choices: Optional[frozenset] = None  # frozenset of ((ge, he), flipped)
+
+    def __post_init__(self):
+        pairs = frozenset() if self.choices is None else self.choices
+        if not isinstance(pairs, frozenset):
+            raise ComplexError(f"policy choices must be a frozenset, got {type(pairs).__name__}")
+        for pair in pairs:
+            if not (type(pair) is tuple and len(pair) == 2 and type(pair[1]) is bool):
+                raise ComplexError(f"policy choice {pair!r} is not a (square key, bool) pair")
+        if len(dict(pairs)) < len(pairs):
+            raise ComplexError("policy choices give a square both flags")
 
     @classmethod
     def standard(cls) -> "DiagonalPolicy":
@@ -83,15 +94,10 @@ class DiagonalPolicy:
 
     def resolve(self, square_keys: Sequence[tuple]) -> dict:
         """Flip flag per square key, validating explicit choices."""
-        if self.choices is None:
-            return {k: False for k in square_keys}
-        table = dict(self.choices)
-        missing = [k for k in square_keys if k not in table]
-        known = set(square_keys)
-        extra = [k for k in table if k not in known]
-        if missing:
+        table = dict.fromkeys(square_keys, False) if self.choices is None else dict(self.choices)
+        if missing := [k for k in square_keys if k not in table]:
             raise ComplexError(f"explicit policy misses squares: {missing[:3]}...")
-        if extra:
+        if extra := list(table.keys() - set(square_keys)):
             raise ComplexError(f"explicit policy names unknown squares: {extra[:3]}...")
         return {k: table[k] for k in square_keys}
 
@@ -146,7 +152,8 @@ class TriangulatedProduct:
     alpha lives there alone, alpha(r, v) being minus row r's entry at an
     endpoint v, and holds the weight axiom by construction.
     ``_memo`` holds values derived from the complex (the divisor lattices
-    of ``divisor_theory``), so they live exactly as long as the product.
+    of ``divisor_theory``), so they live exactly as long as the product,
+    which refuses to set or delete an attribute once built.
     """
 
     __slots__ = ("g", "h", "policy", "vertices", "edges", "squares", "triangles",
@@ -163,7 +170,6 @@ class TriangulatedProduct:
         self.g = g
         self.h = h
         self.policy = policy
-        self._memo = {}
 
         self.vertices = tuple((a, b) for a in g.vertices for b in h.vertices)
         self._vindex = vi = {v: i for i, v in enumerate(self.vertices)}
@@ -218,6 +224,7 @@ class TriangulatedProduct:
         self.n_vertical = g.n_vertices * h.n_edges
         self.n_diagonal = g.n_edges * h.n_edges
         self._star = {v: tuple(s) for v, s in star.items()}
+        self._memo = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -241,11 +248,13 @@ class TriangulatedProduct:
         except (KeyError, TypeError):  # an unhashable id is no edge
             raise ComplexError(f"unknown edge {eid!r}") from None
 
-    def diagonals_at(self, v) -> tuple:
-        """Diagonal ids at v = (a, b): the tail of v's star, after its
-        deg_G(a) horizontal and deg_H(b) vertical edges."""
-        a, b = self.vertices[self.vertex_index(v)]
-        return self._star[v][self.g.degree(a) + self.h.degree(b):]
+    def __setattr__(self, name, value):
+        if hasattr(self, "_memo"):  # set last in __init__
+            raise ComplexError(f"a TriangulatedProduct is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise ComplexError(f"a TriangulatedProduct is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
         return (f"TriangulatedProduct({self.n_vertices} vertices, "

@@ -3,13 +3,14 @@ columns, a lattice from generators, the sparse rows and columns of a
 matrix, the zero and identity matrices, the zero and full lattices,
 submatrices, matrix product, Bareiss determinant and rank, the pivot
 rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random
-trees and diagonal policies, a product edge's endpoints, a product's
-weights by a scan of its triangles, P's sparse rows and the dense
-principal matrix written from that scan, the local matrices cut from
-it, the closed-form local rank of a triangulated product, the Cartier
-congruences with one local lattice per vertex, the local saturation
-test with one invariant factor test per distinct star, the balancing
-equations grouped through the factor graphs, the lattice that
+trees and diagonal policies, a product edge's endpoints, the diagonals
+at a vertex, a product's weights by a scan of its triangles, P's sparse
+rows and the dense principal matrix written from that scan, the local
+matrices cut from it and the local keys written out, the closed-form
+local rank of a triangulated product, the Cartier congruences with one
+local lattice per vertex, the local saturation test with one invariant
+factor test per distinct star, the balancing equations grouped through
+the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
 (Cart is the one of every congruence), a lattice cut by conditions
 restricted to its basis, a divisor's JSON by ``json.dumps``, and the
@@ -19,7 +20,7 @@ import heapq
 import json
 import random
 
-from tropic_pic.divisor_theory import _cartier_conditions, _local_key, local_matrix
+from tropic_pic.divisor_theory import _cartier_conditions, _local_key
 from tropic_pic.exact_lattice import (
     IntMatrix,
     Lattice,
@@ -275,6 +276,11 @@ def ends(tp: TriangulatedProduct, eid) -> tuple:
     return e.u, e.w
 
 
+def diagonals_at(tp: TriangulatedProduct, v) -> tuple:
+    """The diagonal ids at v, in the global edge order."""
+    return tuple(eid for eid in graph_star(tp, v) if eid[0] == "d")
+
+
 def submatrix_local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     """The local matrix at v cut from ``dense_principal_matrix``: the rows
     of the edges at v, the columns of the endpoints of those edges."""
@@ -282,6 +288,14 @@ def submatrix_local_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
     rows = [tp.edge_index(eid) for eid in star]
     closed_star = {u for eid in star for u in ends(tp, eid)}
     return submatrix(dense_principal_matrix(tp), rows, sorted(map(tp.vertex_index, closed_star)))
+
+
+def local_key_matrix(tp: TriangulatedProduct, v) -> IntMatrix:
+    """``_local_key`` at v written out: one row per edge at v, one column
+    per vertex of its closed star, in the key's order."""
+    key = _local_key(tp, v)
+    width = len({j for row in key for j, _ in row})
+    return from_rows([[dict(row).get(j, 0) for j in range(width)] for row in key])
 
 
 def local_rank_expected(tp: TriangulatedProduct, v) -> int:
@@ -298,12 +312,12 @@ def local_rank_expected(tp: TriangulatedProduct, v) -> int:
     with the differences e_d - e_d' of diagonals d, d' at v sharing a
     far endpoint.
     """
-    far = {u for did in tp.diagonals_at(v) for u in ends(tp, did)} - {v}
+    far = {u for did in diagonals_at(tp, v) for u in ends(tp, did)} - {v}
     return len(far) + 2
 
 
 def local_rank(tp: TriangulatedProduct, v) -> int:
-    return rank(local_matrix(tp, v))
+    return rank(submatrix_local_matrix(tp, v))
 
 
 def random_policy(g: Multigraph, h: Multigraph, seed: int) -> DiagonalPolicy:
@@ -363,11 +377,13 @@ def cut_by_restriction(lat: Lattice, conditions) -> Lattice:
 
 def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
     """Every vertex's local congruences lifted to the edge order, with one
-    local lattice and one ``lattice_conditions`` call per vertex."""
+    ``lattice_conditions`` call per vertex on the canonical basis of the
+    local lattice, that of ``submatrix_local_matrix``."""
     out = []
     for v in tp.vertices:
         star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
-        for terms, modulus in lattice_conditions(Lattice.from_matrix(local_matrix(tp, v))):
+        local = Lattice.from_matrix(submatrix_local_matrix(tp, v))
+        for terms, modulus in lattice_conditions(local.basis):
             out.append((tuple((star_idx[i], c) for i, c in terms), modulus))
     return tuple(out)
 
@@ -398,7 +414,7 @@ def balancing_conditions_by_factor_edges(tp: TriangulatedProduct) -> tuple:
     for v in tp.vertices:
         a, b = v
         over_g, over_h = {}, {}
-        for did in tp.diagonals_at(v):
+        for did in diagonals_at(tp, v):
             _, ge, he = did
             i = tp.edge_index(did)
             over_g.setdefault(ge, []).append(i)

@@ -14,10 +14,12 @@ from oracles import (
     cartier_conditions_per_vertex,
     cut_by_restriction,
     dense_principal_matrix,
+    diagonals_at,
     divisor_json_dumps,
     ends,
     from_generators,
     full_lattice,
+    local_key_matrix,
     local_rank,
     local_rank_expected,
     locally_saturated_per_star,
@@ -55,7 +57,6 @@ from tropic_pic.divisor_theory import (
     is_cartier,
     is_principal,
     is_q_cartier,
-    local_matrix,
     pic,
     prin_lattice,
     principal_matrix,
@@ -85,7 +86,7 @@ def intersection_chain_cart(tp):
     result = full_lattice(ne)
     for v in tp.vertices:
         star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
-        local = Lattice.from_matrix(local_matrix(tp, v))
+        local = Lattice.from_matrix(submatrix_local_matrix(tp, v))
         gens = []
         for j in range(local.rank):
             lifted = [0] * ne
@@ -101,7 +102,7 @@ def intersection_chain_cart(tp):
 def locally_principal(tp, d):
     """Per-vertex membership of the restriction of d in the local lattice."""
     for v in tp.vertices:
-        local = Lattice.from_matrix(local_matrix(tp, v))
+        local = Lattice.from_matrix(submatrix_local_matrix(tp, v))
         restricted = [d[tp.edge_index(eid)] for eid in graph_star(tp, v)]
         if not lattice_member(local, restricted)[0]:
             return False
@@ -192,18 +193,18 @@ def test_kernel_contains_all_ones(mixed_products):
 # -- local matrices ----------------------------------------------------------------
 
 
-def test_local_matrix_shape(p2p2, mixed_products):
+def test_local_keys_keep_the_closed_star_columns(p2p2, mixed_products):
     # Closed-star columns only: every dropped column of the full |V|-column
     # restriction is zero, so the local lattice does not change.
-    assert local_matrix(p2p2, (1, 1)).cols == 7  # (2, 0) and (0, 2) are off both diagonals
-    assert local_matrix(p2p2, (2, 0)).cols == 3
+    assert local_key_matrix(p2p2, (1, 1)).cols == 7  # (2, 0) and (0, 2) are off both diagonals
+    assert local_key_matrix(p2p2, (2, 0)).cols == 3
     for tp in mixed_products:
         p = principal_matrix(tp)
         for v in tp.vertices:
             star = graph_star(tp, v)
             rows = [tp.edge_index(eid) for eid in star]
             closed = sorted({tp.vertex_index(u) for eid in star for u in ends(tp, eid)})
-            m = local_matrix(tp, v)
+            m = local_key_matrix(tp, v)
             assert (m.rows, m.cols) == (len(star), len(closed))
             full = submatrix(p, rows, range(tp.n_vertices))
             for j in set(range(tp.n_vertices)) - set(closed):
@@ -211,7 +212,7 @@ def test_local_matrix_shape(p2p2, mixed_products):
             assert Lattice.from_matrix(m) == Lattice.from_matrix(full)
 
 
-def test_principal_and_local_matrices_equal_the_dense_construction(mixed_products):
+def test_principal_matrix_and_local_keys_equal_the_dense_construction(mixed_products):
     rng = random.Random(31)
     products = list(mixed_products) + [theta2_theta2()]
     for k in range(10):
@@ -220,21 +221,23 @@ def test_principal_and_local_matrices_equal_the_dense_construction(mixed_product
     for tp in products:
         assert principal_matrix(tp) == dense_principal_matrix(tp)
         for v in tp.vertices:
-            assert local_matrix(tp, v) == submatrix_local_matrix(tp, v)
+            # the same matrix up to column order
+            key_cols = sorted(local_key_matrix(tp, v).col_list())
+            assert key_cols == sorted(submatrix_local_matrix(tp, v).col_list())
 
 
-def test_principal_matrix_is_built_unchecked(monkeypatch):
+def test_principal_matrix_and_local_congruences_are_built_unchecked(monkeypatch):
     checked = []
     real = IntMatrix.__init__
     monkeypatch.setattr(IntMatrix, "__init__",
                         lambda self, *args: checked.append(args) or real(self, *args))
     tp = build_product(cycle_graph(4), theta_graph(2))
     p = principal_matrix(tp)
-    local = [local_matrix(tp, v) for v in tp.vertices]
+    conditions = divisor_theory._cartier_conditions(tp)
     assert checked == []
     monkeypatch.undo()
     assert p == dense_principal_matrix(tp)
-    assert local == [submatrix_local_matrix(tp, v) for v in tp.vertices]
+    assert conditions == cartier_conditions_per_vertex(tp)
 
 
 def test_local_rank_law(mixed_products):
@@ -247,7 +250,7 @@ def test_local_rank_law(mixed_products):
         for v in tp.vertices:
             a, b = v
             r = local_rank(tp, v)
-            diagonals = tp.diagonals_at(v)
+            diagonals = diagonals_at(tp, v)
             n_diag = len(diagonals)
             n_far = len({w for d in diagonals for w in ends(tp, d)} - {v})
             star = len(graph_star(tp, v))
@@ -266,10 +269,10 @@ def test_local_torsion_is_covered(mixed_products):
     torsion = []
     for tp in mixed_products:
         for v in tp.vertices:
-            m = local_matrix(tp, v)
+            m = submatrix_local_matrix(tp, v)
             factors = invariant_factors(sparse_rows(m))
             if any(f > 1 for f in factors):
-                moduli = [q for _, q in lattice_conditions(Lattice.from_matrix(m))]
+                moduli = [q for _, q in lattice_conditions(m)]
                 torsion.append((factors, 3 in moduli))
     assert ([1, 1, 3], True) in torsion
 
@@ -283,7 +286,7 @@ def test_c6c6_solves_nine_local_lattices(monkeypatch):
     solved = []
     real = divisor_theory.lattice_conditions
     monkeypatch.setattr(divisor_theory, "lattice_conditions",
-                        lambda lat: solved.append(lat) or real(lat))
+                        lambda m: solved.append(m) or real(m))
     tp = build_product(cycle_graph(6), cycle_graph(6))
     conditions = divisor_theory._cartier_conditions(tp)
     assert tp.n_vertices == 36 and len(solved) == 9
@@ -295,7 +298,7 @@ def test_c6c6_solves_nine_local_lattices(monkeypatch):
 
 def test_local_rank_two_without_diagonals(p2p2):
     v = (2, 0)  # corner off every standard diagonal
-    assert len(p2p2.diagonals_at(v)) == 0
+    assert len(diagonals_at(p2p2, v)) == 0
     assert local_rank(p2p2, v) == 2
 
 
@@ -501,13 +504,13 @@ def test_is_cartier_builds_the_congruences_only_where_needed(monkeypatch):
 def pic_and_cl_calls(monkeypatch, tp):
     """A fresh copy of tp, the number of calls of each of
     ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
-    ``condition_kernel``, ``local_matrix`` and ``invariant_factors`` (only
-    the local test calls it there) that pic and cl make on it together,
+    ``condition_kernel``, ``lattice_conditions`` and ``invariant_factors``
+    (only the local test calls it there) that pic and cl make on it together,
     and the rows passed to each ``invariant_factors`` call."""
     calls, local_rows = {}, []
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        for name in ("quotient", "_cartier_conditions", "condition_kernel", "local_matrix",
+        for name in ("quotient", "_cartier_conditions", "condition_kernel", "lattice_conditions",
                      "invariant_factors"):
             calls[name] = 0
             real = getattr(divisor_theory, name)
@@ -538,11 +541,11 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
         fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
         # One local invariant factor test per product, on the distinct
-        # stars' rows together, and no dense local matrix.
-        distinct = {local_matrix(fresh, v) for v in fresh.vertices}
+        # stars' rows together, and no congruence.
+        distinct = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
         stars.append(len(distinct))
         assert calls == {"quotient": 1, "_cartier_conditions": 0, "condition_kernel": 1,
-                         "local_matrix": 0, "invariant_factors": 1}
+                         "lattice_conditions": 0, "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
         assert pic(fresh) == cl(fresh)
     assert (products[3].n_vertices, stars[3]) == (36, 9)  # C6 x C6
@@ -552,14 +555,14 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
         fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
-        # The congruences are solved on one dense local matrix per distinct
-        # star, here every star, and the local test is one invariant factor
-        # call on every star's rows together.  Two kernels are taken: Cart's
-        # of the congruences, and QCart's for Cl.
-        distinct = {local_matrix(fresh, v) for v in fresh.vertices}
+        # The congruences are solved by one ``lattice_conditions`` call per
+        # distinct star, here every star, and the local test is one
+        # invariant factor call on every star's rows together.  Two kernels
+        # are taken: Cart's of the congruences, and QCart's for Cl.
+        distinct = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
         assert len(distinct) == fresh.n_vertices
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
-                         "local_matrix": fresh.n_vertices, "invariant_factors": 1}
+                         "lattice_conditions": len(distinct), "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
 
 
@@ -794,6 +797,27 @@ def test_divisor_and_pl_inputs_must_be_sequences(c3c3, bad):
             check(c3c3, bad)
     with pytest.raises(ComplexError, match=f"^PL function {what}"):
         div(c3c3, bad)
+
+
+_PUBLIC_CALLS = {
+    "principal_matrix": principal_matrix, "prin_lattice": prin_lattice,
+    "cart_lattice": cart_lattice, "qcart_lattice": qcart_lattice,
+    "balancing_matrix": balancing_matrix, "pic": pic, "cl": cl,
+    "div": lambda tp: div(tp, []),
+    "is_principal": lambda tp: is_principal(tp, []),
+    "is_cartier": lambda tp: is_cartier(tp, []),
+    "is_q_cartier": lambda tp: is_q_cartier(tp, []),
+    "divisor_to_json": lambda tp: divisor_to_json(tp, []),
+    "divisor_from_json": lambda tp: divisor_from_json(tp, "{}"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_PUBLIC_CALLS))
+@pytest.mark.parametrize("tp", [None, cycle_graph(3), "C3 x C3"])
+def test_a_public_function_given_no_product_raises_complex_error(call, tp):
+    message = f"^expected a TriangulatedProduct, got {type(tp).__name__}$"
+    with pytest.raises(ComplexError, match=message):
+        _PUBLIC_CALLS[call](tp)
 
 
 def test_half_integer_divisor_is_rejected(c3c3):

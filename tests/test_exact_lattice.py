@@ -30,6 +30,7 @@ from oracles import (
     rank,
     sparse_rows,
     submatrix,
+    submatrix_local_matrix,
     zero_lattice,
     zeros,
 )
@@ -453,7 +454,7 @@ def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
 
 def test_principal_rows_and_local_keys_keep_zero_pairs(mixed_products):
     """The sparse rows that Pic and the local test read, zero pairs and
-    all, give the factors of the dense matrices they write out."""
+    all, give the factors of the dense matrices cut from P."""
     zero_pairs = 0
     for tp in mixed_products:
         rows = tp.principal_rows
@@ -461,7 +462,7 @@ def test_principal_rows_and_local_keys_keep_zero_pairs(mixed_products):
         assert invariant_factors(rows) == invariant_factors(sparse_rows(principal_matrix(tp)))
         for v in tp.vertices:
             key = divisor_theory._local_key(tp, v)
-            assert invariant_factors(key) == sympy_factors(divisor_theory.local_matrix(tp, v))
+            assert invariant_factors(key) == sympy_factors(submatrix_local_matrix(tp, v))
     assert zero_pairs > 0
 
 
@@ -619,12 +620,11 @@ def test_c6c6_kernel_runs_one_small_hnf(monkeypatch):
 def test_c6c6_pic_and_cl_build_no_dense_balancing_matrix(monkeypatch):
     """QCart is taken on the balancing conditions' sparse rows, the local
     test on P's sparse rows at each star, and the quotient on P's sparse
-    columns: no ``balancing_matrix``, ``condition_matrix``,
-    ``principal_matrix`` or ``local_matrix`` runs."""
+    columns: no ``balancing_matrix``, ``condition_matrix`` or
+    ``principal_matrix`` runs."""
     tp = build_product(cycle_graph(6), cycle_graph(6))
     dense = [(exact_lattice, "condition_matrix"), (divisor_theory, "condition_matrix"),
-             (divisor_theory, "balancing_matrix"), (divisor_theory, "principal_matrix"),
-             (divisor_theory, "local_matrix")]
+             (divisor_theory, "balancing_matrix"), (divisor_theory, "principal_matrix")]
     for module, name in dense:
         monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"dense {name}"))
     assert pic(tp) == cl(tp) == AbGroup(3, (6, 6))
@@ -729,43 +729,46 @@ def _random_conditions(rng, n):
 def test_conditions_worked_examples():
     # The Smith form is diag(1, 6): one congruence, 3 v0 + 4 v1 = 0 mod 6,
     # which is v0 even and v1 a multiple of 3.
-    assert lattice_conditions(from_generators(2, [(2, 0), (0, 3)])) == [
+    assert lattice_conditions(from_generators(2, [(2, 0), (0, 3)]).basis) == [
         (((0, 3), (1, 4)), 6)]
     # (2, 1) is saturated though its HNF pivot is 2: the equation
     # v0 = 2 v1 alone, and no congruence mod 2.
-    assert lattice_conditions(from_generators(2, [(2, 1)])) == [
+    assert lattice_conditions(from_generators(2, [(2, 1)]).basis) == [
         (((0, 1), (1, -2)), 0)]
-    assert lattice_conditions(full_lattice(3)) == []
-    assert lattice_conditions(zero_lattice(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
+    assert lattice_conditions(full_lattice(3).basis) == []
+    assert lattice_conditions(zero_lattice(2).basis) == [(((0, 1),), 0), (((1, 1),), 0)]
 
 
 def test_conditions_match_membership():
-    """The conditions cut out the lattice, and they are minimal: one
-    congruence per invariant factor above 1 of the basis, one equation
-    per missing rank, and no congruence on a saturated lattice whose HNF
-    has a pivot above 1."""
+    """The conditions cut out the column span of any generating matrix,
+    its canonical basis or the raw generators with their dependent and
+    zero columns, and they are minimal: one congruence per invariant
+    factor above 1, one equation per missing rank, and no congruence on
+    a saturated lattice whose HNF has a pivot above 1."""
     rng = random.Random(53)
-    saw_big_pivot = saw_deficient = saw_torsion = False
+    saw_big_pivot = saw_deficient = saw_torsion = saw_dependent = False
     for _ in range(60):
         n = rng.randint(1, 3)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
         lat = from_generators(n, gens)
         saw_deficient |= lat.rank < n
+        saw_dependent |= lat.rank < len(gens)
         # the first nonzero entry of an echelon column is its pivot
         saw_big_pivot |= any(col[0][1] > 1 for col in lat.columns)
-        conditions = lattice_conditions(lat)
-        for terms, m in conditions:
-            indices = [i for i, _ in terms]
-            assert indices == sorted(set(indices)) and set(indices) <= set(range(n))
-            assert terms and all(c for _, c in terms) and m != 1
-        moduli = sorted(m for _, m in conditions if m)
-        assert moduli == [f for f in sympy_factors(lat.basis) if f > 1]
-        assert sum(1 for _, m in conditions if not m) == n - lat.rank
-        saw_torsion |= bool(moduli)
-        for v in product(range(-4, 5), repeat=n):
-            assert satisfies(conditions, v) == dense_satisfies(conditions, v)
-            assert satisfies(conditions, v) == lattice_member(lat, v)[0]
-    assert saw_big_pivot and saw_deficient and saw_torsion
+        for m in (lat.basis, from_cols(gens, n)):
+            conditions = lattice_conditions(m)
+            for terms, modulus in conditions:
+                indices = [i for i, _ in terms]
+                assert indices == sorted(set(indices)) and set(indices) <= set(range(n))
+                assert terms and all(c for _, c in terms) and modulus != 1
+            moduli = sorted(modulus for _, modulus in conditions if modulus)
+            assert moduli == [f for f in sympy_factors(lat.basis) if f > 1]
+            assert sum(1 for _, modulus in conditions if not modulus) == n - lat.rank
+            saw_torsion |= bool(moduli)
+            for v in product(range(-4, 5), repeat=n):
+                assert satisfies(conditions, v) == dense_satisfies(conditions, v)
+                assert satisfies(conditions, v) == lattice_member(lat, v)[0]
+    assert saw_big_pivot and saw_deficient and saw_torsion and saw_dependent
 
 
 def test_condition_matrix_kernel_is_what_the_conditions_cut_out():
@@ -1107,7 +1110,6 @@ def test_satisfies_refuses_a_coefficient_or_modulus_that_is_not_an_int(condition
 
 
 _TYPED_CALLS = {
-    "lattice_conditions": lattice_conditions,
     "lattice_member": lambda x: lattice_member(x, (0,)),
     "lattice_contains big": lambda x: lattice_contains(x, full_lattice(1)),
     "lattice_contains small": lambda x: lattice_contains(full_lattice(1), x),
@@ -1115,6 +1117,7 @@ _TYPED_CALLS = {
     "lattice_intersect b": lambda x: lattice_intersect(full_lattice(1), x),
     "quotient": lambda x: quotient(x, []),
     "hnf": hnf,
+    "lattice_conditions": lattice_conditions,
     "snf": snf,
     "kernel": kernel,
     "Lattice.from_matrix": Lattice.from_matrix,
@@ -1128,7 +1131,8 @@ def test_an_argument_of_the_wrong_type_raises_lattice_error(call, value):
     """A non-Lattice where a Lattice is due, a non-IntMatrix where an
     IntMatrix is due and a non-AbGroup where an AbGroup is due each raise
     LatticeError naming the expected type."""
-    expected = ("IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix")
+    expected = ("IntMatrix" if call in ("hnf", "lattice_conditions", "snf", "kernel",
+                                        "Lattice.from_matrix")
                 else "AbGroup" if call == "AbGroup.direct_sum" else "Lattice")
     with pytest.raises(LatticeError, match=f"^expected a {expected}, got {type(value).__name__}$"):
         _TYPED_CALLS[call](value)

@@ -1,11 +1,12 @@
 """Tests for the triangulated product and its weights, the rows of P."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from oracles import ends, rows_from_weights, weights_by_triangle_scan
+from oracles import diagonals_at, ends, rows_from_weights, weights_by_triangle_scan
 from tropic_pic.multigraph import (
     Multigraph,
     complete_graph,
@@ -144,9 +145,7 @@ def test_alpha_unknown_ids_rejected(k2k2):
         alpha(k2k2, ("h", "e0", 0), (9, 9))
 
 
-@pytest.mark.parametrize("query, what", [
-    ("vertex_index", "vertex"), ("diagonals_at", "vertex"), ("edge_index", "edge"),
-])
+@pytest.mark.parametrize("query, what", [("vertex_index", "vertex"), ("edge_index", "edge")])
 def test_unhashable_ids_are_unknown(k2k2, query, what):
     with pytest.raises(ComplexError, match=rf"^unknown {what} \[0\]$"):
         getattr(k2k2, query)([0])
@@ -167,7 +166,7 @@ def test_alpha_horizontal_formula_simple_graphs():
             _, ge, b = e.eid
             for v in (e.u, e.w):
                 a = v[0]
-                over_e = sum(1 for did in tp.diagonals_at(v) if did[1] == ge)
+                over_e = sum(1 for did in diagonals_at(tp, v) if did[1] == ge)
                 assert alpha(tp, e.eid, v) == h.degree(b) - over_e
 
 
@@ -184,9 +183,9 @@ def test_p2p2_corner_stars(p2p2):
 
 def test_p2p2_center_star(p2p2):
     center = (1, 1)
-    expected = 4 + len(p2p2.diagonals_at(center))
+    expected = 4 + len(diagonals_at(p2p2, center))
     assert len(graph_star(p2p2, center)) == expected
-    assert len(p2p2.diagonals_at(center)) == 2
+    assert len(diagonals_at(p2p2, center)) == 2
 
 
 def test_star_in_global_edge_order(mixed_products):
@@ -195,8 +194,8 @@ def test_star_in_global_edge_order(mixed_products):
         for v in tp.vertices:
             idx = [order[eid] for eid in graph_star(tp, v)]
             assert idx == sorted(idx)
-            assert tp.diagonals_at(v) == tuple(e.eid for e in tp.edges
-                                               if e.kind == "diagonal" and v in (e.u, e.w))
+            assert diagonals_at(tp, v) == tuple(e.eid for e in tp.edges
+                                                if e.kind == "diagonal" and v in (e.u, e.w))
 
 
 # -- policies -------------------------------------------------------------------
@@ -208,6 +207,8 @@ def test_explicit_policy_roundtrip():
     text = "".join(f"d {ge} {he} {1 if f else 0}\n" for ge, he, f in std.squares)
     tp = build_product(g, h, parse_policy_text(text))
     assert tp.squares == std.squares
+    direct = DiagonalPolicy(parse_policy_text(text).choices)
+    assert build_product(g, h, direct).squares == std.squares
 
 
 def test_explicit_policy_validation():
@@ -228,11 +229,40 @@ def test_explicit_policy_validation():
         parse_policy_text("d e0 e0 0\nd e0 e0 1\n")
 
 
+@pytest.mark.parametrize("choices, message", [
+    (5, "policy choices must be a frozenset, got int"),
+    ({(("e0", "e0"), True)}, "policy choices must be a frozenset, got set"),
+    (frozenset({(("e0", "e0"), "yes")}), "policy choice (('e0', 'e0'), 'yes') is not a"),
+    (frozenset({(("e0", "e0"), 1)}), "policy choice (('e0', 'e0'), 1) is not a"),
+    (frozenset({"ab"}), "policy choice 'ab' is not a (square key, bool) pair"),
+    (frozenset({(("e0", "e0"), True), (("e0", "e0"), False)}), "policy choices give a square both"),
+])
+def test_a_policy_built_directly_checks_its_choices(choices, message):
+    # Unchecked, these reach build_product as a bare TypeError, a "yes"
+    # flag in tp.squares, or a flag picked by the set's iteration order.
+    with pytest.raises(ComplexError, match="^" + re.escape(message)):
+        DiagonalPolicy(choices)
+
+
 @pytest.mark.parametrize("text", [None, b"d e0 e0 1\n", 5, ["d e0 e0 1"]])
 def test_parse_policy_takes_only_a_str(text):
     message = f"^policy text must be a str, got {type(text).__name__}$"
     with pytest.raises(ComplexError, match=message):
         parse_policy_text(text)
+
+
+@pytest.mark.parametrize("name", ["principal_rows", "_memo", "policy", "n_edges", "new"])
+def test_a_built_product_refuses_to_set_or_delete_an_attribute(c3c3, name):
+    # A planted attribute would be read by every per-product cache: with
+    # principal_rows = (), div returned () on C3 x C3.
+    rows = c3c3.principal_rows
+    message = "^a TriangulatedProduct is immutable: cannot {} " + re.escape(repr(name)) + "$"
+    with pytest.raises(ComplexError, match=message.format("set")):
+        setattr(c3c3, name, ())
+    with pytest.raises(ComplexError, match=message.format("delete")):
+        delattr(c3c3, name)
+    assert c3c3.principal_rows is rows
+    assert c3c3.principal_rows == rows_from_weights(c3c3, *weights_by_triangle_scan(c3c3))
 
 
 def test_parallel_edges_make_distinct_squares():
