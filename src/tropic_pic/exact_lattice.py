@@ -5,12 +5,13 @@ quotient group structure.
 Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  All values
 are immutable and all functions are pure.  ``invariant_factors``,
-``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
-``(index, value)`` pairs (the terms of the condition format below),
-whose repeated indices add up; ``hnf``, ``snf``, ``kernel`` and
-``lattice_conditions`` take a dense ``IntMatrix``.  Entries must be ints (``bool`` is refused),
-checked once per call where they enter from outside; matrices this
-module builds itself skip the check.  A ``Lattice`` is kept as its
+``span_conditions``, ``cokernel`` and ``quotient`` take sparse rows or
+columns, sequences of ``(index, value)`` pairs (the terms of the
+condition format below), whose repeated indices add up; ``hnf``,
+``snf``, ``kernel`` and ``lattice_conditions`` take a dense
+``IntMatrix``.  Entries must be ints (``bool`` is refused), checked
+once per call where they enter from outside; matrices this module
+builds itself skip the check.  A ``Lattice`` is kept as its
 canonical basis columns, each the ``(row, value)`` pairs of its nonzero
 entries; its dense basis is built only when asked for, and the lattices
 this module builds skip the check that a basis is canonical.
@@ -29,14 +30,20 @@ Membership solves run over a lattice's sparse columns.
 ``quotient`` writes its witnesses straight into sparse rows, and
 ``invariant_factors`` strips unit pivots from them, one factor 1 each,
 under a cost cap that doubles, running ``snf`` only on what is left
-(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).  That
+strip keeps no S; ``span_conditions`` runs the same strip carrying S,
+each row's combination of the input rows, and composes it with the S
+of ``snf`` on what is left.
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
-``lattice_conditions`` writes it off the Smith form's S of any matrix
-whose columns span the lattice; ``satisfies`` and ``condition_matrix``
-read it, and ``condition_kernel`` returns the lattice in Z^width it cuts
-out, which is how ``kernel`` and ``lattice_intersect`` build theirs.
+``lattice_conditions`` writes it off the Smith form's S of any dense
+matrix whose columns span the lattice, and its output depends on the
+lattice alone; ``span_conditions`` writes it off the S above, for a
+matrix given by sparse rows, and its output depends on the rows.
+``satisfies`` and ``condition_matrix`` read it, and ``condition_kernel``
+returns the lattice in Z^width it cuts out, which is how ``kernel`` and
+``lattice_intersect`` build theirs.
 
 Conventions
 -----------
@@ -291,21 +298,29 @@ def snf(m: IntMatrix) -> tuple:
             IntMatrix._trusted(nr, nr, tuple(chain.from_iterable(r[nc:] for r in rows))))
 
 
-def _strip_units(sparse_rows: Sequence) -> tuple:
-    """(u, rest): u unit pivots eliminated from the sparse rows, and the
-    nonzero rows and columns left, dense, whose factors follow u ones.
+def _strip_units(sparse_rows: Sequence, carry_s: bool = False) -> tuple:
+    """(u, rest, s): u unit pivots eliminated from the sparse rows, the
+    nonzero rows and columns left, dense, whose factors follow u ones,
+    and, with carry_s, the S rows of rest's rows, then those of the rows
+    the strip emptied, else None.
 
     Rows are dicts on a stack.  A row's pivot, its +-1 in the lowest
     column with the fewest rows, clears that column by row operations,
     which restack the rows they change, if its Markowitz cost (other
     nonzeros in its row times in its column) is at most a cap; the cap
     doubles when only dearer rows are left, so dear pivots come last.
+    With carry_s, S rides along as one dict per row: row k -= f * row i
+    also does s[k] -= f * s[i], so s[k] is row k's combination of the
+    input rows.  A pivot row's column is clear, so column operations
+    empty the rest of it without touching another row: it is one factor
+    1, and its S row is no condition.
     """
     rows, at = [], defaultdict(set)  # at: column -> rows nonzero there
     for i, d in enumerate(_sparse_dicts(sparse_rows, "rows")):
         rows.append({j: x for j, x in d.items() if x} if 0 in d.values() else d)
         for j in rows[i]:
             at[j].add(i)
+    s = [{k: 1} for k in range(len(rows))] if carry_s else None
 
     stack, queued, deferred, limit = list(range(len(rows))), [True] * len(rows), [], 8
     units = 0
@@ -331,25 +346,66 @@ def _strip_units(sparse_rows: Sequence) -> tuple:
                 else:
                     del row[c]
                     at[c].discard(k)
+            if s:
+                _add_scaled(s[k], s[i], -f)
             if not queued[k]:
                 queued[k] = True
                 stack.append(k)
         for c in pivot:
             at[c].discard(i)
-        rows[i] = {}
+        rows[i] = None
         units += 1
     rest = [row for row in rows if row]
     keep = sorted(set().union(*rest))
+    if carry_s:  # rest's rows, then the emptied ones; pivot rows are None
+        s = ([s[k] for k, row in enumerate(rows) if row]
+             + [s[k] for k, row in enumerate(rows) if row == {}])
     return units, IntMatrix._trusted(len(rest), len(keep),
-                                     tuple(row.get(j, 0) for row in rest for j in keep))
+                                     tuple(row.get(j, 0) for row in rest for j in keep)), s
+
+
+def _add_scaled(dst: dict, src: dict, f: int) -> None:
+    """dst += f * src on sparse dict rows, dropping the zeros."""
+    for c, x in src.items():
+        if y := dst.get(c, 0) + f * x:
+            dst[c] = y
+        else:
+            dst.pop(c, None)
 
 
 def invariant_factors(rows: Sequence) -> list:
     """Nonzero SNF diagonal of the matrix with these sparse rows, in
     divisibility order: one 1 per unit pivot stripped, then the rest's."""
-    units, rest = _strip_units(rows)
+    units, rest, _ = _strip_units(rows)
     d, _ = snf(rest)
     return [1] * units + [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+
+
+def span_conditions(rows: Sequence) -> list:
+    """Congruences that cut out the integer column span of the matrix
+    with these sparse rows, in ``lattice_conditions``' format and by its
+    rule, but with S from the unit strip composed with the Smith form of
+    what is left.  A pivot row gives no condition, and a row the strip
+    empties gives the equation s_k . v = 0.  Moduli come in divisibility
+    order, then the equations: one per zero factor and emptied row.
+
+    Unlike ``lattice_conditions``' the output depends on the rows, not
+    only on their span: the strip's row operations see the rows as given.
+    """
+    _, rest, s = _strip_units(rows, carry_s=True)
+    d, s2 = snf(rest)
+    moduli = [d[i, i] if i < d.cols else 0 for i in range(d.rows)] + [0] * (len(s) - d.rows)
+
+    def s_row(i: int) -> list:
+        if i >= d.rows:
+            return sorted(s[i].items())
+        out = {}
+        for t, f in enumerate(s2.row(i)):
+            if f:
+                _add_scaled(out, s[t], f)
+        return sorted(out.items())
+
+    return _write_conditions(moduli, s_row)
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +574,30 @@ def lattice_conditions(m: IntMatrix) -> list:
     set, one congruence per d_i > 1, its row reduced mod d_i, and one
     equation per zero or missing d_i.  The rows of a unimodular s are
     primitive, so no reduced row is zero or has a content to divide out.
+
+    This runs the dense ``snf``, not ``span_conditions``' unit strip, so
+    that the output depends on the lattice alone: ``snf``'s first column
+    pass is canonical, so every generating matrix of a lattice gives the
+    same conditions, which ``_cartier_conditions`` and its per-vertex
+    oracle rely on.  The strip's row operations see m's rows as given,
+    and on the small local matrices of six theta products the strip run
+    after a canonical echelon was 3% to 80% slower, not faster.
     """
     d, s = snf(m)
+    return _write_conditions([d[i, i] if i < m.cols else 0 for i in range(m.rows)],
+                             lambda i: enumerate(s.row(i)))
+
+
+def _write_conditions(moduli: list, s_row) -> list:
+    """``(terms, modulus)`` per modulus other than 1, the terms the
+    nonzero ``(j, x)`` of ``s_row(i)``, x reduced mod a modulus > 0.
+    ``lattice_conditions`` and ``span_conditions`` differ only in how
+    they get the moduli and the rows of S."""
     out = []
-    for i in range(m.rows):
-        modulus = d[i, i] if i < m.cols else 0
+    for i, modulus in enumerate(moduli):
         if modulus != 1:
-            row = s.row(i) if not modulus else [x % modulus for x in s.row(i)]
-            out.append((tuple((j, x) for j, x in enumerate(row) if x), modulus))
+            terms = ((j, x % modulus) for j, x in s_row(i)) if modulus else s_row(i)
+            out.append((tuple((j, x) for j, x in terms if x), modulus))
     return out
 
 

@@ -53,7 +53,8 @@ class Multigraph:
     ``vertices`` is the fixed vertex order, ``edges`` the fixed edge
     order as (edge_id, u, w) triples; both are sorted by id at
     construction.  Ids must be hashable and mutually comparable, and no
-    two vertex ids, or two edge ids, may have equal ``str`` forms.
+    two vertex ids, or two edge ids, may have equal ``str`` forms.  Once
+    built, the graph refuses to set or delete an attribute.
     """
 
     __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_adj")
@@ -169,6 +170,14 @@ class Multigraph:
             seen.add(key)
         return True
 
+    def __setattr__(self, name, value):
+        if hasattr(self, "_adj"):  # set last in __init__
+            raise GraphError(f"a Multigraph is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise GraphError(f"a Multigraph is immutable: cannot delete {name!r}")
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Multigraph) and self.vertices == other.vertices
                 and self.edges == other.edges)
@@ -184,12 +193,18 @@ class Multigraph:
 # Divisor-theoretic operations
 # ---------------------------------------------------------------------------
 
+def _check_graph(g) -> None:
+    if not isinstance(g, Multigraph):
+        raise GraphError(f"expected a Multigraph, got {type(g).__name__}")
+
+
 def laplacian(g: Multigraph) -> IntMatrix:
     """Laplacian with -deg(v) on the diagonal, adjacency counts off it.
 
     Column j equals the divisor of the PL function that is 1 on vertex j
     and 0 elsewhere; every column sums to 0.
     """
+    _check_graph(g)
     n = g.n_vertices
     flat = [0] * (n * n)
     for i, v in enumerate(g.vertices):
@@ -211,12 +226,13 @@ def pic_group(g: Multigraph) -> AbGroup:
 
 
 def critical_group(g: Multigraph) -> AbGroup:
-    pic = pic_group(g)
+    pic = pic_group(g)  # checks g
     return AbGroup(0, pic.torsion)
 
 
 def genus(g: Multigraph) -> int:
     """|E| - |V| + 1: edges outside a spanning tree."""
+    _check_graph(g)
     return g.n_edges - g.n_vertices + 1
 
 
@@ -297,6 +313,7 @@ def parse_graph_text(text: str) -> Multigraph:
 
 
 def graph_to_text(g: Multigraph) -> str:
+    _check_graph(g)
     lines = [f"v {v}" for v in g.vertices]
     lines.extend(f"e {eid} {u} {w}" for eid, u, w in g.edges)
     return "\n".join(lines) + "\n"

@@ -280,6 +280,9 @@ def edge_id_str(eid: tuple) -> str:
     ``str`` of each, so two ids share a key only when their parts have
     pairwise equal ``str`` forms.  ``Multigraph`` refuses two vertex ids,
     or two edge ids, with equal ``str`` forms (such as 1 and "1"), so
-    distinct edges of a product get distinct keys.
+    distinct edges of a product get distinct keys.  An eid that is not a
+    tuple raises ComplexError.
     """
+    if not isinstance(eid, tuple):
+        raise ComplexError(f"expected an edge id tuple, got {type(eid).__name__}")
     return ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:") for part in eid)

@@ -38,6 +38,7 @@ from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
+    cokernel,
     invariant_factors,
     lattice_conditions,
     lattice_contains,
@@ -593,6 +594,27 @@ def test_pic_and_cl_build_no_prin_lattice(mixed_products):
         pic(fresh)
         cl(fresh)
         assert "prin_lattice" not in fresh._memo
+
+
+def test_is_principal_builds_no_prin_lattice(mixed_products):
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        fresh = build_product(tp.g, tp.h, tp.policy)
+        assert is_principal(fresh, div(fresh, list(range(fresh.n_vertices))))
+        assert "prin_lattice" not in fresh._memo
+        assert "_principal_conditions" in fresh._memo
+
+
+def test_principal_conditions_are_the_cokernel_of_p(mixed_products):
+    # One congruence per torsion factor of Z^E / Prin, in divisibility
+    # order, then one equation per free generator.  K4 x C4 has torsion
+    # Jac(K4) + Jac(C4) = Z/4 + Z/4 + Z/4.
+    k4c4 = build_product(complete_graph(4), cycle_graph(4))
+    for tp in list(mixed_products) + [theta2_theta2(), k4c4]:
+        conditions = divisor_theory._principal_conditions(tp)
+        coker = cokernel(tp.principal_rows)
+        moduli = [m for _, m in conditions]
+        assert moduli == list(coker.torsion) + [0] * coker.free_rank
+    assert [m for _, m in divisor_theory._principal_conditions(k4c4) if m] == [4, 4, 4]
 
 
 def test_product_is_freed_after_pic_and_cl():

@@ -52,6 +52,7 @@ from tropic_pic.exact_lattice import (
     quotient,
     satisfies,
     snf,
+    span_conditions,
     transpose,
 )
 from tropic_pic import divisor_theory, exact_lattice
@@ -366,7 +367,7 @@ def test_unit_stripping_matches_sympy():
                                                 for _ in range(rows * cols)]))
     stripped = left = 0
     for m in cases:
-        units, rest = exact_lattice._strip_units(sparse_rows(m))
+        units, rest, _ = exact_lattice._strip_units(sparse_rows(m))
         assert not {1, -1} & set(rest._e)
         assert all(any(rest.row(i)) for i in range(rest.rows))
         assert all(any(rest.col(j)) for j in range(rest.cols))
@@ -414,9 +415,37 @@ def test_sparse_rows_with_zero_pairs_repeated_columns_and_empty_rows():
         diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
         assert invariant_factors(sparse) == diagonal == sympy_factors(m)
         assert cokernel(sparse) == cokernel(sparse_rows(m))
-        units, rest = exact_lattice._strip_units(sparse)
+        units, rest, _ = exact_lattice._strip_units(sparse)
         assert all(any(rest.row(i)) for i in range(rest.rows))
         assert all(any(rest.col(j)) for j in range(rest.cols))
+
+
+def test_span_conditions_cut_out_the_column_span():
+    """``span_conditions`` reads S off the strip and the rest's Smith
+    form: on written-out sparse rows (zero pairs, repeated columns, empty
+    rows), its conditions cut out the column span of the matrix they add
+    up to, as ``lattice_conditions``' do, with the cokernel's torsion as
+    moduli, in order, then one equation per free generator.  Only the
+    strip run by ``span_conditions`` carries S."""
+    rng = random.Random(73)
+    cases = [([], zeros(0, 0)), ([(), ()], zeros(2, 0)),
+             ([((0, 2),), ((0, 4),)], from_rows([[2], [4]]))]
+    for _ in range(80):
+        m = IntMatrix(rows := rng.randint(0, 7), cols := rng.randint(0, 5),
+                      [rng.choice((0, 0, 0, 1, -1, 2, 3, -4)) for _ in range(rows * cols)])
+        cases.append((_written_out(rng, m), m))
+    moduli_seen = set()
+    for sparse, m in cases:
+        conditions = span_conditions(sparse)
+        span = Lattice.from_matrix(m)
+        assert condition_kernel(m.rows, conditions) == span \
+            == condition_kernel(m.rows, lattice_conditions(m))
+        coker = cokernel(sparse)
+        assert [q for _, q in conditions] == list(coker.torsion) + [0] * coker.free_rank
+        assert all(terms for terms, _ in conditions)
+        moduli_seen.update(q for _, q in conditions)
+    assert {0, 2, 3, 4} <= moduli_seen
+    assert exact_lattice._strip_units(cases[-1][0])[2] is None
 
 
 def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
@@ -443,7 +472,7 @@ def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
         assert any(c == 0 for row in rows for _, c in row)
         cases.append((rows, principal_matrix(tp)))
     for sparse, m in cases:
-        units, rest = exact_lattice._strip_units(sparse)
+        units, rest, _ = exact_lattice._strip_units(sparse)
         assert units > 0 and not {1, -1} & set(rest._e)
         assert all(any(rest.row(i)) for i in range(rest.rows))
         assert all(any(rest.col(j)) for j in range(rest.cols))

@@ -25,6 +25,7 @@ from tropic_pic.multigraph import (
     pic_group,
     theta_graph,
 )
+from tropic_pic.product_complex import ComplexError, edge_id_str
 
 
 # -- construction --------------------------------------------------------------
@@ -91,6 +92,35 @@ def test_rejects_ids_with_equal_str_forms():
         Multigraph([a, b], [("e", a, b)])
     with pytest.raises(GraphError, match="edge ids nan and nan"):
         Multigraph([0, 1, 2], [(a, 0, 1), (b, 1, 2)])
+
+
+def test_a_built_graph_refuses_to_set_or_delete_an_attribute():
+    # Unguarded, g.edges = g.edges[:2] left a path on C3's vertices that
+    # is_simple accepted and whose critical group read Z/4.
+    g = cycle_graph(3)
+    edges = g.edges
+    with pytest.raises(GraphError, match="^a Multigraph is immutable: cannot set 'edges'$"):
+        g.edges = g.edges[:2]
+    with pytest.raises(GraphError, match="^a Multigraph is immutable: cannot delete 'edges'$"):
+        del g.edges
+    with pytest.raises(GraphError, match="^a Multigraph is immutable: cannot set 'new'$"):
+        g.new = 1
+    assert g.edges is edges and g.is_simple()
+    assert critical_group(g) == AbGroup(0, (3,))
+
+
+@pytest.mark.parametrize("call, arg, error, expected", [
+    (laplacian, None, GraphError, "a Multigraph"),
+    (pic_group, 5, GraphError, "a Multigraph"),
+    (critical_group, "C3", GraphError, "a Multigraph"),
+    (genus, [], GraphError, "a Multigraph"),
+    (graph_to_text, ((0, 1),), GraphError, "a Multigraph"),
+    (edge_id_str, 5, ComplexError, "an edge id tuple"),
+])
+def test_the_wrong_argument_type_raises_a_typed_error(call, arg, error, expected):
+    # Each raised a bare AttributeError or TypeError.
+    with pytest.raises(error, match=f"^expected {expected}, got {type(arg).__name__}$"):
+        call(arg)
 
 
 def test_orderings_sorted_by_default():

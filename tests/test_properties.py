@@ -26,6 +26,9 @@ and condition systems with moduli and repeated term indices check that
 ``condition_kernel`` that kernel with its slack coordinates cut off.
 Cart is checked against QCart cut by the congruences restricted to its
 basis, the route that Cart took before it was the congruences' kernel.
+``is_principal``, which reads the congruences of P's rows, is checked
+against membership in Prin's HNF basis, on P phi and on P phi plus a
+multiple of one unit vector.
 The balancing equations, read off each vertex's star, are checked
 against the ones grouped through the factor graphs, tuple for tuple,
 and the weight axiom, which ``build_product`` does not check, on
@@ -58,7 +61,9 @@ from tropic_pic.divisor_theory import (
     balancing_matrix,
     cart_lattice,
     cl,
+    div,
     is_cartier,
+    is_principal,
     is_q_cartier,
     pic,
     prin_lattice,
@@ -139,6 +144,21 @@ def test_is_cartier_is_cart_membership(case):
     cartier = is_cartier(tp, d)
     assert cartier == satisfies(_cartier_conditions(tp), d)
     assert cartier == lattice_member(cart_lattice(tp), d)[0]
+
+
+@SETTINGS
+@given(st.data(), products(simple_graphs) | products())
+def test_is_principal_is_prin_membership(data, tp):
+    """is_principal reads the congruences of P's rows; membership in
+    Prin's HNF basis is the oracle.  d is P phi, perhaps plus a multiple
+    of one unit vector."""
+    phi = data.draw(st.lists(st.integers(-3, 3), min_size=tp.n_vertices,
+                             max_size=tp.n_vertices))
+    d = list(div(tp, phi))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, tp.n_edges - 1))
+        d[i] += data.draw(st.sampled_from((-1, 1, 2, 3, 4, 6)))
+    assert is_principal(tp, d) == lattice_member(prin_lattice(tp), d)[0]
 
 
 @SETTINGS
