@@ -33,9 +33,11 @@ form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
 QCart itself, ``is_cartier`` reads the balancing equations, Pic and Cl
 are one quotient, and no congruence is built.  Otherwise Cart is the
 kernel of the congruences, which ``is_cartier`` reads, and no QCart
-is built for Cart or Pic.  Pic and Cl quotient by P's columns, and
-``is_principal`` reads Prin's congruences, so only ``prin_lattice``
-itself builds Prin's HNF basis.  ``span_conditions`` writes those
+is built for Cart or Pic.  Pic and Cl quotient by P's columns, each
+written in the kernel of Cart's or QCart's conditions on their free
+coordinates, so neither lattice lifts its canonical basis over the
+edges; ``is_principal`` reads Prin's congruences, so only
+``prin_lattice`` itself builds Prin's HNF basis.  ``span_conditions`` writes those
 congruences off P's rows, the one call whose unit strip carries S.
 Their values at d, each taken mod its modulus, are d's coordinates in
 Z^E / Prin: the class that a ``class_of`` query will read.

@@ -4,17 +4,19 @@ quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  All values
-are immutable and all functions are pure.  ``invariant_factors``,
-``span_conditions``, ``cokernel`` and ``quotient`` take sparse rows or
-columns, sequences of ``(index, value)`` pairs (the terms of the
-condition format below), whose repeated indices add up; ``hnf``,
-``snf``, ``kernel`` and ``lattice_conditions`` take a dense
-``IntMatrix``.  Entries must be ints (``bool`` is refused), checked
-once per call where they enter from outside; matrices this module
-builds itself skip the check.  A ``Lattice`` is kept as its
-canonical basis columns, each the ``(row, value)`` pairs of its nonzero
-entries; its dense basis is built only when asked for, and the lattices
-this module builds skip the check that a basis is canonical.
+are immutable and all functions are pure; a basis built lazily is
+cached, so it never changes.  ``invariant_factors``, ``span_conditions``,
+``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
+``(index, value)`` pairs (the terms of the condition format below),
+whose repeated indices add up; ``hnf``, ``snf``, ``kernel`` and
+``lattice_conditions`` take a dense ``IntMatrix``.  Entries must be
+ints (``bool`` is refused), checked once per call where they enter from
+outside; matrices this module builds itself skip the check.  A
+``Lattice`` is kept as its canonical basis columns, each the ``(row,
+value)`` pairs of its nonzero entries, or, when conditions cut it out,
+in its free coordinates until those columns are read.  Its dense basis
+is built only when asked for, and the lattices this module builds skip
+the check that a basis is canonical.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
@@ -24,10 +26,11 @@ entries of its source column only, and carries a unimodular transform
 only for ``hnf`` and ``snf``, which return one.  ``condition_kernel``,
 behind ``kernel`` and ``lattice_intersect``, row-echelons dict rows
 last column first, and only the rows whose pivot is not a unit go to
-``hnf``; their canonical kernel, lifted through the unit rows, is the
-whole kernel's, with no second echelon and no dense matrix.
-Membership solves run over a lattice's sparse columns.
-``quotient`` writes its witnesses straight into sparse rows, and
+``hnf``, on the columns they touch; their canonical kernel K, lifted
+through the unit rows on first read, is the whole kernel's, with no
+second echelon and no dense matrix.  Membership solves run over a
+lattice's sparse columns.  ``quotient`` solves in K where there is one,
+writes its witnesses straight into sparse rows, and
 ``invariant_factors`` strips unit pivots from them, one factor 1 each,
 under a cost cap that doubles, running ``snf`` only on what is left
 (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).  That
@@ -89,6 +92,14 @@ def _flat_from_cols(cols: Sequence[Sequence[int]]) -> tuple:
     return tuple(chain.from_iterable(zip(*cols)))
 
 
+def _check_index(i, n: int, what: str) -> None:
+    """LatticeError unless i is an int (a bool is not), IndexError unless 0 <= i < n."""
+    if type(i) is not int:
+        raise LatticeError(f"a {what} index must be an int, got {i!r}")
+    if not 0 <= i < n:
+        raise IndexError(f"{what} {i} of a matrix with {n} {what}s")
+
+
 class IntMatrix:
     """Immutable dense matrix of Python ints, row-major."""
 
@@ -120,19 +131,19 @@ class IntMatrix:
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> int:
+        if type(ij) is not tuple or len(ij) != 2:
+            raise LatticeError(f"a matrix entry is read at an (int, int) key, got {ij!r}")
         i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) of a {self.rows} x {self.cols} matrix")
+        _check_index(i, self.rows, "row")
+        _check_index(j, self.cols, "column")
         return self._e[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} of a matrix with {self.rows} rows")
+        _check_index(i, self.rows, "row")
         return self._e[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} of a matrix with {self.cols} columns")
+        _check_index(j, self.cols, "column")
         return self._e[j::self.cols]
 
     def row_list(self) -> list:
@@ -420,12 +431,19 @@ class Lattice:
     the rank, and two lattices are equal iff their columns are.  The
     constructor raises LatticeError on a dense basis not in canonical
     column echelon form, which membership and equality read.
+
+    A lattice that ``condition_kernel`` cuts out keeps its small form
+    ``_cut`` (its conditions by column, unit rows and kernel K on the
+    free coordinates) and lifts ``columns`` from K on first read; ``rank``
+    and ``quotient`` read K.
     """
 
     ambient_dim: int
-    columns: tuple
+    columns: tuple = cached_property(lambda self: _lift(self.ambient_dim, *self._cut[1:]))
 
     def __init__(self, ambient_dim: int, basis: IntMatrix):
+        if type(ambient_dim) is not int:
+            raise LatticeError(f"ambient_dim must be an int, got {ambient_dim!r}")
         # The canonical basis of a lattice is unique, so a basis is
         # canonical iff echelonning it again leaves it as it is.
         if (lat := Lattice.from_matrix(basis)).basis != basis or basis.rows != ambient_dim:
@@ -433,10 +451,13 @@ class Lattice:
         self.__dict__.update(lat.__dict__)
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, columns: tuple) -> "Lattice":
-        """A lattice on canonical columns built here: no check."""
+    def _trusted(cls, ambient_dim: int, columns: tuple, cut: tuple = None) -> "Lattice":
+        """A lattice on canonical columns built here, or on the small
+        form ``cut`` of ``condition_kernel``: no check."""
         lat = object.__new__(cls)
-        lat.__dict__.update(ambient_dim=ambient_dim, columns=columns)
+        lat.__dict__.update(ambient_dim=ambient_dim, _cut=cut)
+        if cut is None:
+            lat.__dict__["columns"] = columns
         return lat
 
     @classmethod
@@ -448,7 +469,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len(self.columns)
+        return len((self._cut[2] if self._cut else self).columns)
 
     @cached_property
     def basis(self) -> IntMatrix:
@@ -473,22 +494,26 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     index naming the rows not yet placed.  A row with pivot +-1 at d is
     kept as it is: x_d = -row_d . x reads only columns before d.  The
     other rows, cleared of those unit columns, lie on S, the columns no
-    unit row owns; y, their kernel on S (the last columns of ``hnf``'s U,
-    echelonned in place), is lifted one basis row at a time in ascending
-    d.  The lift of y's canonical basis is canonical: its pivots and
-    reduced entries lie in S, and x_d is zero above y's first nonzero,
-    as row_d reads only columns before d.
+    unit row owns.  K, their kernel on S, is the last columns of
+    ``hnf``'s U on the columns they touch, echelonned in place, and a
+    unit vector per column of S they do not touch.  ``_lift`` lifts it,
+    on first read, one basis row at a time in ascending d.  The lift of
+    K's canonical basis is canonical: its pivots and reduced entries lie
+    in S, and x_d is zero above K's first nonzero, as row_d reads only
+    columns before d.
     """
     _check_conditions(width, conditions)
     n = width + sum(1 for _, modulus in conditions if modulus)
     rows, rows_at, slack = [], [set() for _ in range(n)], iter(range(width, n))
+    reads = [[] for _ in range(n)]  # per column: its (condition, coefficient) pairs
     for r, (terms, modulus) in enumerate(conditions):
         row = {next(slack): modulus} if modulus else {}
         for i, c in terms:
             row[i] = row.get(i, 0) + c
         rows.append({i: c for i, c in row.items() if c})
-        for j in rows[r]:
+        for j, c in rows[r].items():
             rows_at[j].add(r)
+            reads[j].append((r, c))
     units, rest = {}, []
     for j in range(n - 1, -1, -1):
         while len(rows_at[j]) > 1:  # Euclid on column j, smallest entry (then sparsest row) first
@@ -514,24 +539,34 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
         for row in rest:
             for c, x in units[d].items() if (f := row.pop(d, 0)) else ():
                 row[c] = row.get(c, 0) - f * x
-    s = [j for j in range(n) if j not in units]
-    _, u = hnf(IntMatrix._trusted(len(rest), len(s),
-                                 tuple(row.get(j, 0) for row in rest for j in s)))
-    small = [list(u.col(j)) for j in range(len(rest), len(s))]  # independent: u is unimodular
-    small = [_nonzeros(c, p) for c, p in zip(small, _echelon(small, len(s)))]
-    lifted = [{} for _ in range(n)]  # per coordinate: basis column -> entry
-    for b, y in enumerate(small):
+    touched = sorted({c for row in rest for c, x in row.items() if x})
+    _, u = hnf(IntMatrix._trusted(len(rest), len(touched),
+                                 tuple(row.get(j, 0) for row in rest for j in touched)))
+    ker = [list(u.col(j)) for j in range(len(rest), len(touched))]  # independent: u is unimodular
+    k = [tuple((touched[t], c) for t, c in _nonzeros(y, p))
+         for y, p in zip(ker, _echelon(ker, len(touched)))]
+    # Merged by pivot row: a unit vector's row is zero in every other column.
+    k = sorted(k + [((j, 1),) for j in set(range(n)).difference(units, touched)])
+    return Lattice._trusted(width, None, (reads, units, Lattice._trusted(n, tuple(k))))
+
+
+def _lift(width: int, units: dict, k: Lattice) -> tuple:
+    """K's canonical columns lifted to Z^width by x_d = -units[d] . x at
+    each unit column d (see ``condition_kernel``), column b from K's b."""
+    lifted = [{} for _ in range(width)]  # per coordinate: basis column -> entry
+    for b, y in enumerate(k.columns):
         for t, c in y:
-            lifted[s[t]][b] = c
-    columns = [[] for _ in small]
-    for d, x in enumerate(lifted[:width]):  # row_d reads only columns before d
+            if t < width:  # slack coordinates are fixed by x
+                lifted[t][b] = c
+    columns = [[] for _ in k.columns]
+    for d, x in enumerate(lifted):
         for c, a in units.get(d, {}).items():
             for b, v in lifted[c].items():
                 x[b] = x.get(b, 0) - a * v
         for b, c in x.items():
             if c:
                 columns[b].append((d, c))
-    return Lattice._trusted(width, tuple(map(tuple, columns)))
+    return tuple(map(tuple, columns))
 
 
 def kernel(m: IntMatrix) -> Lattice:
@@ -625,13 +660,31 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
 
     Each column is written in coordinates of ``big``'s basis (a
     LatticeError if that fails, i.e. L is not a sublattice), and the
-    quotient is the cokernel of the sparse coefficient rows.
+    quotient is the cokernel of the sparse coefficient rows.  Where big
+    has a small form, a column meets the conditions that touch it, which
+    fix its slack, and is written in K by its entries on S, as the lift
+    takes K's basis onto big's.
     """
     _check_type(Lattice, big)
-    coeff_rows = [[] for _ in big.columns]
-    for j, col in enumerate(_sparse_dicts(gens, "generators", big.ambient_dim)):
-        _sub_nonzeros(v := [0] * big.ambient_dim, col.items(), -1)
-        ok, w = lattice_member(big, v)
+    n = big.ambient_dim
+    reads, units, k = big._cut or ([()] * n, {}, big)  # a basis: no condition
+    congruences = {r: (m, j) for j in range(n, k.ambient_dim) for r, m in reads[j]}
+    coeff_rows = [[] for _ in k.columns]
+    for j, col in enumerate(_sparse_dicts(gens, "generators", n)):
+        v, totals = [0] * k.ambient_dim, {}
+        for i, x in col.items():
+            if i not in units:
+                v[i] = x
+            for r, c in reads[i]:
+                totals[r] = totals.get(r, 0) + c * x
+        for r, total in totals.items():  # x's slack is -total / m; an equation's total is 0
+            modulus, slack = congruences.get(r, (0, None))
+            if total % modulus if modulus else total:
+                v = None
+                break
+            if modulus and slack not in units:
+                v[slack] = -total // modulus
+        ok, w = (False, None) if v is None else lattice_member(k, v)
         if not ok:
             raise LatticeError(f"quotient: generator {j} is not in the first lattice")
         for t in compress(range(len(w)), w):

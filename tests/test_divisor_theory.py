@@ -33,7 +33,7 @@ from oracles import (
     submatrix_local_matrix,
     zeros,
 )
-from tropic_pic import divisor_theory
+from tropic_pic import divisor_theory, exact_lattice
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
@@ -66,7 +66,9 @@ from tropic_pic.divisor_theory import (
 from tropic_pic.multigraph import (
     Multigraph,
     complete_graph,
+    critical_group,
     cycle_graph,
+    genus,
     path_graph,
     theta_graph,
 )
@@ -500,6 +502,30 @@ def test_is_cartier_builds_the_congruences_only_where_needed(monkeypatch):
             assert not is_cartier(tp, [rng.randint(-2, 2) for _ in range(tp.n_edges)])
         assert is_cartier(tp, principal_matrix(tp).col(0))
         assert builds == [tp] * n_builds
+
+
+@pytest.mark.parametrize("g, h, expected", [
+    (cycle_graph(12), cycle_graph(12), (AbGroup(3, (12, 12)),) * 2),  # locally saturated
+    (theta_graph(2), cycle_graph(8), (AbGroup(2, (8,)), AbGroup(3, (2, 8)))),  # Cart by congruences
+])
+def test_pic_and_cl_lift_no_canonical_basis(monkeypatch, g, h, expected):
+    """Pic and Cl write P's columns in the kernel K on the free
+    coordinates of QCart and of Cart: neither lattice lifts K to its
+    canonical basis over the edges until that basis is read."""
+    lifts = []
+    real = exact_lattice._lift
+    monkeypatch.setattr(exact_lattice, "_lift", lambda *args: lifts.append(args) or real(*args))
+    tp = build_product(g, h)
+    assert (pic(tp), cl(tp)) == expected
+    if g.is_simple():
+        assert pic(tp) == AbGroup.direct_sum(AbGroup.free(2 + genus(g) * genus(h)),
+                                             critical_group(g), critical_group(h))
+    assert lifts == []
+    lattices = {id(lat): lat for lat in (cart_lattice(tp), qcart_lattice(tp))}.values()
+    assert all(lat.rank for lat in lattices) and lifts == []  # rank reads K
+    for lat in lattices:
+        assert lat.columns and lat.basis.cols == lat.rank
+    assert len(lifts) == len(lattices)
 
 
 def pic_and_cl_calls(monkeypatch, tp):

@@ -257,6 +257,33 @@ def test_col_is_bounds_checked():
             submatrix(m, rows, cols)
 
 
+@pytest.mark.parametrize("read, shown", [
+    (lambda m: m[0], "0"),
+    (lambda m: m["a"], "'a'"),
+    (lambda m: m[0, 1, 2], "(0, 1, 2)"),
+    (lambda m: m[1.5, 0], "1.5"),
+    (lambda m: m[True, 0], "True"),        # it read row 1
+    (lambda m: m[0, "1"], "'1'"),
+    (lambda m: m.row(1.5), "1.5"),
+    (lambda m: m.row(True), "True"),       # it read row 1
+    (lambda m: m.col("x"), "'x'"),
+    (lambda m: m.col(None), "None"),
+])
+def test_a_matrix_index_that_is_no_int_raises_lattice_error(read, shown):
+    """Each raised a bare TypeError or ValueError, or read the wrong row;
+    an int out of range keeps IndexError (above)."""
+    with pytest.raises(LatticeError, match=re.escape(shown) + "$"):
+        read(from_rows([[1, 2], [3, 4]]))
+
+
+@pytest.mark.parametrize("ambient", [True, 2.0, "2", None])
+def test_an_ambient_dim_that_is_no_int_raises_lattice_error(ambient):
+    """``Lattice(True, m)`` and ``Lattice(2.0, m)`` were accepted."""
+    message = f"^ambient_dim must be an int, got {re.escape(repr(ambient))}$"
+    with pytest.raises(LatticeError, match=message):
+        Lattice(ambient, identity(2))
+
+
 # -- snf ---------------------------------------------------------------------
 
 

@@ -24,6 +24,9 @@ with zero rows and columns, pivots -1 and 1 and pivots that are not units,
 and condition systems with moduli and repeated term indices check that
 ``kernel`` gives, byte for byte, the kernel of a dense row echelon, and
 ``condition_kernel`` that kernel with its slack coordinates cut off.
+Such a kernel, kept in its free coordinates until its basis is read,
+gives the rank, quotient, equality, hash and repr of its basis, and
+refuses a generator that breaks a condition before and after the lift.
 Cart is checked against QCart cut by the congruences restricted to its
 basis, the route that Cart took before it was the congruences' kernel.
 ``is_principal``, which reads the congruences of P's rows, is checked
@@ -37,6 +40,7 @@ random multigraph products.
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -73,12 +77,15 @@ from tropic_pic.divisor_theory import (
 from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
+    Lattice,
+    LatticeError,
     condition_kernel,
     condition_matrix,
     invariant_factors,
     kernel,
     lattice_contains,
     lattice_member,
+    quotient,
     satisfies,
     snf,
 )
@@ -291,14 +298,14 @@ def test_kernel_is_the_dense_kernel_byte_for_byte(m):
 
 
 @st.composite
-def condition_systems(draw):
+def condition_systems(draw, max_width=4, max_conditions=5):
     """(width, conditions): terms over few indices, so that they repeat,
     and moduli 0, 1 and larger."""
-    width = draw(st.integers(0, 4))
+    width = draw(st.integers(0, max_width))
     terms = st.lists(st.tuples(st.integers(0, width - 1), st.integers(-4, 4)), max_size=4) \
         if width else st.just([])
     modulus = st.sampled_from((0, 0, 1, 2, 3, 6))
-    return width, draw(st.lists(st.tuples(terms.map(tuple), modulus), max_size=5))
+    return width, draw(st.lists(st.tuples(terms.map(tuple), modulus), max_size=max_conditions))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -309,6 +316,38 @@ def test_condition_kernel_is_the_kernel_of_the_condition_matrix(system):
     assert kernel(m) == dense_kernel(m)
     cut = condition_kernel(width, conditions)
     assert cut.ambient_dim == width and cut == dense_condition_kernel(width, conditions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(condition_systems(7, 6), st.data())
+def test_an_unlifted_condition_kernel_acts_as_its_canonical_basis(system, data):
+    """L = ``condition_kernel`` keeps its small form until its basis is
+    read: ``rank`` and ``quotient`` on it agree with the lattice of its
+    basis, a generator that breaks an equation or a congruence raises
+    before and after the lift, and the lift gives L the equality, hash
+    and repr of its twin."""
+    width, conditions = system
+    cut = condition_kernel(width, conditions)
+    twin = Lattice.from_matrix(condition_kernel(width, conditions).basis)
+    combination = st.lists(st.integers(-3, 3), min_size=twin.rank, max_size=twin.rank)
+    gens = [twin.basis.mul_vec(c) for c in data.draw(st.lists(combination, max_size=4))]
+    base = gens[0] if gens else (0,) * width
+    broken = [tuple(x + (i == t) for i, x in enumerate(base)) for t in range(width)]
+    broken = [b for b in broken if not satisfies(conditions, b)]
+    columns = [[(i, x) for i, x in enumerate(g) if x] for g in gens]
+
+    def refuses_broken(lat):
+        for b in broken:
+            with pytest.raises(LatticeError, match="^quotient: generator 0 is not in"):
+                quotient(lat, [[(i, x) for i, x in enumerate(b) if x]] + columns)
+
+    assert cut.rank == twin.rank
+    assert quotient(cut, columns) == quotient(twin, columns)
+    refuses_broken(cut)
+    refuses_broken(twin)
+    assert "columns" not in vars(cut)  # nothing above read the basis
+    assert (cut == twin, hash(cut), repr(cut)) == (True, hash(twin), repr(twin))
+    refuses_broken(cut)
 
 
 @SETTINGS
