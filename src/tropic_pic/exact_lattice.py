@@ -26,17 +26,19 @@ entries of its source column only, and carries a unimodular transform
 only for ``hnf`` and ``snf``, which return one.  ``condition_kernel``,
 behind ``kernel`` and ``lattice_intersect``, row-echelons dict rows
 last column first, and only the rows whose pivot is not a unit go to
-``hnf``, on the columns they touch; their canonical kernel K, lifted
-through the unit rows on first read, is the whole kernel's, with no
-second echelon and no dense matrix.  Membership solves run over a
-lattice's sparse columns.  ``quotient`` solves in K where there is one,
-writes its witnesses straight into sparse rows, and
-``invariant_factors`` strips unit pivots from them, one factor 1 each,
-under a cost cap that doubles, running ``snf`` only on what is left
-(Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).  That
-strip keeps no S; ``span_conditions`` runs the same strip carrying S,
-each row's combination of the input rows, and composes it with the S
-of ``snf`` on what is left.
+``hnf``, on the columns they touch.  Columns go in the reverse of the
+order in which the conditions, read from the last one back, first name
+them, so fill-in stays among nearby vertices.  A basis is read in the
+callers' order: the rows are eliminated again in it on first read, and
+that kernel K is lifted through the unit rows, with no dense matrix.
+Membership solves run over a lattice's sparse columns.  ``quotient``
+solves in K where there is one, writes its witnesses straight into
+sparse rows, and ``invariant_factors`` strips unit pivots from them,
+one factor 1 each, under a cost cap that doubles, running ``snf`` only
+on what is left (Dumas, Saunders and Villard, J. Symbolic Comput. 32,
+2001).  That strip keeps no S; ``span_conditions`` runs the same strip
+carrying S, each row's combination of the input rows, and composes it
+with the S of ``snf`` on what is left.
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
@@ -433,13 +435,14 @@ class Lattice:
     column echelon form, which membership and equality read.
 
     A lattice that ``condition_kernel`` cuts out keeps its small form
-    ``_cut`` (its conditions by column, unit rows and kernel K on the
-    free coordinates) and lifts ``columns`` from K on first read; ``rank``
-    and ``quotient`` read K.
+    ``_cut``: its conditions by column, the permutation that renumbers
+    the columns, and the unit rows and kernel K on the free coordinates,
+    all on the renumbered columns.  ``rank`` and ``quotient`` read K; on
+    first read, ``columns`` eliminates in the callers' order and lifts.
     """
 
     ambient_dim: int
-    columns: tuple = cached_property(lambda self: _lift(self.ambient_dim, *self._cut[1:]))
+    columns: tuple = cached_property(lambda self: _lift(self.ambient_dim, *self._cut))
 
     def __init__(self, ambient_dim: int, basis: IntMatrix):
         if type(ambient_dim) is not int:
@@ -469,7 +472,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len((self._cut[2] if self._cut else self).columns)
+        return len((self._cut[3] if self._cut else self).columns)
 
     @cached_property
     def basis(self) -> IntMatrix:
@@ -490,40 +493,69 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     every nonzero kernel vector has its pivot in the first width rows,
     and the projection of the canonical basis is canonical.
 
+    ``_eliminate`` runs with the x columns numbered in the reverse of the
+    order in which the conditions, read from the last one back, first
+    name them, slack columns last: as callers write the conditions one
+    vertex at a time, a reverse Cuthill-McKee order (George and Liu,
+    1981) from the last vertex.  Eliminating last column first then
+    clears one vertex's columns after another, and a row combination
+    fills in only nearby columns; the callers' edge order splits a
+    vertex's edges into blocks, and at C48 x C48 leaves ``hnf`` 48 x 2306
+    against 47 x 280.  Read from the first condition on, the order does
+    the same at scale but more row work on small products.  ``_cut``
+    keeps the permutation, and a basis is read in the callers' order.
+    """
+    _check_conditions(width, conditions)
+    n = width + sum(1 for _, modulus in conditions if modulus)
+    perm = list(range(n))
+    named = chain((i for terms, _ in reversed(conditions) for i, _ in terms), range(width))
+    for t, i in enumerate(dict.fromkeys(named)):
+        perm[i] = width - 1 - t
+    rows, slack = {}, iter(range(width, n))
+    reads = [[] for _ in range(n)]  # per renumbered column: its (condition, coefficient) pairs
+    for r, (terms, modulus) in enumerate(conditions):
+        row = {next(slack): modulus} if modulus else {}
+        for i, c in terms:
+            p = perm[i]
+            row[p] = row.get(p, 0) + c
+        rows[r] = {j: c for j, c in row.items() if c}
+        for j, c in rows[r].items():
+            reads[j].append((r, c))
+    return Lattice._trusted(width, None, (reads, perm) + _eliminate(n, rows))
+
+
+def _eliminate(n: int, rows: dict) -> tuple:
+    """(units, K) of the dict rows over n columns, keyed by row number,
+    which it changes in place.
+
     Dict rows go to row echelon form last column first, a column -> rows
     index naming the rows not yet placed.  A row with pivot +-1 at d is
     kept as it is: x_d = -row_d . x reads only columns before d.  The
     other rows, cleared of those unit columns, lie on S, the columns no
     unit row owns.  K, their kernel on S, is the last columns of
     ``hnf``'s U on the columns they touch, echelonned in place, and a
-    unit vector per column of S they do not touch.  ``_lift`` lifts it,
-    on first read, one basis row at a time in ascending d.  The lift of
-    K's canonical basis is canonical: its pivots and reduced entries lie
-    in S, and x_d is zero above K's first nonzero, as row_d reads only
-    columns before d.
+    unit vector per column of S they do not touch.  ``_lift`` lifts it
+    one basis row at a time in ascending d.  The lift of K's canonical
+    basis is canonical in this numbering: its pivots and reduced entries
+    lie in S, and x_d is zero above K's first nonzero, as row_d reads
+    only columns before d.
     """
-    _check_conditions(width, conditions)
-    n = width + sum(1 for _, modulus in conditions if modulus)
-    rows, rows_at, slack = [], [set() for _ in range(n)], iter(range(width, n))
-    reads = [[] for _ in range(n)]  # per column: its (condition, coefficient) pairs
-    for r, (terms, modulus) in enumerate(conditions):
-        row = {next(slack): modulus} if modulus else {}
-        for i, c in terms:
-            row[i] = row.get(i, 0) + c
-        rows.append({i: c for i, c in row.items() if c})
-        for j, c in rows[r].items():
+    rows_at = [set() for _ in range(n)]
+    for r, row in rows.items():
+        for j in row:
             rows_at[j].add(r)
-            reads[j].append((r, c))
     units, rest = {}, []
     for j in range(n - 1, -1, -1):
         while len(rows_at[j]) > 1:  # Euclid on column j, smallest entry (then sparsest row) first
             k = min(rows_at[j], key=lambda r: (abs(rows[r][j]), len(rows[r]), r))
             for r in rows_at[j] - {k}:
                 row, q = rows[r], rows[r][j] // rows[k][j]
-                for c, x in rows[k].items():
-                    if y := row.get(c, 0) - q * x:
-                        row[c] = y
+                for c, x in rows[k].items():  # q is not 0: rows[k][j] is the smallest
+                    if c not in row:
+                        row[c] = -q * x
                         rows_at[c].add(r)
+                    elif y := row[c] - q * x:
+                        row[c] = y
                     else:
                         del row[c]
                         rows_at[c].discard(r)
@@ -535,9 +567,17 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
                 units[j] = {c: p * x for c, x in row.items() if c != j}
             else:
                 rest.append(row)
-    for d in sorted(units, reverse=True):  # clear the unit columns, last first
-        for row in rest:
-            for c, x in units[d].items() if (f := row.pop(d, 0)) else ():
+    # Clear the unit columns off the rest rows, last first, as units[d]
+    # adds only earlier ones; holders names the rows holding each.
+    holders = defaultdict(list)
+    for row in rest:
+        for d in units.keys() & row:
+            holders[d].append(row)
+    for d in sorted(units, reverse=True):
+        for row in holders.pop(d, ()):
+            for c, x in units[d].items() if (f := row.pop(d)) else ():
+                if c in units and c not in row:
+                    holders[c].append(row)
                 row[c] = row.get(c, 0) - f * x
     touched = sorted({c for row in rest for c, x in row.items() if x})
     _, u = hnf(IntMatrix._trusted(len(rest), len(touched),
@@ -547,12 +587,19 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
          for y, p in zip(ker, _echelon(ker, len(touched)))]
     # Merged by pivot row: a unit vector's row is zero in every other column.
     k = sorted(k + [((j, 1),) for j in set(range(n)).difference(units, touched)])
-    return Lattice._trusted(width, None, (reads, units, Lattice._trusted(n, tuple(k))))
+    return units, Lattice._trusted(n, tuple(k))
 
 
-def _lift(width: int, units: dict, k: Lattice) -> tuple:
+def _lift(width: int, reads: list, perm: list, units: dict, k: Lattice) -> tuple:
     """K's canonical columns lifted to Z^width by x_d = -units[d] . x at
-    each unit column d (see ``condition_kernel``), column b from K's b."""
+    each unit column d (see ``condition_kernel``), column b from K's b;
+    K and units taken again in the callers' order unless perm keeps it."""
+    if perm != list(range(len(perm))):  # eliminate again, in the callers' order
+        back, rows = sorted(range(len(perm)), key=perm.__getitem__), defaultdict(dict)
+        for j, column in enumerate(reads):
+            for r, c in column:
+                rows[r][back[j]] = c
+        units, k = _eliminate(len(perm), rows)
     lifted = [{} for _ in range(width)]  # per coordinate: basis column -> entry
     for b, y in enumerate(k.columns):
         for t, c in y:
@@ -662,20 +709,21 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     LatticeError if that fails, i.e. L is not a sublattice), and the
     quotient is the cokernel of the sparse coefficient rows.  Where big
     has a small form, a column meets the conditions that touch it, which
-    fix its slack, and is written in K by its entries on S, as the lift
-    takes K's basis onto big's.
+    fix its slack, and is written in K by its entries on S, its indices
+    mapped through the form's permutation: the lift takes K's basis to
+    a basis of big, which need not be the canonical one.
     """
     _check_type(Lattice, big)
     n = big.ambient_dim
-    reads, units, k = big._cut or ([()] * n, {}, big)  # a basis: no condition
+    reads, perm, units, k = big._cut or ([()] * n, range(n), {}, big)  # a basis: no condition
     congruences = {r: (m, j) for j in range(n, k.ambient_dim) for r, m in reads[j]}
     coeff_rows = [[] for _ in k.columns]
     for j, col in enumerate(_sparse_dicts(gens, "generators", n)):
         v, totals = [0] * k.ambient_dim, {}
         for i, x in col.items():
-            if i not in units:
-                v[i] = x
-            for r, c in reads[i]:
+            if (p := perm[i]) not in units:
+                v[p] = x
+            for r, c in reads[p]:
                 totals[r] = totals.get(r, 0) + c * x
         for r, total in totals.items():  # x's slack is -total / m; an equation's total is 0
             modulus, slack = congruences.get(r, (0, None))

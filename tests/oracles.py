@@ -12,7 +12,8 @@ local lattice per vertex, the local saturation test with one invariant
 factor test per distinct star, the balancing equations grouped through
 the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
-(Cart is the one of every congruence), a lattice cut by conditions
+(Cart is the one of every congruence), the basis a kernel's small
+form gives in its own column order, a lattice cut by conditions
 restricted to its basis, a divisor's JSON by ``json.dumps``, and the
 kernel by a dense row echelon of the whole matrix."""
 
@@ -27,6 +28,7 @@ from tropic_pic.exact_lattice import (
     LatticeError,
     _echelon,
     _flat_from_cols,
+    _lift,
     _nonzeros,
     _sub_nonzeros,
     condition_matrix,
@@ -335,6 +337,20 @@ def dense_condition_kernel(width: int, conditions) -> Lattice:
     canonical."""
     ker = dense_kernel(condition_matrix(width, conditions))
     return Lattice(width, from_cols([ker.basis.col(j)[:width] for j in range(ker.rank)], width))
+
+
+def ordered_kernel_basis(lat: Lattice) -> IntMatrix:
+    """The basis that the small form of a ``condition_kernel`` lattice
+    gives in its own column order: K lifted through the unit rows as it
+    is (an identity perm makes ``_lift`` take them as they are), then
+    each entry moved back to the callers' column.  It spans the lattice
+    but need not be canonical."""
+    reads, perm, units, k = lat._cut
+    n = lat.ambient_dim
+    back = {p: i for i, p in enumerate(perm[:n])}
+    cols = [dict((back[d], c) for d, c in col)
+            for col in _lift(n, reads, list(range(len(perm))), units, k)]
+    return from_cols([[col.get(i, 0) for i in range(n)] for col in cols], n)
 
 
 def congruence_kernel_cart(tp: TriangulatedProduct) -> Lattice:

@@ -13,6 +13,7 @@ from oracles import (
     balancing_conditions_by_factor_edges,
     cartier_conditions_per_vertex,
     cut_by_restriction,
+    dense_condition_kernel,
     dense_principal_matrix,
     diagonals_at,
     divisor_json_dumps,
@@ -24,6 +25,7 @@ from oracles import (
     local_rank_expected,
     locally_saturated_per_star,
     matmul,
+    ordered_kernel_basis,
     random_policy,
     random_tree,
     rank,
@@ -39,6 +41,7 @@ from tropic_pic.exact_lattice import (
     IntMatrix,
     Lattice,
     cokernel,
+    condition_kernel,
     invariant_factors,
     lattice_conditions,
     lattice_contains,
@@ -427,6 +430,20 @@ def test_cart_is_qcart_cut_by_the_congruences(mixed_products):
         if saturated[-1]:
             assert cart is qcart
     assert any(saturated) and not all(saturated)
+
+
+def test_kernels_in_their_own_column_order_span_qcart_and_cart(mixed_products):
+    # ``condition_kernel`` eliminates the balancing equations and the
+    # congruences with the edges renumbered vertex by vertex, from the
+    # last vertex back.  Its K, lifted in that order and moved back to
+    # the edges, spans the dense kernel of the conditions.
+    for tp in list(mixed_products) + [theta2_theta2()]:
+        n = tp.n_edges
+        for conditions in (_balancing_conditions(tp), divisor_theory._cartier_conditions(tp)):
+            cut = condition_kernel(n, conditions)
+            assert cut._cut[1][:n] != list(range(n))
+            assert Lattice.from_matrix(ordered_kernel_basis(cut)) \
+                == dense_condition_kernel(n, conditions)
 
 
 def test_local_test_equals_the_per_star_oracle(mixed_products):

@@ -52,6 +52,7 @@ from oracles import (
     dense_kernel,
     locally_saturated_per_star,
     matmul,
+    ordered_kernel_basis,
     random_policy,
     rows_from_weights,
     sparse_rows,
@@ -316,6 +317,20 @@ def test_condition_kernel_is_the_kernel_of_the_condition_matrix(system):
     assert kernel(m) == dense_kernel(m)
     cut = condition_kernel(width, conditions)
     assert cut.ambient_dim == width and cut == dense_condition_kernel(width, conditions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(condition_systems(12, 10))
+def test_condition_kernel_in_its_own_column_order_spans_the_kernel(system):
+    """``condition_kernel`` eliminates with the columns renumbered by
+    the conditions, and ``rank`` and ``quotient`` read that K.  Lifted
+    in that order and moved back to the callers' columns, K spans what
+    the dense kernel cuts out."""
+    width, conditions = system
+    cut = condition_kernel(width, conditions)
+    assert Lattice.from_matrix(ordered_kernel_basis(cut)) \
+        == dense_condition_kernel(width, conditions)
+    assert "columns" not in vars(cut)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
