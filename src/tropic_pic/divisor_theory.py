@@ -19,8 +19,8 @@ Cartier and Q-Cartier divisors are cut out by per-vertex conditions in
 ``exact_lattice``'s ``(terms, modulus)`` format.  Cartier (locally
 principal): at every vertex v the restriction of d to the edges at v
 lies in L_v, the integer span of the local matrix M_v (P's rows there),
-cut out by minimal congruences that ``lattice_conditions`` reads off
-the Smith form of M_v itself, once per distinct star.  Q-Cartier (locally
+cut out by minimal congruences that ``span_conditions`` reads off M_v's
+sparse rows, once per distinct star.  Q-Cartier (locally
 balanced): d meets the balancing equations (``_balancing_conditions``),
 which cut out Q_v at v and are read off v's star alone, as each edge id
 names the factor edges under it; QCart is their kernel, taken on their
@@ -37,8 +37,8 @@ is built for Cart or Pic.  Pic and Cl quotient by P's columns, each
 written in the kernel of Cart's or QCart's conditions on their free
 coordinates, so neither lattice lifts its canonical basis over the
 edges; ``is_principal`` reads Prin's congruences, so only
-``prin_lattice`` itself builds Prin's HNF basis.  ``span_conditions`` writes those
-congruences off P's rows, the one call whose unit strip carries S.
+``prin_lattice`` itself builds Prin's HNF basis.  ``span_conditions``
+writes those congruences off P's rows, as it writes each star's.
 Their values at d, each taken mod its modulus, are d's coordinates in
 Z^E / Prin: the class that a ``class_of`` query will read.
 ``divisor_to_json`` joins its text from a per-product table of the
@@ -59,7 +59,6 @@ from .exact_lattice import (
     condition_kernel,
     condition_matrix,
     invariant_factors,
-    lattice_conditions,
     lattice_member,  # noqa: F401  unused; the benchmark's tracer binds it in this module
     quotient,
     satisfies,
@@ -156,7 +155,9 @@ def is_principal(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
 def _local_key(tp: TriangulatedProduct, v) -> tuple:
     """The rows of ``principal_rows`` at the edges at v, their columns
     renumbered by first appearance: the local matrix up to column order,
-    which changes neither its lattice nor its invariant factors."""
+    which changes neither its lattice nor its invariant factors.  Stars
+    with equal keys have equal congruences, as ``span_conditions`` gives
+    equal rows equal conditions."""
     rows, edge, column = tp.principal_rows, tp._eindex, {}
     return tuple([tuple([(column.setdefault(j, len(column)), c) for j, c in rows[edge[e]]])
                   for e in tp._star[v]])
@@ -168,16 +169,15 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
 
     One ``(terms, modulus)`` per factor of M_v above 1 or missing rank,
     ``terms`` the nonzero ``(edge index, coefficient)`` pairs of its
-    row.  Each distinct local key is solved once (9 for the 36 vertices
-    of C6 x C6), its rows written over len(key) + 1 columns: they name
-    v and the far endpoints of its edges, and a column left zero, where
-    two edges share a far endpoint, adds no congruence.
+    row, written by ``span_conditions`` off the key's sparse rows: their
+    indices are positions in the star.  Each distinct local key is
+    solved once (9 for the 36 vertices of C6 x C6).
     """
     by_key = {}
     out = []
     for v in tp.vertices:
         if (key := _local_key(tp, v)) not in by_key:
-            by_key[key] = lattice_conditions(condition_matrix(len(key) + 1, [(r, 0) for r in key]))
+            by_key[key] = span_conditions(key)
         star_idx = [tp._eindex[eid] for eid in tp._star[v]]
         out.extend((tuple((star_idx[i], c) for i, c in terms), modulus)
                    for terms, modulus in by_key[key])
@@ -330,18 +330,32 @@ def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
         raise ComplexError(f"coefficient of edge {key!r} has too many digits") from None
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, or ComplexError naming the first
+    key that comes twice, of which ``json.loads`` would keep the last."""
+    if len(obj := dict(pairs)) < len(pairs):  # popping each key in turn, a repeat finds it gone
+        key = next(key for key, _ in pairs if obj.pop(key, obj) is obj)
+        raise ComplexError(f"key {key!r} appears twice in the divisor JSON")
+    return obj
+
+
+_decoder = json.JSONDecoder(object_pairs_hook=_json_object)  # json.loads would build one per call
+
+
 def divisor_from_json(tp: TriangulatedProduct, text: str) -> tuple:
-    """Inverse of ``divisor_to_json``; every coefficient must be a JSON integer."""
+    """Inverse of ``divisor_to_json``; every coefficient must be a JSON
+    integer, and no key may come twice."""
     if not isinstance(text, str):
         raise ComplexError(f"divisor JSON must be a str, got {type(text).__name__}")
     try:
-        obj = json.loads(text)
+        obj = _decoder.decode(text)
     except json.JSONDecodeError as exc:
         raise ComplexError(f"divisor JSON is not valid at line {exc.lineno} "
                            f"column {exc.colno}: {exc.msg}") from None
-    except ValueError:  # an integer past CPython's str -> int digit limit: keep it as text
-        limit = sys.get_int_max_str_digits()
-        obj = json.loads(text, parse_int=lambda s: int(s) if len(s.lstrip("-")) <= limit else (s,))
+    except ValueError:  # an integer past CPython's str -> int digit limit, kept as text
+        limit = sys.get_int_max_str_digits()  # here, or a repeated key, raised again here
+        obj = json.loads(text, object_pairs_hook=_json_object,
+                         parse_int=lambda s: int(s) if len(s.lstrip("-")) <= limit else (s,))
     if not isinstance(obj, dict):
         raise ComplexError("divisor JSON must be an object")
     by_str = _edge_keys(tp)

@@ -8,8 +8,8 @@ are immutable and all functions are pure; a basis built lazily is
 cached, so it never changes.  ``invariant_factors``, ``span_conditions``,
 ``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
 ``(index, value)`` pairs (the terms of the condition format below),
-whose repeated indices add up; ``hnf``, ``snf``, ``kernel`` and
-``lattice_conditions`` take a dense ``IntMatrix``.  Entries must be
+whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
+dense ``IntMatrix``.  Entries must be
 ints (``bool`` is refused), checked once per call where they enter from
 outside; matrices this module builds itself skip the check.  A
 ``Lattice`` is kept as its canonical basis columns, each the ``(row,
@@ -38,17 +38,16 @@ one factor 1 each, under a cost cap that doubles, running ``snf`` only
 on what is left (Dumas, Saunders and Villard, J. Symbolic Comput. 32,
 2001).  That strip keeps no S; ``span_conditions`` runs the same strip
 carrying S, each row's combination of the input rows, and composes it
-with the S of ``snf`` on what is left.
+with the S of ``snf`` on what is left.  Within the package, ``snf``
+runs on nothing else.
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
-``lattice_conditions`` writes it off the Smith form's S of any dense
-matrix whose columns span the lattice, and its output depends on the
-lattice alone; ``span_conditions`` writes it off the S above, for a
-matrix given by sparse rows, and its output depends on the rows.
-``satisfies`` and ``condition_matrix`` read it, and ``condition_kernel``
-returns the lattice in Z^width it cuts out, which is how ``kernel`` and
-``lattice_intersect`` build theirs.
+``span_conditions`` is its one writer, off the S above, for a matrix
+given by sparse rows; ``lattice_intersect`` hands it the rows of each
+lattice's basis columns.  ``satisfies`` and ``condition_matrix`` read
+it, and ``condition_kernel`` returns the lattice in Z^width it cuts
+out, which is how ``kernel`` and ``lattice_intersect`` build theirs.
 
 Conventions
 -----------
@@ -282,7 +281,9 @@ def snf(m: IntMatrix) -> tuple:
     diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979), S riding
     beside the rows.  Where a diagonal entry does not divide the next,
     the next row is added to its row and the passes resume, which
-    replaces the pair by its gcd and lcm.
+    replaces the pair by its gcd and lcm.  Within the package it runs
+    only on what ``_strip_units`` leaves, for ``invariant_factors`` and
+    ``span_conditions``.
     """
     _check_type(IntMatrix, m)
     nr, nc = m.rows, m.cols
@@ -329,7 +330,7 @@ def _strip_units(sparse_rows: Sequence, carry_s: bool = False) -> tuple:
     1, and its S row is no condition.
     """
     rows, at = [], defaultdict(set)  # at: column -> rows nonzero there
-    for i, d in enumerate(_sparse_dicts(sparse_rows, "rows")):
+    for i, d in enumerate(_sparse_dicts(sparse_rows, "row")):
         rows.append({j: x for j, x in d.items() if x} if 0 in d.values() else d)
         for j in rows[i]:
             at[j].add(i)
@@ -396,29 +397,35 @@ def invariant_factors(rows: Sequence) -> list:
 
 def span_conditions(rows: Sequence) -> list:
     """Congruences that cut out the integer column span of the matrix
-    with these sparse rows, in ``lattice_conditions``' format and by its
-    rule, but with S from the unit strip composed with the Smith form of
-    what is left.  A pivot row gives no condition, and a row the strip
-    empties gives the equation s_k . v = 0.  Moduli come in divisibility
-    order, then the equations: one per zero factor and emptied row.
+    with these sparse rows, as ``(terms, modulus)`` pairs that
+    ``satisfies`` reads: ``terms`` are the nonzero ``(index, c)`` entries
+    of a row of S, and modulus 0 asks for an equation.
 
-    Unlike ``lattice_conditions``' the output depends on the rows, not
-    only on their span: the strip's row operations see the rows as given.
+    S is the strip's, each row's combination of the input rows, composed
+    with the S of ``snf`` on what is left, so that S m T is m's Smith
+    form d, and v lies in the span iff (S v)_i is 0 mod d_i, and 0 where
+    d_i is 0 or missing.  A pivot row is a factor 1 and gives no
+    condition, and a row the strip empties gives the equation
+    s_k . v = 0: a minimal set, one congruence per d_i > 1, its row
+    reduced mod d_i, in divisibility order, then one equation per zero
+    factor and emptied row.  S is unimodular, so its rows are primitive
+    and no reduced row is zero or has a content to divide out.  The
+    output depends on the rows as given, not only on their span, and
+    equal rows give equal conditions.
     """
     _, rest, s = _strip_units(rows, carry_s=True)
     d, s2 = snf(rest)
-    moduli = [d[i, i] if i < d.cols else 0 for i in range(d.rows)] + [0] * (len(s) - d.rows)
-
-    def s_row(i: int) -> list:
-        if i >= d.rows:
-            return sorted(s[i].items())
-        out = {}
-        for t, f in enumerate(s2.row(i)):
-            if f:
-                _add_scaled(out, s[t], f)
-        return sorted(out.items())
-
-    return _write_conditions(moduli, s_row)
+    out = []
+    for i, row in enumerate(s):
+        if (modulus := d[i, i] if i < min(d.rows, d.cols) else 0) == 1:
+            continue
+        if i < d.rows:  # a row of rest: S of snf composed with the strip's
+            row = {}
+            for f, s_row in zip(s2.row(i), s):
+                _add_scaled(row, s_row, f)
+        terms = [(j, x % modulus if modulus else x) for j, x in sorted(row.items())]
+        out.append((tuple((j, x) for j, x in terms if x), modulus))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -645,44 +652,6 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     return True, y
 
 
-def lattice_conditions(m: IntMatrix) -> list:
-    """Congruences that cut out the integer column span of m, any
-    generating matrix, as ``(terms, modulus)`` pairs that ``satisfies``
-    reads: ``terms`` are the nonzero ``(index, c)`` entries of a row,
-    and modulus 0 asks for an equation.
-
-    With d = s @ m @ t the Smith form of m, v lies in the span iff
-    (s v)_i is 0 mod d_i, and 0 where d_i is 0 or missing: a minimal
-    set, one congruence per d_i > 1, its row reduced mod d_i, and one
-    equation per zero or missing d_i.  The rows of a unimodular s are
-    primitive, so no reduced row is zero or has a content to divide out.
-
-    This runs the dense ``snf``, not ``span_conditions``' unit strip, so
-    that the output depends on the lattice alone: ``snf``'s first column
-    pass is canonical, so every generating matrix of a lattice gives the
-    same conditions, which ``_cartier_conditions`` and its per-vertex
-    oracle rely on.  The strip's row operations see m's rows as given,
-    and on the small local matrices of six theta products the strip run
-    after a canonical echelon was 3% to 80% slower, not faster.
-    """
-    d, s = snf(m)
-    return _write_conditions([d[i, i] if i < m.cols else 0 for i in range(m.rows)],
-                             lambda i: enumerate(s.row(i)))
-
-
-def _write_conditions(moduli: list, s_row) -> list:
-    """``(terms, modulus)`` per modulus other than 1, the terms the
-    nonzero ``(j, x)`` of ``s_row(i)``, x reduced mod a modulus > 0.
-    ``lattice_conditions`` and ``span_conditions`` differ only in how
-    they get the moduli and the rows of S."""
-    out = []
-    for i, modulus in enumerate(moduli):
-        if modulus != 1:
-            terms = ((j, x % modulus) for j, x in s_row(i)) if modulus else s_row(i)
-            out.append((tuple((j, x) for j, x in terms if x), modulus))
-    return out
-
-
 def lattice_contains(big: Lattice, small: Lattice) -> bool:
     _check_type(Lattice, big, small)
     if big.ambient_dim != small.ambient_dim:
@@ -692,12 +661,13 @@ def lattice_contains(big: Lattice, small: Lattice) -> bool:
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection: the kernel of the congruences that cut out a and b."""
+    """Intersection: the kernel of the congruences that cut out a and b,
+    written off the rows of their basis columns."""
     _check_type(Lattice, a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
-    return condition_kernel(a.ambient_dim,
-                            lattice_conditions(a.basis) + lattice_conditions(b.basis))
+    return condition_kernel(a.ambient_dim, span_conditions(transpose(a.columns, a.ambient_dim))
+                            + span_conditions(transpose(b.columns, a.ambient_dim)))
 
 
 def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
@@ -718,7 +688,7 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     reads, perm, units, k = big._cut or ([()] * n, range(n), {}, big)  # a basis: no condition
     congruences = {r: (m, j) for j in range(n, k.ambient_dim) for r, m in reads[j]}
     coeff_rows = [[] for _ in k.columns]
-    for j, col in enumerate(_sparse_dicts(gens, "generators", n)):
+    for j, col in enumerate(_sparse_dicts(gens, "generator", n)):
         v, totals = [0] * k.ambient_dim, {}
         for i, x in col.items():
             if (p := perm[i]) not in units:
@@ -742,34 +712,30 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
 
 def transpose(lines: Sequence, n: int) -> list:
     """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j.
-    An n that is not an int >= 0 raises LatticeError, as does an index i
-    outside [0, n), a term that is not a pair, or an index or value that
-    is not an int (a bool is not), naming its line.  The types are
-    tested term by term in the one pass that moves the terms."""
+    An n that is not an int >= 0 raises LatticeError, as do lines that
+    are no sequence, and an index i outside [0, n), a term that is not a
+    pair, or an index or value that is not an int (a bool is not),
+    naming its line.  The types are tested term by term in the one pass
+    that moves the terms."""
     if type(n) is not int or n < 0:
         raise LatticeError(f"n must be an int >= 0, got {n!r}")
     out = [[] for _ in range(n)]
-    j = line = None
     try:
         for j, line in enumerate(lines):
             for i, c in line:
-                if type(i) is not int or type(c) is not int:  # True would be row 1
+                if type(i) is not int or type(c) is not int or i < 0:  # True would be row 1
                     raise TypeError
-                if i < 0:  # out[i] raises it for an i past the end of out
-                    raise IndexError
                 out[i].append((j, c))
-    except IndexError:
-        raise LatticeError(f"line {j}: index {i!r} is outside [0, {n})") from None
-    except (TypeError, ValueError):  # a bool, float or str term, a term of three
-        raise LatticeError(f"line {j} is no sequence of (int index, int value) pairs: "
-                           f"{line!r}") from None
+    except (IndexError, TypeError, ValueError):  # an i past the end of out; a term of three
+        raise _first_fault(lines, "line", n) from None
     return out
 
 
 def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> list:
     """The lines as dicts index -> value, repeated indices added up, or
-    LatticeError unless they are (index, int) pairs (no bool), index in
-    [0, bound).  The types are tested once over the dicts' keys and values."""
+    ``_first_fault``'s LatticeError unless they are sequences of (index,
+    int) pairs (no bool), index in [0, bound).  The types are tested once
+    over the dicts' keys and values; the fault is looked for only then."""
     try:
         pairs = len(lines) and sum(map(len, lines))
         dicts = list(map(dict, lines))
@@ -779,12 +745,31 @@ def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> li
                 for i, x in line:
                     d[i] = d.get(i, 0) + x if type(i) is type(x) is int else None
     except (TypeError, ValueError):
-        dicts = [{None: None}]
+        raise _first_fault(lines, what, bound) from None
     index = set(chain.from_iterable(dicts))
     if not (set(map(type, index)) | set(map(type, chain.from_iterable(map(dict.values, dicts))))
             <= {int} and min(index, default=0) >= 0 and max(index, default=-1) < bound):
-        raise LatticeError(f"{what} must be sequences of (index, int) pairs in [0, {bound})")
+        raise _first_fault(lines, what, bound)
     return dicts
+
+
+def _first_fault(lines, what: str, bound: float) -> LatticeError:
+    """The error that names lines, if they are no sequence, or else the
+    first line that is no sequence of (int index, int value) pairs or
+    holds an index outside [0, bound), each line called what: the fault
+    for which ``transpose`` or ``_sparse_dicts`` refused the lines."""
+    if not hasattr(lines, "__len__"):
+        return LatticeError(f"{what}s must be a sequence, got {type(lines).__name__}")
+    for j, line in enumerate(lines):
+        try:
+            for i, c in line if hasattr(line, "__len__") else None:
+                if type(i) is not int or type(c) is not int:
+                    raise TypeError
+                if not 0 <= i < bound:
+                    return LatticeError(f"{what} {j}: index {i!r} is outside [0, {bound})")
+        except (TypeError, ValueError):
+            return LatticeError(f"{what} {j} is no sequence of (int index, int value) pairs: "
+                                f"{line!r}")
 
 
 def _check_conditions(width: int, conditions: Sequence) -> None:

@@ -267,12 +267,6 @@ def build_product(g: Multigraph, h: Multigraph,
     return TriangulatedProduct(g, h, DiagonalPolicy.standard() if policy is None else policy)
 
 
-def graph_star(tp: TriangulatedProduct, v) -> tuple:
-    """All edges containing v, in the global edge order."""
-    tp.vertex_index(v)
-    return tp._star[v]
-
-
 def edge_id_str(eid: tuple) -> str:
     """Canonical string form of a product edge id, for JSON keys.
 

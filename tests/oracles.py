@@ -3,23 +3,27 @@ columns, a lattice from generators, the sparse rows and columns of a
 matrix, the zero and identity matrices, the zero and full lattices,
 submatrices, matrix product, Bareiss determinant and rank, the pivot
 rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random
-trees and diagonal policies, a product edge's endpoints, the diagonals
-at a vertex, a product's weights by a scan of its triangles, P's sparse
-rows and the dense principal matrix written from that scan, the local
-matrices cut from it and the local keys written out, the closed-form
-local rank of a triangulated product, the Cartier congruences with one
-local lattice per vertex, the local saturation test with one invariant
-factor test per distinct star, the balancing equations grouped through
-the factor graphs, the lattice that
+trees and diagonal policies, a product's star at a vertex, a product
+edge's endpoints, the diagonals at a vertex, a product's weights by a
+scan of its triangles, P's sparse rows and the dense principal matrix
+written from that scan, the local matrices cut from it and the local
+keys written out, the closed-form local rank of a triangulated product,
+the congruences of a lattice off the dense Smith form of a generating
+matrix, a check that per-vertex congruences cut out each local lattice
+as the dense ones do, the local saturation test with one
+invariant factor test per distinct star, the balancing equations
+grouped through the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
 (Cart is the one of every congruence), the basis a kernel's small
 form gives in its own column order, a lattice cut by conditions
-restricted to its basis, a divisor's JSON by ``json.dumps``, and the
-kernel by a dense row echelon of the whole matrix."""
+restricted to its basis, a divisor's JSON by ``json.dumps``, the
+intersection of two lattices from the kernel of their bases side by
+side, and the kernel by a dense row echelon of the whole matrix."""
 
 import heapq
 import json
 import random
+from itertools import islice
 
 from tropic_pic.divisor_theory import _cartier_conditions, _local_key
 from tropic_pic.exact_lattice import (
@@ -34,14 +38,13 @@ from tropic_pic.exact_lattice import (
     condition_matrix,
     hnf,
     invariant_factors,
-    lattice_conditions,
+    snf,
 )
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
 from tropic_pic.product_complex import (
     DiagonalPolicy,
     TriangulatedProduct,
     edge_id_str,
-    graph_star,
 )
 
 
@@ -272,6 +275,13 @@ def dense_principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
     return IntMatrix(ne, nv, flat)
 
 
+def graph_star(tp: TriangulatedProduct, v) -> tuple:
+    """All edges containing v, in the global edge order; ComplexError
+    for a v that is no vertex of tp."""
+    tp.vertex_index(v)
+    return tp._star[v]
+
+
 def ends(tp: TriangulatedProduct, eid) -> tuple:
     """The endpoints (u, w) of the product edge eid."""
     e = tp.edges[tp.edge_index(eid)]
@@ -391,17 +401,51 @@ def cut_by_restriction(lat: Lattice, conditions) -> Lattice:
     return from_generators(lat.ambient_dim, gens)
 
 
-def cartier_conditions_per_vertex(tp: TriangulatedProduct) -> tuple:
-    """Every vertex's local congruences lifted to the edge order, with one
-    ``lattice_conditions`` call per vertex on the canonical basis of the
-    local lattice, that of ``submatrix_local_matrix``."""
+def dense_lattice_conditions(m: IntMatrix) -> list:
+    """Congruences that cut out the integer column span of m, any
+    generating matrix, in ``span_conditions``' format, off the dense
+    Smith form of all of m, with no unit strip.
+
+    With d = s @ m @ t the Smith form of m, v lies in the span iff
+    (s v)_i is 0 mod d_i, and 0 where d_i is 0 or missing: one
+    congruence per d_i > 1, its row reduced mod d_i, and one equation
+    per zero or missing d_i.  ``snf``'s first column pass is canonical,
+    so every generating matrix of a lattice gives the same conditions.
+    """
+    d, s = snf(m)
     out = []
+    for i in range(m.rows):
+        modulus = d[i, i] if i < m.cols else 0
+        if modulus != 1:
+            terms = ((j, x % modulus if modulus else x) for j, x in enumerate(s.row(i)))
+            out.append((tuple((j, x) for j, x in terms if x), modulus))
+    return out
+
+
+def cuts_out_each_local_lattice(tp: TriangulatedProduct, conditions) -> bool:
+    """Whether ``conditions``, written vertex by vertex in ``tp.vertices``
+    order as ``_cartier_conditions`` writes them, cut out L_v at each v.
+
+    The conditions at v are the next ones, as many as the dense oracle
+    writes for L_v: ``dense_lattice_conditions`` of the canonical basis
+    of ``submatrix_local_matrix``, a minimal set.  They must lie on v's
+    star and, taken at their positions in it, cut out the same lattice
+    as the oracle's, which must be L_v.  No condition may be left over.
+    """
+    rest = iter(conditions)
     for v in tp.vertices:
-        star_idx = [tp.edge_index(eid) for eid in graph_star(tp, v)]
+        star = graph_star(tp, v)
+        position = {tp.edge_index(eid): t for t, eid in enumerate(star)}
         local = Lattice.from_matrix(submatrix_local_matrix(tp, v))
-        for terms, modulus in lattice_conditions(local.basis):
-            out.append((tuple((star_idx[i], c) for i, c in terms), modulus))
-    return tuple(out)
+        dense = dense_lattice_conditions(local.basis)
+        at_v = list(islice(rest, len(dense)))
+        if len(at_v) < len(dense) or any(i not in position for terms, _ in at_v for i, _ in terms):
+            return False
+        ours = [(tuple((position[i], c) for i, c in terms), m) for terms, m in at_v]
+        if not (dense_condition_kernel(len(star), ours) == dense_condition_kernel(len(star), dense)
+                == local):
+            return False
+    return next(rest, None) is None
 
 
 def locally_saturated_per_star(tp: TriangulatedProduct) -> bool:
@@ -449,6 +493,15 @@ def divisor_json_dumps(tp: TriangulatedProduct, d) -> str:
     """``json.dumps`` of the nonzero coefficients of d by edge-id key,
     keys sorted: the text ``divisor_to_json`` must write."""
     return json.dumps({edge_id_str(e.eid): c for e, c in zip(tp.edges, d) if c}, sort_keys=True)
+
+
+def dense_intersection(a: Lattice, b: Lattice) -> Lattice:
+    """a intersected with b, with A and B their bases: A y over the
+    (y, z) in the dense kernel of [A | -B], as A y = B z."""
+    n, ka, kb = a.ambient_dim, a.basis, b.basis
+    stacked = from_cols(ka.col_list() + [[-x for x in col] for col in kb.col_list()], n)
+    ker = dense_kernel(stacked)
+    return from_generators(n, [ka.mul_vec(ker.basis.col(j)[:ka.cols]) for j in range(ker.rank)])
 
 
 def dense_kernel(m: IntMatrix) -> Lattice:

@@ -11,8 +11,8 @@ from sympy import Matrix as SymMatrix
 
 from oracles import (
     balancing_conditions_by_factor_edges,
-    cartier_conditions_per_vertex,
     cut_by_restriction,
+    cuts_out_each_local_lattice,
     dense_condition_kernel,
     dense_principal_matrix,
     diagonals_at,
@@ -20,6 +20,7 @@ from oracles import (
     ends,
     from_generators,
     full_lattice,
+    graph_star,
     local_key_matrix,
     local_rank,
     local_rank_expected,
@@ -43,12 +44,12 @@ from tropic_pic.exact_lattice import (
     cokernel,
     condition_kernel,
     invariant_factors,
-    lattice_conditions,
     lattice_contains,
     lattice_intersect,
     lattice_member,
     quotient,
     satisfies,
+    span_conditions,
 )
 from tropic_pic.divisor_theory import (
     _balancing_conditions,
@@ -80,7 +81,6 @@ from tropic_pic.product_complex import (
     DiagonalPolicy,
     build_product,
     edge_id_str,
-    graph_star,
 )
 
 
@@ -243,7 +243,7 @@ def test_principal_matrix_and_local_congruences_are_built_unchecked(monkeypatch)
     assert checked == []
     monkeypatch.undo()
     assert p == dense_principal_matrix(tp)
-    assert conditions == cartier_conditions_per_vertex(tp)
+    assert cuts_out_each_local_lattice(tp, conditions)
 
 
 def test_local_rank_law(mixed_products):
@@ -278,25 +278,27 @@ def test_local_torsion_is_covered(mixed_products):
             m = submatrix_local_matrix(tp, v)
             factors = invariant_factors(sparse_rows(m))
             if any(f > 1 for f in factors):
-                moduli = [q for _, q in lattice_conditions(m)]
+                moduli = [q for _, q in span_conditions(sparse_rows(m))]
                 torsion.append((factors, 3 in moduli))
     assert ([1, 1, 3], True) in torsion
 
 
 def test_cartier_conditions_equal_the_per_vertex_oracle(mixed_products):
+    # Vertex by vertex, the congruences at v cut out L_v, as many as the
+    # dense oracle's minimal set.
     for tp in mixed_products:
-        assert divisor_theory._cartier_conditions(tp) == cartier_conditions_per_vertex(tp)
+        assert cuts_out_each_local_lattice(tp, divisor_theory._cartier_conditions(tp))
 
 
 def test_c6c6_solves_nine_local_lattices(monkeypatch):
     solved = []
-    real = divisor_theory.lattice_conditions
-    monkeypatch.setattr(divisor_theory, "lattice_conditions",
-                        lambda m: solved.append(m) or real(m))
+    real = divisor_theory.span_conditions
+    monkeypatch.setattr(divisor_theory, "span_conditions",
+                        lambda rows: solved.append(rows) or real(rows))
     tp = build_product(cycle_graph(6), cycle_graph(6))
     conditions = divisor_theory._cartier_conditions(tp)
     assert tp.n_vertices == 36 and len(solved) == 9
-    assert conditions == cartier_conditions_per_vertex(tp)
+    assert cuts_out_each_local_lattice(tp, conditions)
     # Every local lattice is saturated: two equations per vertex, and no
     # congruence.
     assert len(conditions) == 72 and all(m == 0 for _, m in conditions)
@@ -548,13 +550,13 @@ def test_pic_and_cl_lift_no_canonical_basis(monkeypatch, g, h, expected):
 def pic_and_cl_calls(monkeypatch, tp):
     """A fresh copy of tp, the number of calls of each of
     ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
-    ``condition_kernel``, ``lattice_conditions`` and ``invariant_factors``
+    ``condition_kernel``, ``span_conditions`` and ``invariant_factors``
     (only the local test calls it there) that pic and cl make on it together,
     and the rows passed to each ``invariant_factors`` call."""
     calls, local_rows = {}, []
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        for name in ("quotient", "_cartier_conditions", "condition_kernel", "lattice_conditions",
+        for name in ("quotient", "_cartier_conditions", "condition_kernel", "span_conditions",
                      "invariant_factors"):
             calls[name] = 0
             real = getattr(divisor_theory, name)
@@ -589,7 +591,7 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
         distinct = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
         stars.append(len(distinct))
         assert calls == {"quotient": 1, "_cartier_conditions": 0, "condition_kernel": 1,
-                         "lattice_conditions": 0, "invariant_factors": 1}
+                         "span_conditions": 0, "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
         assert pic(fresh) == cl(fresh)
     assert (products[3].n_vertices, stars[3]) == (36, 9)  # C6 x C6
@@ -599,14 +601,14 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
         fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
-        # The congruences are solved by one ``lattice_conditions`` call per
+        # The congruences are solved by one ``span_conditions`` call per
         # distinct star, here every star, and the local test is one
         # invariant factor call on every star's rows together.  Two kernels
         # are taken: Cart's of the congruences, and QCart's for Cl.
         distinct = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
         assert len(distinct) == fresh.n_vertices
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
-                         "lattice_conditions": len(distinct), "invariant_factors": 1}
+                         "span_conditions": len(distinct), "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
 
 
@@ -805,6 +807,29 @@ def test_divisor_json_names_the_edge_of_a_literal_past_the_digit_limit(p2p2, dig
         divisor_from_json(p2p2, '{"h:zz:9": %s}' % long_literal)
     with pytest.raises(ComplexError, match="^divisor JSON must be an object$"):
         divisor_from_json(p2p2, "[%s]" % long_literal)
+
+
+def test_divisor_json_rejects_a_repeated_key():
+    # json.loads alone keeps the last of two equal keys: this loaded with
+    # coefficient 2.
+    tp = build_product(cycle_graph(3), cycle_graph(3))
+    key = edge_id_str(tp.edges[5].eid)
+    other = edge_id_str(tp.edges[0].eid)
+    with pytest.raises(ComplexError, match=f"^key '{key}' appears twice in the divisor JSON$"):
+        divisor_from_json(tp, '{"%s": 1, "%s": 4, "%s": 2}' % (key, other, key))
+    assert divisor_from_json(tp, '{"%s": 1, "%s": 4}' % (key, other))[5] == 1
+
+
+def test_divisor_json_rejects_a_repeated_key_beside_a_literal_past_the_digit_limit():
+    # The literal sends the text through the second parse, which keeps
+    # long literals as text; it checks the keys as well.
+    limit = _int_digit_limit()
+    tp = build_product(cycle_graph(3), cycle_graph(3))
+    key, long_literal = edge_id_str(tp.edges[5].eid), "9" * (limit + 1)
+    with pytest.raises(ComplexError, match=f"^key '{key}' appears twice in the divisor JSON$"):
+        divisor_from_json(tp, '{"%s": %s, "%s": 2}' % (key, long_literal, key))
+    with pytest.raises(ComplexError, match=f"^coefficient of edge '{key}' has too many digits$"):
+        divisor_from_json(tp, '{"%s": %s}' % (key, long_literal))
 
 
 def test_divisor_json_rejects_non_objects(p2p2):

@@ -18,6 +18,7 @@ from oracles import (
     cut_by_restriction,
     dense_condition_kernel,
     dense_kernel,
+    dense_lattice_conditions,
     det,
     echelon_pivots,
     from_cols,
@@ -45,7 +46,6 @@ from tropic_pic.exact_lattice import (
     kernel,
     condition_kernel,
     condition_matrix,
-    lattice_conditions,
     lattice_contains,
     lattice_intersect,
     lattice_member,
@@ -451,7 +451,7 @@ def test_span_conditions_cut_out_the_column_span():
     """``span_conditions`` reads S off the strip and the rest's Smith
     form: on written-out sparse rows (zero pairs, repeated columns, empty
     rows), its conditions cut out the column span of the matrix they add
-    up to, as ``lattice_conditions``' do, with the cokernel's torsion as
+    up to, as the dense oracle's do, with the cokernel's torsion as
     moduli, in order, then one equation per free generator.  Only the
     strip run by ``span_conditions`` carries S."""
     rng = random.Random(73)
@@ -466,7 +466,7 @@ def test_span_conditions_cut_out_the_column_span():
         conditions = span_conditions(sparse)
         span = Lattice.from_matrix(m)
         assert condition_kernel(m.rows, conditions) == span \
-            == condition_kernel(m.rows, lattice_conditions(m))
+            == condition_kernel(m.rows, dense_lattice_conditions(m))
         coker = cokernel(sparse)
         assert [q for _, q in conditions] == list(coker.torsion) + [0] * coker.free_rank
         assert all(terms for terms, _ in conditions)
@@ -551,6 +551,30 @@ def test_principal_rows_and_local_keys_keep_zero_pairs(mixed_products):
 ])
 def test_sparse_entry_points_refuse_what_is_not_sparse_int_rows(call):
     with pytest.raises(LatticeError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: invariant_factors([[(0, 1)], [(True, 1)]]), "row 1 is no sequence of"),
+    (lambda: invariant_factors([((0, 2), (0, True))]), "row 0 is no sequence of"),
+    (lambda: invariant_factors([((1, 2), (True, 3))]), "row 0 is no sequence of"),
+    (lambda: invariant_factors([((0, 1),), ((-1, 0),)]), "row 1: index -1 is outside [0, inf)"),
+    (lambda: invariant_factors([[1]]),
+     "row 0 is no sequence of (int index, int value) pairs: [1]"),
+    (lambda: invariant_factors([((0, 1),), iter([(0, 1)])]), "row 1 is no sequence of"),
+    (lambda: invariant_factors(None), "rows must be a sequence, got NoneType"),
+    (lambda: invariant_factors(iter([((0, 1),)])), "rows must be a sequence, got list_iterator"),
+    (lambda: cokernel([((0, "2"),)]), "row 0 is no sequence of"),
+    (lambda: quotient(full_lattice(2), None), "generators must be a sequence, got NoneType"),
+    (lambda: quotient(full_lattice(2), [((0, 1),), ((2, 1),)]),
+     "generator 1: index 2 is outside [0, 2)"),
+    (lambda: quotient(full_lattice(2), [((0, 1.5),)]),
+     "generator 0 is no sequence of (int index, int value) pairs: ((0, 1.5),)"),
+    (lambda: transpose(None, 2), "lines must be a sequence, got NoneType"),
+    (lambda: transpose(5, 2), "lines must be a sequence, got int"),
+])
+def test_sparse_entry_points_name_the_line_and_term_at_fault(call, message):
+    with pytest.raises(LatticeError, match="^" + re.escape(message)):
         call()
 
 
@@ -785,20 +809,22 @@ def _random_conditions(rng, n):
 
 
 def test_conditions_worked_examples():
-    # The Smith form is diag(1, 6): one congruence, 3 v0 + 4 v1 = 0 mod 6,
-    # which is v0 even and v1 a multiple of 3.
-    assert lattice_conditions(from_generators(2, [(2, 0), (0, 3)]).basis) == [
-        (((0, 3), (1, 4)), 6)]
-    # (2, 1) is saturated though its HNF pivot is 2: the equation
-    # v0 = 2 v1 alone, and no congruence mod 2.
-    assert lattice_conditions(from_generators(2, [(2, 1)]).basis) == [
-        (((0, 1), (1, -2)), 0)]
-    assert lattice_conditions(full_lattice(3).basis) == []
-    assert lattice_conditions(zero_lattice(2).basis) == [(((0, 1),), 0), (((1, 1),), 0)]
+    # The dense oracle on the basis, and ``span_conditions`` on its rows.
+    for write in (lambda lat: dense_lattice_conditions(lat.basis),
+                  lambda lat: span_conditions(transpose(lat.columns, lat.ambient_dim))):
+        # The Smith form is diag(1, 6): one congruence, 3 v0 + 4 v1 = 0
+        # mod 6, which is v0 even and v1 a multiple of 3.
+        assert write(from_generators(2, [(2, 0), (0, 3)])) == [(((0, 3), (1, 4)), 6)]
+        # (2, 1) is saturated though its HNF pivot is 2: the equation
+        # v0 = 2 v1 alone, and no congruence mod 2.
+        assert write(from_generators(2, [(2, 1)])) == [(((0, 1), (1, -2)), 0)]
+        assert write(full_lattice(3)) == []
+        assert write(zero_lattice(2)) == [(((0, 1),), 0), (((1, 1),), 0)]
 
 
 def test_conditions_match_membership():
-    """The conditions cut out the column span of any generating matrix,
+    """The conditions, from the dense oracle and from ``span_conditions``
+    on the sparse rows, cut out the column span of any generating matrix,
     its canonical basis or the raw generators with their dependent and
     zero columns, and they are minimal: one congruence per invariant
     factor above 1, one equation per missing rank, and no congruence on
@@ -813,8 +839,9 @@ def test_conditions_match_membership():
         saw_dependent |= lat.rank < len(gens)
         # the first nonzero entry of an echelon column is its pivot
         saw_big_pivot |= any(col[0][1] > 1 for col in lat.columns)
-        for m in (lat.basis, from_cols(gens, n)):
-            conditions = lattice_conditions(m)
+        for conditions in (writer(m) for m in (lat.basis, from_cols(gens, n))
+                           for writer in (dense_lattice_conditions,
+                                          lambda m: span_conditions(sparse_rows(m)))):
             for terms, modulus in conditions:
                 indices = [i for i, _ in terms]
                 assert indices == sorted(set(indices)) and set(indices) <= set(range(n))
@@ -1003,7 +1030,8 @@ def test_intersect_is_greatest_lower_bound():
         c = lattice_intersect(a, b)
         assert lattice_contains(a, c)
         assert lattice_contains(b, c)
-        # any random member of both lies in c
+        # c's basis lies in both; that every member of both lies in c is
+        # test_intersect_is_the_dense_kernel_of_both_bases in test_properties
         for j in range(c.rank):
             v = c.basis.col(j)
             assert lattice_member(a, v)[0] and lattice_member(b, v)[0]
@@ -1175,7 +1203,6 @@ _TYPED_CALLS = {
     "lattice_intersect b": lambda x: lattice_intersect(full_lattice(1), x),
     "quotient": lambda x: quotient(x, []),
     "hnf": hnf,
-    "lattice_conditions": lattice_conditions,
     "snf": snf,
     "kernel": kernel,
     "Lattice.from_matrix": Lattice.from_matrix,
@@ -1189,8 +1216,7 @@ def test_an_argument_of_the_wrong_type_raises_lattice_error(call, value):
     """A non-Lattice where a Lattice is due, a non-IntMatrix where an
     IntMatrix is due and a non-AbGroup where an AbGroup is due each raise
     LatticeError naming the expected type."""
-    expected = ("IntMatrix" if call in ("hnf", "lattice_conditions", "snf", "kernel",
-                                        "Lattice.from_matrix")
+    expected = ("IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix")
                 else "AbGroup" if call == "AbGroup.direct_sum" else "Lattice")
     with pytest.raises(LatticeError, match=f"^expected a {expected}, got {type(value).__name__}$"):
         _TYPED_CALLS[call](value)

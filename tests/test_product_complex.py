@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import diagonals_at, ends, rows_from_weights, weights_by_triangle_scan
+from oracles import diagonals_at, ends, graph_star, rows_from_weights, weights_by_triangle_scan
 from tropic_pic.multigraph import (
     Multigraph,
     complete_graph,
@@ -19,7 +19,6 @@ from tropic_pic.product_complex import (
     DiagonalPolicy,
     build_product,
     edge_id_str,
-    graph_star,
     parse_policy_text,
 )
 

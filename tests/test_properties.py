@@ -29,6 +29,9 @@ gives the rank, quotient, equality, hash and repr of its basis, and
 refuses a generator that breaks a condition before and after the lift.
 Cart is checked against QCart cut by the congruences restricted to its
 basis, the route that Cart took before it was the congruences' kernel.
+At every vertex, the congruences that the unit strip writes off the
+star's rows cut out L_v, as many as the dense Smith form of the local
+matrix writes, which cut out L_v too.
 ``is_principal``, which reads the congruences of P's rows, is checked
 against membership in Prin's HNF basis, on P phi and on P phi plus a
 multiple of one unit vector.
@@ -45,11 +48,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     balancing_conditions_by_factor_edges,
-    cartier_conditions_per_vertex,
     congruence_kernel_cart,
     cut_by_restriction,
+    cuts_out_each_local_lattice,
     dense_condition_kernel,
+    dense_intersection,
     dense_kernel,
+    from_generators,
     locally_saturated_per_star,
     matmul,
     ordered_kernel_basis,
@@ -85,6 +90,7 @@ from tropic_pic.exact_lattice import (
     invariant_factors,
     kernel,
     lattice_contains,
+    lattice_intersect,
     lattice_member,
     quotient,
     satisfies,
@@ -230,7 +236,7 @@ def test_pic_of_simple_factors_is_the_closed_form(tp):
 @SETTINGS
 @given(products())
 def test_cartier_conditions_equal_the_per_vertex_oracle(tp):
-    assert _cartier_conditions(tp) == cartier_conditions_per_vertex(tp)
+    assert cuts_out_each_local_lattice(tp, _cartier_conditions(tp))
 
 
 @SETTINGS
@@ -363,6 +369,33 @@ def test_an_unlifted_condition_kernel_acts_as_its_canonical_basis(system, data):
     assert "columns" not in vars(cut)  # nothing above read the basis
     assert (cut == twin, hash(cut), repr(cut)) == (True, hash(twin), repr(twin))
     refuses_broken(cut)
+
+
+@st.composite
+def lattices_in(draw, width):
+    """A lattice in Z^width: the span of up to width + 1 random columns,
+    or a ``condition_kernel`` kept in its free coordinates."""
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        column = st.lists(entry, min_size=width, max_size=width)
+        return from_generators(width, draw(st.lists(column, max_size=width + 1)))
+    terms = st.lists(st.tuples(st.integers(0, width - 1), entry), max_size=3).map(tuple) \
+        if width else st.just(())
+    modulus = st.sampled_from((0, 0, 2, 3, 4))
+    return condition_kernel(width, draw(st.lists(st.tuples(terms, modulus), max_size=width)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(lattices_in(n), lattices_in(n))))
+def test_intersect_is_the_dense_kernel_of_both_bases(pair):
+    """lattice_intersect writes each lattice's congruences off the rows of
+    its basis, lifting a small form first, and takes their kernel.  It is
+    checked against A y over the dense kernel of [A | -B], which shares no
+    congruence with it."""
+    a, b = pair
+    got = lattice_intersect(a, b)
+    assert got == dense_intersection(a, b) == dense_intersection(b, a)
+    assert lattice_contains(a, got) and lattice_contains(b, got)
 
 
 @SETTINGS
