@@ -34,9 +34,11 @@ QCart itself, ``is_cartier`` reads the balancing equations, Pic and Cl
 are one quotient, and no congruence is built.  Otherwise Cart is the
 kernel of the congruences, which ``is_cartier`` reads, and no QCart
 is built for Cart or Pic.  Pic and Cl quotient by P's columns, each
-written in the kernel of Cart's or QCart's conditions on their free
-coordinates, so neither lattice lifts its canonical basis over the
-edges; ``is_principal`` reads Prin's congruences, so only
+written in the kernel of Cart's or QCart's conditions: its entries on
+the columns where the kernel is unit vectors are read off, and the rest
+is solved for on the few columns that the conditions without a unit
+pivot touch.  So neither lattice lifts its canonical basis over the
+edges.  ``is_principal`` reads Prin's congruences, so only
 ``prin_lattice`` itself builds Prin's HNF basis.  ``span_conditions``
 writes those congruences off P's rows, as it writes each star's.
 Their values at d, each taken mod its modulus, are d's coordinates in
@@ -299,7 +301,7 @@ def pic(tp: TriangulatedProduct) -> AbGroup:
 
 @_per_product
 def cl(tp: TriangulatedProduct) -> AbGroup:
-    """Q-Cartier (= Weil, in dimension 2) divisors modulo principal ones.
+    """Q-Cartier divisors modulo principal ones.
     Prin is given by P's sparse columns, which need no elimination."""
     return quotient(qcart_lattice(tp), transpose(tp.principal_rows, tp.n_vertices))
 

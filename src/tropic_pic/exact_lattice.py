@@ -14,7 +14,7 @@ ints (``bool`` is refused), checked once per call where they enter from
 outside; matrices this module builds itself skip the check.  A
 ``Lattice`` is kept as its canonical basis columns, each the ``(row,
 value)`` pairs of its nonzero entries, or, when conditions cut it out,
-in its free coordinates until those columns are read.  Its dense basis
+in a small form until those columns are read.  Its dense basis
 is built only when asked for, and the lattices this module builds skip
 the check that a basis is canonical.
 
@@ -28,12 +28,14 @@ behind ``kernel`` and ``lattice_intersect``, row-echelons dict rows
 last column first, and only the rows whose pivot is not a unit go to
 ``hnf``, on the columns they touch.  Columns go in the reverse of the
 order in which the conditions, read from the last one back, first name
-them, so fill-in stays among nearby vertices.  A basis is read in the
-callers' order: the rows are eliminated again in it on first read, and
-that kernel K is lifted through the unit rows, with no dense matrix.
-Membership solves run over a lattice's sparse columns.  ``quotient``
-solves in K where there is one, writes its witnesses straight into
-sparse rows, and ``invariant_factors`` strips unit pivots from them,
+them, so fill-in stays among nearby vertices.  Their kernel K is kt on
+the columns they touch, numbered locally, and a unit vector per free
+column, which no row touches.  A basis is read in the callers' order:
+the rows are eliminated again in it on first read, and K is lifted
+through the unit rows, with no dense matrix.  Membership solves run
+over a lattice's sparse columns.  ``quotient`` solves in kt, writes
+its witnesses and a generator's free entries straight into sparse
+rows, and ``invariant_factors`` strips unit pivots from them,
 one factor 1 each, under a cost cap that doubles, running ``snf`` only
 on what is left (Dumas, Saunders and Villard, J. Symbolic Comput. 32,
 2001).  That strip keeps no S; ``span_conditions`` runs the same strip
@@ -443,8 +445,9 @@ class Lattice:
 
     A lattice that ``condition_kernel`` cuts out keeps its small form
     ``_cut``: its conditions by column, the permutation that renumbers
-    the columns, and the unit rows and kernel K on the free coordinates,
-    all on the renumbered columns.  ``rank`` and ``quotient`` read K; on
+    the columns, the unit rows, and the kernel K on the rest as the
+    touched columns, kt on them in local indices, and the free columns,
+    whose unit vectors K adds.  ``rank`` and ``quotient`` read kt; on
     first read, ``columns`` eliminates in the callers' order and lifts.
     """
 
@@ -479,7 +482,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len((self._cut[3] if self._cut else self).columns)
+        return len(self._cut[4].columns) + len(self._cut[5]) if self._cut else len(self.columns)
 
     @cached_property
     def basis(self) -> IntMatrix:
@@ -511,6 +514,8 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     against 47 x 280.  Read from the first condition on, the order does
     the same at scale but more row work on small products.  ``_cut``
     keeps the permutation, and a basis is read in the callers' order.
+    Most of K is unit vectors on free columns (2073 of 2306 at C48 x
+    C48), so ``_cut`` keeps only the rest of K as a lattice, kt.
     """
     _check_conditions(width, conditions)
     n = width + sum(1 for _, modulus in conditions if modulus)
@@ -532,20 +537,20 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
 
 
 def _eliminate(n: int, rows: dict) -> tuple:
-    """(units, K) of the dict rows over n columns, keyed by row number,
-    which it changes in place.
+    """(units, touched, kt, free) of the dict rows over n columns, keyed
+    by row number, which it changes in place.
 
     Dict rows go to row echelon form last column first, a column -> rows
     index naming the rows not yet placed.  A row with pivot +-1 at d is
     kept as it is: x_d = -row_d . x reads only columns before d.  The
     other rows, cleared of those unit columns, lie on S, the columns no
-    unit row owns.  K, their kernel on S, is the last columns of
-    ``hnf``'s U on the columns they touch, echelonned in place, and a
-    unit vector per column of S they do not touch.  ``_lift`` lifts it
-    one basis row at a time in ascending d.  The lift of K's canonical
-    basis is canonical in this numbering: its pivots and reduced entries
-    lie in S, and x_d is zero above K's first nonzero, as row_d reads
-    only columns before d.
+    unit row owns.  K, their kernel on S, is kt, the last columns of
+    ``hnf``'s U on the sorted columns they touch, echelonned in local
+    indices, and a unit vector per free column of S, which they do not
+    touch.  ``_lift`` merges the two and lifts K one basis row at a time
+    in ascending d.  The lift of K's canonical basis is canonical in
+    this numbering: its pivots and reduced entries lie in S, and x_d is
+    zero above K's first nonzero, as row_d reads only columns before d.
     """
     rows_at = [set() for _ in range(n)]
     for r, row in rows.items():
@@ -590,29 +595,32 @@ def _eliminate(n: int, rows: dict) -> tuple:
     _, u = hnf(IntMatrix._trusted(len(rest), len(touched),
                                  tuple(row.get(j, 0) for row in rest for j in touched)))
     ker = [list(u.col(j)) for j in range(len(rest), len(touched))]  # independent: u is unimodular
-    k = [tuple((touched[t], c) for t, c in _nonzeros(y, p))
-         for y, p in zip(ker, _echelon(ker, len(touched)))]
-    # Merged by pivot row: a unit vector's row is zero in every other column.
-    k = sorted(k + [((j, 1),) for j in set(range(n)).difference(units, touched)])
-    return units, Lattice._trusted(n, tuple(k))
+    kt = tuple(tuple(_nonzeros(y, p)) for y, p in zip(ker, _echelon(ker, len(touched))))
+    return (units, touched, Lattice._trusted(len(touched), kt),
+            sorted(set(range(n)).difference(units, touched)))
 
 
-def _lift(width: int, reads: list, perm: list, units: dict, k: Lattice) -> tuple:
+def _lift(width: int, reads: list, perm: list, units: dict, touched: list, kt: Lattice,
+          free: list) -> tuple:
     """K's canonical columns lifted to Z^width by x_d = -units[d] . x at
     each unit column d (see ``condition_kernel``), column b from K's b;
-    K and units taken again in the callers' order unless perm keeps it."""
+    K (kt on touched, and free's unit vectors) and units taken again in
+    the callers' order unless perm keeps it."""
     if perm != list(range(len(perm))):  # eliminate again, in the callers' order
         back, rows = sorted(range(len(perm)), key=perm.__getitem__), defaultdict(dict)
         for j, column in enumerate(reads):
             for r, c in column:
                 rows[r][back[j]] = c
-        units, k = _eliminate(len(perm), rows)
+        units, touched, kt, free = _eliminate(len(perm), rows)
+    # A unit vector's row is zero in every other column of K.
+    k = sorted([tuple((touched[t], c) for t, c in y) for y in kt.columns]
+               + [((j, 1),) for j in free])
     lifted = [{} for _ in range(width)]  # per coordinate: basis column -> entry
-    for b, y in enumerate(k.columns):
+    for b, y in enumerate(k):
         for t, c in y:
             if t < width:  # slack coordinates are fixed by x
                 lifted[t][b] = c
-    columns = [[] for _ in k.columns]
+    columns = [[] for _ in k]
     for d, x in enumerate(lifted):
         for c, a in units.get(d, {}).items():
             for b, v in lifted[c].items():
@@ -681,28 +689,32 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     has a small form, a column meets the conditions that touch it, which
     fix its slack, and is written in K by its entries on S, its indices
     mapped through the form's permutation: the lift takes K's basis to
-    a basis of big, which need not be the canonical one.
+    a basis of big, which need not be the canonical one.  Its entries on
+    the free columns are coordinates already, and kt solves for the rest.
     """
     _check_type(Lattice, big)
     n = big.ambient_dim
-    reads, perm, units, k = big._cut or ([()] * n, range(n), {}, big)  # a basis: no condition
-    congruences = {r: (m, j) for j in range(n, k.ambient_dim) for r, m in reads[j]}
-    coeff_rows = [[] for _ in k.columns]
+    # A basis has no condition, and every coordinate is touched.
+    reads, perm, _, touched, kt, free = big._cut or ([()] * n, range(n), {}, range(n), big, ())
+    local = dict(zip(touched, range(len(touched))))  # column -> kt-local index
+    row_of = {p: len(kt.columns) + t for t, p in enumerate(free)}  # -> coefficient row, after kt's
+    congruences = {r: (m, j) for j in range(n, len(perm)) for r, m in reads[j]}
+    coeff_rows = [[] for _ in range(big.rank)]
     for j, col in enumerate(_sparse_dicts(gens, "generator", n)):
-        v, totals = [0] * k.ambient_dim, {}
+        totals, ok, v = {}, True, [0] * len(touched)
         for i, x in col.items():
-            if (p := perm[i]) not in units:
-                v[p] = x
-            for r, c in reads[p]:
+            for r, c in reads[p := perm[i]]:
                 totals[r] = totals.get(r, 0) + c * x
+            if p in local:
+                v[local[p]] = x
+            elif x and p in row_of:
+                coeff_rows[row_of[p]].append((j, x))
         for r, total in totals.items():  # x's slack is -total / m; an equation's total is 0
             modulus, slack = congruences.get(r, (0, None))
-            if total % modulus if modulus else total:
-                v = None
-                break
-            if modulus and slack not in units:
-                v[slack] = -total // modulus
-        ok, w = (False, None) if v is None else lattice_member(k, v)
+            ok = ok and not (total % modulus if modulus else total)
+            if slack in local:  # else a unit (modulus 1): only its own row reaches a slack
+                v[local[slack]] = -total // modulus
+        ok, w = lattice_member(kt, v) if ok else (False, None)
         if not ok:
             raise LatticeError(f"quotient: generator {j} is not in the first lattice")
         for t in compress(range(len(w)), w):

@@ -355,11 +355,11 @@ def ordered_kernel_basis(lat: Lattice) -> IntMatrix:
     is (an identity perm makes ``_lift`` take them as they are), then
     each entry moved back to the callers' column.  It spans the lattice
     but need not be canonical."""
-    reads, perm, units, k = lat._cut
+    reads, perm, units, touched, kt, free = lat._cut
     n = lat.ambient_dim
     back = {p: i for i, p in enumerate(perm[:n])}
     cols = [dict((back[d], c) for d, c in col)
-            for col in _lift(n, reads, list(range(len(perm))), units, k)]
+            for col in _lift(n, reads, list(range(len(perm))), units, touched, kt, free)]
     return from_cols([[col.get(i, 0) for i in range(n)] for col in cols], n)
 
 

@@ -612,6 +612,22 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
 
 
+def test_pic_and_cl_solve_each_principal_column_in_the_touched_block(monkeypatch):
+    # C8 x C8 is locally saturated, so Pic and Cl share one quotient of
+    # QCart by P's |V| columns.  Each column's entries on QCart's free
+    # columns are its coordinates there, and only the rest is solved for,
+    # in kt: one membership solve per column, each in fewer coordinates
+    # than there are edges, and no canonical basis is lifted.
+    dims = []
+    real = exact_lattice.lattice_member
+    monkeypatch.setattr(exact_lattice, "lattice_member",
+                        lambda lat, v: dims.append(lat.ambient_dim) or real(lat, v))
+    tp = build_product(cycle_graph(8), cycle_graph(8))
+    assert pic(tp) == cl(tp) == AbGroup(3, (8, 8))
+    assert len(dims) == tp.n_vertices and max(dims) < tp.n_edges
+    assert "columns" not in vars(qcart_lattice(tp))
+
+
 def test_cart_and_pic_build_no_qcart_off_the_saturated_branch():
     # theta3 x P2 and theta2 x theta2 are not locally saturated: Cart is the
     # kernel of the congruences, and Pic quotients it, with no balancing

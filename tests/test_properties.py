@@ -27,6 +27,9 @@ and condition systems with moduli and repeated term indices check that
 Such a kernel, kept in its free coordinates until its basis is read,
 gives the rank, quotient, equality, hash and repr of its basis, and
 refuses a generator that breaks a condition before and after the lift.
+On systems of up to 12 columns, the quotient that solves only on the
+columns that non-unit rows touch, reading the free ones off, equals the
+quotient on the lifted basis, and so does the rank.
 Cart is checked against QCart cut by the congruences restricted to its
 basis, the route that Cart took before it was the congruences' kernel.
 At every vertex, the congruences that the unit strip writes off the
@@ -44,7 +47,7 @@ random multigraph products.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     balancing_conditions_by_factor_edges,
@@ -369,6 +372,45 @@ def test_an_unlifted_condition_kernel_acts_as_its_canonical_basis(system, data):
     assert "columns" not in vars(cut)  # nothing above read the basis
     assert (cut == twin, hash(cut), repr(cut)) == (True, hash(twin), repr(twin))
     refuses_broken(cut)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(condition_systems(12, 10), st.lists(st.lists(st.integers(-3, 3), max_size=12), max_size=4),
+       st.none() | st.tuples(st.integers(0, 11), st.sampled_from((-1, 1, 2))))
+# Touched and free columns both: 2 x0 + 3 x1 = 0 touches two, x3 is free.
+@example((4, [(((0, 2), (1, 3)), 0), (((2, 1),), 2)]), [[1, 2, 1], [0, 1]], None)
+# Congruence slacks: modulus 1 makes x2's slack a unit row, modulus 2 makes
+# x0 + x1's slack a pivot 2 that its row keeps, so touched.  Neither is free,
+# and no slack can be: no other row reaches a slack column.  x2 is free, and
+# the bump on it keeps generator 0 in the lattice.
+@example((3, [(((0, 1), (1, 1)), 2), (((2, 1),), 1)]), [[1, 1], [2, 0, 1]], (2, 1))
+# x0 = x1 makes x0 a unit row and leaves x1 free, with kt in Z^0: the bump
+# on x1 breaks only that equation, which kt cannot see.
+@example((2, [(((0, 1), (1, -1)), 0)]), [[1]], (1, 1))
+def test_quotient_on_the_small_form_equals_quotient_on_its_lifted_twin(system, combos, bump):
+    """``quotient`` on a ``condition_kernel`` in its small form reads a
+    generator's entries on the free columns as its coordinates there
+    and solves for the rest in kt.  It agrees with ``quotient`` on the
+    lattice of the lifted basis, which has no small form, and so does
+    ``rank``, kt's plus one per free column.  A generator bumped off
+    the lattice raises on both."""
+    width, conditions = system
+    cut = condition_kernel(width, conditions)
+    twin = Lattice.from_matrix(condition_kernel(width, conditions).basis)
+    gens = [twin.basis.mul_vec((c + [0] * twin.rank)[:twin.rank]) for c in combos]
+    if gens and bump and bump[0] < width:
+        gens[0] = tuple(x + bump[1] * (i == bump[0]) for i, x in enumerate(gens[0]))
+    columns = [[(i, x) for i, x in enumerate(g) if x] for g in gens]
+    _, perm, _, touched, kt, free = cut._cut
+    assert kt.ambient_dim == len(touched) and not set(free) & set(range(width, len(perm)))
+    assert cut.rank == twin.rank == kt.rank + len(free)
+    if gens and not satisfies(conditions, gens[0]):
+        for lat in (cut, twin):
+            with pytest.raises(LatticeError, match="^quotient: generator 0 is not in"):
+                quotient(lat, columns)
+    else:
+        assert quotient(cut, columns) == quotient(twin, columns)
+    assert "columns" not in vars(cut)
 
 
 @st.composite
