@@ -27,17 +27,19 @@ names the factor edges under it; QCart is their kernel, taken on their
 sparse rows by ``condition_kernel``.  Principal divisors are balanced,
 so L_v lies in Q_v.
 
-Cart = QCart as soon as L_v = Q_v at every vertex, which one Smith
-form of the distinct stars' rows of P, as diagonal blocks, decides.  Then
-(on every product of simple factors the tests draw) ``cart_lattice`` is
-QCart itself, ``is_cartier`` reads the balancing equations, Pic and Cl
-are one quotient, and no congruence is built.  Otherwise Cart is the
-kernel of the congruences, which ``is_cartier`` reads, and no QCart
-is built for Cart or Pic.  Pic and Cl quotient by P's columns, each
-written in the kernel of Cart's or QCart's conditions: its entries on
-the columns where the kernel is unit vectors are read off, and the rest
-is solved for on the few columns that the conditions without a unit
-pivot touch.  So neither lattice lifts its canonical basis over the
+Cart = QCart as soon as L_v = Q_v at every vertex.  A lemma proved in
+``_locally_saturated`` gives L_v = Q_v wherever neither factor vertex
+has parallel edges, and one Smith form of the distinct stars' rows of
+P at the other vertices, as diagonal blocks, decides the rest.  Then
+(on every product of simple factors, with no Smith form taken)
+``cart_lattice`` is QCart itself, ``is_cartier`` reads the balancing
+equations, Pic and Cl are one quotient, and no congruence is built.
+Otherwise Cart is the kernel of the congruences, which ``is_cartier``
+reads, and no QCart is built for Cart or Pic.  Pic and Cl quotient by
+P's columns, each written in the kernel of Cart's or QCart's
+conditions: its entries on the columns where the kernel is unit
+vectors are read off, and the rest is solved for on the few columns
+that the conditions without a unit pivot touch.  So neither lattice lifts its canonical basis over the
 edges.  ``is_principal`` reads Prin's congruences, so only
 ``prin_lattice`` itself builds Prin's HNF basis.  ``span_conditions``
 writes those congruences off P's rows, as it writes each star's.
@@ -195,26 +197,44 @@ def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
     return satisfies(conditions(tp), d)
 
 
+def _simple_vertices(graph) -> set:
+    """The vertices at which no two edges share their far end."""
+    return {v for v, adj in graph._adj.items() if len({w for _, w in adj}) == len(adj)}
+
+
 @_per_product
 def _locally_saturated(tp: TriangulatedProduct) -> bool:
     """Whether every local lattice L_v equals Q_v, the kernel of the
     balancing equations at v on the edges at v.
 
-    L_v lies in Q_v, which is saturated of rank rank_q = |star(v)| minus
-    its deg_G(a) - 1 + deg_H(b) - 1 equations (independent: each has an
+    Lemma: if no two edges at a share their far end, and none at b do,
+    then L_v = Q_v at v = (a, b), under every diagonal policy.  Proof:
+    let h_i be the horizontal edge at v over the G-edge to a_i, v_j the
+    vertical one over the H-edge to b_j, and d_ij the diagonal at v over
+    both, where the policy puts one.  Q_v has the Z-basis
+    u_ij = e_{d_ij} - e_{h_i} - e_{v_j}, s = sum e_{h_i}, t = sum e_{v_j}.
+    The far ends are distinct, so M_v's columns at (a_i, b_j), (a_i, b)
+    and (a, b_j) are -u_ij, sum_j u_ij + t and sum_i u_ij + s, and
+    L_v contains Q_v, which contains L_v.
+
+    Only the stars at the other vertices are tested.  L_v lies in Q_v,
+    which is saturated of rank rank_q = |star(v)| minus its
+    deg_G(a) - 1 + deg_H(b) - 1 equations (independent: each has an
     edge, horizontal or vertical, of its own), so rank M_v <= rank_q and
     L_v = Q_v iff M_v has rank_q invariant factors, all 1.  The distinct
     (``_local_key``, rank_q) go side by side as diagonal blocks, whose
     cokernel is the direct sum of theirs: it has sum(rank_q) factors,
     all 1, iff every block has its rank_q.
     """
+    simple_g, simple_h = _simple_vertices(tp.g), _simple_vertices(tp.h)
     stars = dict.fromkeys((_local_key(tp, (a, b)), len(tp._star[a, b]) - tp.g.degree(a)
-                           - tp.h.degree(b) + 2) for a, b in tp.vertices)
+                           - tp.h.degree(b) + 2) for a, b in tp.vertices
+                          if a not in simple_g or b not in simple_h)
     block, width = [], 0
     for rows, _ in stars:
         block += [tuple([(width + j, c) for j, c in row]) for row in rows]
         width += len({j for row in rows for j, _ in row})
-    return invariant_factors(block) == [1] * sum(rank_q for _, rank_q in stars)
+    return not stars or invariant_factors(block) == [1] * sum(rank_q for _, rank_q in stars)
 
 
 @_per_product
@@ -226,8 +246,8 @@ def cart_lattice(tp: TriangulatedProduct) -> Lattice:
     star lies in Q_v and in L_v, so L_v = Q_v at every vertex gives
     Cart = QCart.  In general the congruences at v cut out the d whose
     restriction lies in L_v, so together they cut out Cart, and no
-    QCart is built.  Simple factors take the first branch; multigraph
-    factors may need the second.
+    QCart is built.  Simple factors take the first branch, by the lemma
+    in ``_locally_saturated``; multigraph factors may need the second.
     """
     if _locally_saturated(tp):
         return qcart_lattice(tp)

@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
-"""Pic and Cl of Cn x Cn at scale, one fresh process per n.
+"""Pic and Cl of Cn x Cn at scale, three fresh processes per n.
 
     python3 tests/scale_report.py 16 24 32
 
-Each n runs in a child process of its own, so that its peak RSS is its
-own: the child builds Cn x Cn under the standard policy, times
-``build_product`` then ``pic`` and ``cl``, and prints one line with n,
+Each n runs in three child processes of its own, so that each peak RSS
+is its own and one slow phase of a shared host shows as spread rather
+than as a slower n: each child builds Cn x Cn under the standard
+policy, times ``build_product`` then ``pic`` and ``cl``, and reports
 the seconds of Pic + Cl after the build, the peak RSS of the process,
-Pic and Cl.  The library is imported from ``src/`` next to this
-directory.  No time is checked; the lines are for reading.  pytest does
-not collect this file.
+Pic and Cl.  One line per n gives the fewest and most seconds of the
+three, the largest peak RSS, and Pic and Cl, which the three must agree
+on.  The library is imported from ``src/`` next to this directory.  No
+time is checked; the lines are for reading.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import resource
 import subprocess
 import sys
 import time
 
+RUNS = 3
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -34,8 +39,7 @@ def child(n: int) -> None:
     pic_group, cl_group = pic(tp), cl(tp)
     seconds = time.perf_counter() - t0
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"C{n}xC{n}: {seconds:.3f} s, peak RSS {rss_mb:.0f} MB, "
-          f"Pic {pic_group}, Cl {cl_group}", flush=True)
+    print(json.dumps([seconds, rss_mb, str(pic_group), str(cl_group)]), flush=True)
 
 
 def main(argv: list) -> int:
@@ -46,9 +50,23 @@ def main(argv: list) -> int:
         print("usage: scale_report.py N [N ...]   (each N >= 3)", file=sys.stderr)
         return 2
     for n in argv:
-        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", n])
-        if done.returncode:
-            return done.returncode
+        runs = []
+        for _ in range(RUNS):
+            done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", n],
+                                  stdout=subprocess.PIPE, text=True)
+            if done.returncode:
+                return done.returncode
+            runs.append(json.loads(done.stdout))
+        seconds = [r[0] for r in runs]
+        groups = {tuple(r[2:]) for r in runs}
+        if len(groups) != 1:
+            print(f"C{n}xC{n}: the runs disagree on Pic and Cl: {sorted(groups)}",
+                  file=sys.stderr)
+            return 1
+        (pic_text, cl_text), = groups
+        print(f"C{n}xC{n}: {min(seconds):.3f}-{max(seconds):.3f} s over {RUNS} runs, "
+              f"peak RSS {max(r[1] for r in runs):.0f} MB, Pic {pic_text}, Cl {cl_text}",
+              flush=True)
     return 0
 
 

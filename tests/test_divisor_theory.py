@@ -5,6 +5,7 @@ import gc
 import random
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 from sympy import Matrix as SymMatrix
@@ -576,23 +577,28 @@ def pic_and_cl_calls(monkeypatch, tp):
 
 def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monkeypatch):
     # No congruence is built and one kernel is taken, QCart's: every
-    # vertex is locally saturated, so Cart is QCart without them.
+    # vertex is locally saturated, so Cart is QCart without them.  The
+    # lemma in ``_locally_saturated`` covers every vertex of a product of
+    # simple factors, so no local key is read and no invariant factor
+    # test is run; the per-star oracle confirms the answer.
     k4, c4 = complete_graph(4), cycle_graph(4)
     products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 7)]
     products += [build_product(k4, c4, random_policy(k4, c4, seed)) for seed in (1, 2, 3)]
     products += [tp for tp in mixed_products if tp.g.is_simple() and tp.h.is_simple()]
     assert len(products) == 15
+    keys = []
+    real_key = divisor_theory._local_key
+    monkeypatch.setattr(divisor_theory, "_local_key",
+                        lambda tp, v: keys.append(v) or real_key(tp, v))
     stars = []
     for tp in products:
         fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
-        # One local invariant factor test per product, on the distinct
-        # stars' rows together, and no congruence.
-        distinct = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
-        stars.append(len(distinct))
         assert calls == {"quotient": 1, "_cartier_conditions": 0, "condition_kernel": 1,
-                         "span_conditions": 0, "invariant_factors": 1}
-        assert len(local_rows[0]) == sum(m.rows for m in distinct)
+                         "span_conditions": 0, "invariant_factors": 0}
+        assert keys == [] and local_rows == []
+        assert locally_saturated_per_star(fresh)
+        stars.append(len({submatrix_local_matrix(fresh, v) for v in fresh.vertices}))
         assert pic(fresh) == cl(fresh)
     assert (products[3].n_vertices, stars[3]) == (36, 9)  # C6 x C6
 
@@ -610,6 +616,30 @@ def test_multigraph_factors_run_two_quotients(monkeypatch):
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
                          "span_conditions": len(distinct), "invariant_factors": 1}
         assert len(local_rows[0]) == sum(m.rows for m in distinct)
+
+
+def test_mixed_factors_test_only_the_stars_off_the_lemma(monkeypatch):
+    # The path 0 - 1 = 2 has two edges between 1 and 2, so the lemma in
+    # ``_locally_saturated`` covers only the vertices over 0.  The local
+    # test's one invariant factor call takes the rows of the distinct
+    # stars over 1 and 2, and those alone; it fails, so the congruences
+    # are built at every vertex, as on theta factors.
+    g = Multigraph([0, 1, 2], [("e0", 0, 1), ("e1", 1, 2), ("e2", 1, 2)])
+    for h in (cycle_graph(3), g):
+        fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, build_product(g, h))
+        simple_h = {0} if h is g else set(h.vertices)
+        off_lemma = [(a, b) for a, b in fresh.vertices if a != 0 or b not in simple_h]
+        assert len(off_lemma) == (8 if h is g else 6)
+        distinct = {submatrix_local_matrix(fresh, v) for v in off_lemma}
+        every_star = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
+        assert len(every_star) > len(distinct)
+        assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
+                         "span_conditions": len(every_star), "invariant_factors": 1}
+        # Row for row, up to the naming of the columns.
+        entries = lambda rows: Counter(tuple(sorted(c for c in row if c)) for row in rows)
+        assert entries([c for _, c in row] for row in local_rows[0]) \
+            == entries(m.row(i) for m in distinct for i in range(m.rows))
+        assert not locally_saturated_per_star(fresh)
 
 
 def test_pic_and_cl_solve_each_principal_column_in_the_touched_block(monkeypatch):

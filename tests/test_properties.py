@@ -9,7 +9,11 @@ kernel of the balancing equations rather than the saturation of Cart.
 Simple factors have 2 to 4 vertices, and their Pic is checked against
 the closed form Z^(2 + g(G) g(H)) + Jac(G) + Jac(H), used only as an
 oracle here.  The local saturation test, one Smith form on the block
-sum of the distinct stars, agrees with one test per distinct star.
+sum of the distinct stars that its lemma does not cover, agrees with
+one test per distinct star.  At each vertex the lemma covers, where no
+two edges at either factor vertex share their far end, the local
+lattice is checked against the dense kernel of the vertex's own
+balancing equations.
 
 Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
 ``invariant_factors``, which strips unit pivots from sparse rows before
@@ -45,6 +49,7 @@ random multigraph products.
 """
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,6 +69,7 @@ from oracles import (
     random_policy,
     rows_from_weights,
     sparse_rows,
+    submatrix_local_matrix,
     weights_by_triangle_scan,
     zeros,
 )
@@ -71,6 +77,7 @@ from tropic_pic.divisor_theory import (
     _balancing_conditions,
     _cartier_conditions,
     _locally_saturated,
+    _simple_vertices,
     balancing_matrix,
     cart_lattice,
     cl,
@@ -99,7 +106,7 @@ from tropic_pic.exact_lattice import (
     satisfies,
     snf,
 )
-from tropic_pic.multigraph import Multigraph, critical_group, genus
+from tropic_pic.multigraph import Multigraph, critical_group, genus, path_graph
 from tropic_pic.product_complex import DiagonalPolicy, build_product
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -221,9 +228,41 @@ def test_local_test_equals_the_per_star_oracle(tp):
 @SETTINGS
 @given(products(simple_graphs))
 def test_simple_factors_are_locally_saturated(tp):
-    assert _locally_saturated(tp)
+    assert _locally_saturated(tp) and locally_saturated_per_star(tp)
     qcart = qcart_lattice(tp)
     assert cart_lattice(tp) is qcart == cut_by_restriction(qcart, _cartier_conditions(tp))
+
+
+DOUBLED_PATH = Multigraph([0, 1, 2], [("e0", 0, 1), ("e1", 1, 2), ("e2", 1, 2)])
+
+
+@SETTINGS
+@given(products())
+@example(build_product(DOUBLED_PATH, DOUBLED_PATH))
+@example(build_product(DOUBLED_PATH, path_graph(1), random_policy(DOUBLED_PATH, path_graph(1), 3)))
+def test_local_lattice_is_the_balancing_kernel_where_the_lemma_holds(tp):
+    """At each v = (a, b) where no two edges at a share their far end,
+    nor two at b, L_v is the kernel of v's own balancing equations on
+    its star, by a dense route: the canonical basis of the dense local
+    matrix against the dense kernel of the deg_G(a) + deg_H(b) - 2 rows
+    that ``_balancing_conditions`` writes for v.  The doubled path has
+    such a vertex, 0, next to two that are not."""
+    def covered(graph):
+        far = {a: [w for eid in graph.incident_edges(a) for w in graph.endpoints(eid) if w != a]
+               for a in graph.vertices}
+        return {a for a, ends in far.items() if len(set(ends)) == len(ends)}
+
+    g_ok, h_ok = covered(tp.g), covered(tp.h)
+    assert (g_ok, h_ok) == (_simple_vertices(tp.g), _simple_vertices(tp.h))
+    rows = iter(_balancing_conditions(tp))
+    for a, b in tp.vertices:
+        own = list(islice(rows, tp.g.degree(a) + tp.h.degree(b) - 2))
+        if a in g_ok and b in h_ok:
+            position = {tp.edge_index(eid): t for t, eid in enumerate(tp._star[a, b])}
+            local = [(tuple((position[i], c) for i, c in terms), m) for terms, m in own]
+            assert Lattice.from_matrix(submatrix_local_matrix(tp, (a, b))) \
+                == dense_condition_kernel(len(position), local)
+    assert next(rows, None) is None
 
 
 @SETTINGS
