@@ -161,14 +161,12 @@ class Multigraph:
         """Edge ids at v, in the global edge order."""
         return tuple(eid for eid, _ in self._neighbours(v))
 
+    def _simple_vertices(self) -> set:
+        """The vertices at which no two edges share their far end."""
+        return {v for v, adj in self._adj.items() if len({w for _, w in adj}) == len(adj)}
+
     def is_simple(self) -> bool:
-        seen = set()
-        for _, u, w in self.edges:
-            key = (u, w) if self._vindex[u] < self._vindex[w] else (w, u)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return len(self._simple_vertices()) == len(self.vertices)
 
     def __setattr__(self, name, value):
         if hasattr(self, "_adj"):  # set last in __init__

@@ -1,24 +1,25 @@
-"""Reference code that only the tests use: matrices from rows or
-columns, a lattice from generators, the sparse rows and columns of a
-matrix, the zero and identity matrices, the zero and full lattices,
-submatrices, matrix product, Bareiss determinant and rank, the pivot
-rows of a dense echelon matrix, Kirchhoff spanning-tree counts, random
-trees and diagonal policies, a product's star at a vertex, a product
-edge's endpoints, the diagonals at a vertex, a product's weights by a
-scan of its triangles, P's sparse rows and the dense principal matrix
-written from that scan, the local matrices cut from it and the local
-keys written out, the closed-form local rank of a triangulated product,
-the congruences of a lattice off the dense Smith form of a generating
-matrix, a check that per-vertex congruences cut out each local lattice
-as the dense ones do, the local saturation test with one
-invariant factor test per distinct star, the balancing equations
-grouped through the factor graphs, the lattice that
+"""Reference code that only the tests use: matrices from rows or columns,
+a lattice from generators, the sparse rows and columns of a matrix, the
+zero and identity matrices, the zero and full lattices, submatrices,
+matrix product, Bareiss determinant and rank, the pivot rows of a dense
+echelon matrix, Kirchhoff spanning-tree counts, random trees and
+diagonal policies, a locally saturated product with parallel edges, the
+pullbacks of the factors' vertices and of their Laplacians' columns, a
+product's star at a vertex, a product edge's endpoints, the diagonals
+at a vertex, a product's weights by a scan of its triangles, P's sparse
+rows and the dense principal matrix written from that scan, the local
+matrices cut from it and the local keys written out, the closed-form
+local rank of a triangulated product, the congruences of a lattice off
+the dense Smith form of a generating matrix, a check that per-vertex
+congruences cut out each local lattice as the dense ones do, the local
+saturation test with one invariant factor test per distinct star, the
+balancing equations grouped through the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
-(Cart is the one of every congruence), the basis a kernel's small
-form gives in its own column order, a lattice cut by conditions
-restricted to its basis, a divisor's JSON by ``json.dumps``, the
-intersection of two lattices from the kernel of their bases side by
-side, and the kernel by a dense row echelon of the whole matrix."""
+(Cart is the one of every congruence), the basis a kernel's small form
+gives in its own column order, a lattice cut by conditions restricted
+to its basis, a divisor's JSON by ``json.dumps``, the intersection of
+two lattices from the kernel of their bases side by side, and the
+kernel by a dense row echelon of the whole matrix."""
 
 import heapq
 import json
@@ -44,6 +45,7 @@ from tropic_pic.multigraph import GraphError, Multigraph, laplacian
 from tropic_pic.product_complex import (
     DiagonalPolicy,
     TriangulatedProduct,
+    build_product,
     edge_id_str,
 )
 
@@ -337,6 +339,41 @@ def random_policy(g: Multigraph, h: Multigraph, seed: int) -> DiagonalPolicy:
     rng = random.Random(seed)
     return DiagonalPolicy.explicit({(ge, he): bool(rng.getrandbits(1))
                                     for ge, *_ in g.edges for he, *_ in h.edges})
+
+
+def saturated_multigraph_product() -> TriangulatedProduct:
+    """A locally saturated product whose factor G has parallel edges:
+    the triangle 0 - 2 - 1 = 0 with 0 - 1 doubled, times one edge, with
+    only the square ("e2", "e0") flipped.  It has 6 vertices and 15
+    edges, and Pic = Cl = Z^2 + Z/5."""
+    g = Multigraph([0, 1, 2], [("e0", 0, 2), ("e1", 2, 1), ("e2", 0, 1), ("e3", 1, 0)])
+    h = Multigraph([0, 1], [("e0", 1, 0)])
+    return build_product(g, h, DiagonalPolicy.explicit(
+        {(ge, "e0"): ge == "e2" for ge, *_ in g.edges}))
+
+
+def factor_pullbacks(tp: TriangulatedProduct) -> tuple:
+    """The pullbacks of the factors' vertices, as divisors: per vertex a
+    of G, in G's order, pi_G^*(a), the sum of the vertical edges
+    ("v", a, he); then per vertex b of H, pi_H^*(b), the sum of the
+    horizontal edges ("h", ge, b)."""
+    pull_g = {a: [0] * tp.n_edges for a in tp.g.vertices}
+    pull_h = {b: [0] * tp.n_edges for b in tp.h.vertices}
+    for i, e in enumerate(tp.edges):
+        kind, x, y = e.eid
+        if kind == "v":
+            pull_g[x][i] = 1
+        elif kind == "h":
+            pull_h[y][i] = 1
+    return [tuple(d) for d in pull_g.values()], [tuple(d) for d in pull_h.values()]
+
+
+def pulled_back_laplacian_columns(graph: Multigraph, pullbacks) -> list:
+    """Per column j of graph's Laplacian L, sum_a L[a, j] pullbacks[a]:
+    the pullback of the principal divisor of a's indicator function."""
+    lap = laplacian(graph)
+    return [tuple(sum(lap[a, j] * d[k] for a, d in enumerate(pullbacks))
+                  for k in range(len(pullbacks[0]))) for j in range(lap.cols)]
 
 
 def dense_condition_kernel(width: int, conditions) -> Lattice:

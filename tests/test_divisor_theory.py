@@ -5,7 +5,6 @@ import gc
 import random
 import sys
 import weakref
-from collections import Counter
 
 import pytest
 from sympy import Matrix as SymMatrix
@@ -19,6 +18,7 @@ from oracles import (
     diagonals_at,
     divisor_json_dumps,
     ends,
+    factor_pullbacks,
     from_generators,
     full_lattice,
     graph_star,
@@ -28,9 +28,11 @@ from oracles import (
     locally_saturated_per_star,
     matmul,
     ordered_kernel_basis,
+    pulled_back_laplacian_columns,
     random_policy,
     random_tree,
     rank,
+    saturated_multigraph_product,
     sparse_columns,
     sparse_rows,
     submatrix,
@@ -450,13 +452,41 @@ def test_kernels_in_their_own_column_order_span_qcart_and_cart(mixed_products):
 
 
 def test_local_test_equals_the_per_star_oracle(mixed_products):
-    # One Smith form on the block sum of the distinct stars decides what
-    # one test per distinct star decides; theta3 x P2 (in mixed_products)
-    # and theta2 x theta2 fail it.
-    products = list(mixed_products) + [theta2_theta2()]
+    # Counting each off-lemma star's congruences decides what one
+    # invariant factor test per distinct star decides; theta3 x P2 (in
+    # mixed_products) and theta2 x theta2 fail it.
+    products = list(mixed_products) + [theta2_theta2(), saturated_multigraph_product()]
     answers = [divisor_theory._locally_saturated(tp) for tp in products]
     assert answers == [locally_saturated_per_star(tp) for tp in products]
     assert answers.count(False) == 2
+
+
+def test_a_product_with_parallel_edges_can_be_locally_saturated(monkeypatch):
+    # G's vertices 0 and 1 have two edges between them, so the lemma
+    # covers only the vertices over 2, and the local test reads the four
+    # stars over 0 and 1.  Each has its Q_v's equations and no modulus,
+    # so Cart is QCart, as the kernel of every congruence confirms.
+    tp = saturated_multigraph_product()
+    assert (tp.n_vertices, tp.n_edges) == (6, 15) and not tp.g.is_simple()
+    assert verdict_stars(monkeypatch, tp) == ([(0, 0), (0, 1), (1, 0), (1, 1)], True)
+    assert divisor_theory._locally_saturated(tp) and locally_saturated_per_star(tp)
+    assert cart_lattice(tp) is qcart_lattice(tp)
+    assert condition_kernel(tp.n_edges, divisor_theory._cartier_conditions(tp)) == qcart_lattice(tp)
+    assert pic(tp) == cl(tp) == AbGroup(2, (5,))
+
+
+def test_theta3_pullbacks_on_theta3_x_c4_are_q_cartier_but_not_cartier():
+    # On simple factors every pullback is Cartier (a property test).  On
+    # theta3 x C4 the pullbacks of C4's vertices still are, but those of
+    # theta3's two vertices are only Q-Cartier; the pullbacks of both
+    # factors' Laplacian columns are principal all the same.
+    tp = build_product(theta_graph(3), cycle_graph(4))
+    pull_g, pull_h = factor_pullbacks(tp)
+    assert len(pull_g) == 2 and len(pull_h) == 4
+    assert [(is_q_cartier(tp, d), is_cartier(tp, d)) for d in pull_g] == [(True, False)] * 2
+    assert all(is_cartier(tp, d) for d in pull_h)
+    for graph, pullbacks in ((tp.g, pull_g), (tp.h, pull_h)):
+        assert all(is_principal(tp, d) for d in pulled_back_laplacian_columns(graph, pullbacks))
 
 
 def test_is_cartier_matches_local_membership(mixed_products):
@@ -551,36 +581,52 @@ def test_pic_and_cl_lift_no_canonical_basis(monkeypatch, g, h, expected):
 def pic_and_cl_calls(monkeypatch, tp):
     """A fresh copy of tp, the number of calls of each of
     ``divisor_theory``'s ``quotient``, ``_cartier_conditions``,
-    ``condition_kernel``, ``span_conditions`` and ``invariant_factors``
-    (only the local test calls it there) that pic and cl make on it together,
-    and the rows passed to each ``invariant_factors`` call."""
-    calls, local_rows = {}, []
+    ``condition_kernel`` and ``span_conditions``, and of
+    ``exact_lattice.invariant_factors`` (each quotient's cokernel calls
+    it once), that pic and cl make on it together, and the rows passed
+    to each ``span_conditions`` call, in order."""
+    calls, solved = {}, []
     fresh = build_product(tp.g, tp.h, tp.policy)
     with monkeypatch.context() as patch:
-        for name in ("quotient", "_cartier_conditions", "condition_kernel", "span_conditions",
-                     "invariant_factors"):
+        for module, name in ((divisor_theory, "quotient"), (divisor_theory, "_cartier_conditions"),
+                             (divisor_theory, "condition_kernel"),
+                             (divisor_theory, "span_conditions"),
+                             (exact_lattice, "invariant_factors")):
             calls[name] = 0
-            real = getattr(divisor_theory, name)
+            real = getattr(module, name)
 
             def counted(*args, name=name, real=real):
                 calls[name] += 1
-                if name == "invariant_factors":
-                    local_rows.append(args[0])
+                if name == "span_conditions":
+                    solved.append(args[0])
                 return real(*args)
 
-            patch.setattr(divisor_theory, name, counted)
+            patch.setattr(module, name, counted)
         pic(fresh)
         cl(fresh)
         pic(fresh)
-    return fresh, calls, local_rows
+    return fresh, calls, solved
+
+
+def verdict_stars(monkeypatch, tp):
+    """The vertices whose stars ``_locally_saturated`` reads on a fresh
+    copy of tp, in order, and its verdict."""
+    read = []
+    fresh = build_product(tp.g, tp.h, tp.policy)
+    real = divisor_theory._star_conditions
+    with monkeypatch.context() as patch:
+        patch.setattr(divisor_theory, "_star_conditions",
+                      lambda tp, v: read.append(v) or real(tp, v))
+        return read, divisor_theory._locally_saturated(fresh)
 
 
 def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monkeypatch):
     # No congruence is built and one kernel is taken, QCart's: every
     # vertex is locally saturated, so Cart is QCart without them.  The
     # lemma in ``_locally_saturated`` covers every vertex of a product of
-    # simple factors, so no local key is read and no invariant factor
-    # test is run; the per-star oracle confirms the answer.
+    # simple factors, so no local key is read and no star is solved; the
+    # one invariant factor call is the quotient's.  The per-star oracle
+    # confirms the answer.
     k4, c4 = complete_graph(4), cycle_graph(4)
     products = [build_product(cycle_graph(n), cycle_graph(n)) for n in range(3, 7)]
     products += [build_product(k4, c4, random_policy(k4, c4, seed)) for seed in (1, 2, 3)]
@@ -592,11 +638,12 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
                         lambda tp, v: keys.append(v) or real_key(tp, v))
     stars = []
     for tp in products:
-        fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, tp)
+        fresh, calls, solved = pic_and_cl_calls(monkeypatch, tp)
         assert cart_lattice(fresh) is qcart_lattice(fresh)
         assert calls == {"quotient": 1, "_cartier_conditions": 0, "condition_kernel": 1,
-                         "span_conditions": 0, "invariant_factors": 0}
-        assert keys == [] and local_rows == []
+                         "span_conditions": 0, "invariant_factors": 1}
+        assert keys == [] and solved == []
+        assert verdict_stars(monkeypatch, tp) == ([], True)
         assert locally_saturated_per_star(fresh)
         stars.append(len({submatrix_local_matrix(fresh, v) for v in fresh.vertices}))
         assert pic(fresh) == cl(fresh)
@@ -605,40 +652,46 @@ def test_simple_factors_share_one_lattice_and_one_quotient(mixed_products, monke
 
 def test_multigraph_factors_run_two_quotients(monkeypatch):
     for g, h in ((theta_graph(3), path_graph(2)), (theta_graph(2), theta_graph(2))):
-        fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, build_product(g, h))
+        fresh, calls, solved = pic_and_cl_calls(monkeypatch, build_product(g, h))
         assert cart_lattice(fresh) != qcart_lattice(fresh)
-        # The congruences are solved by one ``span_conditions`` call per
-        # distinct star, here every star, and the local test is one
-        # invariant factor call on every star's rows together.  Two kernels
-        # are taken: Cart's of the congruences, and QCart's for Cl.
+        # Every vertex of a theta factor is off the lemma, so the local
+        # test solves every distinct star, once each, and the congruences
+        # reuse those solves: one ``span_conditions`` call per distinct
+        # star, the local test's, and no invariant factor call beyond the
+        # two quotients'.  Two kernels are taken: Cart's of the
+        # congruences, and QCart's for Cl.
         distinct = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
         assert len(distinct) == fresh.n_vertices
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
-                         "span_conditions": len(distinct), "invariant_factors": 1}
-        assert len(local_rows[0]) == sum(m.rows for m in distinct)
+                         "span_conditions": len(distinct), "invariant_factors": 2}
+        assert solved == [divisor_theory._local_key(fresh, v) for v in fresh.vertices]
+        assert verdict_stars(monkeypatch, fresh) == (list(fresh.vertices), False)
 
 
 def test_mixed_factors_test_only_the_stars_off_the_lemma(monkeypatch):
     # The path 0 - 1 = 2 has two edges between 1 and 2, so the lemma in
     # ``_locally_saturated`` covers only the vertices over 0.  The local
-    # test's one invariant factor call takes the rows of the distinct
-    # stars over 1 and 2, and those alone; it fails, so the congruences
-    # are built at every vertex, as on theta factors.
+    # test reads the stars off the lemma, those alone, and its first
+    # ``span_conditions`` calls are their distinct keys; it fails, so the
+    # congruences are built at every vertex, as on theta factors, and
+    # solve only the stars the test left.
     g = Multigraph([0, 1, 2], [("e0", 0, 1), ("e1", 1, 2), ("e2", 1, 2)])
     for h in (cycle_graph(3), g):
-        fresh, calls, local_rows = pic_and_cl_calls(monkeypatch, build_product(g, h))
+        fresh, calls, solved = pic_and_cl_calls(monkeypatch, build_product(g, h))
         simple_h = {0} if h is g else set(h.vertices)
         off_lemma = [(a, b) for a, b in fresh.vertices if a != 0 or b not in simple_h]
         assert len(off_lemma) == (8 if h is g else 6)
+        assert verdict_stars(monkeypatch, fresh) == (off_lemma, False)
         distinct = {submatrix_local_matrix(fresh, v) for v in off_lemma}
         every_star = {submatrix_local_matrix(fresh, v) for v in fresh.vertices}
         assert len(every_star) > len(distinct)
         assert calls == {"quotient": 2, "_cartier_conditions": 1, "condition_kernel": 2,
-                         "span_conditions": len(every_star), "invariant_factors": 1}
-        # Row for row, up to the naming of the columns.
-        entries = lambda rows: Counter(tuple(sorted(c for c in row if c)) for row in rows)
-        assert entries([c for _, c in row] for row in local_rows[0]) \
-            == entries(m.row(i) for m in distinct for i in range(m.rows))
+                         "span_conditions": len(every_star), "invariant_factors": 2}
+        keys = list(dict.fromkeys(divisor_theory._local_key(fresh, v) for v in fresh.vertices))
+        off_keys = list(dict.fromkeys(divisor_theory._local_key(fresh, v) for v in off_lemma))
+        assert len(off_keys) == len(distinct)
+        assert solved[:len(off_keys)] == off_keys
+        assert sorted(solved) == sorted(keys)
         assert not locally_saturated_per_star(fresh)
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from decimal import Decimal
 from math import prod
 
@@ -256,6 +257,25 @@ def test_incident_edges_equal_a_scan_of_all_edges():
         parallel += not g.is_simple()
         for v in g.vertices:
             assert g.incident_edges(v) == tuple(eid for eid, u, w in g.edges if v in (u, w))
+    assert parallel > 10
+
+
+def test_simple_vertices_and_is_simple_equal_a_scan_of_endpoint_pairs():
+    # A vertex is simple unless it is an end of two edges with the same
+    # pair of ends; the graph is simple iff every vertex is.
+    rng = random.Random(71)
+    parallel = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [rng.choice(pairs)[::rng.choice((1, -1))] if rng.random() < 0.5
+                  else tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+        g = Multigraph(range(n), [(f"e{k}", u, w) for k, (u, w) in enumerate(pairs)])
+        ends = Counter(frozenset((u, w)) for _, u, w in g.edges)
+        doubled = {v for pair, k in ends.items() if k > 1 for v in pair}
+        assert g._simple_vertices() == set(g.vertices) - doubled
+        assert g.is_simple() == (not doubled)
+        parallel += bool(doubled)
     assert parallel > 10
 
 

@@ -8,12 +8,15 @@ kernel of the balancing equations rather than the saturation of Cart.
 
 Simple factors have 2 to 4 vertices, and their Pic is checked against
 the closed form Z^(2 + g(G) g(H)) + Jac(G) + Jac(H), used only as an
-oracle here.  The local saturation test, one Smith form on the block
-sum of the distinct stars that its lemma does not cover, agrees with
-one test per distinct star.  At each vertex the lemma covers, where no
-two edges at either factor vertex share their far end, the local
-lattice is checked against the dense kernel of the vertex's own
-balancing equations.
+oracle here.  On them the pullbacks of the factors' vertices are
+Cartier, and those of the columns of each factor's Laplacian are
+principal.  The local saturation test, which counts the congruences of
+each distinct star that its lemma does not cover, agrees with one
+invariant factor test per distinct star, also on a pinned locally
+saturated product with parallel edges.  At each vertex the lemma
+covers, where no two edges at either factor vertex share their far
+end, the local lattice is checked against the dense kernel of the
+vertex's own balancing equations.
 
 Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
 ``invariant_factors``, which strips unit pivots from sparse rows before
@@ -62,12 +65,15 @@ from oracles import (
     dense_condition_kernel,
     dense_intersection,
     dense_kernel,
+    factor_pullbacks,
     from_generators,
     locally_saturated_per_star,
     matmul,
     ordered_kernel_basis,
+    pulled_back_laplacian_columns,
     random_policy,
     rows_from_weights,
+    saturated_multigraph_product,
     sparse_rows,
     submatrix_local_matrix,
     weights_by_triangle_scan,
@@ -77,7 +83,6 @@ from tropic_pic.divisor_theory import (
     _balancing_conditions,
     _cartier_conditions,
     _locally_saturated,
-    _simple_vertices,
     balancing_matrix,
     cart_lattice,
     cl,
@@ -221,6 +226,7 @@ def test_cart_is_qcart_cut_by_the_congruences(tp):
 
 @SETTINGS
 @given(products())
+@example(saturated_multigraph_product())
 def test_local_test_equals_the_per_star_oracle(tp):
     assert _locally_saturated(tp) == locally_saturated_per_star(tp)
 
@@ -253,7 +259,7 @@ def test_local_lattice_is_the_balancing_kernel_where_the_lemma_holds(tp):
         return {a for a, ends in far.items() if len(set(ends)) == len(ends)}
 
     g_ok, h_ok = covered(tp.g), covered(tp.h)
-    assert (g_ok, h_ok) == (_simple_vertices(tp.g), _simple_vertices(tp.h))
+    assert (g_ok, h_ok) == (tp.g._simple_vertices(), tp.h._simple_vertices())
     rows = iter(_balancing_conditions(tp))
     for a, b in tp.vertices:
         own = list(islice(rows, tp.g.degree(a) + tp.h.degree(b) - 2))
@@ -273,6 +279,18 @@ def test_pic_of_simple_factors_is_the_closed_form(tp):
     closed = AbGroup.direct_sum(AbGroup.free(2 + genus(g) * genus(h)),
                                 critical_group(g), critical_group(h))
     assert pic(tp) == closed
+
+
+@SETTINGS
+@given(products(simple_graphs))
+def test_factor_pullbacks_are_cartier_and_pull_laplacians_back_to_principal(tp):
+    """pi_G^*(a) and pi_H^*(b) are Cartier, and for each factor the
+    pullbacks of its Laplacian's columns, sum_a L[a, j] pi^*(a), are
+    principal: the factors' principal divisors pull back to principal
+    ones."""
+    for graph, pullbacks in zip((tp.g, tp.h), factor_pullbacks(tp)):
+        assert all(is_cartier(tp, d) for d in pullbacks)
+        assert all(is_principal(tp, d) for d in pulled_back_laplacian_columns(graph, pullbacks))
 
 
 @SETTINGS
