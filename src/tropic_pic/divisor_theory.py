@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exact_lattice import (
     AbGroup,
@@ -173,11 +173,13 @@ def _star_conditions(tp: TriangulatedProduct, v) -> list:
     ``_local_key``: their term indices are positions in v's star.  The
     product's memo holds them by key, so each distinct star is solved
     once (9 for the 36 vertices of C6 x C6), for the local test and for
-    Cart alike."""
-    solved = tp._memo.setdefault("_star_conditions", {})
-    if (key := _local_key(tp, v)) not in solved:
-        solved[key] = span_conditions(key)
-    return solved[key]
+    Cart alike, and by vertex, so each vertex builds its key once."""
+    at, solved = tp._memo.setdefault("_star_conditions", ({}, {}))  # by vertex, by key
+    if v not in at:
+        if (key := _local_key(tp, v)) not in solved:
+            solved[key] = span_conditions(key)
+        at[v] = solved[key]
+    return at[v]
 
 
 @_per_product

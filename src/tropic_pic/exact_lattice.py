@@ -3,9 +3,13 @@ lattices, membership, congruence descriptions, intersections and
 quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
-precision, so no overflow is possible at any magnitude.  All values
-are immutable and all functions are pure; a basis built lazily is
-cached, so it never changes.  ``invariant_factors``, ``span_conditions``,
+precision, so no overflow is possible at any magnitude.  ``Lattice``
+and ``AbGroup`` are immutable value classes on ``ImmutableValue``:
+setting or deleting an attribute raises LatticeError, and equality,
+hash and repr read their fields, as a frozen dataclass would, without
+the import of ``dataclasses`` that each use of the package would pay.
+All functions are pure; a basis built lazily is cached, so it never
+changes.  ``invariant_factors``, ``span_conditions``,
 ``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
 ``(index, value)`` pairs (the terms of the condition format below),
 whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
@@ -70,13 +74,44 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 
 
 class LatticeError(ValueError):
     """Raised on precondition violations (dimension mismatch, non-sublattice)."""
+
+
+class ImmutableValue:
+    """Base of the immutable value classes.  ``_fields`` names what
+    equality, the hash and the repr read, in order; an instance equals
+    only one of its own class.  Setting or deleting an attribute raises
+    ``_error``.  It keeps an instance dict and no ``__slots__``:
+    constructors, ``cached_property``, pickle and ``copy`` write that
+    dict directly, where they would set slots through ``__setattr__``."""
+
+    _error = LatticeError
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __delattr__(self, name, verb="delete"):
+        cls = type(self).__name__
+        article = "an" if cls[0] in "AEIOU" else "a"
+        raise self._error(f"{article} {cls} is immutable: cannot {verb} {name!r}")
+
+    def __setattr__(self, name, value):
+        self.__delattr__(name, "set")
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _check_type(cls: type, *values) -> None:
@@ -434,8 +469,7 @@ def span_conditions(rows: Sequence) -> list:
 # Lattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class Lattice:
+class Lattice(ImmutableValue):
     """Sublattice of Z^ambient_dim with a canonical HNF basis, kept as
     ``columns``: per basis column its nonzero ``(row, value)`` pairs in
     row order, the pivot first.  No column is zero, so their number is
@@ -451,8 +485,8 @@ class Lattice:
     first read, ``columns`` eliminates in the callers' order and lifts.
     """
 
-    ambient_dim: int
-    columns: tuple = cached_property(lambda self: _lift(self.ambient_dim, *self._cut))
+    _fields = ("ambient_dim", "columns")
+    columns = cached_property(lambda self: _lift(self.ambient_dim, *self._cut))
 
     def __init__(self, ambient_dim: int, basis: IntMatrix):
         if type(ambient_dim) is not int:
@@ -690,7 +724,9 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     fix its slack, and is written in K by its entries on S, its indices
     mapped through the form's permutation: the lift takes K's basis to
     a basis of big, which need not be the canonical one.  Its entries on
-    the free columns are coordinates already, and kt solves for the rest.
+    the free columns are coordinates already, and kt solves for the rest;
+    a generator with no entry on kt's columns, the touched block, has
+    witness 0 there and is not solved.
     """
     _check_type(Lattice, big)
     n = big.ambient_dim
@@ -714,7 +750,7 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
             ok = ok and not (total % modulus if modulus else total)
             if slack in local:  # else a unit (modulus 1): only its own row reaches a slack
                 v[local[slack]] = -total // modulus
-        ok, w = lattice_member(kt, v) if ok else (False, None)
+        ok, w = lattice_member(kt, v) if ok and any(v) else (ok, ())  # no entry on kt: w is 0
         if not ok:
             raise LatticeError(f"quotient: generator {j} is not in the first lattice")
         for t in compress(range(len(w)), w):
@@ -864,27 +900,26 @@ def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbGroup:
+class AbGroup(ImmutableValue):
     """Z^free_rank + Z/d1 + ... with d1 | d2 | ..., each di >= 2."""
 
-    free_rank: int
-    torsion: tuple = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if type(self.free_rank) is not int:
-            raise LatticeError(f"free rank must be an int, got {self.free_rank!r}")
-        if not (isinstance(self.torsion, tuple) and set(map(type, self.torsion)) <= {int}):
-            raise LatticeError(f"invariant factors must be a tuple of ints, got {self.torsion!r}")
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        if type(free_rank) is not int:
+            raise LatticeError(f"free rank must be an int, got {free_rank!r}")
+        if not (isinstance(torsion, tuple) and set(map(type, torsion)) <= {int}):
+            raise LatticeError(f"invariant factors must be a tuple of ints, got {torsion!r}")
+        if free_rank < 0:
             raise LatticeError("negative free rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise LatticeError("invariant factors must be >= 2")
             if prev is not None and d % prev != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
             prev = d
+        self.__dict__.update(free_rank=free_rank, torsion=torsion)
 
     @classmethod
     def free(cls, n: int) -> "AbGroup":

@@ -17,8 +17,7 @@ and disconnected graphs are rejected at construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
 from .exact_lattice import AbGroup, IntMatrix, cokernel
 

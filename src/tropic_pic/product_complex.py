@@ -41,10 +41,10 @@ lexicographic, so the diagonal block is contiguous at the end.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
+from .exact_lattice import ImmutableValue
 from .multigraph import Multigraph
 
 
@@ -56,20 +56,22 @@ class ComplexError(ValueError):
 # Diagonal policies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalPolicy:
+class DiagonalPolicy(ImmutableValue):
     """Per-square diagonal choice: standard, or an explicit map.
 
     ``standard`` (no choices) joins the (min, min) corner to the
     (max, max) corner under the fixed vertex orders.  ``explicit``
     carries a full map (g_edge_id, h_edge_id) -> flipped flag; built
     directly or not, its keys must be distinct and its flags bools.
+    A policy is immutable: setting or deleting an attribute raises
+    ComplexError.  Policies are equal when their choices are.
     """
 
-    choices: Optional[frozenset] = None  # frozenset of ((ge, he), flipped)
+    _fields = ("choices",)
+    _error = ComplexError
 
-    def __post_init__(self):
-        pairs = frozenset() if self.choices is None else self.choices
+    def __init__(self, choices: frozenset | None = None):  # frozenset of ((ge, he), flipped)
+        pairs = frozenset() if choices is None else choices
         if not isinstance(pairs, frozenset):
             raise ComplexError(f"policy choices must be a frozenset, got {type(pairs).__name__}")
         for pair in pairs:
@@ -77,6 +79,7 @@ class DiagonalPolicy:
                 raise ComplexError(f"policy choice {pair!r} is not a (square key, bool) pair")
         if len(dict(pairs)) < len(pairs):
             raise ComplexError("policy choices give a square both flags")
+        self.__dict__["choices"] = choices
 
     @classmethod
     def standard(cls) -> "DiagonalPolicy":
@@ -125,17 +128,16 @@ def parse_policy_text(text: str) -> DiagonalPolicy:
 # The triangulated product
 # ---------------------------------------------------------------------------
 
-class ProductEdge(NamedTuple):
-    eid: tuple          # ("h", g_edge, h_vertex) / ("v", g_vertex, h_edge) / ("d", g_edge, h_edge)
-    u: tuple            # endpoint (a, b), earlier in vertex order, except lr on a flipped diagonal
-    w: tuple            # the other endpoint (ul on a flipped diagonal)
-    kind: str           # "horizontal" | "vertical" | "diagonal"
+# eid: ("h", g_edge, h_vertex) / ("v", g_vertex, h_edge) / ("d", g_edge, h_edge)
+# u: endpoint (a, b), earlier in vertex order, except lr on a flipped diagonal
+# w: the other endpoint (ul on a flipped diagonal)
+# kind: "horizontal" | "vertical" | "diagonal"
+ProductEdge = namedtuple("ProductEdge", "eid u w kind")
 
-
-class Triangle(NamedTuple):
-    verts: tuple        # (ll, lr, ur), (ll, ul, ur); flipped: (ll, lr, ul), (lr, ur, ul)
-    edge_ids: tuple     # the sides s1, s2, then the diagonal
-    diag: tuple         # the diagonal edge id
+# verts: (ll, lr, ur), (ll, ul, ur); flipped: (ll, lr, ul), (lr, ur, ul)
+# edge_ids: the sides s1, s2, then the diagonal
+# diag: the diagonal edge id
+Triangle = namedtuple("Triangle", "verts edge_ids diag")
 
 
 def _ordered_ends(graph: Multigraph) -> dict:
@@ -262,7 +264,7 @@ class TriangulatedProduct:
 
 
 def build_product(g: Multigraph, h: Multigraph,
-                  policy: Optional[DiagonalPolicy] = None) -> TriangulatedProduct:
+                  policy: DiagonalPolicy | None = None) -> TriangulatedProduct:
     """Triangulate G x H under the given diagonal policy (default standard)."""
     return TriangulatedProduct(g, h, DiagonalPolicy.standard() if policy is None else policy)
 

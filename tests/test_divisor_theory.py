@@ -695,19 +695,35 @@ def test_mixed_factors_test_only_the_stars_off_the_lemma(monkeypatch):
         assert not locally_saturated_per_star(fresh)
 
 
+def test_each_vertex_builds_its_local_key_once(monkeypatch):
+    # theta3 x C12 is off the lemma at every vertex: the local test reads
+    # each star, and Cart's congruences read each one again, by vertex.
+    keys = []
+    real = divisor_theory._local_key
+    monkeypatch.setattr(divisor_theory, "_local_key", lambda tp, v: keys.append(v) or real(tp, v))
+    tp = build_product(theta_graph(3), cycle_graph(12))
+    assert pic(tp) == AbGroup(2, (12,))
+    cl(tp)  # its group carries ROADMAP item 1's defect, so it is not pinned here
+    assert sorted(keys) == sorted(tp.vertices)
+
+
 def test_pic_and_cl_solve_each_principal_column_in_the_touched_block(monkeypatch):
     # C8 x C8 is locally saturated, so Pic and Cl share one quotient of
     # QCart by P's |V| columns.  Each column's entries on QCart's free
     # columns are its coordinates there, and only the rest is solved for,
-    # in kt: one membership solve per column, each in fewer coordinates
-    # than there are edges, and no canonical basis is lifted.
-    dims = []
+    # in kt: one membership solve per column with an entry there, 40 of
+    # the 64, each in fewer coordinates than there are edges.  A column
+    # with none has witness 0 and is not solved.  No canonical basis is
+    # lifted.
+    dims, solved = [], []
     real = exact_lattice.lattice_member
     monkeypatch.setattr(exact_lattice, "lattice_member",
-                        lambda lat, v: dims.append(lat.ambient_dim) or real(lat, v))
+                        lambda lat, v: dims.append(lat.ambient_dim) or solved.append(v)
+                        or real(lat, v))
     tp = build_product(cycle_graph(8), cycle_graph(8))
     assert pic(tp) == cl(tp) == AbGroup(3, (8, 8))
-    assert len(dims) == tp.n_vertices and max(dims) < tp.n_edges
+    assert len(dims) == 40 and max(dims) < tp.n_edges
+    assert all(any(v) for v in solved)
     assert "columns" not in vars(qcart_lattice(tp))
 
 

@@ -5,6 +5,8 @@ search, minor-gcd characterization of SNF diagonals, and sympy's normal
 forms as a cross-implementation check.
 """
 
+import copy
+import pickle
 import random
 import re
 from itertools import combinations, permutations, product
@@ -1123,6 +1125,70 @@ def test_abgroup_direct_sum_canonicalizes():
     assert s == AbGroup(3, (12,))
     s2 = AbGroup.direct_sum(AbGroup(0, (2,)), AbGroup(0, (2,)))
     assert s2 == AbGroup(0, (2, 2))
+
+
+# -- value classes --------------------------------------------------------------
+
+
+def small_lattice():
+    """x0 + x1 even and x2 = 0, in ``condition_kernel``'s small form."""
+    return condition_kernel(3, [(((0, 1), (1, 1)), 2), (((2, 1),), 0)])
+
+
+@pytest.mark.parametrize("make, what, name", [
+    (lambda: AbGroup(3, (3, 3)), "an AbGroup", "torsion"),
+    (lambda: AbGroup(0), "an AbGroup", "new"),
+    (lambda: Lattice.from_matrix(IntMatrix(2, 2, [2, 1, 0, 3])), "a Lattice", "columns"),
+    (small_lattice, "a Lattice", "columns"),
+    (small_lattice, "a Lattice", "_cut"),
+    (small_lattice, "a Lattice", "ambient_dim"),
+])
+def test_a_value_refuses_to_set_or_delete_an_attribute(make, what, name):
+    # Each raised dataclasses.FrozenInstanceError, which is no LatticeError.
+    value = make()
+    state = dict(vars(value))
+    message = f"^{what} is immutable: cannot {{}} " + re.escape(repr(name)) + "$"
+    with pytest.raises(LatticeError, match=message.format("set")):
+        setattr(value, name, ())
+    with pytest.raises(LatticeError, match=message.format("delete")):
+        delattr(value, name)
+    assert vars(value) == state and value == make()
+
+
+def test_value_reprs_name_their_fields():
+    assert repr(AbGroup(3, (3, 3))) == "AbGroup(free_rank=3, torsion=(3, 3))"
+    assert repr(AbGroup(0)) == "AbGroup(free_rank=0, torsion=())"
+    assert repr(Lattice.from_matrix(IntMatrix(2, 2, [2, 1, 0, 3]))) \
+        == "Lattice(ambient_dim=2, columns=(((0, 1), (1, 3)), ((1, 6),)))"
+    assert repr(small_lattice()) == "Lattice(ambient_dim=3, columns=(((0, 1), (1, 1)), ((1, 2),)))"
+
+
+def test_values_equal_and_hash_by_their_fields_and_class():
+    assert AbGroup(3) == AbGroup(3, ()) and hash(AbGroup(3)) == hash(AbGroup(3, ()))
+    assert hash(AbGroup(3, (3, 3))) == hash((3, (3, 3)))
+    assert AbGroup(1, ()) != (1, ()) and (1, ()) != AbGroup(1, ())
+    assert AbGroup(1, ()).__eq__((1, ())) is NotImplemented
+    lat = small_lattice()
+    assert hash(lat) == hash((3, lat.columns)) and lat != (3, lat.columns)
+    assert lat == Lattice(3, lat.basis) and lat != AbGroup(3)
+
+
+@pytest.mark.parametrize("read_columns", [False, True])
+def test_values_survive_pickle_and_deepcopy(read_columns):
+    """A small-form lattice keeps its small form, or the columns already
+    read; either twin equals the original and stays immutable."""
+    lat = small_lattice()
+    if read_columns:
+        lat.columns
+    values = [lat, AbGroup(3, (3, 3)), Lattice.from_matrix(IntMatrix(2, 2, [2, 1, 0, 3]))]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            if value is lat:
+                assert ("columns" in vars(twin)) is read_columns and twin.rank == 2
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            with pytest.raises(LatticeError, match="is immutable: cannot set 'new'$"):
+                twin.new = 1
+    assert lat == small_lattice()
 
 
 def test_cokernel_free_part():

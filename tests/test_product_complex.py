@@ -1,5 +1,7 @@
 """Tests for the triangulated product and its weights, the rows of P."""
 
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -241,6 +243,43 @@ def test_a_policy_built_directly_checks_its_choices(choices, message):
     # flag in tp.squares, or a flag picked by the set's iteration order.
     with pytest.raises(ComplexError, match="^" + re.escape(message)):
         DiagonalPolicy(choices)
+
+
+def _flipped_e0_e0():
+    return DiagonalPolicy.explicit({("e0", "e0"): 1, ("e1", "e0"): 0})
+
+
+@pytest.mark.parametrize("make", [DiagonalPolicy.standard, _flipped_e0_e0])
+@pytest.mark.parametrize("name", ["choices", "new"])
+def test_a_policy_refuses_to_set_or_delete_an_attribute(make, name):
+    policy = make()
+    message = "^a DiagonalPolicy is immutable: cannot {} " + re.escape(repr(name)) + "$"
+    with pytest.raises(ComplexError, match=message.format("set")):
+        setattr(policy, name, frozenset())
+    with pytest.raises(ComplexError, match=message.format("delete")):
+        delattr(policy, name)
+    assert policy == make() and vars(policy).keys() == {"choices"}
+
+
+def test_a_policy_prints_compares_and_hashes_by_its_choices():
+    standard, flipped = DiagonalPolicy.standard(), _flipped_e0_e0()
+    assert repr(standard) == "DiagonalPolicy(choices=None)"
+    assert repr(DiagonalPolicy.explicit({("e0", "e1"): 1})) \
+        == "DiagonalPolicy(choices=frozenset({(('e0', 'e1'), True)}))"
+    assert standard == DiagonalPolicy() and hash(standard) == hash((None,))
+    assert flipped == DiagonalPolicy(flipped.choices) and hash(flipped) == hash((flipped.choices,))
+    assert standard != flipped and flipped != flipped.choices and standard != (None,)
+
+
+@pytest.mark.parametrize("make", [DiagonalPolicy.standard, _flipped_e0_e0])
+def test_a_policy_survives_pickle_and_deepcopy(make):
+    g, h = path_graph(2), path_graph(1)
+    policy = make()
+    for twin in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+        assert type(twin) is DiagonalPolicy and twin == policy and hash(twin) == hash(policy)
+        assert build_product(g, h, twin).squares == build_product(g, h, policy).squares
+        with pytest.raises(ComplexError, match="^a DiagonalPolicy is immutable"):
+            twin.choices = None
 
 
 @pytest.mark.parametrize("text", [None, b"d e0 e0 1\n", 5, ["d e0 e0 1"]])

@@ -1,13 +1,15 @@
 """Packaging metadata and module boundaries: every declared console
 script resolves to a callable, the test extra declares every third-party
-module the tests import, and no library module imports a private name
-from another."""
+module the tests import, no library module imports a private name
+from another, and importing the package loads none of the standard
+library's slow-to-import modules named below."""
 
 import ast
 import glob
 import importlib
 import os
 import re
+import subprocess
 import sys
 from importlib.metadata import packages_distributions
 
@@ -82,3 +84,21 @@ def test_library_modules_import_no_private_names():
     for path in paths:
         with open(path) as f:
             assert _private_imports(f.read()) == [], os.path.basename(path)
+
+
+def _modules_loaded(code):
+    """The modules in sys.modules after code runs in a fresh interpreter
+    started with -S, so that no site hook loads any, and src/ on its path."""
+    script = f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); {code}; " \
+             "print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         check=True, timeout=60)
+    return set(run.stdout.split())
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
+    # Each use of the package pays its import: dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.
+    added = _modules_loaded("import tropic_pic.divisor_theory") - _modules_loaded("pass")
+    assert {"tropic_pic.divisor_theory", "json"} <= added
+    assert {"dataclasses", "inspect", "typing"}.isdisjoint(added)
