@@ -41,10 +41,11 @@ reads, and no QCart is built for Cart or Pic.  Pic and Cl quotient by
 P's columns, each written in the kernel of Cart's or QCart's
 conditions: its entries on the columns where the kernel is unit
 vectors are read off, and the rest is solved for on the few columns
-that the conditions without a unit pivot touch.  So neither lattice lifts its canonical basis over the
-edges.  ``is_principal`` reads Prin's congruences, so only
-``prin_lattice`` itself builds Prin's HNF basis.  ``span_conditions``
-writes those congruences off P's rows, as it writes each star's.
+that the conditions without a unit pivot touch.  So neither lattice
+lifts its canonical basis over the edges.  ``is_principal`` reads
+Prin's congruences, so only ``prin_lattice`` itself builds Prin's HNF
+basis.  ``span_conditions`` writes those congruences off P's rows, as
+it writes each star's.
 Their values at d, each taken mod its modulus, are d's coordinates in
 Z^E / Prin: the class that a ``class_of`` query will read.
 ``divisor_to_json`` joins its text from a per-product table of the
@@ -77,11 +78,6 @@ from .product_complex import (
 )
 
 
-def _check_product(tp) -> None:
-    if not isinstance(tp, TriangulatedProduct):
-        raise ComplexError(f"expected a TriangulatedProduct, got {type(tp).__name__}")
-
-
 def _check_vector(values: Sequence[int], n: int, what: str, entry: str, per: str) -> None:
     """Raise ComplexError unless values is a sequence of n ints (bools refused)."""
     try:
@@ -95,7 +91,7 @@ def _check_vector(values: Sequence[int], n: int, what: str, entry: str, per: str
 
 
 def _check_divisor(tp: TriangulatedProduct, d: Sequence[int]) -> None:
-    _check_product(tp)
+    TriangulatedProduct._check(tp)
     _check_vector(d, tp.n_edges, "divisor", "coefficient", "edge")
 
 
@@ -105,7 +101,7 @@ def _per_product(fn):
 
     @functools.wraps(fn)
     def cached(tp):
-        _check_product(tp)
+        TriangulatedProduct._check(tp)
         memo = tp._memo
         if key not in memo:
             memo[key] = fn(tp)

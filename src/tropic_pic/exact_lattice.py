@@ -3,24 +3,28 @@ lattices, membership, congruence descriptions, intersections and
 quotient group structure.
 
 Everything here works over plain Python ints, which are arbitrary
-precision, so no overflow is possible at any magnitude.  ``Lattice``
-and ``AbGroup`` are immutable value classes on ``ImmutableValue``:
-setting or deleting an attribute raises LatticeError, and equality,
-hash and repr read their fields, as a frozen dataclass would, without
-the import of ``dataclasses`` that each use of the package would pay.
-All functions are pure; a basis built lazily is cached, so it never
-changes.  ``invariant_factors``, ``span_conditions``,
+precision, so no overflow is possible at any magnitude.  Every class of
+the package but its errors and the namedtuples of ``product_complex``
+is an immutable value class on ``ImmutableValue``: ``IntMatrix``,
+``Lattice`` and ``AbGroup`` here, ``Multigraph`` in ``multigraph``, and
+``DiagonalPolicy`` and ``TriangulatedProduct`` in ``product_complex``.
+Setting or deleting an attribute raises the module's error
+(LatticeError here).  Equality and the hash read the fields, as a
+frozen dataclass would, without the import of ``dataclasses`` that
+each use of the package would pay; a ``TriangulatedProduct`` equals
+only itself.  All functions are pure; a basis built lazily is cached,
+so it never changes.  ``invariant_factors``, ``span_conditions``,
 ``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
 ``(index, value)`` pairs (the terms of the condition format below),
 whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
-dense ``IntMatrix``.  Entries must be
-ints (``bool`` is refused), checked once per call where they enter from
-outside; matrices this module builds itself skip the check.  A
-``Lattice`` is kept as its canonical basis columns, each the ``(row,
-value)`` pairs of its nonzero entries, or, when conditions cut it out,
-in a small form until those columns are read.  Its dense basis
-is built only when asked for, and the lattices this module builds skip
-the check that a basis is canonical.
+dense ``IntMatrix``.  Entries must be ints (``bool`` is refused),
+checked once per call where they enter from outside; matrices this
+module builds itself skip the check.  A ``Lattice`` is kept as its
+canonical basis columns, each the ``(row, value)`` pairs of its
+nonzero entries, or, when conditions cut it out, in a small form until
+those columns are read.  Its dense basis is built only when asked for,
+and the lattices this module builds skip the check that a basis is
+canonical.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
@@ -83,14 +87,24 @@ class LatticeError(ValueError):
 
 
 class ImmutableValue:
-    """Base of the immutable value classes.  ``_fields`` names what
-    equality, the hash and the repr read, in order; an instance equals
-    only one of its own class.  Setting or deleting an attribute raises
-    ``_error``.  It keeps an instance dict and no ``__slots__``:
-    constructors, ``cached_property``, pickle and ``copy`` write that
-    dict directly, where they would set slots through ``__setattr__``."""
+    """Base of the six immutable value classes: ``IntMatrix``,
+    ``Lattice``, ``AbGroup``, ``Multigraph``, ``DiagonalPolicy`` and
+    ``TriangulatedProduct``.  ``_fields`` names what equality, the hash
+    and the repr read, in order; an instance equals only one of its own
+    class.  Setting or deleting an attribute raises ``_error``, which
+    ``_check`` raises too.  It keeps an instance dict and declares no
+    slots: constructors, ``cached_property``, pickle and ``copy`` write
+    that dict directly, where they would set slots through
+    ``__setattr__``."""
 
     _error = LatticeError
+
+    @classmethod
+    def _check(cls, *values) -> None:
+        """Raise ``_error`` unless every value is a cls."""
+        for value in values:
+            if not isinstance(value, cls):
+                raise cls._error(f"expected a {cls.__name__}, got {type(value).__name__}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -114,13 +128,6 @@ class ImmutableValue:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _check_type(cls: type, *values) -> None:
-    """Raise LatticeError unless every value is a cls."""
-    for value in values:
-        if not isinstance(value, cls):
-            raise LatticeError(f"expected a {cls.__name__}, got {type(value).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # IntMatrix
 # ---------------------------------------------------------------------------
@@ -138,10 +145,10 @@ def _check_index(i, n: int, what: str) -> None:
         raise IndexError(f"{what} {i} of a matrix with {n} {what}s")
 
 
-class IntMatrix:
+class IntMatrix(ImmutableValue):
     """Immutable dense matrix of Python ints, row-major."""
 
-    __slots__ = ("rows", "cols", "_e")
+    _fields = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         e = tuple(entries) if isinstance(entries, Iterable) else None
@@ -150,9 +157,7 @@ class IntMatrix:
             raise LatticeError(f"matrix entries must be an iterable of ints, got {bad!r}")
         if {type(rows), type(cols)} != {int} or rows < 0 or cols < 0 or len(e) != rows * cols:
             raise LatticeError(f"a {rows!r} x {cols!r} matrix cannot have {len(e)} entries")
-        self.rows = rows
-        self.cols = cols
-        self._e = e
+        self.__dict__.update(rows=rows, cols=cols, _e=e)
 
     # -- constructors ------------------------------------------------------
 
@@ -161,9 +166,7 @@ class IntMatrix:
         """Wrap a row-major tuple of rows * cols ints built in this module,
         skipping the entry checks of ``__init__``."""
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._e = e
+        m.__dict__.update(rows=rows, cols=cols, _e=e)
         return m
 
     # -- access ------------------------------------------------------------
@@ -204,13 +207,6 @@ class IntMatrix:
             row = self._e[i * self.cols:(i + 1) * self.cols]
             out.append(sum(r * x for r, x in zip(row, v) if r))
         return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self._e == other._e)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.row_list()!r})"
@@ -298,7 +294,7 @@ def hnf(m: IntMatrix) -> tuple:
     integer column spans iff their h parts agree (after dropping zero
     columns).
     """
-    _check_type(IntMatrix, m)
+    IntMatrix._check(m)
     nr, nc = m.rows, m.cols
     cols = _with_identity(m.col_list())
     _echelon(cols, nr)
@@ -322,7 +318,7 @@ def snf(m: IntMatrix) -> tuple:
     only on what ``_strip_units`` leaves, for ``invariant_factors`` and
     ``span_conditions``.
     """
-    _check_type(IntMatrix, m)
+    IntMatrix._check(m)
     nr, nc = m.rows, m.cols
     cols = m.col_list()
     rows = _with_identity(m.row_list())  # m beside S
@@ -509,7 +505,7 @@ class Lattice(ImmutableValue):
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "Lattice":
-        _check_type(IntMatrix, m)
+        IntMatrix._check(m)
         cols = m.col_list()
         pivots = _echelon(cols, m.rows)
         return cls._trusted(m.rows, tuple(tuple(_nonzeros(c, p)) for c, p in zip(cols, pivots)))
@@ -667,13 +663,13 @@ def _lift(width: int, reads: list, perm: list, units: dict, touched: list, kt: L
 
 def kernel(m: IntMatrix) -> Lattice:
     """The saturated lattice {x in Z^cols : m @ x = 0}, from m's rows."""
-    _check_type(IntMatrix, m)
+    IntMatrix._check(m)
     return condition_kernel(m.cols, [(_nonzeros(m.row(i)), 0) for i in range(m.rows)])
 
 
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
-    _check_type(Lattice, lat)
+    Lattice._check(lat)
     if not (type(v) in (list, tuple) or isinstance(v, Sequence)) or len(v) != lat.ambient_dim:
         raise LatticeError(f"vector must be a sequence of length {lat.ambient_dim}")
     if not set(map(type, v)) <= {int}:
@@ -695,7 +691,7 @@ def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
 
 
 def lattice_contains(big: Lattice, small: Lattice) -> bool:
-    _check_type(Lattice, big, small)
+    Lattice._check(big, small)
     if big.ambient_dim != small.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
     return all(lattice_member(big, [col.get(i, 0) for i in range(big.ambient_dim)])[0]
@@ -705,7 +701,7 @@ def lattice_contains(big: Lattice, small: Lattice) -> bool:
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     """Intersection: the kernel of the congruences that cut out a and b,
     written off the rows of their basis columns."""
-    _check_type(Lattice, a, b)
+    Lattice._check(a, b)
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
     return condition_kernel(a.ambient_dim, span_conditions(transpose(a.columns, a.ambient_dim))
@@ -728,7 +724,7 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     a generator with no entry on kt's columns, the touched block, has
     witness 0 there and is not solved.
     """
-    _check_type(Lattice, big)
+    Lattice._check(big)
     n = big.ambient_dim
     # A basis has no condition, and every coordinate is touched.
     reads, perm, _, touched, kt, free = big._cut or ([()] * n, range(n), {}, range(n), big, ())
@@ -928,7 +924,7 @@ class AbGroup(ImmutableValue):
     @classmethod
     def direct_sum(cls, *groups: "AbGroup") -> "AbGroup":
         """Canonical invariant-factor form of a direct sum."""
-        _check_type(AbGroup, *groups)
+        AbGroup._check(*groups)
         free = sum(g.free_rank for g in groups)
         factors = [d for g in groups for d in g.torsion]
         if not factors:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .exact_lattice import AbGroup, IntMatrix, cokernel
+from .exact_lattice import AbGroup, ImmutableValue, IntMatrix, cokernel
 
 
 class GraphError(ValueError):
@@ -46,17 +46,20 @@ def _sorted_ids(kind: str, items: list, key=None) -> list:
     raise GraphError(reason)
 
 
-class Multigraph:
+class Multigraph(ImmutableValue):
     """Immutable loopless connected multigraph with ordered IDs.
 
     ``vertices`` is the fixed vertex order, ``edges`` the fixed edge
     order as (edge_id, u, w) triples; both are sorted by id at
     construction.  Ids must be hashable and mutually comparable, and no
-    two vertex ids, or two edge ids, may have equal ``str`` forms.  Once
-    built, the graph refuses to set or delete an attribute.
+    two vertex ids, or two edge ids, may have equal ``str`` forms.
+    Graphs are equal when their vertices and edges are.  The base
+    ``ImmutableValue`` guards the graph: setting or deleting an
+    attribute raises GraphError.
     """
 
-    __slots__ = ("vertices", "edges", "_vindex", "_eindex", "_adj")
+    _fields = ("vertices", "edges")
+    _error = GraphError
 
     def __init__(self, vertices: Sequence, edges: Sequence):
         for name, arg in (("vertices", vertices), ("edges", edges)):
@@ -95,15 +98,14 @@ class Multigraph:
                 unknown = True
             if unknown:
                 raise GraphError(f"edge {eid!r} has unknown endpoint")
-        self.vertices = tuple(vs)
-        self.edges = tuple(es)
-        self._vindex = {v: i for i, v in enumerate(vs)}
-        self._eindex = {e[0]: i for i, e in enumerate(es)}
         adj = {v: [] for v in vs}
         for eid, u, w in es:
             adj[u].append((eid, w))
             adj[w].append((eid, u))
-        self._adj = {v: tuple(n) for v, n in adj.items()}
+        self.__dict__.update(vertices=tuple(vs), edges=tuple(es),
+                             _vindex={v: i for i, v in enumerate(vs)},
+                             _eindex={e[0]: i for i, e in enumerate(es)},
+                             _adj={v: tuple(n) for v, n in adj.items()})
         self._check_connected()
 
     def _check_connected(self):
@@ -167,21 +169,6 @@ class Multigraph:
     def is_simple(self) -> bool:
         return len(self._simple_vertices()) == len(self.vertices)
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "_adj"):  # set last in __init__
-            raise GraphError(f"a Multigraph is immutable: cannot set {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise GraphError(f"a Multigraph is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Multigraph) and self.vertices == other.vertices
-                and self.edges == other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
-
     def __repr__(self) -> str:
         return f"Multigraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
@@ -190,18 +177,13 @@ class Multigraph:
 # Divisor-theoretic operations
 # ---------------------------------------------------------------------------
 
-def _check_graph(g) -> None:
-    if not isinstance(g, Multigraph):
-        raise GraphError(f"expected a Multigraph, got {type(g).__name__}")
-
-
 def laplacian(g: Multigraph) -> IntMatrix:
     """Laplacian with -deg(v) on the diagonal, adjacency counts off it.
 
     Column j equals the divisor of the PL function that is 1 on vertex j
     and 0 elsewhere; every column sums to 0.
     """
-    _check_graph(g)
+    Multigraph._check(g)
     n = g.n_vertices
     flat = [0] * (n * n)
     for i, v in enumerate(g.vertices):
@@ -229,7 +211,7 @@ def critical_group(g: Multigraph) -> AbGroup:
 
 def genus(g: Multigraph) -> int:
     """|E| - |V| + 1: edges outside a spanning tree."""
-    _check_graph(g)
+    Multigraph._check(g)
     return g.n_edges - g.n_vertices + 1
 
 
@@ -310,7 +292,7 @@ def parse_graph_text(text: str) -> Multigraph:
 
 
 def graph_to_text(g: Multigraph) -> str:
-    _check_graph(g)
+    Multigraph._check(g)
     lines = [f"v {v}" for v in g.vertices]
     lines.extend(f"e {eid} {u} {w}" for eid, u, w in g.edges)
     return "\n".join(lines) + "\n"

@@ -146,7 +146,7 @@ def _ordered_ends(graph: Multigraph) -> dict:
             for eid, u, w in graph.edges}
 
 
-class TriangulatedProduct:
+class TriangulatedProduct(ImmutableValue):
     """Immutable 2-dimensional Delta-complex over G x H with alpha weights.
 
     ``principal_rows``, read-only, has per edge P's row as ``(vertex
@@ -154,13 +154,13 @@ class TriangulatedProduct:
     alpha lives there alone, alpha(r, v) being minus row r's entry at an
     endpoint v, and holds the weight axiom by construction.
     ``_memo`` holds values derived from the complex (the divisor lattices
-    of ``divisor_theory``), so they live exactly as long as the product,
-    which refuses to set or delete an attribute once built.
+    of ``divisor_theory``), so they live exactly as long as the product.
+    The base ``ImmutableValue`` guards the product: setting or deleting
+    an attribute raises ComplexError.  A product equals only itself.
     """
 
-    __slots__ = ("g", "h", "policy", "vertices", "edges", "squares", "triangles",
-                 "principal_rows", "_vindex", "_eindex", "_star",
-                 "n_horizontal", "n_vertical", "n_diagonal", "_memo", "__weakref__")
+    _error = ComplexError
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, g: Multigraph, h: Multigraph, policy: DiagonalPolicy):
         for what, value, cls in (("factor G", g, Multigraph), ("factor H", h, Multigraph),
@@ -169,19 +169,15 @@ class TriangulatedProduct:
                 raise ComplexError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
         if g.n_edges < 1 or h.n_edges < 1:
             raise ComplexError("both factors need at least one edge")
-        self.g = g
-        self.h = h
-        self.policy = policy
-
-        self.vertices = tuple((a, b) for a in g.vertices for b in h.vertices)
-        self._vindex = vi = {v: i for i, v in enumerate(self.vertices)}
+        vertices = tuple((a, b) for a in g.vertices for b in h.vertices)
+        vi = {v: i for i, v in enumerate(vertices)}
         g_ends, h_ends = _ordered_ends(g), _ordered_ends(h)
 
         edges = [ProductEdge(("h", ge, b), (u, b), (w, b), "horizontal")
                  for ge, (u, w) in g_ends.items() for b in h.vertices]
         edges += [ProductEdge(("v", a, he), (a, u), (a, w), "vertical")
                   for a in g.vertices for he, (u, w) in h_ends.items()]
-        star = {v: [] for v in self.vertices}
+        star = {v: [] for v in vertices}
         rows = {}
         for e in edges:
             star[e.u].append(e.eid)
@@ -217,16 +213,14 @@ class TriangulatedProduct:
                 r2[pi] = r2.get(pi, 0) + 1
                 diagonal[ci] = 1
 
-        self.edges = tuple(edges)
-        self.squares = tuple(squares)
-        self.triangles = tuple(triangles)
-        self.principal_rows = tuple(tuple(sorted(rows[e.eid].items())) for e in edges)
-        self._eindex = {e.eid: i for i, e in enumerate(self.edges)}
-        self.n_horizontal = g.n_edges * h.n_vertices
-        self.n_vertical = g.n_vertices * h.n_edges
-        self.n_diagonal = g.n_edges * h.n_edges
-        self._star = {v: tuple(s) for v, s in star.items()}
-        self._memo = {}
+        self.__dict__.update(
+            g=g, h=h, policy=policy, vertices=vertices, edges=tuple(edges),
+            squares=tuple(squares), triangles=tuple(triangles),
+            principal_rows=tuple(tuple(sorted(rows[e.eid].items())) for e in edges),
+            _vindex=vi, _eindex={e.eid: i for i, e in enumerate(edges)},
+            _star={v: tuple(s) for v, s in star.items()},
+            n_horizontal=g.n_edges * h.n_vertices, n_vertical=g.n_vertices * h.n_edges,
+            n_diagonal=g.n_edges * h.n_edges, _memo={})
 
     # -- queries -----------------------------------------------------------
 
@@ -249,14 +243,6 @@ class TriangulatedProduct:
             return self._eindex[eid]
         except (KeyError, TypeError):  # an unhashable id is no edge
             raise ComplexError(f"unknown edge {eid!r}") from None
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_memo"):  # set last in __init__
-            raise ComplexError(f"a TriangulatedProduct is immutable: cannot set {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise ComplexError(f"a TriangulatedProduct is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
         return (f"TriangulatedProduct({self.n_vertices} vertices, "

@@ -67,7 +67,7 @@ from tropic_pic.divisor_theory import (
     principal_matrix,
     qcart_lattice,
 )
-from tropic_pic.multigraph import complete_graph, cycle_graph
+from tropic_pic.multigraph import GraphError, Multigraph, complete_graph, cycle_graph
 from tropic_pic.product_complex import build_product
 
 
@@ -1142,9 +1142,12 @@ def small_lattice():
     (small_lattice, "a Lattice", "columns"),
     (small_lattice, "a Lattice", "_cut"),
     (small_lattice, "a Lattice", "ambient_dim"),
+    (lambda: IntMatrix(2, 2, [1, 2, 3, 4]), "an IntMatrix", "cols"),
+    (lambda: IntMatrix(2, 2, [1, 2, 3, 4]), "an IntMatrix", "_e"),
 ])
 def test_a_value_refuses_to_set_or_delete_an_attribute(make, what, name):
-    # Each raised dataclasses.FrozenInstanceError, which is no LatticeError.
+    # Each raised dataclasses.FrozenInstanceError, which is no LatticeError;
+    # an IntMatrix took m.cols = 1 and then printed as IntMatrix([[1], [2]]).
     value = make()
     state = dict(vars(value))
     message = f"^{what} is immutable: cannot {{}} " + re.escape(repr(name)) + "$"
@@ -1152,7 +1155,7 @@ def test_a_value_refuses_to_set_or_delete_an_attribute(make, what, name):
         setattr(value, name, ())
     with pytest.raises(LatticeError, match=message.format("delete")):
         delattr(value, name)
-    assert vars(value) == state and value == make()
+    assert vars(value) == state and value == make() and repr(value) == repr(make())
 
 
 def test_value_reprs_name_their_fields():
@@ -1171,6 +1174,12 @@ def test_values_equal_and_hash_by_their_fields_and_class():
     lat = small_lattice()
     assert hash(lat) == hash((3, lat.columns)) and lat != (3, lat.columns)
     assert lat == Lattice(3, lat.basis) and lat != AbGroup(3)
+    m = IntMatrix(2, 2, [2, 1, 0, 3])
+    assert m == IntMatrix(2, 2, (2, 1, 0, 3)) and hash(m) == hash((2, 2, (2, 1, 0, 3)))
+    assert m != IntMatrix(1, 4, [2, 1, 0, 3]) and m != (2, 2, (2, 1, 0, 3))
+    assert repr(m) == "IntMatrix([[2, 1], [0, 3]])"
+    g = cycle_graph(3)
+    assert g == cycle_graph(3) and hash(g) == hash((g.vertices, g.edges)) and g != complete_graph(3)
 
 
 @pytest.mark.parametrize("read_columns", [False, True])
@@ -1180,13 +1189,16 @@ def test_values_survive_pickle_and_deepcopy(read_columns):
     lat = small_lattice()
     if read_columns:
         lat.columns
-    values = [lat, AbGroup(3, (3, 3)), Lattice.from_matrix(IntMatrix(2, 2, [2, 1, 0, 3]))]
+    values = [lat, AbGroup(3, (3, 3)), Lattice.from_matrix(IntMatrix(2, 2, [2, 1, 0, 3])),
+              IntMatrix(2, 2, [2, 1, 0, 3]), Multigraph([0, 1], [("e0", 0, 1), ("e1", 1, 0)])]
     for value in values:
+        error = GraphError if type(value) is Multigraph else LatticeError
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             if value is lat:
                 assert ("columns" in vars(twin)) is read_columns and twin.rank == 2
             assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
-            with pytest.raises(LatticeError, match="is immutable: cannot set 'new'$"):
+            assert repr(twin) == repr(value)
+            with pytest.raises(error, match="is immutable: cannot set 'new'$"):
                 twin.new = 1
     assert lat == small_lattice()
 

@@ -303,6 +303,15 @@ def test_a_built_product_refuses_to_set_or_delete_an_attribute(c3c3, name):
     assert c3c3.principal_rows == rows_from_weights(c3c3, *weights_by_triangle_scan(c3c3))
 
 
+def test_a_product_equals_and_hashes_as_only_itself(c3c3):
+    # Each product holds its own caches, so two built from the same factors
+    # stay distinct; the other value classes compare by their fields.
+    twin = build_product(cycle_graph(3), cycle_graph(3))
+    assert c3c3 == c3c3 and c3c3 != twin and twin.principal_rows == c3c3.principal_rows
+    assert hash(c3c3) == object.__hash__(c3c3) and len({c3c3, twin}) == 2
+    assert repr(c3c3) == "TriangulatedProduct(9 vertices, 27 edges, 18 triangles)"
+
+
 def test_parallel_edges_make_distinct_squares():
     tp = build_product(theta_graph(2), path_graph(1))
     assert len(tp.squares) == 2

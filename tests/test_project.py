@@ -1,7 +1,8 @@
 """Packaging metadata and module boundaries: every declared console
 script resolves to a callable, the test extra declares every third-party
 module the tests import, no library module imports a private name
-from another, and importing the package loads none of the standard
+from another, every library class is an exception, a namedtuple or an
+``ImmutableValue``, and importing the package loads none of the standard
 library's slow-to-import modules named below."""
 
 import ast
@@ -15,11 +16,14 @@ from importlib.metadata import packages_distributions
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+from tropic_pic.exact_lattice import ImmutableValue
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _project():
+    # Only the tests that read pyproject.toml skip where tomllib is missing.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
         return tomllib.load(f)["project"]
 
@@ -84,6 +88,22 @@ def test_library_modules_import_no_private_names():
     for path in paths:
         with open(path) as f:
             assert _private_imports(f.read()) == [], os.path.basename(path)
+
+
+def test_every_library_class_is_an_exception_a_namedtuple_or_an_immutable_value():
+    """One immutability mechanism: a class with its own attribute guard,
+    or none, would not be caught by the tests of ``ImmutableValue``."""
+    paths = glob.glob(os.path.join(ROOT, "src", "tropic_pic", "*.py"))
+    classes = []
+    for path in paths:
+        name = "tropic_pic." + os.path.basename(path)[:-3]
+        module = importlib.import_module(name.removesuffix(".__init__"))
+        classes += [value for value in vars(module).values()
+                    if isinstance(value, type) and value.__module__ == module.__name__]
+    names = {cls.__name__ for cls in classes}
+    assert {"IntMatrix", "Multigraph", "TriangulatedProduct", "ProductEdge"} <= names
+    assert sorted(cls.__name__ for cls in classes
+                  if not issubclass(cls, (Exception, tuple, ImmutableValue))) == []
 
 
 def _modules_loaded(code):
