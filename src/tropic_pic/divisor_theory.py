@@ -11,9 +11,9 @@ integer vector indexed by vertices; its divisor on edge r is
 The principal matrix P has div(phi_v) as column v, so div(phi) = P phi
 and the principal divisors are the integer column span of P.  P's
 sparse rows, one per edge, are the product's ``principal_rows``, which
-``build_product`` writes in its pass over the squares.  Pic and Cl read
-only these, their transpose and their rows at each star; the dense P
-is written out from them for the API.
+``build_product`` writes in its pass over the squares.  ``div``, Pic
+and Cl read only these, their transpose and their rows at each star;
+the dense P is written out from them for the API.
 
 Cartier and Q-Cartier divisors are cut out by per-vertex conditions in
 ``exact_lattice``'s ``(terms, modulus)`` format.  Cartier (locally
@@ -123,10 +123,11 @@ def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
 
 
 def div(tp: TriangulatedProduct, phi: Sequence[int]) -> tuple:
-    """Divisor of the PL function with vertex values phi."""
-    p = principal_matrix(tp)
-    _check_vector(phi, p.cols, "PL function", "value", "vertex")
-    return p.mul_vec(phi)
+    """Divisor of the PL function with vertex values phi: P phi, summed
+    over P's sparse rows, ``principal_rows``, so no dense P is built."""
+    TriangulatedProduct._check(tp)
+    _check_vector(phi, tp.n_vertices, "PL function", "value", "vertex")
+    return tuple([sum([c * phi[j] for j, c in row]) for row in tp.principal_rows])
 
 
 @_per_product

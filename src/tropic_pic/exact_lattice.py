@@ -6,8 +6,9 @@ Everything here works over plain Python ints, which are arbitrary
 precision, so no overflow is possible at any magnitude.  Every class of
 the package but its errors and the namedtuples of ``product_complex``
 is an immutable value class on ``ImmutableValue``: ``IntMatrix``,
-``Lattice`` and ``AbGroup`` here, ``Multigraph`` in ``multigraph``, and
-``DiagonalPolicy`` and ``TriangulatedProduct`` in ``product_complex``.
+``Lattice`` and ``AbGroup`` here, ``DiagonalPolicy`` in ``product_complex``,
+and ``CellComplex`` in ``multigraph``, the base of ``Multigraph`` and
+``TriangulatedProduct``, which holds their counts and index lookups.
 Setting or deleting an attribute raises the module's error
 (LatticeError here).  Equality and the hash read the fields, as a
 frozen dataclass would, without the import of ``dataclasses`` that
@@ -87,15 +88,15 @@ class LatticeError(ValueError):
 
 
 class ImmutableValue:
-    """Base of the six immutable value classes: ``IntMatrix``,
-    ``Lattice``, ``AbGroup``, ``Multigraph``, ``DiagonalPolicy`` and
-    ``TriangulatedProduct``.  ``_fields`` names what equality, the hash
-    and the repr read, in order; an instance equals only one of its own
-    class.  Setting or deleting an attribute raises ``_error``, which
-    ``_check`` raises too.  It keeps an instance dict and declares no
-    slots: constructors, ``cached_property``, pickle and ``copy`` write
-    that dict directly, where they would set slots through
-    ``__setattr__``."""
+    """Base of the immutable value classes: ``IntMatrix``, ``Lattice``,
+    ``AbGroup``, ``DiagonalPolicy`` and ``CellComplex``, the base of
+    ``Multigraph`` and ``TriangulatedProduct``.  ``_fields`` names what
+    equality, the hash and the repr read, in order; an instance equals
+    only one of its own class.  Setting or deleting an attribute raises
+    ``_error``, which ``_check`` raises too.  It keeps an instance dict
+    and declares no slots: constructors, ``cached_property``, pickle and
+    ``copy`` write that dict directly, where they would set slots
+    through ``__setattr__``."""
 
     _error = LatticeError
 
@@ -923,14 +924,12 @@ class AbGroup(ImmutableValue):
 
     @classmethod
     def direct_sum(cls, *groups: "AbGroup") -> "AbGroup":
-        """Canonical invariant-factor form of a direct sum."""
+        """Canonical form of a direct sum: the free ranks summed, and the
+        torsion of ``cokernel`` of the summands' factors as a diagonal."""
         AbGroup._check(*groups)
-        free = sum(g.free_rank for g in groups)
         factors = [d for g in groups for d in g.torsion]
-        if not factors:
-            return cls(free, ())
-        canon = [f for f in invariant_factors([((i, f),) for i, f in enumerate(factors)]) if f > 1]
-        return cls(free, tuple(canon))
+        return cls(sum(g.free_rank for g in groups),
+                   cokernel([((i, d),) for i, d in enumerate(factors)]).torsion)
 
     def __str__(self) -> str:
         parts = []

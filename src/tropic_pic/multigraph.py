@@ -27,7 +27,9 @@ class GraphError(ValueError):
 
 
 class GraphParseError(GraphError):
-    """Text-format parse failure; message carries the line number."""
+    """Text-format parse failure.  A malformed line is named by number; a
+    fault found once the text is read (a loop, a duplicate id, an unknown
+    endpoint, a disconnected or empty graph) keeps ``Multigraph``'s message."""
 
 
 def _sorted_ids(kind: str, items: list, key=None) -> list:
@@ -46,16 +48,42 @@ def _sorted_ids(kind: str, items: list, key=None) -> list:
     raise GraphError(reason)
 
 
-class Multigraph(ImmutableValue):
+class CellComplex(ImmutableValue):
+    """Ordered vertices and edges: each subclass's ``__init__`` sets
+    ``vertices``, ``edges`` and the id -> position maps ``_vindex`` and
+    ``_eindex``.  An unknown id raises the subclass's ``_error``."""
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    def vertex_index(self, v) -> int:
+        try:
+            return self._vindex[v]
+        except (KeyError, TypeError):  # an unhashable id is no vertex
+            raise self._error(f"unknown vertex {v!r}") from None
+
+    def edge_index(self, eid) -> int:
+        try:
+            return self._eindex[eid]
+        except (KeyError, TypeError):  # an unhashable id is no edge
+            raise self._error(f"unknown edge {eid!r}") from None
+
+
+class Multigraph(CellComplex):
     """Immutable loopless connected multigraph with ordered IDs.
 
     ``vertices`` is the fixed vertex order, ``edges`` the fixed edge
     order as (edge_id, u, w) triples; both are sorted by id at
     construction.  Ids must be hashable and mutually comparable, and no
     two vertex ids, or two edge ids, may have equal ``str`` forms.
-    Graphs are equal when their vertices and edges are.  The base
-    ``ImmutableValue`` guards the graph: setting or deleting an
-    attribute raises GraphError.
+    Graphs are equal when their vertices and edges are.  The lookups come
+    from the base ``CellComplex``; setting or deleting an attribute
+    raises GraphError.
     """
 
     _fields = ("vertices", "edges")
@@ -123,26 +151,6 @@ class Multigraph(ImmutableValue):
             raise GraphError("graph is not connected")
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def vertex_index(self, v) -> int:
-        try:
-            return self._vindex[v]
-        except (KeyError, TypeError):  # an unhashable id is no vertex
-            raise GraphError(f"unknown vertex {v!r}") from None
-
-    def edge_index(self, eid) -> int:
-        try:
-            return self._eindex[eid]
-        except (KeyError, TypeError):  # an unhashable id is no edge
-            raise GraphError(f"unknown edge {eid!r}") from None
 
     def endpoints(self, eid) -> tuple:
         _, u, w = self.edges[self.edge_index(eid)]
@@ -265,7 +273,8 @@ def theta_graph(n_edges: int) -> Multigraph:
 # ---------------------------------------------------------------------------
 
 def parse_graph_text(text: str) -> Multigraph:
-    """Parse the ``v``/``e`` line format; errors carry line numbers."""
+    """Parse the ``v``/``e`` line format; a malformed line's error names its
+    number, and a graph that ``Multigraph`` refuses keeps its message."""
     if not isinstance(text, str):
         raise GraphParseError(f"graph text must be a str, got {type(text).__name__}")
     vertices = []

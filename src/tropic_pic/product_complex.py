@@ -45,7 +45,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
 from .exact_lattice import ImmutableValue
-from .multigraph import Multigraph
+from .multigraph import CellComplex, Multigraph
 
 
 class ComplexError(ValueError):
@@ -146,7 +146,7 @@ def _ordered_ends(graph: Multigraph) -> dict:
             for eid, u, w in graph.edges}
 
 
-class TriangulatedProduct(ImmutableValue):
+class TriangulatedProduct(CellComplex):
     """Immutable 2-dimensional Delta-complex over G x H with alpha weights.
 
     ``principal_rows``, read-only, has per edge P's row as ``(vertex
@@ -155,7 +155,7 @@ class TriangulatedProduct(ImmutableValue):
     endpoint v, and holds the weight axiom by construction.
     ``_memo`` holds values derived from the complex (the divisor lattices
     of ``divisor_theory``), so they live exactly as long as the product.
-    The base ``ImmutableValue`` guards the product: setting or deleting
+    The lookups come from the base ``CellComplex``; setting or deleting
     an attribute raises ComplexError.  A product equals only itself.
     """
 
@@ -221,28 +221,6 @@ class TriangulatedProduct(ImmutableValue):
             _star={v: tuple(s) for v, s in star.items()},
             n_horizontal=g.n_edges * h.n_vertices, n_vertical=g.n_vertices * h.n_edges,
             n_diagonal=g.n_edges * h.n_edges, _memo={})
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def vertex_index(self, v) -> int:
-        try:
-            return self._vindex[v]
-        except (KeyError, TypeError):  # an unhashable id is no vertex
-            raise ComplexError(f"unknown vertex {v!r}") from None
-
-    def edge_index(self, eid) -> int:
-        try:
-            return self._eindex[eid]
-        except (KeyError, TypeError):  # an unhashable id is no edge
-            raise ComplexError(f"unknown edge {eid!r}") from None
 
     def __repr__(self) -> str:
         return (f"TriangulatedProduct({self.n_vertices} vertices, "

@@ -762,6 +762,7 @@ def test_is_principal_builds_no_prin_lattice(mixed_products):
         assert is_principal(fresh, div(fresh, list(range(fresh.n_vertices))))
         assert "prin_lattice" not in fresh._memo
         assert "_principal_conditions" in fresh._memo
+        assert "principal_matrix" not in fresh._memo  # div reads P's sparse rows
 
 
 def test_principal_conditions_are_the_cokernel_of_p(mixed_products):
@@ -1002,6 +1003,14 @@ def test_divisor_and_pl_inputs_must_be_sequences(c3c3, bad):
             check(c3c3, bad)
     with pytest.raises(ComplexError, match=f"^PL function {what}"):
         div(c3c3, bad)
+
+
+def test_divisor_and_pl_inputs_of_the_wrong_length_are_refused(c3c3):
+    for check in (is_principal, is_cartier, is_q_cartier, divisor_to_json):
+        with pytest.raises(ComplexError, match="^divisor must have one coefficient per edge$"):
+            check(c3c3, [0] * (c3c3.n_edges - 1))
+    with pytest.raises(ComplexError, match="^PL function must have one value per vertex$"):
+        div(c3c3, [0] * (c3c3.n_vertices + 1))
 
 
 _PUBLIC_CALLS = {

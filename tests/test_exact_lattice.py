@@ -1043,8 +1043,9 @@ def test_lattice_contains_refuses_other_ambient_dimensions():
     plane = Lattice.from_matrix(identity(2))
     for small, big in ((zero_lattice(3), plane), (plane, zero_lattice(3)),
                        (from_generators(3, [(1, 0, 0)]), plane)):
-        with pytest.raises(LatticeError, match="ambient dimension mismatch"):
-            lattice_contains(big, small)
+        for call in (lattice_contains, lattice_intersect):
+            with pytest.raises(LatticeError, match="^ambient dimension mismatch$"):
+                call(big, small)
     assert lattice_contains(plane, zero_lattice(2))
     assert not lattice_contains(zero_lattice(2), plane)
     line = from_generators(2, [(2, 4)])
@@ -1109,6 +1110,8 @@ def test_abgroup_validation_and_str():
         AbGroup(0, (1,))
     with pytest.raises(LatticeError):
         AbGroup(0, (4, 6))
+    with pytest.raises(LatticeError, match="^negative free rank$"):
+        AbGroup(-1)
 
 
 @pytest.mark.parametrize("free_rank, torsion", [

@@ -40,6 +40,8 @@ def test_rejects_loops():
 def test_rejects_disconnected():
     with pytest.raises(GraphError):
         Multigraph([0, 1, 2, 3], [("e0", 0, 1), ("e1", 2, 3)])
+    with pytest.raises(GraphError, match="^empty vertex set$"):
+        Multigraph([], [])
 
 
 def test_rejects_duplicate_ids():
@@ -330,6 +332,14 @@ def test_parse_comments_and_errors():
         parse_graph_text("v a\nq nonsense\n")
     with pytest.raises(GraphParseError, match="line 3"):
         parse_graph_text("v a\nv b\ne only_two_fields a\n")
+    with pytest.raises(GraphParseError, match="^line 1: expected 'v <id>'$"):
+        parse_graph_text("v a b\n")
+    # Faults found once the whole text is read carry Multigraph's message,
+    # which names no line.
+    with pytest.raises(GraphParseError, match="^empty vertex set$"):
+        parse_graph_text("")
+    with pytest.raises(GraphParseError, match="^loop edge 'x' at vertex 'a'$"):
+        parse_graph_text("v a\nv b\ne x a a\n")
 
 
 @pytest.mark.parametrize("text", [None, b"v a\n", 5, ["v a"]])

@@ -19,6 +19,7 @@ from tropic_pic.multigraph import (
 from tropic_pic.product_complex import (
     ComplexError,
     DiagonalPolicy,
+    TriangulatedProduct,
     build_product,
     edge_id_str,
     parse_policy_text,
@@ -154,6 +155,12 @@ def test_unhashable_ids_are_unknown(k2k2, query, what):
         graph_star(k2k2, [0])
 
 
+@pytest.mark.parametrize("name", ["vertex_index", "edge_index", "n_vertices", "n_edges"])
+def test_graphs_and_products_share_one_copy_of_each_lookup(name):
+    # Both are CellComplex, whose lookups raise each subclass's own error.
+    assert getattr(Multigraph, name) is getattr(TriangulatedProduct, name)
+
+
 def test_alpha_horizontal_formula_simple_graphs():
     # For simple factors: alpha((e,b), (a,b)) = deg_H(b) - #diagonals at
     # (a,b) lying over e.
@@ -228,6 +235,12 @@ def test_explicit_policy_validation():
         parse_policy_text("d e0 e0 2\n")
     with pytest.raises(ComplexError):
         parse_policy_text("d e0 e0 0\nd e0 e0 1\n")
+    # A text of blank and comment lines is an explicit policy with no
+    # choices, not the standard one, so it misses every square.
+    empty = parse_policy_text("\n# no squares\n   \n")
+    assert empty == DiagonalPolicy.explicit({}) != DiagonalPolicy.standard()
+    with pytest.raises(ComplexError, match=r"^explicit policy misses squares: \["):
+        build_product(g, h, empty)
 
 
 @pytest.mark.parametrize("choices, message", [
