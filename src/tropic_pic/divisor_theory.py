@@ -78,21 +78,9 @@ from .product_complex import (
 )
 
 
-def _check_vector(values: Sequence[int], n: int, what: str, entry: str, per: str) -> None:
-    """Raise ComplexError unless values is a sequence of n ints (bools refused)."""
-    try:
-        if len(values) != n:
-            raise ComplexError(f"{what} must have one {entry} per {per}")
-    except TypeError:  # no len(): None, an int
-        raise ComplexError(f"{what} must be a sequence, got {type(values).__name__}") from None
-    if not set(map(type, values)) <= {int}:
-        i = next(i for i, x in enumerate(values) if type(x) is not int)
-        raise ComplexError(f"{what} {entry} at index {i} is not an integer: {values[i]!r}")
-
-
 def _check_divisor(tp: TriangulatedProduct, d: Sequence[int]) -> None:
     TriangulatedProduct._check(tp)
-    _check_vector(d, tp.n_edges, "divisor", "coefficient", "edge")
+    TriangulatedProduct._check_vector(d, tp.n_edges, "divisor", "coefficient", "edge")
 
 
 def _per_product(fn):
@@ -114,11 +102,13 @@ def _per_product(fn):
 # Principal divisors
 # ---------------------------------------------------------------------------
 
-@_per_product
 def principal_matrix(tp: TriangulatedProduct) -> IntMatrix:
     """|E| x |V| matrix whose column v is div of the indicator of v, the
     product's ``principal_rows`` written out.  Every column sums to zero
-    and the all-ones PL function lies in the kernel."""
+    and the all-ones PL function lies in the kernel.  It is built on each
+    call and not kept: ``prin_lattice``, its one reader here, keeps its
+    own result."""
+    TriangulatedProduct._check(tp)
     return condition_matrix(tp.n_vertices, [(row, 0) for row in tp.principal_rows])
 
 
@@ -126,7 +116,7 @@ def div(tp: TriangulatedProduct, phi: Sequence[int]) -> tuple:
     """Divisor of the PL function with vertex values phi: P phi, summed
     over P's sparse rows, ``principal_rows``, so no dense P is built."""
     TriangulatedProduct._check(tp)
-    _check_vector(phi, tp.n_vertices, "PL function", "value", "vertex")
+    TriangulatedProduct._check_vector(phi, tp.n_vertices, "PL function", "value", "vertex")
     return tuple([sum([c * phi[j] for j, c in row]) for row in tp.principal_rows])
 
 

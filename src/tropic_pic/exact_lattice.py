@@ -18,14 +18,24 @@ so it never changes.  ``invariant_factors``, ``span_conditions``,
 ``cokernel`` and ``quotient`` take sparse rows or columns, sequences of
 ``(index, value)`` pairs (the terms of the condition format below),
 whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
-dense ``IntMatrix``.  Entries must be ints (``bool`` is refused),
-checked once per call where they enter from outside; matrices this
-module builds itself skip the check.  A ``Lattice`` is kept as its
-canonical basis columns, each the ``(row, value)`` pairs of its
-nonzero entries, or, when conditions cut it out, in a small form until
-those columns are read.  Its dense basis is built only when asked for,
-and the lattices this module builds skip the check that a basis is
-canonical.
+dense ``IntMatrix``.  Indices and entries must be ints (``bool`` is
+refused), and each input format has one check, run where it enters
+from outside.  Sparse lines, and the terms of conditions, go through
+``_sparse_dicts``, which names the first line at fault and adds up
+repeated indices; a condition's pair shape and modulus go through
+``_check_conditions`` first.  A dense vector, an ``IntMatrix``'s
+entries or the v of ``mul_vec`` and ``lattice_member`` (and the
+divisors and PL functions of ``divisor_theory``), goes through
+``ImmutableValue._check_vector``, which takes a ``Sequence`` of n ints
+and nothing else.  ``transpose`` tests its terms in the pass that
+moves them, and ``satisfies`` reads v unchecked (see there).  Matrices
+and lattices this module builds itself skip the checks.
+
+A ``Lattice`` is kept as its canonical basis columns, each the
+``(row, value)`` pairs of its nonzero entries, or, when conditions cut
+it out, in a small form until those columns are read.  Its dense basis
+is built only when asked for, and the lattices this module builds skip
+the check that a basis is canonical.
 
 The inputs met in practice are very sparse with tiny coefficients, so
 the cost is interpreter overhead, not arithmetic.  One echelon routine
@@ -78,7 +88,7 @@ Conventions
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, compress
 
@@ -93,7 +103,7 @@ class ImmutableValue:
     ``Multigraph`` and ``TriangulatedProduct``.  ``_fields`` names what
     equality, the hash and the repr read, in order; an instance equals
     only one of its own class.  Setting or deleting an attribute raises
-    ``_error``, which ``_check`` raises too.  It keeps an instance dict
+    ``_error``, which ``_check`` and ``_check_vector`` raise too.  It keeps an instance dict
     and declares no slots: constructors, ``cached_property``, pickle and
     ``copy`` write that dict directly, where they would set slots
     through ``__setattr__``."""
@@ -106,6 +116,18 @@ class ImmutableValue:
         for value in values:
             if not isinstance(value, cls):
                 raise cls._error(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+    @classmethod
+    def _check_vector(cls, v, n: int, what: str, entry: str, per: str) -> None:
+        """Raise ``_error`` unless v, called what, is a ``Sequence`` of n
+        ints (a bool is not): one ``entry`` per ``per``."""
+        if not (type(v) in (list, tuple) or isinstance(v, Sequence)):
+            raise cls._error(f"{what} must be a sequence, got {type(v).__name__}")
+        if len(v) != n:
+            raise cls._error(f"{what} must have one {entry} per {per}")
+        if not set(map(type, v)) <= {int}:
+            i = next(i for i, x in enumerate(v) if type(x) is not int)
+            raise cls._error(f"{what} {entry} at index {i} is not an integer: {v[i]!r}")
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -147,18 +169,16 @@ def _check_index(i, n: int, what: str) -> None:
 
 
 class IntMatrix(ImmutableValue):
-    """Immutable dense matrix of Python ints, row-major."""
+    """Immutable dense matrix of Python ints, given as the sequence of its
+    rows * cols entries, row-major."""
 
     _fields = ("rows", "cols", "_e")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        e = tuple(entries) if isinstance(entries, Iterable) else None
-        if e is None or not set(map(type, e)) <= {int}:
-            bad = entries if e is None else next(x for x in e if type(x) is not int)
-            raise LatticeError(f"matrix entries must be an iterable of ints, got {bad!r}")
-        if {type(rows), type(cols)} != {int} or rows < 0 or cols < 0 or len(e) != rows * cols:
-            raise LatticeError(f"a {rows!r} x {cols!r} matrix cannot have {len(e)} entries")
-        self.__dict__.update(rows=rows, cols=cols, _e=e)
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+        if {type(rows), type(cols)} != {int} or rows < 0 or cols < 0:
+            raise LatticeError(f"a matrix shape must be two ints >= 0, got {rows!r} x {cols!r}")
+        self._check_vector(entries, rows * cols, f"{rows} x {cols} matrix", "entry", "cell")
+        self.__dict__.update(rows=rows, cols=cols, _e=tuple(entries))
 
     # -- constructors ------------------------------------------------------
 
@@ -198,11 +218,7 @@ class IntMatrix(ImmutableValue):
     # -- algebra -----------------------------------------------------------
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
-        try:
-            if len(v) != self.cols or not set(map(type, v)) <= {int}:
-                raise LatticeError(f"expected a vector of {self.cols} ints")
-        except TypeError:  # no len(): None, an int
-            raise LatticeError(f"a {type(v).__name__} is no vector of {self.cols} ints") from None
+        self._check_vector(v, self.cols, "vector", "entry", "column")
         out = []
         for i in range(self.rows):
             row = self._e[i * self.cols:(i + 1) * self.cols]
@@ -548,21 +564,19 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     Most of K is unit vectors on free columns (2073 of 2306 at C48 x
     C48), so ``_cut`` keeps only the rest of K as a lattice, kt.
     """
-    _check_conditions(width, conditions)
+    conditions, terms = _check_conditions(width, conditions)
     n = width + sum(1 for _, modulus in conditions if modulus)
     perm = list(range(n))
-    named = chain((i for terms, _ in reversed(conditions) for i, _ in terms), range(width))
+    named = chain(chain.from_iterable(reversed(terms)), range(width))
     for t, i in enumerate(dict.fromkeys(named)):
         perm[i] = width - 1 - t
     rows, slack = {}, iter(range(width, n))
     reads = [[] for _ in range(n)]  # per renumbered column: its (condition, coefficient) pairs
-    for r, (terms, modulus) in enumerate(conditions):
-        row = {next(slack): modulus} if modulus else {}
-        for i, c in terms:
-            p = perm[i]
-            row[p] = row.get(p, 0) + c
-        rows[r] = {j: c for j, c in row.items() if c}
-        for j, c in rows[r].items():
+    for r, (d, (_, modulus)) in enumerate(zip(terms, conditions)):
+        row = rows[r] = {perm[i]: c for i, c in d.items() if c}
+        if modulus:
+            row[next(slack)] = modulus
+        for j, c in row.items():
             reads[j].append((r, c))
     return Lattice._trusted(width, None, (reads, perm) + _eliminate(n, rows))
 
@@ -671,13 +685,8 @@ def kernel(m: IntMatrix) -> Lattice:
 def lattice_member(lat: Lattice, v: Sequence[int]) -> tuple:
     """(True, witness) when v = basis @ witness over Z, else (False, None)."""
     Lattice._check(lat)
-    if not (type(v) in (list, tuple) or isinstance(v, Sequence)) or len(v) != lat.ambient_dim:
-        raise LatticeError(f"vector must be a sequence of length {lat.ambient_dim}")
-    if not set(map(type, v)) <= {int}:
-        bad = next(x for x in v if type(x) is not int)
-        raise LatticeError(f"vector entries must be ints, got {bad!r}")
-    w = list(v)
-    y = []
+    Lattice._check_vector(v, lat.ambient_dim, "vector", "entry", "coordinate")
+    w, y = list(v), []
     for col in lat.columns:
         p, piv = col[0]
         q, r = divmod(w[p], piv) if w[p] else (0, 0)
@@ -780,7 +789,9 @@ def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> li
     """The lines as dicts index -> value, repeated indices added up, or
     ``_first_fault``'s LatticeError unless they are sequences of (index,
     int) pairs (no bool), index in [0, bound).  The types are tested once
-    over the dicts' keys and values; the fault is looked for only then."""
+    over every line's keys and values, so that a False or True key does
+    not hide behind an equal 0 or 1 of another line; the fault is looked
+    for only then."""
     try:
         pairs = len(lines) and sum(map(len, lines))
         dicts = list(map(dict, lines))
@@ -791,7 +802,7 @@ def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> li
                     d[i] = d.get(i, 0) + x if type(i) is type(x) is int else None
     except (TypeError, ValueError):
         raise _first_fault(lines, what, bound) from None
-    index = set(chain.from_iterable(dicts))
+    index = list(chain.from_iterable(dicts))
     if not (set(map(type, index)) | set(map(type, chain.from_iterable(map(dict.values, dicts))))
             <= {int} and min(index, default=0) >= 0 and max(index, default=-1) < bound):
         raise _first_fault(lines, what, bound)
@@ -817,27 +828,23 @@ def _first_fault(lines, what: str, bound: float) -> LatticeError:
                                 f"{line!r}")
 
 
-def _check_conditions(width: int, conditions: Sequence) -> None:
-    """Raise LatticeError unless each condition is a ``(terms, modulus)``
-    pair of ``(int index in [0, width), int)`` terms and an int modulus >= 0."""
+def _check_conditions(width: int, conditions: Sequence) -> tuple:
+    """The conditions as a list, read once, and each one's terms as
+    ``_sparse_dicts`` reads them, in [0, width), or LatticeError unless
+    width is an int >= 0 and each condition a ``(terms, modulus)`` pair
+    with an int modulus >= 0."""
     if type(width) is not int or width < 0:
         raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
     r = condition = None
     try:
+        conditions = list(conditions)
         for r, condition in enumerate(conditions):
-            terms, modulus = condition
+            _, modulus = condition
             if type(modulus) is not int or modulus < 0:
                 raise LatticeError(f"condition {r}: modulus must be an int >= 0, got {modulus!r}")
-            for i, c in terms:
-                if type(i) is not int or not 0 <= i < width:
-                    raise LatticeError(f"condition {r}: term index {i!r} is outside [0, {width})")
-                if type(c) is not int:
-                    raise LatticeError(f"condition {r}: coefficient {c!r} is not an int")
-    except LatticeError:
-        raise
-    except (TypeError, ValueError):  # a condition or term that does not unpack as a pair
-        raise LatticeError(f"condition {r} is not a (terms, modulus) pair with (index, "
-                           f"coefficient) terms: {condition!r}") from None
+    except (TypeError, ValueError):  # no iterable, or a condition that is no pair
+        raise LatticeError(f"condition {r} is not a (terms, modulus) pair: {condition!r}") from None
+    return conditions, _sparse_dicts([terms for terms, _ in conditions], "condition", width)
 
 
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
@@ -848,7 +855,15 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     not an int, or a modulus that is not an int >= 0, raises
     LatticeError when it is read, as does a v without a length.  A float
     coefficient or modulus makes ``sum + modulus`` no int: one type test
-    per condition covers the terms, and a bool modulus is refused apart."""
+    per condition covers the terms, and a bool modulus is refused apart.
+
+    v is read lazily, only at the indices the terms name, and no entry
+    or term is type-tested on its own, so a bool, as an entry of v or as
+    a term's index or coefficient, counts as its int.  This is the query
+    path: its callers in ``divisor_theory`` have checked v with
+    ``_check_vector`` already, and a test of every entry would cost a
+    pass over v per query, where the conditions up to the first one v
+    fails may read few entries."""
     try:
         n = len(v)
     except TypeError:  # no len(): None, an int
@@ -878,15 +893,13 @@ def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
     """[A | diag(m > 0)]: the conditions as rows over ``width`` columns,
     plus one slack column holding m for each congruence with modulus m > 0.
     The terms of a row that share an index add up."""
-    _check_conditions(width, conditions)
-    n_slack = sum(1 for _, modulus in conditions if modulus)
-    total = width + n_slack
-    flat = [0] * (len(conditions) * total)
-    slack = width
-    for r, (terms, modulus) in enumerate(conditions):
+    conditions, terms = _check_conditions(width, conditions)
+    total = width + sum(1 for _, modulus in conditions if modulus)
+    flat, slack = [0] * (len(conditions) * total), width
+    for r, (d, (_, modulus)) in enumerate(zip(terms, conditions)):
         base = r * total
-        for i, c in terms:
-            flat[base + i] += c
+        for i, c in d.items():
+            flat[base + i] = c
         if modulus:
             flat[base + slack] = modulus
             slack += 1

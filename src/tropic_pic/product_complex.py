@@ -106,7 +106,8 @@ class DiagonalPolicy(ImmutableValue):
 
 
 def parse_policy_text(text: str) -> DiagonalPolicy:
-    """Parse explicit-policy lines ``d <g-edge-id> <h-edge-id> <0|1>``."""
+    """Parse explicit-policy lines ``d <g-edge-id> <h-edge-id> <0|1>``;
+    a text with none, only blank and comment lines, is refused."""
     if not isinstance(text, str):
         raise ComplexError(f"policy text must be a str, got {type(text).__name__}")
     choices = {}
@@ -121,6 +122,8 @@ def parse_policy_text(text: str) -> DiagonalPolicy:
         if key in choices:
             raise ComplexError(f"line {lineno}: duplicate square {key}")
         choices[key] = parts[3] == "1"
+    if not choices:
+        raise ComplexError("policy text has no 'd <g-edge> <h-edge> <0|1>' line")
     return DiagonalPolicy.explicit(choices)
 
 

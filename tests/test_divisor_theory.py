@@ -3,6 +3,7 @@
 import functools
 import gc
 import random
+import re
 import sys
 import weakref
 
@@ -44,6 +45,7 @@ from tropic_pic.exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
+    LatticeError,
     cokernel,
     condition_kernel,
     invariant_factors,
@@ -765,6 +767,15 @@ def test_is_principal_builds_no_prin_lattice(mixed_products):
         assert "principal_matrix" not in fresh._memo  # div reads P's sparse rows
 
 
+def test_prin_lattice_leaves_no_principal_matrix_in_the_memo():
+    # prin_lattice keeps its own result, so P need not stay beside it.
+    tp = build_product(cycle_graph(4), cycle_graph(3))
+    prin_lattice(tp)
+    assert "prin_lattice" in tp._memo and "principal_matrix" not in tp._memo
+    assert principal_matrix(tp) == dense_principal_matrix(tp)
+    assert "principal_matrix" not in tp._memo
+
+
 def test_principal_conditions_are_the_cokernel_of_p(mixed_products):
     # One congruence per torsion factor of Z^E / Prin, in divisibility
     # order, then one equation per free generator.  K4 x C4 has torsion
@@ -1011,6 +1022,38 @@ def test_divisor_and_pl_inputs_of_the_wrong_length_are_refused(c3c3):
             check(c3c3, [0] * (c3c3.n_edges - 1))
     with pytest.raises(ComplexError, match="^PL function must have one value per vertex$"):
         div(c3c3, [0] * (c3c3.n_vertices + 1))
+
+
+_ODD_CONTAINERS = {  # the message's type name: n ints -> a container that is no sequence
+    "set": set, "frozenset": frozenset, "dict": lambda xs: dict.fromkeys(xs, 0),
+    "generator": lambda xs: (x for x in xs), "NoneType": lambda xs: None,
+}
+
+_DENSE_VECTOR_CALLS = {  # name: (error, what the message calls the vector, call(tp, make))
+    "is_principal": (ComplexError, "divisor", lambda tp, make: is_principal(tp, make(tp.n_edges))),
+    "is_cartier": (ComplexError, "divisor", lambda tp, make: is_cartier(tp, make(tp.n_edges))),
+    "is_q_cartier": (ComplexError, "divisor", lambda tp, make: is_q_cartier(tp, make(tp.n_edges))),
+    "divisor_to_json": (ComplexError, "divisor",
+                        lambda tp, make: divisor_to_json(tp, make(tp.n_edges))),
+    "div": (ComplexError, "PL function", lambda tp, make: div(tp, make(tp.n_vertices))),
+    "lattice_member": (LatticeError, "vector",
+                       lambda tp, make: lattice_member(full_lattice(3), make(3))),
+    "IntMatrix.mul_vec": (LatticeError, "vector",
+                          lambda tp, make: IntMatrix(1, 3, [1, 2, 3]).mul_vec(make(3))),
+    "IntMatrix": (LatticeError, "1 x 3 matrix", lambda tp, make: IntMatrix(1, 3, make(3))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_DENSE_VECTOR_CALLS))
+@pytest.mark.parametrize("kind", sorted(_ODD_CONTAINERS))
+def test_a_dense_vector_must_be_a_sequence(c3c3, call, kind):
+    """Each container holds as many ints as the vector needs, but is no
+    sequence: a set or a dict would be read in hash or key order, and a
+    generator would be used up by the check."""
+    error, what, run = _DENSE_VECTOR_CALLS[call]
+    message = f"{what} must be a sequence, got {kind}"
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        run(c3c3, lambda n: _ODD_CONTAINERS[kind](range(n)))
 
 
 _PUBLIC_CALLS = {

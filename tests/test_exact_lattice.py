@@ -564,6 +564,16 @@ def test_sparse_entry_points_refuse_what_is_not_sparse_int_rows(call):
     (lambda: invariant_factors([[1]]),
      "row 0 is no sequence of (int index, int value) pairs: [1]"),
     (lambda: invariant_factors([((0, 1),), iter([(0, 1)])]), "row 1 is no sequence of"),
+    # A bool index in one line and the equal int in another: a set of
+    # the lines' indices would keep only one of the two.
+    (lambda: invariant_factors([[(0, 1)], [(False, 1)]]),
+     "row 1 is no sequence of (int index, int value) pairs: [(False, 1)]"),
+    (lambda: invariant_factors([[(1, 1)], [(True, 1)]]),
+     "row 1 is no sequence of (int index, int value) pairs: [(True, 1)]"),
+    (lambda: cokernel([[(0, 2)], [(False, 3)]]),
+     "row 1 is no sequence of (int index, int value) pairs: [(False, 3)]"),
+    (lambda: quotient(full_lattice(2), [[(0, 1)], [(False, 1)]]),
+     "generator 1 is no sequence of (int index, int value) pairs: [(False, 1)]"),
     (lambda: invariant_factors(None), "rows must be a sequence, got NoneType"),
     (lambda: invariant_factors(iter([((0, 1),)])), "rows must be a sequence, got list_iterator"),
     (lambda: cokernel([((0, "2"),)]), "row 0 is no sequence of"),
@@ -732,7 +742,9 @@ def test_member_trivial_examples():
 
 @pytest.mark.parametrize("v", [("a", 0), (2.0, 3.0), (True, 0), (1, None)])
 def test_member_rejects_entries_that_are_not_ints(v):
-    with pytest.raises(LatticeError, match="vector entries must be ints"):
+    i = 1 if type(v[0]) is int else 0  # the first entry that is no int
+    message = f"vector entry at index {i} is not an integer: {v[i]!r}"
+    with pytest.raises(LatticeError, match="^" + re.escape(message) + "$"):
         lattice_member(from_generators(2, [(2, 0), (0, 3)]), v)
 
 
@@ -898,12 +910,13 @@ def test_lattice_cut_by_conditions_against_membership():
 @pytest.mark.parametrize("terms", [((-1, 1),), ((2, 1),), ((0, 1), (5, 1))])
 def test_condition_indices_outside_the_width_are_refused(terms):
     conditions = [(terms, 0), (((0, 1),), 0)]
-    message = r"term index -?\d+ is outside \[0, 2\)"
+    bad = next(i for i, _ in terms if not 0 <= i < 2)
+    message = f"^condition 0: index {bad} is outside \\[0, 2\\)$"
     with pytest.raises(LatticeError, match=message):
         condition_matrix(2, conditions)
     with pytest.raises(LatticeError, match=message):
         condition_kernel(2, conditions)
-    with pytest.raises(LatticeError, match=message):
+    with pytest.raises(LatticeError, match=f"^term index {bad} is outside \\[0, 2\\)$"):
         satisfies(conditions, (0, 5))
 
 
@@ -921,23 +934,36 @@ def test_condition_matrix_refuses_bad_widths_coefficients_and_moduli(width, cond
         condition_matrix(width, conditions)
 
 
+_NO_TERMS = " is no sequence of (int index, int value) pairs: "
+
+
 @pytest.mark.parametrize("conditions, bad", [
-    ([((0, 1), 0)], "condition 0"),  # terms not a tuple of pairs
-    ([(((0, 1),), 0), (((0, 1, 2),), 0)], "condition 1"),  # a term of three
-    ([(((0, 1),), 0), 5], "condition 1"),  # a condition that is no pair
-    ([(((0, 1),), 0, 1)], "condition 0"),  # a condition of three
-    ([(None, 0)], "condition 0"),
+    ([((0, 1), 0)], "condition 0" + _NO_TERMS + "(0, 1)"),  # terms not a tuple of pairs
+    ([(((0, 1),), 0), (((0, 1, 2),), 0)], "condition 1" + _NO_TERMS + "((0, 1, 2),)"),
+    ([(((0, 1),), 0), 5], "condition 1 is not a (terms, modulus) pair: 5"),  # no pair
+    ([(((0, 1),), 0, 1)], "condition 0 is not a (terms, modulus) pair: (((0, 1),), 0, 1)"),
+    ([(None, 0)], "condition 0" + _NO_TERMS + "None"),
 ])
 def test_condition_that_is_not_pairs_of_pairs_is_refused(conditions, bad):
-    with pytest.raises(LatticeError, match=f"^{bad} is not a \\(terms, modulus\\) pair"):
+    anchored = "^" + re.escape(bad) + "$"
+    with pytest.raises(LatticeError, match=anchored):
         condition_matrix(2, conditions)
-    with pytest.raises(LatticeError, match=f"^{bad} is not"):
+    with pytest.raises(LatticeError, match=anchored):
         condition_kernel(2, conditions)
 
 
 def test_conditions_that_are_not_a_sequence_are_refused():
     with pytest.raises(LatticeError, match="^condition None is not"):
         condition_matrix(2, None)
+
+
+def test_conditions_from_an_iterator_are_read_once():
+    # Were the check to use the iterator up, the kernel would read no
+    # condition and return all of Z^2.
+    conditions = [(((0, 1), (1, 1)), 2), (((1, 3),), 0)]
+    assert condition_kernel(2, iter(conditions)) == condition_kernel(2, conditions) \
+        == from_generators(2, [(2, 0)])
+    assert condition_matrix(2, iter(conditions)) == condition_matrix(2, conditions)
 
 
 @pytest.mark.parametrize("conditions, v", [
@@ -969,7 +995,7 @@ def test_satisfies_refuses_conditions_that_are_not_pairs_of_pairs(conditions):
 def test_vectors_without_a_length_are_refused(v):
     with pytest.raises(LatticeError, match=f"^v must be a sequence, got {type(v).__name__}$"):
         satisfies([(((0, 1),), 0)], v)
-    with pytest.raises(LatticeError, match=f"^a {type(v).__name__} is no vector of 2 ints$"):
+    with pytest.raises(LatticeError, match=f"^vector must be a sequence, got {type(v).__name__}$"):
         identity(2).mul_vec(v)
 
 

@@ -235,12 +235,11 @@ def test_explicit_policy_validation():
         parse_policy_text("d e0 e0 2\n")
     with pytest.raises(ComplexError):
         parse_policy_text("d e0 e0 0\nd e0 e0 1\n")
-    # A text of blank and comment lines is an explicit policy with no
-    # choices, not the standard one, so it misses every square.
-    empty = parse_policy_text("\n# no squares\n   \n")
-    assert empty == DiagonalPolicy.explicit({}) != DiagonalPolicy.standard()
-    with pytest.raises(ComplexError, match=r"^explicit policy misses squares: \["):
-        build_product(g, h, empty)
+    # A text of blank and comment lines names no square: it is refused
+    # where it is parsed, not by build_product, which names no line.
+    message = "^" + re.escape("policy text has no 'd <g-edge> <h-edge> <0|1>' line") + "$"
+    with pytest.raises(ComplexError, match=message):
+        parse_policy_text("\n# no squares\n   \n")
 
 
 @pytest.mark.parametrize("choices, message", [
