@@ -319,7 +319,7 @@ def cl(tp: TriangulatedProduct) -> AbGroup:
 @_per_product
 def _edge_keys(tp: TriangulatedProduct) -> dict:
     """``edge_id_str`` key -> edge index, inserted in the edge order."""
-    return {edge_id_str(e.eid): i for i, e in enumerate(tp.edges)}
+    return {edge_id_str(eid): i for i, eid in enumerate(tp._eindex)}
 
 
 @_per_product
@@ -334,7 +334,7 @@ def divisor_to_json(tp: TriangulatedProduct, d: Sequence[int]) -> str:
     try:
         return "{" + ", ".join([f"{key}: {d[i]}" for key, i in _json_keys(tp) if d[i]]) + "}"
     except ValueError:  # a coefficient past CPython's int -> str digit limit; the largest is
-        key = edge_id_str(tp.edges[max(range(tp.n_edges), key=lambda i: abs(d[i]))].eid)
+        key = edge_id_str(list(tp._eindex)[max(range(tp.n_edges), key=lambda i: abs(d[i]))])
         raise ComplexError(f"coefficient of edge {key!r} has too many digits") from None
 
 

@@ -28,8 +28,8 @@ entries or the v of ``mul_vec`` and ``lattice_member`` (and the
 divisors and PL functions of ``divisor_theory``), goes through
 ``ImmutableValue._check_vector``, which takes a ``Sequence`` of n ints
 and nothing else.  ``transpose`` tests its terms in the pass that
-moves them, and ``satisfies`` reads v unchecked (see there).  Matrices
-and lattices this module builds itself skip the checks.
+moves them, and ``satisfies`` tests v's container only (see there).
+Matrices and lattices this module builds itself skip the checks.
 
 A ``Lattice`` is kept as its canonical basis columns, each the
 ``(row, value)`` pairs of its nonzero entries, or, when conditions cut
@@ -55,12 +55,14 @@ through the unit rows, with no dense matrix.  Membership solves run
 over a lattice's sparse columns.  ``quotient`` solves in kt, writes
 its witnesses and a generator's free entries straight into sparse
 rows, and ``invariant_factors`` strips unit pivots from them,
-one factor 1 each, under a cost cap that doubles, running ``snf`` only
-on what is left (Dumas, Saunders and Villard, J. Symbolic Comput. 32,
-2001).  That strip keeps no S; ``span_conditions`` runs the same strip
-carrying S, each row's combination of the input rows, and composes it
-with the S of ``snf`` on what is left.  Within the package, ``snf``
-runs on nothing else.
+one factor 1 each, under a cost cap that doubles (Dumas, Saunders and
+Villard, J. Symbolic Comput. 32, 2001).  While what is left has a
+content c > 1, it divides it by c and strips again, as SNF(c m) is
+c SNF(m), and it runs ``snf`` once, on what is left at the end.  That
+strip keeps no S; ``span_conditions`` runs the same strip carrying S,
+each row's combination of the input rows, and composes it with the S
+of ``snf`` on what is left, with no content step.  Within the package,
+``snf`` runs on nothing else.
 
 Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
@@ -91,10 +93,16 @@ from collections import defaultdict
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, compress
+from math import gcd
 
 
 class LatticeError(ValueError):
     """Raised on precondition violations (dimension mismatch, non-sublattice)."""
+
+
+def _with_article(name: str) -> str:
+    """name after its indefinite article: "an IntMatrix", "a Lattice"."""
+    return f"{'an' if name[0] in 'AEIOU' else 'a'} {name}"
 
 
 class ImmutableValue:
@@ -115,7 +123,8 @@ class ImmutableValue:
         """Raise ``_error`` unless every value is a cls."""
         for value in values:
             if not isinstance(value, cls):
-                raise cls._error(f"expected a {cls.__name__}, got {type(value).__name__}")
+                raise cls._error(f"expected {_with_article(cls.__name__)}, "
+                                 f"got {type(value).__name__}")
 
     @classmethod
     def _check_vector(cls, v, n: int, what: str, entry: str, per: str) -> None:
@@ -133,9 +142,8 @@ class ImmutableValue:
         return tuple(getattr(self, f) for f in self._fields)
 
     def __delattr__(self, name, verb="delete"):
-        cls = type(self).__name__
-        article = "an" if cls[0] in "AEIOU" else "a"
-        raise self._error(f"{article} {cls} is immutable: cannot {verb} {name!r}")
+        raise self._error(f"{_with_article(type(self).__name__)} is immutable: "
+                          f"cannot {verb} {name!r}")
 
     def __setattr__(self, name, value):
         self.__delattr__(name, "set")
@@ -439,10 +447,22 @@ def _add_scaled(dst: dict, src: dict, f: int) -> None:
 
 def invariant_factors(rows: Sequence) -> list:
     """Nonzero SNF diagonal of the matrix with these sparse rows, in
-    divisibility order: one 1 per unit pivot stripped, then the rest's."""
+    divisibility order: one 1 per unit pivot stripped, then the rest's.
+
+    SNF(c m) = c SNF(m), so while what the strip leaves has a content
+    c > 1, it is divided by c and stripped again, each pivot then a
+    factor of the running scale, the product of the contents.  ``snf``
+    runs once, on what is left at the end: on Cn x Cn the strip leaves n
+    times a block that strips to nothing."""
     units, rest, _ = _strip_units(rows)
+    factors, scale = [1] * units, 1
+    while rest._e and (c := gcd(*rest._e)) > 1:
+        scale *= c
+        units, rest, _ = _strip_units([[(j, x // c) for j, x in enumerate(rest.row(i)) if x]
+                                       for i in range(rest.rows)])
+        factors += [scale] * units
     d, _ = snf(rest)
-    return [1] * units + [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+    return factors + [scale * x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
 
 
 def span_conditions(rows: Sequence) -> list:
@@ -586,16 +606,18 @@ def _eliminate(n: int, rows: dict) -> tuple:
     by row number, which it changes in place.
 
     Dict rows go to row echelon form last column first, a column -> rows
-    index naming the rows not yet placed.  A row with pivot +-1 at d is
-    kept as it is: x_d = -row_d . x reads only columns before d.  The
-    other rows, cleared of those unit columns, lie on S, the columns no
-    unit row owns.  K, their kernel on S, is kt, the last columns of
-    ``hnf``'s U on the sorted columns they touch, echelonned in local
-    indices, and a unit vector per free column of S, which they do not
-    touch.  ``_lift`` merges the two and lifts K one basis row at a time
-    in ascending d.  The lift of K's canonical basis is canonical in
-    this numbering: its pivots and reduced entries lie in S, and x_d is
-    zero above K's first nonzero, as row_d reads only columns before d.
+    index naming the rows not yet placed; an empty column is skipped.  A
+    row with pivot +-1 at d becomes units[d] itself, less its pivot and
+    negated once if that is -1: x_d = -units[d] . x reads only columns
+    before d.  The other rows, cleared of those unit columns, lie on S,
+    the columns no unit row owns.  K, their kernel on S, is kt, the last
+    columns of ``hnf``'s U on the sorted columns they touch, echelonned
+    in local indices, and a unit vector per free column of S, which they
+    do not touch.  ``_lift`` merges the two and lifts K one basis row at
+    a time in ascending d.  The lift of K's canonical basis is canonical
+    in this numbering: its pivots and reduced entries lie in S, and x_d
+    is zero above K's first nonzero, as row_d reads only columns before
+    d.
     """
     rows_at = [set() for _ in range(n)]
     for r, row in rows.items():
@@ -603,27 +625,34 @@ def _eliminate(n: int, rows: dict) -> tuple:
             rows_at[j].add(r)
     units, rest = {}, []
     for j in range(n - 1, -1, -1):
-        while len(rows_at[j]) > 1:  # Euclid on column j, smallest entry (then sparsest row) first
-            k = min(rows_at[j], key=lambda r: (abs(rows[r][j]), len(rows[r]), r))
-            for r in rows_at[j] - {k}:
-                row, q = rows[r], rows[r][j] // rows[k][j]
-                for c, x in rows[k].items():  # q is not 0: rows[k][j] is the smallest
-                    if c not in row:
+        if not (at := rows_at[j]):
+            continue
+        while len(at) > 1:  # Euclid on column j, smallest entry (then sparsest row) first
+            k = min(at, key=lambda r: (abs(rows[r][j]), len(rows[r]), r))
+            p, pivot = rows[k][j], rows[k].items()  # r != k leaves rows[k] as it is
+            for r in at - {k}:
+                row = rows[r]
+                q = row[j] // p  # not 0: p is the smallest
+                for c, x in pivot:
+                    if (y := row.get(c)) is None:
                         row[c] = -q * x
                         rows_at[c].add(r)
-                    elif y := row[c] - q * x:
+                    elif y := y - q * x:
                         row[c] = y
                     else:
                         del row[c]
                         rows_at[c].discard(r)
-        if rows_at[j]:
-            row = rows[k := rows_at[j].pop()]
-            for c in row:
-                rows_at[c].discard(k)
-            if abs(p := row[j]) == 1:
-                units[j] = {c: p * x for c, x in row.items() if c != j}
-            else:
-                rest.append(row)
+        row = rows[k := at.pop()]
+        for c in row:
+            rows_at[c].discard(k)
+        if (p := row[j]) == 1 or p == -1:  # the row itself, less its pivot, negated if -1
+            del row[j]
+            if p == -1:
+                for c in row:
+                    row[c] = -row[c]
+            units[j] = row
+        else:
+            rest.append(row)
     # Clear the unit columns off the rest rows, last first, as units[d]
     # adds only earlier ones; holders names the rows holding each.
     holders = defaultdict(list)
@@ -743,19 +772,25 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     congruences = {r: (m, j) for j in range(n, len(perm)) for r, m in reads[j]}
     coeff_rows = [[] for _ in range(big.rank)]
     for j, col in enumerate(_sparse_dicts(gens, "generator", n)):
-        totals, ok, v = {}, True, [0] * len(touched)
+        totals, v = {}, [0] * len(touched)
         for i, x in col.items():
+            if not x:
+                continue
             for r, c in reads[p := perm[i]]:
                 totals[r] = totals.get(r, 0) + c * x
             if p in local:
                 v[local[p]] = x
-            elif x and p in row_of:
+            elif p in row_of:
                 coeff_rows[row_of[p]].append((j, x))
-        for r, total in totals.items():  # x's slack is -total / m; an equation's total is 0
-            modulus, slack = congruences.get(r, (0, None))
-            ok = ok and not (total % modulus if modulus else total)
-            if slack in local:  # else a unit (modulus 1): only its own row reaches a slack
-                v[local[slack]] = -total // modulus
+        if not congruences:  # every condition an equation
+            ok = not any(totals.values())
+        else:
+            ok = True
+            for r, total in totals.items():  # x's slack is -total / m; an equation's total is 0
+                modulus, slack = congruences.get(r, (0, None))
+                ok = ok and not (total % modulus if modulus else total)
+                if slack in local:  # else a unit (modulus 1): only its own row reaches a slack
+                    v[local[slack]] = -total // modulus
         ok, w = lattice_member(kt, v) if ok and any(v) else (ok, ())  # no entry on kt: w is 0
         if not ok:
             raise LatticeError(f"quotient: generator {j} is not in the first lattice")
@@ -850,12 +885,14 @@ def _check_conditions(width: int, conditions: Sequence) -> tuple:
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     """Whether v meets every ``(terms, modulus)`` condition: the sum of
     ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0.
-    The conditions are read in order up to the first that v fails; a
-    term index that is not an int in [0, len(v)), a coefficient that is
-    not an int, or a modulus that is not an int >= 0, raises
-    LatticeError when it is read, as does a v without a length.  A float
-    coefficient or modulus makes ``sum + modulus`` no int: one type test
-    per condition covers the terms, and a bool modulus is refused apart.
+    A v that is no ``Sequence``, tested as ``_check_vector`` tests it,
+    raises LatticeError: a dict would be read at its keys, and a set
+    not at all.  The conditions are read in order up to the first that
+    v fails; a term index that is not an int in [0, len(v)), a
+    coefficient that is not an int, or a modulus that is not an int
+    >= 0, raises LatticeError when it is read.  A float coefficient or
+    modulus makes ``sum + modulus`` no int: one type test per condition
+    covers the terms, and a bool modulus is refused apart.
 
     v is read lazily, only at the indices the terms name, and no entry
     or term is type-tested on its own, so a bool, as an entry of v or as
@@ -864,10 +901,9 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     ``_check_vector`` already, and a test of every entry would cost a
     pass over v per query, where the conditions up to the first one v
     fails may read few entries."""
-    try:
-        n = len(v)
-    except TypeError:  # no len(): None, an int
-        raise LatticeError(f"v must be a sequence, got {type(v).__name__}") from None
+    if not (type(v) in (list, tuple) or isinstance(v, Sequence)):
+        raise LatticeError(f"v must be a sequence, got {type(v).__name__}")
+    n = len(v)
     try:
         for terms, modulus in conditions:
             s = 0

@@ -50,8 +50,9 @@ def _sorted_ids(kind: str, items: list, key=None) -> list:
 
 class CellComplex(ImmutableValue):
     """Ordered vertices and edges: each subclass's ``__init__`` sets
-    ``vertices``, ``edges`` and the id -> position maps ``_vindex`` and
-    ``_eindex``.  An unknown id raises the subclass's ``_error``."""
+    ``vertices`` and the id -> position maps ``_vindex`` and ``_eindex``,
+    which give the counts, and each subclass has its ``edges``.  An
+    unknown id raises the subclass's ``_error``."""
 
     @property
     def n_vertices(self) -> int:
@@ -59,7 +60,7 @@ class CellComplex(ImmutableValue):
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self._eindex)
 
     def vertex_index(self, v) -> int:
         try:

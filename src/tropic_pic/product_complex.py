@@ -34,6 +34,12 @@ diagonal, in exactly two triangles, has alpha 1 at both ends.  The four
 corners of a square are distinct, as the factors have no loops, so no
 +1 lands on an endpoint of its row.
 
+The pass writes only what the divisor theory reads: the edge order, as
+the id -> position map, the stars, the rows and the squares with their
+flips.  The tables of ``ProductEdge``s and ``Triangle``s are built from
+those and the factors on first read, through the same square geometry
+(``_square``), so Pic and Cl never build them.
+
 Orderings are deterministic: vertices lexicographic in (G-order,
 H-order); edges in blocks horizontal / vertical / diagonal, each block
 lexicographic, so the diagonal block is contiguous at the end.
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 
 from .exact_lattice import ImmutableValue
 from .multigraph import CellComplex, Multigraph
@@ -95,7 +102,7 @@ class DiagonalPolicy(ImmutableValue):
                 raise ComplexError(f"flag of square {key!r} is not a bool, 0 or 1: {flag!r}")
         return cls(frozenset((k, bool(v)) for k, v in choices.items()))
 
-    def resolve(self, square_keys: Sequence[tuple]) -> dict:
+    def _resolve(self, square_keys: Sequence[tuple]) -> dict:
         """Flip flag per square key, validating explicit choices."""
         table = dict.fromkeys(square_keys, False) if self.choices is None else dict(self.choices)
         if missing := [k for k in square_keys if k not in table]:
@@ -149,13 +156,63 @@ def _ordered_ends(graph: Multigraph) -> dict:
             for eid, u, w in graph.edges}
 
 
+def _axis_edges(g: Multigraph, h: Multigraph, g_ends: dict, h_ends: dict) -> list:
+    """``(eid, u, w, kind)`` of the horizontal edges, then the vertical
+    ones, in the edge order."""
+    return ([(("h", ge, b), (u, b), (w, b), "horizontal")
+             for ge, (u, w) in g_ends.items() for b in h.vertices]
+            + [(("v", a, he), (a, u), (a, w), "vertical")
+               for a in g.vertices for he, (u, w) in h_ends.items()])
+
+
+def _square(ge, he, g_ends: dict, h_ends: dict, flipped: bool) -> tuple:
+    """``(p, q, halves)`` of the square over ge and he: its diagonal's
+    ends, and per triangle ``(verts, s1, s2, c)``, its sides and the
+    corner off the diagonal."""
+    (umin, umax), (bmin, bmax) = g_ends[ge], h_ends[he]
+    ll, lr, ul, ur = (umin, bmin), (umax, bmin), (umin, bmax), (umax, bmax)
+    bottom, top = ("h", ge, bmin), ("h", ge, bmax)
+    left, right = ("v", umin, he), ("v", umax, he)
+    if flipped:
+        return lr, ul, (((ll, lr, ul), bottom, left, ll), ((lr, ur, ul), right, top, ur))
+    return ll, ur, (((ll, lr, ur), bottom, right, lr), ((ll, ul, ur), left, top, ul))
+
+
+def _product_edges(tp: TriangulatedProduct) -> tuple:
+    """The product's ``ProductEdge``s in the edge order."""
+    g_ends, h_ends = _ordered_ends(tp.g), _ordered_ends(tp.h)
+    edges = [ProductEdge(*e) for e in _axis_edges(tp.g, tp.h, g_ends, h_ends)]
+    for ge, he, flipped in tp.squares:
+        p, q, _ = _square(ge, he, g_ends, h_ends, flipped)
+        edges.append(ProductEdge(("d", ge, he), p, q, "diagonal"))
+    return tuple(edges)
+
+
+def _product_triangles(tp: TriangulatedProduct) -> tuple:
+    """The product's ``Triangle``s, two per square in the square order."""
+    g_ends, h_ends = _ordered_ends(tp.g), _ordered_ends(tp.h)
+    triangles = []
+    for ge, he, flipped in tp.squares:
+        did = ("d", ge, he)
+        triangles += [Triangle(verts, (s1, s2, did), did)
+                      for verts, s1, s2, _ in _square(ge, he, g_ends, h_ends, flipped)[2]]
+    return tuple(triangles)
+
+
 class TriangulatedProduct(CellComplex):
     """Immutable 2-dimensional Delta-complex over G x H with alpha weights.
 
-    ``principal_rows``, read-only, has per edge P's row as ``(vertex
-    index, value)`` pairs sorted by index, endpoints kept at alpha 0:
-    alpha lives there alone, alpha(r, v) being minus row r's entry at an
-    endpoint v, and holds the weight axiom by construction.
+    The construction writes what the divisor theory reads: the vertices
+    and the id -> position maps, each vertex's star (the ids of the
+    edges at it, in the edge order), ``squares`` as ``(g_edge, h_edge,
+    flipped)`` in the diagonal order, the counts, and
+    ``principal_rows``, read-only, which has per edge P's row as
+    ``(vertex index, value)`` pairs sorted by index, endpoints kept at
+    alpha 0: alpha lives there alone, alpha(r, v) being minus row r's
+    entry at an endpoint v, and holds the weight axiom by construction.
+    ``edges`` (``ProductEdge``s) and ``triangles`` (``Triangle``s) are
+    built on first read, from the edge order, ``squares`` and the
+    factors' ordered ends; no step of Pic or Cl reads them.
     ``_memo`` holds values derived from the complex (the divisor lattices
     of ``divisor_theory``), so they live exactly as long as the product.
     The lookups come from the base ``CellComplex``; setting or deleting
@@ -176,39 +233,24 @@ class TriangulatedProduct(CellComplex):
         vi = {v: i for i, v in enumerate(vertices)}
         g_ends, h_ends = _ordered_ends(g), _ordered_ends(h)
 
-        edges = [ProductEdge(("h", ge, b), (u, b), (w, b), "horizontal")
-                 for ge, (u, w) in g_ends.items() for b in h.vertices]
-        edges += [ProductEdge(("v", a, he), (a, u), (a, w), "vertical")
-                  for a in g.vertices for he, (u, w) in h_ends.items()]
         star = {v: [] for v in vertices}
-        rows = {}
-        for e in edges:
-            star[e.u].append(e.eid)
-            star[e.w].append(e.eid)
-            rows[e.eid] = {vi[e.u]: 0, vi[e.w]: 0}
+        rows = {}  # edge id -> P's row as a dict, in the edge order
+        for eid, u, w, _ in _axis_edges(g, h, g_ends, h_ends):
+            star[u].append(eid)
+            star[w].append(eid)
+            rows[eid] = {vi[u]: 0, vi[w]: 0}
 
-        flips = policy.resolve([(ge, he) for ge in g_ends for he in h_ends])
-        squares, triangles = [], []
+        flips = policy._resolve([(ge, he) for ge in g_ends for he in h_ends])
+        squares = []
         for (ge, he), flipped in flips.items():
-            (umin, umax), (bmin, bmax) = g_ends[ge], h_ends[he]
-            ll, lr, ul, ur = (umin, bmin), (umax, bmin), (umin, bmax), (umax, bmax)
-            bottom, top = ("h", ge, bmin), ("h", ge, bmax)
-            left, right = ("v", umin, he), ("v", umax, he)
-            if flipped:
-                p, q = lr, ul
-                halves = (((ll, lr, ul), bottom, left, ll), ((lr, ur, ul), right, top, ur))
-            else:
-                p, q = ll, ur
-                halves = (((ll, lr, ur), bottom, right, lr), ((ll, ul, ur), left, top, ul))
+            p, q, halves = _square(ge, he, g_ends, h_ends, flipped)
             did = ("d", ge, he)
             squares.append((ge, he, flipped))
-            edges.append(ProductEdge(did, p, q, "diagonal"))
             star[p].append(did)
             star[q].append(did)
             pi, qi = vi[p], vi[q]
             rows[did] = diagonal = {pi: -1, qi: -1}
-            for verts, s1, s2, c in halves:
-                triangles.append(Triangle(verts, (s1, s2, did), did))
+            for _, s1, s2, c in halves:
                 r1, r2, ci = rows[s1], rows[s2], vi[c]
                 r1[ci] -= 1
                 r2[ci] -= 1
@@ -217,17 +259,19 @@ class TriangulatedProduct(CellComplex):
                 diagonal[ci] = 1
 
         self.__dict__.update(
-            g=g, h=h, policy=policy, vertices=vertices, edges=tuple(edges),
-            squares=tuple(squares), triangles=tuple(triangles),
-            principal_rows=tuple(tuple(sorted(rows[e.eid].items())) for e in edges),
-            _vindex=vi, _eindex={e.eid: i for i, e in enumerate(edges)},
+            g=g, h=h, policy=policy, vertices=vertices, squares=tuple(squares),
+            principal_rows=tuple([tuple(sorted(row.items())) for row in rows.values()]),
+            _vindex=vi, _eindex={eid: i for i, eid in enumerate(rows)},
             _star={v: tuple(s) for v, s in star.items()},
             n_horizontal=g.n_edges * h.n_vertices, n_vertical=g.n_vertices * h.n_edges,
             n_diagonal=g.n_edges * h.n_edges, _memo={})
 
+    edges = cached_property(_product_edges)
+    triangles = cached_property(_product_triangles)
+
     def __repr__(self) -> str:
         return (f"TriangulatedProduct({self.n_vertices} vertices, "
-                f"{self.n_edges} edges, {len(self.triangles)} triangles)")
+                f"{self.n_edges} edges, {2 * self.n_diagonal} triangles)")
 
 
 def build_product(g: Multigraph, h: Multigraph,

@@ -6,7 +6,8 @@ echelon matrix, Kirchhoff spanning-tree counts, random trees and
 diagonal policies, a locally saturated product with parallel edges, the
 pullbacks of the factors' vertices and of their Laplacians' columns, a
 product's star at a vertex, a product edge's endpoints, the diagonals
-at a vertex, a product's weights by a scan of its triangles, P's sparse
+at a vertex, a product's tables built eagerly in one pass over its
+squares, a product's weights by a scan of its triangles, P's sparse
 rows and the dense principal matrix written from that scan, the local
 matrices cut from it and the local keys written out, the closed-form
 local rank of a triangulated product, the congruences of a lattice off
@@ -44,6 +45,8 @@ from tropic_pic.exact_lattice import (
 from tropic_pic.multigraph import GraphError, Multigraph, laplacian
 from tropic_pic.product_complex import (
     DiagonalPolicy,
+    ProductEdge,
+    Triangle,
     TriangulatedProduct,
     build_product,
     edge_id_str,
@@ -223,6 +226,53 @@ def random_tree(n_vertices: int, seed: int) -> Multigraph:
     w = heapq.heappop(leaves)
     edges.append((f"e{k}", u, w))
     return Multigraph(list(range(n)), edges)
+
+
+def eager_product_tables(g: Multigraph, h: Multigraph, policy: DiagonalPolicy) -> tuple:
+    """``(edges, triangles, squares, principal_rows)`` of G x H, each built
+    in one eager pass over the squares, every table written as it goes:
+    the reference for the product, which writes only what Pic and Cl
+    read and builds ``edges`` and ``triangles`` on first read."""
+    def ordered(graph):
+        return {eid: (u, w) if graph.vertex_index(u) < graph.vertex_index(w) else (w, u)
+                for eid, u, w in graph.edges}
+
+    vi = {v: i for i, v in enumerate((a, b) for a in g.vertices for b in h.vertices)}
+    g_ends, h_ends = ordered(g), ordered(h)
+    edges = [ProductEdge(("h", ge, b), (u, b), (w, b), "horizontal")
+             for ge, (u, w) in g_ends.items() for b in h.vertices]
+    edges += [ProductEdge(("v", a, he), (a, u), (a, w), "vertical")
+              for a in g.vertices for he, (u, w) in h_ends.items()]
+    rows = {e.eid: {vi[e.u]: 0, vi[e.w]: 0} for e in edges}
+    flips = dict(policy.choices or ())
+    squares, triangles = [], []
+    for ge, (umin, umax) in g_ends.items():
+        for he, (bmin, bmax) in h_ends.items():
+            flipped = flips.get((ge, he), False)
+            ll, lr, ul, ur = (umin, bmin), (umax, bmin), (umin, bmax), (umax, bmax)
+            bottom, top = ("h", ge, bmin), ("h", ge, bmax)
+            left, right = ("v", umin, he), ("v", umax, he)
+            if flipped:
+                p, q = lr, ul
+                halves = (((ll, lr, ul), bottom, left, ll), ((lr, ur, ul), right, top, ur))
+            else:
+                p, q = ll, ur
+                halves = (((ll, lr, ur), bottom, right, lr), ((ll, ul, ur), left, top, ul))
+            did = ("d", ge, he)
+            squares.append((ge, he, flipped))
+            edges.append(ProductEdge(did, p, q, "diagonal"))
+            pi, qi = vi[p], vi[q]
+            rows[did] = diagonal = {pi: -1, qi: -1}
+            for verts, s1, s2, c in halves:
+                triangles.append(Triangle(verts, (s1, s2, did), did))
+                r1, r2, ci = rows[s1], rows[s2], vi[c]
+                r1[ci] -= 1
+                r2[ci] -= 1
+                r1[qi] = r1.get(qi, 0) + 1
+                r2[pi] = r2.get(pi, 0) + 1
+                diagonal[ci] = 1
+    return (tuple(edges), tuple(triangles), tuple(squares),
+            tuple(tuple(sorted(rows[e.eid].items())) for e in edges))
 
 
 def weights_by_triangle_scan(tp: TriangulatedProduct) -> tuple:

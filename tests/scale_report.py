@@ -8,11 +8,12 @@ Each product runs in three child processes of its own, so that each
 peak RSS is its own and one slow phase of a shared host shows as spread
 rather than as a slower n: each child builds the product under the
 standard policy, times ``build_product`` then ``pic`` and ``cl``, and
-reports the seconds of Pic + Cl after the build, the peak RSS of the
-process, Pic and Cl.  One line per product gives the fewest and most
-seconds of the three, the largest peak RSS, and Pic and Cl, which the
-three must agree on.  Each n prints its Cn x Cn line, then its
-theta2 x Cn line.
+reports the seconds of the build, the peak RSS of the process right
+after it, the seconds of Pic + Cl after the build, the peak RSS at the
+end, Pic and Cl.  One line per product gives the fewest and most build
+seconds of the three and their largest peak RSS after the build, then
+the same for Pic + Cl and the end, and Pic and Cl, which the three must
+agree on.  Each n prints its Cn x Cn line, then its theta2 x Cn line.
 
 Cn x Cn is locally saturated, so Cart is QCart and Pic and Cl share one
 quotient.  theta2 x Cn is not: Cart is the kernel of every star's
@@ -47,12 +48,19 @@ def child(label: str, n: int) -> None:
     from tropic_pic.product_complex import build_product
 
     first = theta_graph(2) if label.startswith("theta2") else cycle_graph(n)
-    tp = build_product(first, cycle_graph(n))
+    second = cycle_graph(n)
     t0 = time.perf_counter()
+    tp = build_product(first, second)
+    t1 = time.perf_counter()
+    build_mb = peak_rss_mb()
     pic_group, cl_group = pic(tp), cl(tp)
-    seconds = time.perf_counter() - t0
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(json.dumps([seconds, rss_mb, str(pic_group), str(cl_group)]), flush=True)
+    seconds = time.perf_counter() - t1
+    print(json.dumps([t1 - t0, build_mb, seconds, peak_rss_mb(), str(pic_group), str(cl_group)]),
+          flush=True)
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def main(argv: list) -> int:
@@ -72,16 +80,18 @@ def main(argv: list) -> int:
                 if done.returncode:
                     return done.returncode
                 runs.append(json.loads(done.stdout))
-            seconds = [r[0] for r in runs]
-            groups = {tuple(r[2:]) for r in runs}
+            groups = {tuple(r[4:]) for r in runs}
             if len(groups) != 1:
                 print(f"{label}: the runs disagree on Pic and Cl: {sorted(groups)}",
                       file=sys.stderr)
                 return 1
             (pic_text, cl_text), = groups
-            print(f"{label}: {min(seconds):.3f}-{max(seconds):.3f} s over {RUNS} runs, "
-                  f"peak RSS {max(r[1] for r in runs):.0f} MB, Pic {pic_text}, Cl {cl_text}",
-                  flush=True)
+            build, solve = [r[0] for r in runs], [r[2] for r in runs]
+            print(f"{label}: build {min(build):.3f}-{max(build):.3f} s, "
+                  f"peak RSS {max(r[1] for r in runs):.0f} MB; "
+                  f"Pic + Cl {min(solve):.3f}-{max(solve):.3f} s, "
+                  f"peak RSS {max(r[3] for r in runs):.0f} MB; over {RUNS} runs, "
+                  f"Pic {pic_text}, Cl {cl_text}", flush=True)
     return 0
 
 

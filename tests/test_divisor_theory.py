@@ -993,6 +993,21 @@ def test_divisor_json_keys_are_injective():
     assert divisor_from_json(tp, divisor_to_json(tp, d)) == d
 
 
+@pytest.mark.parametrize("g, h", [(cycle_graph(3), cycle_graph(3)),
+                                  (theta_graph(3), path_graph(2))])
+def test_the_pipeline_builds_no_edge_or_triangle_table(g, h):
+    """Pic, Cl, the membership tests, the divisor JSON and the repr read
+    the edge order and the rows of P, never ``edges`` or ``triangles``,
+    which a product builds on first read."""
+    tp = build_product(g, h, random_policy(g, h, 3))
+    d = div(tp, range(tp.n_vertices))
+    pic(tp), cl(tp)
+    assert is_principal(tp, d) and is_cartier(tp, d) and is_q_cartier(tp, d)
+    assert divisor_from_json(tp, divisor_to_json(tp, d)) == d
+    repr(tp)
+    assert "edges" not in vars(tp) and "triangles" not in vars(tp)
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
 def test_divisor_and_pl_inputs_must_be_ints(c3c3, bad):
     d = [0] * c3c3.n_edges

@@ -603,8 +603,9 @@ def test_invariant_factors_calls_snf_once(c6c6_pic_matrix, monkeypatch):
         assert len(calls) == 1
     calls.clear()
     assert invariant_factors(sparse_rows(c6c6_pic_matrix))[-3:] == [1, 6, 6]
-    # 33 unit pivots leave a 4 x 2 block, whose factors are 6 and 6.
-    assert (calls[0].rows, calls[0].cols) == (4, 2)
+    # 33 unit pivots leave a 4 x 2 block with content 6, which strips to
+    # nothing once divided by it: the 6 and 6 are the scale, and snf sees 0 x 0.
+    assert (calls[0].rows, calls[0].cols) == (0, 0)
 
 
 # -- kernel ------------------------------------------------------------------
@@ -991,6 +992,15 @@ def test_satisfies_refuses_conditions_that_are_not_pairs_of_pairs(conditions):
         satisfies(conditions, (1,))
 
 
+@pytest.mark.parametrize("v", [{0: 0, 1: 7}, {0}, frozenset({0})])
+def test_satisfies_refuses_a_v_that_is_no_sequence(v):
+    """A dict would be read at its keys, which made the equation x0 = 0
+    hold on {0: 0, 1: 7}, and a set raised an error that blamed the
+    conditions."""
+    with pytest.raises(LatticeError, match=f"^v must be a sequence, got {type(v).__name__}$"):
+        satisfies([(((0, 1),), 0)], v)
+
+
 @pytest.mark.parametrize("v", [None, 5])
 def test_vectors_without_a_length_are_refused(v):
     with pytest.raises(LatticeError, match=f"^v must be a sequence, got {type(v).__name__}$"):
@@ -1323,9 +1333,9 @@ def test_an_argument_of_the_wrong_type_raises_lattice_error(call, value):
     """A non-Lattice where a Lattice is due, a non-IntMatrix where an
     IntMatrix is due and a non-AbGroup where an AbGroup is due each raise
     LatticeError naming the expected type."""
-    expected = ("IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix")
-                else "AbGroup" if call == "AbGroup.direct_sum" else "Lattice")
-    with pytest.raises(LatticeError, match=f"^expected a {expected}, got {type(value).__name__}$"):
+    expected = ("an IntMatrix" if call in ("hnf", "snf", "kernel", "Lattice.from_matrix")
+                else "an AbGroup" if call == "AbGroup.direct_sum" else "a Lattice")
+    with pytest.raises(LatticeError, match=f"^expected {expected}, got {type(value).__name__}$"):
         _TYPED_CALLS[call](value)
 
 

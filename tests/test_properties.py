@@ -22,7 +22,8 @@ Random integer matrices up to 5 x 5, rich in 0 and +-1, check that
 ``invariant_factors``, which strips unit pivots from sparse rows before
 its SNF, gives the nonzero diagonal of the dense ``snf``, whether the
 rows list only the nonzero entries, write out the zeros, or split
-entries into pairs on one column that add up.  Cl is checked against
+entries into pairs on one column that add up, and that c times such a
+matrix has c times its factors.  Cl is checked against
 Z^(rank QCart - rank P) + tors coker P, with coker P from the dense
 ``snf`` of the principal matrix, so the sparse quotient meets an
 independent oracle on every product, and tors Cl against Jac(G) +
@@ -48,7 +49,10 @@ multiple of one unit vector.
 The balancing equations, read off each vertex's star, are checked
 against the ones grouped through the factor graphs, tuple for tuple,
 and the weight axiom, which ``build_product`` does not check, on
-random multigraph products.
+random multigraph products.  On random simple and multigraph pairs
+under random policies, ``edges`` and ``triangles``, built on first
+read, and ``squares`` and ``principal_rows`` equal an eager build that
+writes every table in one pass over the squares.
 """
 
 from collections import Counter
@@ -65,6 +69,7 @@ from oracles import (
     dense_condition_kernel,
     dense_intersection,
     dense_kernel,
+    eager_product_tables,
     factor_pullbacks,
     from_generators,
     locally_saturated_per_star,
@@ -112,7 +117,7 @@ from tropic_pic.exact_lattice import (
     snf,
 )
 from tropic_pic.multigraph import Multigraph, critical_group, genus, path_graph
-from tropic_pic.product_complex import DiagonalPolicy, build_product
+from tropic_pic.product_complex import DiagonalPolicy, ProductEdge, Triangle, build_product
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -319,6 +324,22 @@ def test_weights_equal_the_triangle_scan(g, h, seed):
         assert -sum(c for j, c in row if j in ends) == on_edge[e.eid]
 
 
+@SETTINGS
+@given(simple_graphs() | multigraphs(), simple_graphs() | multigraphs(),
+       st.none() | st.integers(0, 2**16))
+def test_the_tables_built_on_first_read_equal_the_eager_build(g, h, seed):
+    policy = DiagonalPolicy.standard() if seed is None else random_policy(g, h, seed)
+    tp = build_product(g, h, policy)
+    edges, triangles, squares, rows = eager_product_tables(g, h, policy)
+    assert (tp.squares, tp.principal_rows) == (squares, rows)
+    assert "edges" not in vars(tp) and "triangles" not in vars(tp)
+    assert (tp.edges, tp.triangles) == (edges, triangles)
+    assert {type(e) for e in tp.edges} == {ProductEdge}
+    assert {type(t) for t in tp.triangles} == {Triangle}
+    assert tp._eindex == {e.eid: i for i, e in enumerate(edges)} and tp.n_edges == len(edges)
+    assert repr(tp).endswith(f"{len(edges)} edges, {len(triangles)} triangles)")
+
+
 @st.composite
 def small_matrices(draw):
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
@@ -328,11 +349,12 @@ def small_matrices(draw):
 
 
 @SETTINGS
-@given(small_matrices())
-def test_invariant_factors_are_the_snf_diagonal(m):
+@given(small_matrices(), st.integers(2, 6))
+def test_invariant_factors_are_the_snf_diagonal(m, scale):
     """The same matrix as sparse rows three ways: its nonzero entries,
     every entry with the zeros written out, and every entry x split into
-    x - 1 and 1 on its column, which add up."""
+    x - 1 and 1 on its column, which add up.  scale times the matrix,
+    whose content the strip divides out, has scale times its factors."""
     d, _ = snf(m)
     diagonal = [x for x in (d[i, i] for i in range(min(m.rows, m.cols))) if x]
     rows = [m.row(i) for i in range(m.rows)]
@@ -340,6 +362,8 @@ def test_invariant_factors_are_the_snf_diagonal(m):
     assert invariant_factors([tuple(enumerate(row)) for row in rows]) == diagonal
     assert invariant_factors([tuple((j, c) for j, x in enumerate(row) for c in (x - 1, 1))
                               for row in rows]) == diagonal
+    scaled = [[(j, scale * x) for j, x in row] for row in sparse_rows(m)]
+    assert invariant_factors(scaled) == [scale * x for x in diagonal]
 
 
 @st.composite
