@@ -47,7 +47,10 @@ Prin's congruences, so only ``prin_lattice`` itself builds Prin's HNF
 basis.  ``span_conditions`` writes those congruences off P's rows, as
 it writes each star's.
 Their values at d, each taken mod its modulus, are d's coordinates in
-Z^E / Prin: the class that a ``class_of`` query will read.
+Z^E / Prin: the class that a ``class_of`` query will read.  The
+product's memo keeps Prin's congruences, the balancing equations and
+the local congruences in ``exact_lattice``'s checked form, each set
+checked once, when it is built, so a query checks d and no condition.
 ``divisor_to_json`` joins its text from a per-product table of the
 escaped, sorted keys.
 """
@@ -63,6 +66,7 @@ from .exact_lattice import (
     AbGroup,
     IntMatrix,
     Lattice,
+    checked_conditions,
     condition_kernel,
     condition_matrix,
     lattice_member,  # noqa: F401  unused; the benchmark's tracer binds it in this module
@@ -126,7 +130,7 @@ def prin_lattice(tp: TriangulatedProduct) -> Lattice:
 
 
 @_per_product
-def _principal_conditions(tp: TriangulatedProduct) -> list:
+def _principal_conditions(tp: TriangulatedProduct) -> tuple:
     """The congruences that cut out Prin, written off P's rows by
     ``span_conditions``: one per invariant factor of P above 1, the
     torsion of Z^E / Prin, then one equation per free generator."""
@@ -155,7 +159,7 @@ def _local_key(tp: TriangulatedProduct, v) -> tuple:
                   for e in tp._star[v]])
 
 
-def _star_conditions(tp: TriangulatedProduct, v) -> list:
+def _star_conditions(tp: TriangulatedProduct, v) -> tuple:
     """The congruences that cut out L_v, ``span_conditions`` of v's
     ``_local_key``: their term indices are positions in v's star.  The
     product's memo holds them by key, so each distinct star is solved
@@ -171,7 +175,8 @@ def _star_conditions(tp: TriangulatedProduct, v) -> list:
 
 @_per_product
 def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
-    """Every vertex's ``_star_conditions``, lifted to the global edge order.
+    """Every vertex's ``_star_conditions``, lifted to the global edge
+    order, in the checked form, checked once per product.
 
     One ``(terms, modulus)`` per factor of M_v above 1 or missing rank,
     ``terms`` the nonzero ``(edge index, coefficient)`` pairs of its row.
@@ -181,7 +186,7 @@ def _cartier_conditions(tp: TriangulatedProduct) -> tuple:
         star_idx = [tp._eindex[eid] for eid in tp._star[v]]
         out.extend((tuple((star_idx[i], c) for i, c in terms), modulus)
                    for terms, modulus in _star_conditions(tp, v))
-    return tuple(out)
+    return checked_conditions(tp.n_edges, out)
 
 
 def is_cartier(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
@@ -243,7 +248,8 @@ def cart_lattice(tp: TriangulatedProduct) -> Lattice:
 @_per_product
 def _balancing_conditions(tp: TriangulatedProduct) -> tuple:
     """The balancing equations as ``(terms, 0)`` conditions, read off
-    each vertex's star in one pass.
+    each vertex's star in one pass, in the checked form, checked once
+    per product.
 
     At v = (a, b) the edges at v projecting to a G-edge at a are one
     horizontal edge and the diagonals at v over that G-edge, and the
@@ -271,7 +277,7 @@ def _balancing_conditions(tp: TriangulatedProduct) -> tuple:
         for anchor, *others in (over_g.values(), over_h.values()):
             for other in others:
                 out.append((tuple([(i, 1) for i in anchor] + [(i, -1) for i in other]), 0))
-    return tuple(out)
+    return checked_conditions(tp.n_edges, out)
 
 
 @_per_product

@@ -22,14 +22,19 @@ dense ``IntMatrix``.  Indices and entries must be ints (``bool`` is
 refused), and each input format has one check, run where it enters
 from outside.  Sparse lines, and the terms of conditions, go through
 ``_sparse_dicts``, which names the first line at fault and adds up
-repeated indices; a condition's pair shape and modulus go through
-``_check_conditions`` first.  A dense vector, an ``IntMatrix``'s
-entries or the v of ``mul_vec`` and ``lattice_member`` (and the
-divisors and PL functions of ``divisor_theory``), goes through
+repeated indices; a condition set goes through ``checked_conditions``,
+which tests each pair shape and modulus first and returns the set in
+its checked form.  A dense vector, an ``IntMatrix``'s entries or the v
+of ``mul_vec`` and ``lattice_member`` (and the divisors and PL
+functions of ``divisor_theory``), goes through
 ``ImmutableValue._check_vector``, which takes a ``Sequence`` of n ints
 and nothing else.  ``transpose`` tests its terms in the pass that
-moves them, and ``satisfies`` tests v's container only (see there).
-Matrices and lattices this module builds itself skip the checks.
+moves them.  Matrices and lattices this module builds itself skip the
+checks, and so do ``transpose``'s lines in ``quotient`` and condition
+sets in the checked form: ``span_conditions`` writes that form, the
+products' memos keep it, and ``satisfies`` reads it with one type test
+per sum, so that a query runs no per-term check.  On the query path
+``satisfies`` tests v's container only (see there).
 
 A ``Lattice`` is kept as its canonical basis columns, each the
 ``(row, value)`` pairs of its nonzero entries, or, when conditions cut
@@ -465,11 +470,12 @@ def invariant_factors(rows: Sequence) -> list:
     return factors + [scale * x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
 
 
-def span_conditions(rows: Sequence) -> list:
+def span_conditions(rows: Sequence) -> tuple:
     """Congruences that cut out the integer column span of the matrix
-    with these sparse rows, as ``(terms, modulus)`` pairs that
-    ``satisfies`` reads: ``terms`` are the nonzero ``(index, c)`` entries
-    of a row of S, and modulus 0 asks for an equation.
+    with these sparse rows, as ``(terms, modulus)`` pairs in the checked
+    form (see ``checked_conditions``), which their readers take with no
+    check: ``terms`` are the nonzero ``(index, c)`` entries of a row of
+    S, and modulus 0 asks for an equation.
 
     S is the strip's, each row's combination of the input rows, composed
     with the S of ``snf`` on what is left, so that S m T is m's Smith
@@ -481,7 +487,8 @@ def span_conditions(rows: Sequence) -> list:
     factor and emptied row.  S is unimodular, so its rows are primitive
     and no reduced row is zero or has a content to divide out.  The
     output depends on the rows as given, not only on their span, and
-    equal rows give equal conditions.
+    equal rows give equal conditions.  The strip checked the rows, so
+    each index lies in [0, len(rows)).
     """
     _, rest, s = _strip_units(rows, carry_s=True)
     d, s2 = snf(rest)
@@ -495,7 +502,7 @@ def span_conditions(rows: Sequence) -> list:
                 _add_scaled(row, s_row, f)
         terms = [(j, x % modulus if modulus else x) for j, x in sorted(row.items())]
         out.append((tuple((j, x) for j, x in terms if x), modulus))
-    return out
+    return _Conditions._trusted(len(rows), out)
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +591,16 @@ def condition_kernel(width: int, conditions: Sequence) -> Lattice:
     Most of K is unit vectors on free columns (2073 of 2306 at C48 x
     C48), so ``_cut`` keeps only the rest of K as a lattice, kt.
     """
-    conditions, terms = _check_conditions(width, conditions)
+    conditions = checked_conditions(width, conditions)
     n = width + sum(1 for _, modulus in conditions if modulus)
     perm = list(range(n))
-    named = chain(chain.from_iterable(reversed(terms)), range(width))
-    for t, i in enumerate(dict.fromkeys(named)):
+    named = [i for terms, _ in reversed(conditions) for i, _ in terms]
+    for t, i in enumerate(dict.fromkeys(chain(named, range(width)))):
         perm[i] = width - 1 - t
     rows, slack = {}, iter(range(width, n))
     reads = [[] for _ in range(n)]  # per renumbered column: its (condition, coefficient) pairs
-    for r, (d, (_, modulus)) in enumerate(zip(terms, conditions)):
-        row = rows[r] = {perm[i]: c for i, c in d.items() if c}
+    for r, (terms, modulus) in enumerate(conditions):
+        row = rows[r] = {perm[i]: c for i, c in terms if c}
         if modulus:
             row[next(slack)] = modulus
         for j, c in row.items():
@@ -761,7 +768,8 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     a basis of big, which need not be the canonical one.  Its entries on
     the free columns are coordinates already, and kt solves for the rest;
     a generator with no entry on kt's columns, the touched block, has
-    witness 0 there and is not solved.
+    witness 0 there and is not solved.  Lines that ``transpose`` returned
+    are not tested again when their bound is within big's dimension.
     """
     Lattice._check(big)
     n = big.ambient_dim
@@ -799,16 +807,44 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     return cokernel(coeff_rows)
 
 
-def transpose(lines: Sequence, n: int) -> list:
-    """The n sparse lines across these: ``(j, c)`` in i for ``(i, c)`` in j.
-    An n that is not an int >= 0 raises LatticeError, as do lines that
-    are no sequence, and an index i outside [0, n), a term that is not a
-    pair, or an index or value that is not an int (a bool is not),
-    naming its line.  The types are tested term by term in the one pass
-    that moves the terms."""
+class _Checked(tuple):
+    """A tuple of lines or conditions that this module checked or
+    wrote, each index in it in [0, ``bound``), immutable all through, so
+    that its readers here take it with no check: ``_Lines`` or
+    ``_Conditions``.  It equals the plain tuple of its items."""
+
+    @classmethod
+    def _trusted(cls, bound: int, items) -> "_Checked":
+        out = cls(items)
+        out.bound = bound
+        return out
+
+
+class _Lines(_Checked):
+    """``transpose``'s sparse lines: tuples of ``(index, int)`` pairs,
+    which ``_sparse_dicts`` does not test again."""
+
+
+class _Conditions(_Checked):
+    """Conditions in the checked form: ``(terms, modulus)`` pairs, the
+    terms a tuple of ``(index, int)`` pairs with distinct indices and
+    the modulus an int >= 0.  ``checked_conditions`` makes it and
+    ``span_conditions`` writes it."""
+
+
+def transpose(lines: Sequence, n: int) -> tuple:
+    """The n sparse lines across these, as tuples: ``(j, c)`` in i for
+    ``(i, c)`` in j.  An n that is not an int >= 0 raises LatticeError,
+    as do lines that are no sequence, and an index i outside [0, n), a
+    term that is not a pair, or an index or value that is not an int (a
+    bool is not), naming its line.  The types are tested term by term in
+    the one pass that moves the terms, and the lines it returns are not
+    tested again where the package reads them: ``quotient`` takes them
+    as generators with only their bound, the number of lines given,
+    held against its ambient dimension."""
     if type(n) is not int or n < 0:
         raise LatticeError(f"n must be an int >= 0, got {n!r}")
-    out = [[] for _ in range(n)]
+    out, j = [[] for _ in range(n)], -1
     try:
         for j, line in enumerate(lines):
             for i, c in line:
@@ -817,7 +853,7 @@ def transpose(lines: Sequence, n: int) -> list:
                 out[i].append((j, c))
     except (IndexError, TypeError, ValueError):  # an i past the end of out; a term of three
         raise _first_fault(lines, "line", n) from None
-    return out
+    return _Lines._trusted(j + 1, map(tuple, out))
 
 
 def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> list:
@@ -826,7 +862,8 @@ def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> li
     int) pairs (no bool), index in [0, bound).  The types are tested once
     over every line's keys and values, so that a False or True key does
     not hide behind an equal 0 or 1 of another line; the fault is looked
-    for only then."""
+    for only then.  ``transpose``'s lines, within the bound, are not
+    tested again."""
     try:
         pairs = len(lines) and sum(map(len, lines))
         dicts = list(map(dict, lines))
@@ -837,6 +874,8 @@ def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> li
                     d[i] = d.get(i, 0) + x if type(i) is type(x) is int else None
     except (TypeError, ValueError):
         raise _first_fault(lines, what, bound) from None
+    if type(lines) is _Lines and lines.bound <= bound:  # transpose tested them
+        return dicts
     index = list(chain.from_iterable(dicts))
     if not (set(map(type, index)) | set(map(type, chain.from_iterable(map(dict.values, dicts))))
             <= {int} and min(index, default=0) >= 0 and max(index, default=-1) < bound):
@@ -863,13 +902,21 @@ def _first_fault(lines, what: str, bound: float) -> LatticeError:
                                 f"{line!r}")
 
 
-def _check_conditions(width: int, conditions: Sequence) -> tuple:
-    """The conditions as a list, read once, and each one's terms as
-    ``_sparse_dicts`` reads them, in [0, width), or LatticeError unless
-    width is an int >= 0 and each condition a ``(terms, modulus)`` pair
-    with an int modulus >= 0."""
+def checked_conditions(width: int, conditions: Sequence) -> tuple:
+    """The conditions in the checked form, which ``satisfies``,
+    ``condition_kernel`` and ``condition_matrix`` read with no check: a
+    tuple of ``(terms, modulus)`` pairs, each read once, its terms those
+    of the dict ``_sparse_dicts`` reads them into, repeated indices
+    added up, each index in [0, width).  It equals the tuple of the
+    conditions when those are tuples with no repeated index.  Conditions
+    in the checked form within width, as ``span_conditions`` writes them,
+    are returned as they are.  LatticeError unless width is an int >= 0
+    and each condition a ``(terms, modulus)`` pair with an int modulus
+    >= 0 and terms that ``_sparse_dicts`` accepts."""
     if type(width) is not int or width < 0:
         raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
+    if type(conditions) is _Conditions and conditions.bound <= width:
+        return conditions
     r = condition = None
     try:
         conditions = list(conditions)
@@ -879,7 +926,20 @@ def _check_conditions(width: int, conditions: Sequence) -> tuple:
                 raise LatticeError(f"condition {r}: modulus must be an int >= 0, got {modulus!r}")
     except (TypeError, ValueError):  # no iterable, or a condition that is no pair
         raise LatticeError(f"condition {r} is not a (terms, modulus) pair: {condition!r}") from None
-    return conditions, _sparse_dicts([terms for terms, _ in conditions], "condition", width)
+    terms = _sparse_dicts([terms for terms, _ in conditions], "condition", width)
+    return _Conditions._trusted(width, zip(map(tuple, map(dict.items, terms)),
+                                           [modulus for _, modulus in conditions]))
+
+
+def _entry_fault(v: Sequence, terms) -> LatticeError:
+    """The error that names v's first entry that is no int (a bool is
+    one), among those at the terms' indices, in ``_check_vector``'s
+    wording; None if there is none, or if the terms cannot be read so."""
+    try:
+        i = next(i for i, _ in terms if i >= 0 and not isinstance(v[i], int))
+    except (LookupError, StopIteration, TypeError, ValueError):
+        return None
+    return LatticeError(f"v entry at index {i} is not an integer: {v[i]!r}")
 
 
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
@@ -888,23 +948,40 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     A v that is no ``Sequence``, tested as ``_check_vector`` tests it,
     raises LatticeError: a dict would be read at its keys, and a set
     not at all.  The conditions are read in order up to the first that
-    v fails; a term index that is not an int in [0, len(v)), a
-    coefficient that is not an int, or a modulus that is not an int
-    >= 0, raises LatticeError when it is read.  A float coefficient or
-    modulus makes ``sum + modulus`` no int: one type test per condition
-    covers the terms, and a bool modulus is refused apart.
+    v fails, and v is read lazily, only at the indices the terms name.
+    An index past the end of v raises LatticeError, and so does a sum
+    that is no int, naming v's first entry that is no int among those
+    the condition reads.
 
-    v is read lazily, only at the indices the terms name, and no entry
-    or term is type-tested on its own, so a bool, as an entry of v or as
-    a term's index or coefficient, counts as its int.  This is the query
-    path: its callers in ``divisor_theory`` have checked v with
-    ``_check_vector`` already, and a test of every entry would cost a
-    pass over v per query, where the conditions up to the first one v
-    fails may read few entries."""
+    Conditions in the checked form (see ``checked_conditions``), as
+    ``span_conditions`` and the products' memos hold them, are read
+    with no check: one type test of each sum.  Other conditions are
+    tested as they are read: a term index that is not an int in [0,
+    len(v)), a coefficient that is not an int, or a modulus that is not
+    an int >= 0, raises LatticeError when it is read.  A float
+    coefficient or modulus makes ``sum + modulus`` no int: one type test
+    per condition covers the terms, and a bool modulus is refused apart.
+
+    No entry of v or term is type-tested on its own, so a bool, as an
+    entry of v or as a term's index or coefficient, counts as its int.
+    This is the query path: its callers in ``divisor_theory`` have
+    checked v with ``_check_vector`` already, and a test of every entry
+    would cost a pass over v per query, where the conditions up to the
+    first one v fails may read few entries."""
     if not (type(v) in (list, tuple) or isinstance(v, Sequence)):
         raise LatticeError(f"v must be a sequence, got {type(v).__name__}")
-    n = len(v)
+    terms = ()
     try:
+        if type(conditions) is _Conditions:
+            for terms, modulus in conditions:
+                s = 0
+                for i, c in terms:
+                    s += c * v[i]
+                if type(s) is not int:
+                    raise TypeError(f"a sum of {s!r}")
+                if s % modulus if modulus else s:
+                    return False
+            return True
         for terms, modulus in conditions:
             s = 0
             for i, c in terms:
@@ -912,16 +989,18 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
                     raise IndexError
                 s += c * v[i]
             if type(s + modulus) is not int or modulus and (modulus < 0 or type(modulus) is bool):
-                raise LatticeError("conditions need int coefficients and a modulus that is "
-                                   f"an int >= 0, got {(terms, modulus)!r}")
+                raise _entry_fault(v, terms) or LatticeError(
+                    "conditions need int coefficients and a modulus that is an int >= 0, "
+                    f"got {(terms, modulus)!r}")
             if s % modulus if modulus else s:
                 return False
     except LatticeError:
         raise
     except IndexError:
-        raise LatticeError(f"term index {i!r} is outside [0, {n})") from None
+        raise LatticeError(f"term index {i!r} is outside [0, {len(v)})") from None
     except (TypeError, ValueError) as exc:  # no number, or no pair where one is due
-        raise LatticeError(f"conditions must be pairs of pairs over ints: {exc}") from None
+        raise _entry_fault(v, terms) or LatticeError(
+            f"conditions must be pairs of pairs over ints: {exc}") from None
     return True
 
 
@@ -929,12 +1008,12 @@ def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:
     """[A | diag(m > 0)]: the conditions as rows over ``width`` columns,
     plus one slack column holding m for each congruence with modulus m > 0.
     The terms of a row that share an index add up."""
-    conditions, terms = _check_conditions(width, conditions)
+    conditions = checked_conditions(width, conditions)
     total = width + sum(1 for _, modulus in conditions if modulus)
     flat, slack = [0] * (len(conditions) * total), width
-    for r, (d, (_, modulus)) in enumerate(zip(terms, conditions)):
+    for r, (terms, modulus) in enumerate(conditions):
         base = r * total
-        for i, c in d.items():
+        for i, c in terms:
             flat[base + i] = c
         if modulus:
             flat[base + slack] = modulus

@@ -16,11 +16,12 @@ congruences cut out each local lattice as the dense ones do, the local
 saturation test with one invariant factor test per distinct star, the
 balancing equations grouped through the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
-(Cart is the one of every congruence), the basis a kernel's small form
-gives in its own column order, a lattice cut by conditions restricted
-to its basis, a divisor's JSON by ``json.dumps``, the intersection of
-two lattices from the kernel of their bases side by side, and the
-kernel by a dense row echelon of the whole matrix."""
+(Cart is the one of every congruence), ``satisfies`` by dense rows, the
+basis a kernel's small form gives in its own column order, a lattice
+cut by conditions restricted to its basis, a divisor's JSON by
+``json.dumps``, the intersection of two lattices from the kernel of
+their bases side by side, and the kernel by a dense row echelon of the
+whole matrix."""
 
 import heapq
 import json
@@ -434,6 +435,19 @@ def dense_condition_kernel(width: int, conditions) -> Lattice:
     canonical."""
     ker = dense_kernel(condition_matrix(width, conditions))
     return Lattice(width, from_cols([ker.basis.col(j)[:width] for j in range(ker.rank)], width))
+
+
+def dense_satisfies(conditions, v):
+    """``satisfies`` by dense rows: each condition's terms written out as a
+    row over v's indices, then the dot product with v."""
+    for terms, m in conditions:
+        row = [0] * len(v)
+        for i, c in terms:
+            row[i] += c
+        dot = sum(r * x for r, x in zip(row, v))
+        if (dot % m if m else dot) != 0:
+            return False
+    return True
 
 
 def ordered_kernel_basis(lat: Lattice) -> IntMatrix:

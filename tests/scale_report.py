@@ -22,6 +22,18 @@ the quotient of the balancing equations' kernel, which is larger than
 the saturation of Cart on this product, so the Cl it prints is not the
 class group until that defect (ROADMAP item 1) is fixed.
 
+Then it prints the query costs of the benchmark's divisor_queries
+workload (``perfbench/workloads.py``, seed 1), in this process: K4 x C4
+under its seeded policy, with the lattices built and one pass of
+queries run first, so that Prin's congruences are in the memo.  Per
+divisor kind (P phi, Cartier combinations, Q-Cartier combinations and
+random vectors, 50 each), one line gives the median microseconds per
+call of ``is_principal``, ``is_cartier``, ``is_q_cartier`` and the JSON
+round trip, over each divisor timed QUERY_ROUNDS times.  A principal
+divisor meets every condition, so each predicate reads all of its
+conditions, and the principal line shows where the workload's p90
+latency comes from.
+
 The library is imported from ``src/`` next to this directory.  No time
 is checked; the lines are for reading.  pytest does not collect this
 file.
@@ -32,13 +44,17 @@ from __future__ import annotations
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
 
 RUNS = 3
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 PRODUCTS = ("C{n}xC{n}", "theta2xC{n}")  # per n, in the order printed
+QUERY_ROUNDS = 20
+KINDS = {"principal": "P phi", "cartier": "Cartier", "qcartier": "Q-Cartier", "random": "random"}
 
 
 def child(label: str, n: int) -> None:
@@ -57,6 +73,37 @@ def child(label: str, n: int) -> None:
     seconds = time.perf_counter() - t1
     print(json.dumps([t1 - t0, build_mb, seconds, peak_rss_mb(), str(pic_group), str(cl_group)]),
           flush=True)
+
+
+def query_costs() -> list:
+    """The lines of the K4 x C4 query costs, one per divisor kind."""
+    sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
+    from tropic_pic import divisor_theory as dt
+    from workloads import DivisorQueries
+
+    workload = DivisorQueries(seed=1)
+    workload.setup()
+    tp, cases = workload.tp, workload.cases()
+    for case in cases:
+        workload.op(case)
+    calls = {"is_principal": dt.is_principal, "is_cartier": dt.is_cartier,
+             "is_q_cartier": dt.is_q_cartier,
+             "JSON round trip": lambda tp, d: dt.divisor_from_json(tp, dt.divisor_to_json(tp, d))}
+    lines = [f"K4xC4 queries (divisor_queries, seed 1), median us per call over "
+             f"{QUERY_ROUNDS} rounds:"]
+    for kind, label in KINDS.items():
+        divisors = [case.divisor for case in cases if case.kind == kind]
+        costs = []
+        for name, call in calls.items():
+            times = []
+            for _ in range(QUERY_ROUNDS):
+                for d in divisors:
+                    t0 = time.perf_counter()
+                    call(tp, d)
+                    times.append(time.perf_counter() - t0)
+            costs.append(f"{name} {statistics.median(times) * 1e6:.1f}")
+        lines.append(f"  {label} ({len(divisors)}): " + ", ".join(costs))
+    return lines
 
 
 def peak_rss_mb() -> float:
@@ -92,6 +139,7 @@ def main(argv: list) -> int:
                   f"Pic + Cl {min(solve):.3f}-{max(solve):.3f} s, "
                   f"peak RSS {max(r[3] for r in runs):.0f} MB; over {RUNS} runs, "
                   f"Pic {pic_text}, Cl {cl_text}", flush=True)
+    print(*query_costs(), sep="\n", flush=True)
     return 0
 
 

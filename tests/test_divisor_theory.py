@@ -55,6 +55,7 @@ from tropic_pic.exact_lattice import (
     quotient,
     satisfies,
     span_conditions,
+    transpose,
 )
 from tropic_pic.divisor_theory import (
     _balancing_conditions,
@@ -787,6 +788,79 @@ def test_principal_conditions_are_the_cokernel_of_p(mixed_products):
         moduli = [m for _, m in conditions]
         assert moduli == list(coker.torsion) + [0] * coker.free_rank
     assert [m for _, m in divisor_theory._principal_conditions(k4c4) if m] == [4, 4, 4]
+
+
+def test_queries_after_the_first_run_no_condition_check(monkeypatch):
+    """The memo holds Prin's congruences, the balancing equations and,
+    off the lemma, the local congruences in the checked form, so every
+    query after the first on a product reads them with no check: with
+    the checker and the sparse-line check made to raise, the answers
+    stay as they were."""
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    products = [build_product(k4, c4, random_policy(k4, c4, 1)), theta2_theta2(),
+                build_product(theta_graph(3), path_graph(2))]
+    rng = random.Random(35)
+    for tp in products:
+        n = tp.n_edges
+        divisors = [div(tp, [rng.randint(-3, 3) for _ in range(tp.n_vertices)]), (0,) * n,
+                    tuple(rng.randint(-2, 2) for _ in range(n))]
+        divisors += [qcart_lattice(tp).basis.col(j) for j in range(3)]
+        first = [(is_principal(tp, d), is_cartier(tp, d), is_q_cartier(tp, d)) for d in divisors]
+        assert first[0] == first[1] == (True, True, True)
+        built = {"_principal_conditions", "_balancing_conditions"}
+        if not divisor_theory._locally_saturated(tp):
+            built.add("_cartier_conditions")
+        assert {key for key, value in tp._memo.items()
+                if type(value) is exact_lattice._Conditions} == built
+
+        def refuse(*args):
+            raise AssertionError(f"a check ran again: {args!r:.60}")
+
+        with monkeypatch.context() as patch:
+            for module in (exact_lattice, divisor_theory):
+                patch.setattr(module, "checked_conditions", refuse)
+            patch.setattr(exact_lattice, "_sparse_dicts", refuse)
+            again = [(is_principal(tp, d), is_cartier(tp, d), is_q_cartier(tp, d))
+                     for d in divisors]
+        assert again == first
+
+
+def test_torus_pic_and_cl_check_the_balancing_equations_once(monkeypatch):
+    """The balancing equations are checked once, when the memo builds
+    them; QCart's kernel reads them in the checked form.  P's columns
+    reach each quotient as ``transpose`` checked them, within bound."""
+    for n in (3, 4, 6):
+        tp = build_product(cycle_graph(n), cycle_graph(n))
+        checks, generators = [], []
+        real_check, real_dicts = exact_lattice.checked_conditions, exact_lattice._sparse_dicts
+
+        def check(width, conditions):
+            if type(conditions) is not exact_lattice._Conditions:
+                checks.append(conditions)
+            return real_check(width, conditions)
+
+        def dicts(lines, what, bound=float("inf")):
+            if what == "generator":
+                generators.append((type(lines), lines.bound <= bound))
+            return real_dicts(lines, what, bound)
+
+        with monkeypatch.context() as patch:
+            for module in (exact_lattice, divisor_theory):
+                patch.setattr(module, "checked_conditions", check)
+            patch.setattr(exact_lattice, "_sparse_dicts", dicts)
+            pic(tp)
+            cl(tp)
+        assert len(checks) == 1 and tuple(checks[0]) == _balancing_conditions(tp)
+        assert generators == [(exact_lattice._Lines, True)]
+
+
+def test_transposed_lines_past_the_ambient_dimension_are_checked():
+    lines = transpose([[], [], [(0, 1)]], 1)  # one line, which names line 2
+    assert type(lines) is exact_lattice._Lines and lines.bound == 3
+    with pytest.raises(LatticeError, match=r"^generator 0: index 2 is outside \[0, 1\)$"):
+        quotient(Lattice._trusted(1, (((0, 1),),)), lines)
+    assert quotient(Lattice._trusted(1, (((0, 1),),)), transpose([[(0, 2)]], 1)) \
+        == AbGroup(0, (2,))
 
 
 def test_product_is_freed_after_pic_and_cl():

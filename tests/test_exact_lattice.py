@@ -21,6 +21,7 @@ from oracles import (
     dense_condition_kernel,
     dense_kernel,
     dense_lattice_conditions,
+    dense_satisfies,
     det,
     echelon_pivots,
     from_cols,
@@ -42,6 +43,7 @@ from tropic_pic.exact_lattice import (
     IntMatrix,
     Lattice,
     LatticeError,
+    checked_conditions,
     cokernel,
     hnf,
     invariant_factors,
@@ -472,9 +474,24 @@ def test_span_conditions_cut_out_the_column_span():
         coker = cokernel(sparse)
         assert [q for _, q in conditions] == list(coker.torsion) + [0] * coker.free_rank
         assert all(terms for terms, _ in conditions)
+        # The checked form: its bound is the number of rows, which the
+        # stripped unit rows do not lower.
+        assert conditions == checked_conditions(m.rows, conditions) == tuple(conditions)
+        assert conditions.bound == m.rows
         moduli_seen.update(q for _, q in conditions)
     assert {0, 2, 3, 4} <= moduli_seen
     assert exact_lattice._strip_units(cases[-1][0])[2] is None
+
+
+def test_conditions_past_their_width_are_checked_again():
+    """A checked set within width is read as it is; past it, it is
+    checked again, and refused where an index is out of range."""
+    conditions = span_conditions([((0, 1),), ((0, 1),), ((0, 2),)])  # a unit row, stripped
+    assert conditions.bound == 3 and max(i for terms, _ in conditions for i, _ in terms) == 2
+    assert checked_conditions(4, conditions) is conditions
+    with pytest.raises(LatticeError, match=r"^condition 1: index 2 is outside \[0, 2\)$"):
+        condition_kernel(2, conditions)
+    assert condition_kernel(3, conditions) == condition_kernel(3, list(conditions))
 
 
 def test_unit_stripping_defers_dear_pivots_and_restacks_changed_rows():
@@ -801,19 +818,6 @@ def test_member_witness_on_built_and_direct_lattices():
     assert lattice_member(Lattice(2, from_rows([[2, 0], [1, 3]])), (2, 4)) == (True, [1, 1])
 
 
-def dense_satisfies(conditions, v):
-    """``satisfies`` by dense rows: each condition's terms written out as a
-    row over v's indices, then the dot product with v."""
-    for terms, m in conditions:
-        row = [0] * len(v)
-        for i, c in terms:
-            row[i] += c
-        dot = sum(r * x for r, x in zip(row, v))
-        if (dot % m if m else dot) != 0:
-            return False
-    return True
-
-
 def _random_conditions(rng, n):
     """Up to three conditions over n indices: sparse terms with small
     coefficients, some empty, and moduli 0 (an equation) or 2 to 4."""
@@ -826,7 +830,7 @@ def _random_conditions(rng, n):
 def test_conditions_worked_examples():
     # The dense oracle on the basis, and ``span_conditions`` on its rows.
     for write in (lambda lat: dense_lattice_conditions(lat.basis),
-                  lambda lat: span_conditions(transpose(lat.columns, lat.ambient_dim))):
+                  lambda lat: list(span_conditions(transpose(lat.columns, lat.ambient_dim)))):
         # The Smith form is diag(1, 6): one congruence, 3 v0 + 4 v1 = 0
         # mod 6, which is v0 even and v1 a multiple of 3.
         assert write(from_generators(2, [(2, 0), (0, 3)])) == [(((0, 3), (1, 4)), 6)]
@@ -1007,6 +1011,31 @@ def test_vectors_without_a_length_are_refused(v):
         satisfies([(((0, 1),), 0)], v)
     with pytest.raises(LatticeError, match=f"^vector must be a sequence, got {type(v).__name__}$"):
         identity(2).mul_vec(v)
+
+
+@pytest.mark.parametrize("conditions, v, index", [
+    ([(((0, 1),), 0)], "a", 0),  # blamed the conditions: "+=: 'int' and 'str'"
+    ([(((0, 2),), 0)], (0.5,), 0),  # blamed the conditions: a sum of 1.0
+    ([(((0, 2),), 3)], [3, 1.5], None),  # the condition reads no 1.5
+    ([(((0, 1), (1, 1)), 2)], (1, 1.5), 1),
+    ([(((0, 1),), 0), (((1, 1), (0, 1)), 0)], (0, None), 1),  # read after one that holds
+    ([(((1, 1), (0, 1)), 0)], [[0], "b"], 1),  # the first that the terms read
+])
+def test_satisfies_names_the_entry_of_v_at_fault(conditions, v, index):
+    """Raw and checked alike, a v entry that is no int, among those the
+    failing condition reads, is named in ``_check_vector``'s wording."""
+    for form in (conditions, checked_conditions(len(v), conditions)):
+        if index is None:
+            assert satisfies(form, v)
+            continue
+        message = f"^v entry at index {index} is not an integer: {re.escape(repr(v[index]))}$"
+        with pytest.raises(LatticeError, match=message):
+            satisfies(form, v)
+
+
+def test_a_bool_in_v_counts_as_its_int():
+    for form in ([(((0, 1),), 2)], checked_conditions(1, [(((0, 1),), 2)])):
+        assert satisfies(form, (False,)) and not satisfies(form, (True,))
 
 
 def test_satisfies_passes_its_own_errors_on_as_they_are():
@@ -1263,7 +1292,7 @@ def test_empty_edge_cases():
 
 @pytest.mark.parametrize("index", [-1, -2, 2, 5])
 def test_transpose_refuses_an_index_outside_the_range(index):
-    assert transpose([[(1, 7)], [(0, 1), (1, 2)]], 2) == [[(1, 1)], [(0, 7), (1, 2)]]
+    assert transpose([[(1, 7)], [(0, 1), (1, 2)]], 2) == (((1, 1),), ((0, 7), (1, 2)))
     with pytest.raises(LatticeError, match=rf"^line 1: index {index} is outside \[0, 2\)$"):
         transpose([[(1, 7)], [(index, 1)]], 2)
 

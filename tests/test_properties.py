@@ -46,6 +46,11 @@ matrix writes, which cut out L_v too.
 ``is_principal``, which reads the congruences of P's rows, is checked
 against membership in Prin's HNF basis, on P phi and on P phi plus a
 multiple of one unit vector.
+Random condition sets, with repeated indices, zero coefficients,
+empty terms and moduli 0 to 6, are read alike by ``satisfies`` in the
+checked form and as they come, and by dense rows, and each malformed
+set of the raw-path tests is refused with one message, checked alone
+or by ``condition_kernel``.
 The balancing equations, read off each vertex's star, are checked
 against the ones grouped through the factor graphs, tuple for tuple,
 and the weight axiom, which ``build_product`` does not check, on
@@ -55,6 +60,7 @@ read, and ``squares`` and ``principal_rows`` equal an eager build that
 writes every table in one pass over the squares.
 """
 
+import re
 from collections import Counter
 from itertools import islice
 
@@ -69,6 +75,7 @@ from oracles import (
     dense_condition_kernel,
     dense_intersection,
     dense_kernel,
+    dense_satisfies,
     eager_product_tables,
     factor_pullbacks,
     from_generators,
@@ -105,6 +112,7 @@ from tropic_pic.exact_lattice import (
     IntMatrix,
     Lattice,
     LatticeError,
+    checked_conditions,
     condition_kernel,
     condition_matrix,
     invariant_factors,
@@ -308,6 +316,54 @@ def test_cartier_conditions_equal_the_per_vertex_oracle(tp):
 @given(products(simple_graphs) | products())
 def test_balancing_conditions_equal_the_factor_edge_grouping(tp):
     assert _balancing_conditions(tp) == balancing_conditions_by_factor_edges(tp)
+
+
+@st.composite
+def condition_sets(draw):
+    """(width, conditions, v): up to six conditions over width <= 5
+    indices, with repeated indices, zero coefficients, empty terms and
+    moduli 0 to 6, and an int vector v of that length."""
+    width = draw(st.integers(0, 5))
+    term = st.tuples(st.integers(0, max(width - 1, 0)), st.integers(-3, 3))
+    condition = st.tuples(st.lists(term, max_size=6 if width else 0).map(tuple),
+                          st.integers(0, 6))
+    conditions = draw(st.lists(condition, max_size=6))
+    return width, conditions, tuple(draw(st.lists(st.integers(-3, 3), min_size=width,
+                                                  max_size=width)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(condition_sets())
+def test_checked_and_raw_conditions_read_alike(case):
+    """``satisfies`` reads the checked form with no check, and the raw
+    conditions as they come; both agree with the dense rows, and the
+    checked form writes the same matrix and is checked only once."""
+    width, conditions, v = case
+    checked = checked_conditions(width, conditions)
+    assert checked_conditions(width, checked) is checked
+    assert condition_matrix(width, checked) == condition_matrix(width, conditions)
+    for w in (v, list(v), (0,) * width):
+        assert satisfies(checked, w) == satisfies(conditions, w) == dense_satisfies(conditions, w)
+    assert satisfies(checked, (0,) * width)
+
+
+# The malformed condition sets of the raw-path tests in test_exact_lattice.py.
+MALFORMED = [
+    [((0, 1), 0)], [(((0, 1),), 0), (((0, 1, 2),), 0)], [(((0, 1),), 0), 5],
+    [(((0, 1),), 0, 1)], [(None, 0)], [(((0,),), 0)], [5], None,
+    [(((0.0, 1),), 0)], [(((None, 1),), 0)], [(((3, 1),), 0)], [(((-1, 1),), 0)],
+    [(((0, 1),), -2)], [(((0, 1),), 2.0)], [(((0, 1),), "2")], [(((0, 1.5),), 0)],
+    [(((0, 1.5),), 2)], [(((0, 1),), 0.0)], [(((0, 1),), 0), (((0, 1),), 0.0)],
+    [(((0, 1),), True)],
+]
+
+
+@pytest.mark.parametrize("conditions", MALFORMED)
+def test_a_malformed_set_is_refused_alike_checked_and_by_the_kernel(conditions):
+    with pytest.raises(LatticeError) as checked:
+        checked_conditions(2, conditions)
+    with pytest.raises(LatticeError, match="^" + re.escape(str(checked.value)) + "$"):
+        condition_kernel(2, conditions)
 
 
 @SETTINGS
