@@ -42,12 +42,20 @@ P's columns, each written in the kernel of Cart's or QCart's
 conditions: its entries on the columns where the kernel is unit
 vectors are read off, and the rest is solved for on the few columns
 that the conditions without a unit pivot touch.  So neither lattice
-lifts its canonical basis over the edges.  ``is_principal`` reads
-Prin's congruences, so only ``prin_lattice`` itself builds Prin's HNF
-basis.  ``span_conditions`` writes those congruences off P's rows, as
-it writes each star's.
-Their values at d, each taken mod its modulus, are d's coordinates in
-Z^E / Prin: the class that a ``class_of`` query will read.  The
+lifts its canonical basis over the edges.
+
+``is_principal`` decides Prin in QCart's coordinates, so only
+``prin_lattice`` itself builds Prin's HNF basis.  Principal divisors
+are balanced, so Prin lies in QCart, and restriction to S, the edges
+that no unit row of QCart's kernel owns, is injective on QCart.  So d
+is principal iff it is balanced and its entries on S lie in the span
+of P's rows at S.  ``span_conditions_in`` cuts that span out with
+|S| - rank P equations and one congruence per torsion factor of Cl,
+written off those rows as ``span_conditions`` writes each star's.  For
+d in QCart, their values, each taken mod its modulus, are d's
+coordinates in Cl = QCart / Prin, not in Z^E / Prin: two balanced
+divisors have equal values iff they differ by a principal divisor.
+That is the class that a ``class_of`` query will read.  The
 product's memo keeps Prin's congruences, the balancing equations and
 the local congruences in ``exact_lattice``'s checked form, each set
 checked once, when it is built, so a query checks d and no condition.
@@ -73,6 +81,7 @@ from .exact_lattice import (
     quotient,
     satisfies,
     span_conditions,
+    span_conditions_in,
     transpose,
 )
 from .product_complex import (
@@ -83,7 +92,8 @@ from .product_complex import (
 
 
 def _check_divisor(tp: TriangulatedProduct, d: Sequence[int]) -> None:
-    TriangulatedProduct._check(tp)
+    if type(tp) is not TriangulatedProduct:  # the common case first, on the query path
+        TriangulatedProduct._check(tp)
     TriangulatedProduct._check_vector(d, tp.n_edges, "divisor", "coefficient", "edge")
 
 
@@ -93,7 +103,8 @@ def _per_product(fn):
 
     @functools.wraps(fn)
     def cached(tp):
-        TriangulatedProduct._check(tp)
+        if type(tp) is not TriangulatedProduct:
+            TriangulatedProduct._check(tp)
         memo = tp._memo
         if key not in memo:
             memo[key] = fn(tp)
@@ -131,17 +142,31 @@ def prin_lattice(tp: TriangulatedProduct) -> Lattice:
 
 @_per_product
 def _principal_conditions(tp: TriangulatedProduct) -> tuple:
-    """The congruences that cut out Prin, written off P's rows by
-    ``span_conditions``: one per invariant factor of P above 1, the
-    torsion of Z^E / Prin, then one equation per free generator."""
-    return span_conditions(tp.principal_rows)
+    """The congruences that cut Prin out of QCart, written off P's rows
+    at QCart's coordinates S by ``span_conditions_in``: one per torsion
+    factor of Cl, which is the torsion of Z^E / Prin, then |S| - rank P
+    equations.  On QCart their values span a lattice of rank rank QCart
+    - rank P, Cl's free rank."""
+    return span_conditions_in(qcart_lattice(tp), tp.principal_rows)
 
 
 def is_principal(tp: TriangulatedProduct, d: Sequence[int]) -> bool:
-    """Whether d = div(phi) for some phi: d meets P's congruences, and
-    Prin's HNF basis is not built."""
+    """Whether d = div(phi) for some phi: d meets the congruences that
+    cut Prin out of QCart, then the balancing equations that cut out
+    QCart.  Prin's HNF basis is not built.
+
+    Principal divisors are balanced, so Prin lies in QCart, and
+    restriction to QCart's coordinates, the edges that no unit row of
+    its kernel owns, is injective on QCart.  So d is principal iff it is
+    balanced and its entries there lie in the span of P's rows there,
+    which is what ``span_conditions_in`` writes.  The first check rejects
+    most divisors that are not principal, on few terms; the balancing
+    equations then reject the rest, which are not balanced.  Both sets
+    must cut out the same QCart: were ``qcart_lattice`` another kernel
+    than that of ``_balancing_conditions``, this would have to test that
+    kernel's conditions, whose coordinates the first set reads."""
     _check_divisor(tp, d)
-    return satisfies(_principal_conditions(tp), d)
+    return satisfies(_principal_conditions(tp), d) and satisfies(_balancing_conditions(tp), d)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,9 @@ Linear conditions have one format, ``(terms, modulus)``: the sum of
 c * v[i] over the ``(i, c)`` terms is 0, or 0 mod a modulus m > 0.
 ``span_conditions`` is its one writer, off the S above, for a matrix
 given by sparse rows; ``lattice_intersect`` hands it the rows of each
-lattice's basis columns.  ``satisfies`` and ``condition_matrix`` read
+lattice's basis columns, and ``span_conditions_in`` the rows at the
+coordinates that fix a lattice cut out by equations, on which it cuts
+out a sublattice.  ``satisfies`` and ``condition_matrix`` read
 it, and ``condition_kernel`` returns the lattice in Z^width it cuts
 out, which is how ``kernel`` and ``lattice_intersect`` build theirs.
 
@@ -805,6 +807,35 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
         for t in compress(range(len(w)), w):
             coeff_rows[t].append((j, w[t]))
     return cokernel(coeff_rows)
+
+
+def span_conditions_in(big: Lattice, rows: Sequence) -> tuple:
+    """Congruences that, with the equations that cut out big, cut out L,
+    the integer column span of the matrix with these sparse rows, one
+    row per coordinate of big: the d in big whose entries on S lie in
+    L's.  That is L when L lies in big, which is not tested.
+
+    big must be kept in ``condition_kernel``'s small form, cut out by
+    equations only.  S is the set of big's coordinates whose columns no
+    unit row of that form owns, so that big's entries on S fix the
+    rest: restriction to S is injective on big.  So d in big lies in L
+    iff its entries on S lie in L's, which the ``span_conditions`` of
+    L's rows at S cut out: one congruence per torsion factor of big / L,
+    as Z^S / (big on S) is free, then |S| - rank L equations.  Their
+    values at d in big, each taken mod its modulus, name d's class in
+    big / L: they agree at d1 and d2 iff d1 - d2 lies in L.  The terms
+    index big's coordinates, in the checked form.  The rows go through
+    ``_sparse_dicts``, and LatticeError is raised unless there is one
+    per coordinate and big is so kept."""
+    Lattice._check(big)
+    _, perm, units, *_ = big._cut or ((),) * 3
+    if not len(_sparse_dicts(rows, "row")) == len(perm) == big.ambient_dim:
+        raise LatticeError("span_conditions_in needs a lattice cut out by equations only "
+                           "and one row per coordinate")
+    at = [i for i, p in enumerate(perm) if p not in units]  # S, ascending, so terms stay sorted
+    return _Conditions._trusted(len(perm), [
+        (tuple([(at[j], c) for j, c in terms]), modulus)
+        for terms, modulus in span_conditions([rows[i] for i in at])])
 
 
 class _Checked(tuple):

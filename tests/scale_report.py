@@ -9,18 +9,25 @@ peak RSS is its own and one slow phase of a shared host shows as spread
 rather than as a slower n: each child builds the product under the
 standard policy, times ``build_product`` then ``pic`` and ``cl``, and
 reports the seconds of the build, the peak RSS of the process right
-after it, the seconds of Pic + Cl after the build, the peak RSS at the
-end, Pic and Cl.  One line per product gives the fewest and most build
+after it, the seconds of Pic + Cl after the build, the peak RSS after
+them, then, on Cn x Cn, the seconds of the first ``is_principal``
+after Pic + Cl, on the divisor of the PL function with vertex values
+0, 1, 2, ..., which must be principal, and the peak RSS at the end,
+and Pic and Cl.  One line per product gives the fewest and most build
 seconds of the three and their largest peak RSS after the build, then
-the same for Pic + Cl and the end, and Pic and Cl, which the three must
-agree on.  Each n prints its Cn x Cn line, then its theta2 x Cn line.
+the same for Pic + Cl, and for the first ``is_principal`` on Cn x Cn,
+and Pic and Cl, which the three must agree on.  Each n prints its
+Cn x Cn line, then its theta2 x Cn line.
 
 Cn x Cn is locally saturated, so Cart is QCart and Pic and Cl share one
-quotient.  theta2 x Cn is not: Cart is the kernel of every star's
-congruences, which is the route the theta2 x Cn line times.  Its Cl is
-the quotient of the balancing equations' kernel, which is larger than
-the saturation of Cart on this product, so the Cl it prints is not the
-class group until that defect (ROADMAP item 1) is fixed.
+quotient.  The first ``is_principal`` writes the congruences that cut
+Prin out of QCart, off P's rows at QCart's coordinates, and reads the
+QCart kernel that Cl built.  theta2 x Cn is not locally saturated:
+Cart is the kernel of every star's congruences, which is the route the
+theta2 x Cn line times.  Its Cl is the quotient of the balancing
+equations' kernel, which is larger than the saturation of Cart on this
+product, so the Cl it prints is not the class group until that defect
+(ROADMAP item 1) is fixed.
 
 Then it prints the query costs of the benchmark's divisor_queries
 workload (``perfbench/workloads.py``, seed 1), in this process: K4 x C4
@@ -59,7 +66,7 @@ KINDS = {"principal": "P phi", "cartier": "Cartier", "qcartier": "Q-Cartier", "r
 
 def child(label: str, n: int) -> None:
     sys.path.insert(0, SRC)
-    from tropic_pic.divisor_theory import cl, pic
+    from tropic_pic.divisor_theory import cl, div, is_principal, pic
     from tropic_pic.multigraph import cycle_graph, theta_graph
     from tropic_pic.product_complex import build_product
 
@@ -70,9 +77,16 @@ def child(label: str, n: int) -> None:
     t1 = time.perf_counter()
     build_mb = peak_rss_mb()
     pic_group, cl_group = pic(tp), cl(tp)
-    seconds = time.perf_counter() - t1
-    print(json.dumps([t1 - t0, build_mb, seconds, peak_rss_mb(), str(pic_group), str(cl_group)]),
-          flush=True)
+    t2 = time.perf_counter()
+    query = []
+    if not label.startswith("theta2"):
+        d = div(tp, list(range(tp.n_vertices)))
+        t3 = time.perf_counter()
+        if not is_principal(tp, d):
+            sys.exit(f"{label}: is_principal refused a principal divisor")
+        query = [time.perf_counter() - t3, peak_rss_mb()]
+    print(json.dumps([t1 - t0, build_mb, t2 - t1, peak_rss_mb(), query, str(pic_group),
+                      str(cl_group)]), flush=True)
 
 
 def query_costs() -> list:
@@ -127,17 +141,22 @@ def main(argv: list) -> int:
                 if done.returncode:
                     return done.returncode
                 runs.append(json.loads(done.stdout))
-            groups = {tuple(r[4:]) for r in runs}
+            groups = {tuple(r[5:]) for r in runs}
             if len(groups) != 1:
                 print(f"{label}: the runs disagree on Pic and Cl: {sorted(groups)}",
                       file=sys.stderr)
                 return 1
             (pic_text, cl_text), = groups
             build, solve = [r[0] for r in runs], [r[2] for r in runs]
+            query = ""
+            if runs[0][4]:
+                first = [r[4][0] for r in runs]
+                query = (f"first is_principal {min(first):.3f}-{max(first):.3f} s, "
+                         f"peak RSS {max(r[4][1] for r in runs):.0f} MB; ")
             print(f"{label}: build {min(build):.3f}-{max(build):.3f} s, "
                   f"peak RSS {max(r[1] for r in runs):.0f} MB; "
                   f"Pic + Cl {min(solve):.3f}-{max(solve):.3f} s, "
-                  f"peak RSS {max(r[3] for r in runs):.0f} MB; over {RUNS} runs, "
+                  f"peak RSS {max(r[3] for r in runs):.0f} MB; {query}over {RUNS} runs, "
                   f"Pic {pic_text}, Cl {cl_text}", flush=True)
     print(*query_costs(), sep="\n", flush=True)
     return 0

@@ -778,16 +778,41 @@ def test_prin_lattice_leaves_no_principal_matrix_in_the_memo():
 
 
 def test_principal_conditions_are_the_cokernel_of_p(mixed_products):
-    # One congruence per torsion factor of Z^E / Prin, in divisibility
-    # order, then one equation per free generator.  K4 x C4 has torsion
-    # Jac(K4) + Jac(C4) = Z/4 + Z/4 + Z/4.
+    # The conditions are written off P's rows at S, the edges that no
+    # unit row of QCart's kernel owns, and read only S.  One congruence
+    # per torsion factor of Z^E / Prin, which is the torsion of Cl, in
+    # divisibility order, then |S| - rank P equations, whose values on
+    # QCart have rank rank QCart - rank P, Cl's free rank.  K4 x C4 has
+    # torsion Jac(K4) + Jac(C4) = Z/4 + Z/4 + Z/4.
     k4c4 = build_product(complete_graph(4), cycle_graph(4))
     for tp in list(mixed_products) + [theta2_theta2(), k4c4]:
         conditions = divisor_theory._principal_conditions(tp)
-        coker = cokernel(tp.principal_rows)
+        coker, qcart, group = cokernel(tp.principal_rows), qcart_lattice(tp), cl(tp)
+        rank_p = tp.n_edges - coker.free_rank
+        _, perm, units, *_ = qcart._cut
+        s = {i for i, p in enumerate(perm) if p not in units}
         moduli = [m for _, m in conditions]
-        assert moduli == list(coker.torsion) + [0] * coker.free_rank
+        assert moduli == list(coker.torsion) + [0] * (len(s) - rank_p)
+        assert group.torsion == coker.torsion and group.free_rank == qcart.rank - rank_p
+        assert {i for terms, _ in conditions for i, _ in terms} <= s
+        values = [[(j, sum(c * column.get(i, 0) for i, c in terms))
+                   for j, column in enumerate(map(dict, qcart.columns))]
+                  for terms, m in conditions if not m]
+        assert len(invariant_factors(values)) == group.free_rank
     assert [m for _, m in divisor_theory._principal_conditions(k4c4) if m] == [4, 4, 4]
+
+
+def test_first_is_principal_on_c16_c16_reads_few_terms_and_builds_no_prin_lattice():
+    # Written off all of P's rows, Prin's congruences would hold 18,629
+    # terms here; written off P's rows at QCart's coordinates, 293.
+    tp = build_product(cycle_graph(16), cycle_graph(16))
+    d = list(div(tp, list(range(tp.n_vertices))))
+    assert is_principal(tp, d)
+    conditions = tp._memo["_principal_conditions"]
+    assert sum(len(terms) for terms, _ in conditions) <= 1000
+    d[0] += 1
+    assert not is_principal(tp, d)
+    assert "prin_lattice" not in tp._memo
 
 
 def test_queries_after_the_first_run_no_condition_check(monkeypatch):

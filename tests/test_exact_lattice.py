@@ -57,6 +57,7 @@ from tropic_pic.exact_lattice import (
     satisfies,
     snf,
     span_conditions,
+    span_conditions_in,
     transpose,
 )
 from tropic_pic import divisor_theory, exact_lattice
@@ -481,6 +482,59 @@ def test_span_conditions_cut_out_the_column_span():
         moduli_seen.update(q for _, q in conditions)
     assert {0, 2, 3, 4} <= moduli_seen
     assert exact_lattice._strip_units(cases[-1][0])[2] is None
+
+
+def test_span_conditions_in_cut_a_sublattice_out_of_an_equation_kernel():
+    """``span_conditions_in`` reads L's rows at S, the coordinates that
+    no unit row of big's small form owns.  With big's equations its
+    conditions cut out L, a sublattice of big; they read S only; their
+    moduli are the torsion of big / L, then |S| - rank L equations; and
+    their values agree at two members of big iff these differ by an
+    element of L."""
+    rng = random.Random(36)
+    for _ in range(80):
+        width = rng.randint(1, 7)
+        equations = [(row, 0) for row in sparse_rows(random_matrix(rng, rng.randint(0, 4),
+                                                                   width, -2, 2))]
+        big = condition_kernel(width, equations)
+        mult = random_matrix(rng, big.rank, rng.randint(0, big.rank + 1), -3, 3)
+        gens = from_cols([big.basis.mul_vec(mult.col(j)) for j in range(mult.cols)], width)
+        small = Lattice.from_matrix(gens)
+        conditions = span_conditions_in(big, sparse_rows(gens))
+        assert checked_conditions(width, conditions) is conditions
+        assert condition_kernel(width, equations + list(conditions)) == small
+        _, perm, units, *_ = big._cut
+        s = {i for i, p in enumerate(perm) if p not in units}
+        assert {i for terms, _ in conditions for i, _ in terms} <= s
+        assert [m for _, m in conditions] == (list(quotient(big, small.columns).torsion)
+                                             + [0] * (len(s) - small.rank))
+
+        def values(d):
+            return [sum(c * d[i] for i, c in terms) % m if m else sum(c * d[i] for i, c in terms)
+                    for terms, m in conditions]
+
+        def member(lat):
+            return lat.basis.mul_vec([rng.randint(-3, 3) for _ in range(lat.rank)])
+
+        for _ in range(4):
+            x, y = member(big), member(big) if rng.random() < 0.5 else member(small)
+            d = [a + b for a, b in zip(x, y)]
+            assert (values(d) == values(x)) == lattice_member(small, y)[0]
+
+
+def test_span_conditions_in_refuses_what_it_cannot_read():
+    big = condition_kernel(2, [(((0, 1), (1, -1)), 0)])
+    with pytest.raises(LatticeError, match="^expected a Lattice, got tuple$"):
+        span_conditions_in((), [(), ()])
+    with pytest.raises(LatticeError, match="^rows must be a sequence, got int$"):
+        span_conditions_in(big, 5)
+    with pytest.raises(LatticeError, match=r"^row 1 is no sequence of \(int index, int value\) "):
+        span_conditions_in(big, [((0, 1),), ((0, True),)])
+    for lat, rows in ((big, [()]), (full_lattice(2), [(), ()]),
+                      (condition_kernel(2, [(((0, 1),), 2)]), [(), ()])):
+        with pytest.raises(LatticeError, match="needs a lattice cut out by equations only "
+                                               "and one row per coordinate$"):
+            span_conditions_in(lat, rows)
 
 
 def test_conditions_past_their_width_are_checked_again():

@@ -43,9 +43,13 @@ basis, the route that Cart took before it was the congruences' kernel.
 At every vertex, the congruences that the unit strip writes off the
 star's rows cut out L_v, as many as the dense Smith form of the local
 matrix writes, which cut out L_v too.
-``is_principal``, which reads the congruences of P's rows, is checked
-against membership in Prin's HNF basis, on P phi and on P phi plus a
-multiple of one unit vector.
+``is_principal``, which reads the congruences of P's rows at QCart's
+coordinates and then the balancing equations, is checked against
+membership in Prin's HNF basis, on P phi, on P phi plus a multiple of
+one unit vector, plus a combination of QCart's basis, which the
+congruences must reject, and plus a multiple of a unit vector on an
+edge outside those coordinates, which the balancing equations must
+reject.
 Random condition sets, with repeated indices, zero coefficients,
 empty terms and moduli 0 to 6, are read alike by ``satisfies`` in the
 checked form and as they come, and by dense rows, and each malformed
@@ -95,6 +99,7 @@ from tropic_pic.divisor_theory import (
     _balancing_conditions,
     _cartier_conditions,
     _locally_saturated,
+    _principal_conditions,
     balancing_matrix,
     cart_lattice,
     cl,
@@ -191,16 +196,35 @@ def test_is_cartier_is_cart_membership(case):
 @SETTINGS
 @given(st.data(), products(simple_graphs) | products())
 def test_is_principal_is_prin_membership(data, tp):
-    """is_principal reads the congruences of P's rows; membership in
-    Prin's HNF basis is the oracle.  d is P phi, perhaps plus a multiple
-    of one unit vector."""
+    """is_principal reads the congruences of P's rows at QCart's
+    coordinates S, then the balancing equations; membership in Prin's
+    HNF basis is the oracle.  On each product d is P phi, then P phi
+    plus a multiple of one unit vector, plus a combination of QCart's
+    basis, which the congruences must reject unless it is principal, and
+    plus a multiple of a unit vector on an edge outside S, where there
+    is one, which the congruences pass and the balancing equations must
+    reject."""
     phi = data.draw(st.lists(st.integers(-3, 3), min_size=tp.n_vertices,
                              max_size=tp.n_vertices))
-    d = list(div(tp, phi))
-    if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, tp.n_edges - 1))
-        d[i] += data.draw(st.sampled_from((-1, 1, 2, 3, 4, 6)))
-    assert is_principal(tp, d) == lattice_member(prin_lattice(tp), d)[0]
+    p_phi = div(tp, phi)
+    qcart, conditions = qcart_lattice(tp), _principal_conditions(tp)
+    _, perm, units, *_ = qcart._cut
+    off_s = [i for i, p in enumerate(perm) if p in units]
+    basis, multiple = qcart.basis, st.sampled_from((-1, 1, 2, 3, 4, 6))
+
+    def plus(i, c):
+        return [x + c * (j == i) for j, x in enumerate(p_phi)]
+
+    combination = basis.mul_vec(data.draw(st.lists(st.integers(-2, 2), min_size=basis.cols,
+                                                   max_size=basis.cols)))
+    divisors = [p_phi, plus(data.draw(st.integers(0, tp.n_edges - 1)), data.draw(multiple)),
+                [x + y for x, y in zip(p_phi, combination)]]
+    assert is_principal(tp, divisors[2]) == satisfies(conditions, divisors[2])
+    if off_s:
+        divisors.append(plus(data.draw(st.sampled_from(off_s)), data.draw(multiple)))
+        assert satisfies(conditions, divisors[3]) and not is_principal(tp, divisors[3])
+    for d in divisors:
+        assert is_principal(tp, d) == lattice_member(prin_lattice(tp), d)[0]
 
 
 @SETTINGS
