@@ -20,21 +20,20 @@ so it never changes.  ``invariant_factors``, ``span_conditions``,
 whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
 dense ``IntMatrix``.  Indices and entries must be ints (``bool`` is
 refused), and each input format has one check, run where it enters
-from outside.  Sparse lines, and the terms of conditions, go through
-``_sparse_dicts``, which names the first line at fault and adds up
-repeated indices; a condition set goes through ``checked_conditions``,
-which tests each pair shape and modulus first and returns the set in
-its checked form.  A dense vector, an ``IntMatrix``'s entries or the v
-of ``mul_vec`` and ``lattice_member`` (and the divisors and PL
-functions of ``divisor_theory``), goes through
-``ImmutableValue._check_vector``, which takes a ``Sequence`` of n ints
-and nothing else.  ``transpose`` tests its terms in the pass that
-moves them.  Matrices and lattices this module builds itself skip the
-checks, and so do ``transpose``'s lines in ``quotient`` and condition
-sets in the checked form: ``span_conditions`` writes that form, the
-products' memos keep it, and ``satisfies`` reads it with one type test
-per sum, so that a query runs no per-term check.  On the query path
-``satisfies`` tests v's container only (see there).
+from outside.  Sparse lines go through ``_sparse_dicts``, which names
+the first line at fault and adds up repeated indices.  ``transpose``
+and ``checked_conditions``, which returns a condition set in its
+checked form, test the terms term by term in one pass.  A dense vector,
+an ``IntMatrix``'s entries or the v of ``mul_vec`` and
+``lattice_member`` (and the divisors and PL functions of
+``divisor_theory``), goes through ``ImmutableValue._check_vector``,
+which takes a ``Sequence`` of n ints and nothing else.  What this
+module built or checked is not checked again: its matrices and
+lattices, sparse lines kept as ``_Lines`` (``transpose``'s, and the
+rows that ``quotient`` and ``invariant_factors`` write), and condition
+sets in the checked form, which ``span_conditions`` writes, the
+products' memos keep and ``satisfies`` reads with one type test per
+sum.  On the query path ``satisfies`` tests v's container only.
 
 A ``Lattice`` is kept as its canonical basis columns, each the
 ``(row, value)`` pairs of its nonzero entries, or, when conditions cut
@@ -457,16 +456,16 @@ def invariant_factors(rows: Sequence) -> list:
     divisibility order: one 1 per unit pivot stripped, then the rest's.
 
     SNF(c m) = c SNF(m), so while what the strip leaves has a content
-    c > 1, it is divided by c and stripped again, each pivot then a
-    factor of the running scale, the product of the contents.  ``snf``
-    runs once, on what is left at the end: on Cn x Cn the strip leaves n
-    times a block that strips to nothing."""
+    c > 1, it is divided by c and stripped again, as ``_Lines`` with no
+    check, each pivot then a factor of the running scale, the product of
+    the contents.  ``snf`` runs once, on what is left at the end: on
+    Cn x Cn the strip leaves n times a block that strips to nothing."""
     units, rest, _ = _strip_units(rows)
     factors, scale = [1] * units, 1
     while rest._e and (c := gcd(*rest._e)) > 1:
         scale *= c
-        units, rest, _ = _strip_units([[(j, x // c) for j, x in enumerate(rest.row(i)) if x]
-                                       for i in range(rest.rows)])
+        units, rest, _ = _strip_units(_Lines._trusted(rest.cols, [
+            [(j, x // c) for j, x in enumerate(rest.row(i)) if x] for i in range(rest.rows)]))
         factors += [scale] * units
     d, _ = snf(rest)
     return factors + [scale * x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
@@ -771,7 +770,8 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     the free columns are coordinates already, and kt solves for the rest;
     a generator with no entry on kt's columns, the touched block, has
     witness 0 there and is not solved.  Lines that ``transpose`` returned
-    are not tested again when their bound is within big's dimension.
+    within big's dimension are read as pairs with no test, and the
+    coefficient rows go to ``cokernel`` as ``_Lines``.
     """
     Lattice._check(big)
     n = big.ambient_dim
@@ -780,16 +780,18 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     local = dict(zip(touched, range(len(touched))))  # column -> kt-local index
     row_of = {p: len(kt.columns) + t for t, p in enumerate(free)}  # -> coefficient row, after kt's
     congruences = {r: (m, j) for j in range(n, len(perm)) for r, m in reads[j]}
+    if not (type(gens) is _Lines and gens.bound <= n):  # else transpose tested them
+        gens = [d.items() for d in _sparse_dicts(gens, "generator", n)]
     coeff_rows = [[] for _ in range(big.rank)]
-    for j, col in enumerate(_sparse_dicts(gens, "generator", n)):
+    for j, col in enumerate(gens):
         totals, v = {}, [0] * len(touched)
-        for i, x in col.items():
+        for i, x in col:  # a repeated index adds up, here and in coeff_rows
             if not x:
                 continue
             for r, c in reads[p := perm[i]]:
                 totals[r] = totals.get(r, 0) + c * x
             if p in local:
-                v[local[p]] = x
+                v[local[p]] += x
             elif p in row_of:
                 coeff_rows[row_of[p]].append((j, x))
         if not congruences:  # every condition an equation
@@ -806,7 +808,7 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
             raise LatticeError(f"quotient: generator {j} is not in the first lattice")
         for t in compress(range(len(w)), w):
             coeff_rows[t].append((j, w[t]))
-    return cokernel(coeff_rows)
+    return cokernel(_Lines._trusted(len(gens), coeff_rows))
 
 
 def span_conditions_in(big: Lattice, rows: Sequence) -> tuple:
@@ -825,24 +827,25 @@ def span_conditions_in(big: Lattice, rows: Sequence) -> tuple:
     values at d in big, each taken mod its modulus, name d's class in
     big / L: they agree at d1 and d2 iff d1 - d2 lies in L.  The terms
     index big's coordinates, in the checked form.  The rows go through
-    ``_sparse_dicts``, and LatticeError is raised unless there is one
-    per coordinate and big is so kept."""
+    ``_sparse_dicts`` once, and LatticeError is raised unless there is
+    one per coordinate and big is so kept."""
     Lattice._check(big)
     _, perm, units, *_ = big._cut or ((),) * 3
     if not len(_sparse_dicts(rows, "row")) == len(perm) == big.ambient_dim:
         raise LatticeError("span_conditions_in needs a lattice cut out by equations only "
                            "and one row per coordinate")
     at = [i for i, p in enumerate(perm) if p not in units]  # S, ascending, so terms stay sorted
+    checked = _Lines._trusted(float("inf"), [rows[i] for i in at])  # not tested again
     return _Conditions._trusted(len(perm), [
         (tuple([(at[j], c) for j, c in terms]), modulus)
-        for terms, modulus in span_conditions([rows[i] for i in at])])
+        for terms, modulus in span_conditions(checked)])
 
 
 class _Checked(tuple):
     """A tuple of lines or conditions that this module checked or
-    wrote, each index in it in [0, ``bound``), immutable all through, so
-    that its readers here take it with no check: ``_Lines`` or
-    ``_Conditions``.  It equals the plain tuple of its items."""
+    wrote, each index in it in [0, ``bound``), so that its readers here
+    take it with no check: ``_Lines`` or ``_Conditions``.  It equals the
+    plain tuple of its items."""
 
     @classmethod
     def _trusted(cls, bound: int, items) -> "_Checked":
@@ -852,8 +855,10 @@ class _Checked(tuple):
 
 
 class _Lines(_Checked):
-    """``transpose``'s sparse lines: tuples of ``(index, int)`` pairs,
-    which ``_sparse_dicts`` does not test again."""
+    """Sparse lines of ``(index, int)`` pairs, which ``_sparse_dicts``
+    does not test again: ``transpose``'s tuples, the rows that
+    ``quotient`` writes and ``invariant_factors`` divides, and the rows
+    that ``span_conditions_in`` checked, at S."""
 
 
 class _Conditions(_Checked):
@@ -893,8 +898,7 @@ def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> li
     int) pairs (no bool), index in [0, bound).  The types are tested once
     over every line's keys and values, so that a False or True key does
     not hide behind an equal 0 or 1 of another line; the fault is looked
-    for only then.  ``transpose``'s lines, within the bound, are not
-    tested again."""
+    for only then.  ``_Lines`` within the bound are not tested again."""
     try:
         pairs = len(lines) and sum(map(len, lines))
         dicts = list(map(dict, lines))
@@ -936,30 +940,46 @@ def _first_fault(lines, what: str, bound: float) -> LatticeError:
 def checked_conditions(width: int, conditions: Sequence) -> tuple:
     """The conditions in the checked form, which ``satisfies``,
     ``condition_kernel`` and ``condition_matrix`` read with no check: a
-    tuple of ``(terms, modulus)`` pairs, each read once, its terms those
-    of the dict ``_sparse_dicts`` reads them into, repeated indices
-    added up, each index in [0, width).  It equals the tuple of the
-    conditions when those are tuples with no repeated index.  Conditions
-    in the checked form within width, as ``span_conditions`` writes them,
-    are returned as they are.  LatticeError unless width is an int >= 0
-    and each condition a ``(terms, modulus)`` pair with an int modulus
-    >= 0 and terms that ``_sparse_dicts`` accepts."""
+    tuple of ``(terms, modulus)`` pairs, each index in [0, width).  After
+    each pair shape and modulus, the terms are tested in one pass, term
+    by term, as ``transpose`` tests its lines: a tuple of ``(int, int)``
+    tuples with distinct indices is kept as it is, and other terms go
+    through ``_sparse_dicts``, which adds up repeated indices in the
+    order they first appear.  Conditions in the checked form within
+    width, as ``span_conditions`` writes them, are returned as they are.
+    LatticeError unless width is an int >= 0 and each condition a
+    ``(terms, modulus)`` pair with an int modulus >= 0 and terms that
+    ``_sparse_dicts`` accepts, which ``_first_fault`` names."""
     if type(width) is not int or width < 0:
         raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
     if type(conditions) is _Conditions and conditions.bound <= width:
         return conditions
     r = condition = None
     try:
-        conditions = list(conditions)
-        for r, condition in enumerate(conditions):
+        for r, condition in enumerate(conditions := list(conditions)):
             _, modulus = condition
             if type(modulus) is not int or modulus < 0:
-                raise LatticeError(f"condition {r}: modulus must be an int >= 0, got {modulus!r}")
-    except (TypeError, ValueError):  # no iterable, or a condition that is no pair
+                raise TypeError
+    except (TypeError, ValueError):  # no iterable, or no pair with a modulus >= 0
         raise LatticeError(f"condition {r} is not a (terms, modulus) pair: {condition!r}") from None
-    terms = _sparse_dicts([terms for terms, _ in conditions], "condition", width)
-    return _Conditions._trusted(width, zip(map(tuple, map(dict.items, terms)),
-                                           [modulus for _, modulus in conditions]))
+    out, other = [], []  # other: where terms go through _sparse_dicts
+    try:
+        for terms, modulus in conditions:
+            seen = {}  # index -> coefficient: shorter than terms after a break or a repeat
+            for term in terms:  # a pair that is no tuple is not unpacked here, as it may be used up
+                i, c = term if type(term) is tuple else (None, None)
+                if type(i) is not int or type(c) is not int or not 0 <= i < width:
+                    break
+                seen[i] = c
+            if type(terms) is not tuple or len(seen) < len(terms):
+                other.append(len(out))
+            out.append((terms, modulus))
+        if other:  # in one call, as _sparse_dicts adds up the terms of all lines or of none
+            for k, d in zip(other, _sparse_dicts([out[k][0] for k in other], "condition", width)):
+                out[k] = (tuple(d.items()), out[k][1])
+    except (TypeError, ValueError):  # LatticeError is a ValueError
+        raise _first_fault([terms for terms, _ in conditions], "condition", width) from None
+    return _Conditions._trusted(width, out)
 
 
 def _entry_fault(v: Sequence, terms) -> LatticeError:

@@ -16,7 +16,8 @@ congruences cut out each local lattice as the dense ones do, the local
 saturation test with one invariant factor test per distinct star, the
 balancing equations grouped through the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
-(Cart is the one of every congruence), ``satisfies`` by dense rows, the
+(Cart is the one of every congruence), ``satisfies`` by dense rows,
+conditions with their terms added up in dicts, the
 basis a kernel's small form gives in its own column order, a lattice
 cut by conditions restricted to its basis, a divisor's JSON by
 ``json.dumps``, the intersection of two lattices from the kernel of
@@ -448,6 +449,21 @@ def dense_satisfies(conditions, v):
         if (dot % m if m else dot) != 0:
             return False
     return True
+
+
+def conditions_by_dicts(conditions) -> tuple:
+    """The conditions with each one's terms added up in a dict, index by
+    index in the order they first appear, zeros kept, and written back
+    as a tuple of ``(index, coefficient)`` tuples: the route that
+    ``checked_conditions`` took through ``_sparse_dicts`` for every
+    term."""
+    out = []
+    for terms, modulus in conditions:
+        summed = {}
+        for i, c in terms:
+            summed[i] = summed.get(i, 0) + c
+        out.append((tuple(summed.items()), modulus))
+    return tuple(out)
 
 
 def ordered_kernel_basis(lat: Lattice) -> IntMatrix:

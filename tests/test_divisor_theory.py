@@ -852,11 +852,14 @@ def test_queries_after_the_first_run_no_condition_check(monkeypatch):
 
 def test_torus_pic_and_cl_check_the_balancing_equations_once(monkeypatch):
     """The balancing equations are checked once, when the memo builds
-    them; QCart's kernel reads them in the checked form.  P's columns
-    reach each quotient as ``transpose`` checked them, within bound."""
+    them; QCart's kernel reads them in the checked form.  No type pass
+    of ``_sparse_dicts`` reads P's columns, which ``quotient`` takes as
+    ``transpose`` checked them, or the coefficient rows that ``quotient``
+    writes and ``invariant_factors`` divides by their content: each
+    reaches it as ``_Lines`` within its bound."""
     for n in (3, 4, 6):
         tp = build_product(cycle_graph(n), cycle_graph(n))
-        checks, generators = [], []
+        checks, reads = [], []
         real_check, real_dicts = exact_lattice.checked_conditions, exact_lattice._sparse_dicts
 
         def check(width, conditions):
@@ -865,8 +868,7 @@ def test_torus_pic_and_cl_check_the_balancing_equations_once(monkeypatch):
             return real_check(width, conditions)
 
         def dicts(lines, what, bound=float("inf")):
-            if what == "generator":
-                generators.append((type(lines), lines.bound <= bound))
+            reads.append((what, type(lines) is exact_lattice._Lines and lines.bound <= bound))
             return real_dicts(lines, what, bound)
 
         with monkeypatch.context() as patch:
@@ -876,7 +878,7 @@ def test_torus_pic_and_cl_check_the_balancing_equations_once(monkeypatch):
             pic(tp)
             cl(tp)
         assert len(checks) == 1 and tuple(checks[0]) == _balancing_conditions(tp)
-        assert generators == [(exact_lattice._Lines, True)]
+        assert reads == [("row", True)] * 2, n  # the coefficient rows, then those divided
 
 
 def test_transposed_lines_past_the_ambient_dimension_are_checked():

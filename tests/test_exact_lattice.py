@@ -1002,6 +1002,9 @@ _NO_TERMS = " is no sequence of (int index, int value) pairs: "
     ([(((0, 1),), 0), 5], "condition 1 is not a (terms, modulus) pair: 5"),  # no pair
     ([(((0, 1),), 0, 1)], "condition 0 is not a (terms, modulus) pair: (((0, 1),), 0, 1)"),
     ([(None, 0)], "condition 0" + _NO_TERMS + "None"),
+    ([(((0, 1),), 0), (((1, 2), (True, 1)), 0)], "condition 1" + _NO_TERMS + "((1, 2), (True, 1))"),
+    ([(((0, False),), 2)], "condition 0" + _NO_TERMS + "((0, False),)"),
+    ([([[1, 1], (1, True)], 0)], "condition 0" + _NO_TERMS + "[[1, 1], (1, True)]"),
 ])
 def test_condition_that_is_not_pairs_of_pairs_is_refused(conditions, bad):
     anchored = "^" + re.escape(bad) + "$"
@@ -1009,6 +1012,18 @@ def test_condition_that_is_not_pairs_of_pairs_is_refused(conditions, bad):
         condition_matrix(2, conditions)
     with pytest.raises(LatticeError, match=anchored):
         condition_kernel(2, conditions)
+
+
+def test_checked_conditions_keep_clean_terms_and_rebuild_the_rest():
+    """Terms that are a tuple of (int, int) tuples with distinct indices
+    come back as the same object.  Other terms are rebuilt as tuples,
+    repeated indices added up in the order they first appear and zeros
+    kept."""
+    clean, empty = ((2, -1), (0, 1)), ()
+    conditions = [(clean, 0), (((0, 1), (1, 0), (0, 2)), 3), ([(1, 0), [2, 5]], 0), (empty, 2)]
+    checked = checked_conditions(3, conditions)
+    assert checked == ((clean, 0), (((0, 3), (1, 0)), 3), (((1, 0), (2, 5)), 0), ((), 2))
+    assert checked[0][0] is clean and checked[3][0] is empty
 
 
 def test_conditions_that_are_not_a_sequence_are_refused():
@@ -1196,6 +1211,20 @@ def test_quotient_z2_mod_2z2():
 def test_quotient_self_is_trivial():
     lat = from_generators(3, [(1, 2, 3), (0, 1, 1)])
     assert quotient(lat, lat.columns) == AbGroup(0, ())
+
+
+def test_quotient_adds_up_a_repeated_index_of_transposed_lines():
+    """``transpose`` files two terms of one line on one index as two
+    pairs of the generator; ``quotient`` adds them up, on a basis and
+    on a small form, as it does the summed generator."""
+    lines = transpose([[(0, 1), (0, 1)], [(0, 2)]], 1)  # generator 0: (2, 2)
+    assert lines == (((0, 1), (0, 1), (1, 2)),)
+    diagonal = condition_kernel(2, [(((0, 1), (1, -1)), 0)])  # x0 = x1
+    for big in (diagonal, Lattice.from_matrix(diagonal.basis)):
+        assert quotient(big, lines) == quotient(big, [[(0, 2), (1, 2)]]) == AbGroup(0, (2,))
+    cancelled = transpose([[(0, 3), (0, -3)], [(0, 2)]], 1)  # generator 0: (0, 2)
+    assert quotient(full_lattice(2), cancelled) == quotient(full_lattice(2), [[(1, 2)]]) \
+        == AbGroup(1, (2,))
 
 
 def test_quotient_rejects_non_sublattice():

@@ -54,7 +54,14 @@ Random condition sets, with repeated indices, zero coefficients,
 empty terms and moduli 0 to 6, are read alike by ``satisfies`` in the
 checked form and as they come, and by dense rows, and each malformed
 set of the raw-path tests is refused with one message, checked alone
-or by ``condition_kernel``.
+or by ``condition_kernel``.  Random condition sets with tuple and list
+terms and pairs are checked as adding up their terms in dicts would,
+clean tuple terms kept as the same objects, and a bool put anywhere in
+their terms is refused with the message that names its condition.
+``quotient`` adds up the repeated indices of transposed lines.  The
+coefficient rows, the rows divided by their content and the rows at S
+that the package hands on unchecked pass the check they skip, on random
+simple and multigraph products.
 The balancing equations, read off each vertex's star, are checked
 against the ones grouped through the factor graphs, tuple for tuple,
 and the weight axiom, which ``build_product`` does not check, on
@@ -64,15 +71,18 @@ read, and ``squares`` and ``principal_rows`` equal an eager build that
 writes every table in one pass over the squares.
 """
 
+import random
 import re
 from collections import Counter
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     balancing_conditions_by_factor_edges,
+    conditions_by_dicts,
     congruence_kernel_cart,
     cut_by_restriction,
     cuts_out_each_local_lattice,
@@ -95,6 +105,7 @@ from oracles import (
     weights_by_triangle_scan,
     zeros,
 )
+from tropic_pic import exact_lattice
 from tropic_pic.divisor_theory import (
     _balancing_conditions,
     _cartier_conditions,
@@ -128,8 +139,9 @@ from tropic_pic.exact_lattice import (
     quotient,
     satisfies,
     snf,
+    transpose,
 )
-from tropic_pic.multigraph import Multigraph, critical_group, genus, path_graph
+from tropic_pic.multigraph import Multigraph, critical_group, cycle_graph, genus, path_graph
 from tropic_pic.product_complex import DiagonalPolicy, ProductEdge, Triangle, build_product
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -388,6 +400,105 @@ def test_a_malformed_set_is_refused_alike_checked_and_by_the_kernel(conditions):
         checked_conditions(2, conditions)
     with pytest.raises(LatticeError, match="^" + re.escape(str(checked.value)) + "$"):
         condition_kernel(2, conditions)
+
+
+@st.composite
+def raw_condition_sets(draw):
+    """(width, conditions): up to six conditions over width 1 to 5, each
+    term a tuple or a list pair and each terms a tuple or a list, with
+    repeated indices, zero coefficients and moduli 0 to 6."""
+    width = draw(st.integers(1, 5))
+    pair = st.tuples(st.integers(0, width - 1), st.integers(-3, 3))
+    terms = st.lists(pair | pair.map(list), max_size=6)
+    return width, draw(st.lists(st.tuples(terms.map(tuple) | terms, st.integers(0, 6)),
+                                max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_condition_sets())
+def test_checked_conditions_equal_the_dict_summed_route(case):
+    """One pass over the terms gives what adding them up in dicts gave.
+    Terms that are a tuple of tuples with distinct indices come back as
+    the same object; other terms are rebuilt as a tuple of tuples."""
+    width, conditions = case
+    checked = checked_conditions(width, conditions)
+    assert checked == conditions_by_dicts(conditions)
+    for (terms, _), (kept, _) in zip(conditions, checked):
+        clean = type(terms) is tuple and {type(t) for t in terms} <= {tuple} \
+            and len({i for i, _ in terms}) == len(terms)
+        assert (kept is terms) == clean
+        assert type(kept) is tuple and {type(t) for t in kept} <= {tuple}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw_condition_sets().filter(lambda case: any(terms for terms, _ in case[1])), st.data())
+def test_a_bool_anywhere_in_the_terms_is_refused(case, data):
+    """A bool as the index or the coefficient of any one term is refused
+    with the message that names its condition, also where an equal int
+    on a repeated index would hide it in a sum."""
+    width, conditions = case
+    r, k = data.draw(st.sampled_from([(r, k) for r, (terms, _) in enumerate(conditions)
+                                      for k in range(len(terms))]))
+    terms, modulus = conditions[r]
+    term = list(terms[k])
+    term[data.draw(st.integers(0, 1))] = data.draw(st.booleans())
+    bad = type(terms)([*terms[:k], type(terms[k])(term), *terms[k + 1:]])
+    conditions = conditions[:r] + [(bad, modulus)] + conditions[r + 1:]
+    message = f"condition {r} is no sequence of (int index, int value) pairs: {bad!r}"
+    with pytest.raises(LatticeError, match="^" + re.escape(message) + "$"):
+        checked_conditions(width, conditions)
+
+
+@SETTINGS
+@given(products(simple_graphs) | products(), st.integers(0, 2**16))
+def test_quotient_on_split_principal_columns_adds_them_up(tp, seed):
+    """P's rows, each entry c split into c - k and k on its column, go
+    through ``transpose`` to P's columns with every index repeated.
+    ``quotient`` reads them as pairs, which add up, and equals
+    ``quotient`` on the summed columns as plain lists, which go through
+    ``_sparse_dicts``, on QCart's small form and on its basis."""
+    rng = random.Random(seed)
+    split = [[(j, x) for j, c in row for k in [rng.randint(-2, 2)] for x in (c - k, k)]
+             for row in tp.principal_rows]
+    lines = transpose(split, tp.n_vertices)
+    summed = [list(line) for line in transpose(tp.principal_rows, tp.n_vertices)]
+    qcart = qcart_lattice(tp)
+    for big in (qcart, Lattice.from_matrix(qcart.basis)):
+        assert quotient(big, lines) == quotient(big, summed) == cl(tp)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(products(simple_graphs) | products())
+@example(build_product(cycle_graph(3), cycle_graph(3)))  # rows with a content to divide out
+def test_the_rows_the_package_writes_pass_the_check_they_skip(tp):
+    """The coefficient rows that ``quotient`` hands to ``cokernel``, the
+    rows that ``invariant_factors`` divides by their content and the
+    rows at S that ``span_conditions_in`` checked reach the strip as
+    ``_Lines``, which ``_sparse_dicts`` reads with no type pass.  Given
+    as plain lists, each set passes that pass, with its bound, and is
+    read the same."""
+    tp = build_product(tp.g, tp.h, tp.policy)  # a fresh memo
+    handed, stripped = [], []
+    real_cokernel, real_strip = exact_lattice.cokernel, exact_lattice._strip_units
+
+    def cokernel(rows):
+        handed.append(rows)
+        return real_cokernel(rows)
+
+    def strip(rows, carry_s=False):
+        if type(rows) is exact_lattice._Lines:
+            stripped.append(rows)
+        return real_strip(rows, carry_s)
+
+    with patch.object(exact_lattice, "cokernel", cokernel), \
+            patch.object(exact_lattice, "_strip_units", strip):
+        pic(tp)
+        cl(tp)
+        _principal_conditions(tp)
+    assert handed and all(any(rows is seen for seen in stripped) for rows in handed)
+    for rows in stripped:
+        assert exact_lattice._sparse_dicts(list(rows), "row", rows.bound) \
+            == exact_lattice._sparse_dicts(rows, "row")
 
 
 @SETTINGS
