@@ -21,9 +21,14 @@ whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
 dense ``IntMatrix``.  Indices and entries must be ints (``bool`` is
 refused), and each input format has one check, run where it enters
 from outside.  Sparse lines go through ``_sparse_dicts``, which names
-the first line at fault and adds up repeated indices.  ``transpose``
-and ``checked_conditions``, which returns a condition set in its
-checked form, test the terms term by term in one pass.  A dense vector,
+the first line at fault and adds up repeated indices; ``transpose``
+tests its lines term by term in the one pass that moves them.  A
+condition set goes through ``checked_conditions`` and nothing else: one
+pass over each condition's terms tests them term by term, adds up
+repeated indices and returns the set in its checked form, and
+``satisfies``, ``condition_kernel`` and ``condition_matrix`` call it on
+any set not in that form.  Lines and terms are read as iterating them
+reads them, so a dict is read at its keys.  A dense vector,
 an ``IntMatrix``'s entries or the v of ``mul_vec`` and
 ``lattice_member`` (and the divisors and PL functions of
 ``divisor_theory``), goes through ``ImmutableValue._check_vector``,
@@ -895,13 +900,15 @@ def transpose(lines: Sequence, n: int) -> tuple:
 def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> list:
     """The lines as dicts index -> value, repeated indices added up, or
     ``_first_fault``'s LatticeError unless they are sequences of (index,
-    int) pairs (no bool), index in [0, bound).  The types are tested once
+    int) pairs (no bool), index in [0, bound).  A line is read as
+    iterating it reads it, as ``transpose`` reads it, so a dict line is
+    read at its keys, which are no pairs.  The types are tested once
     over every line's keys and values, so that a False or True key does
     not hide behind an equal 0 or 1 of another line; the fault is looked
     for only then.  ``_Lines`` within the bound are not tested again."""
     try:
         pairs = len(lines) and sum(map(len, lines))
-        dicts = list(map(dict, lines))
+        dicts = list(map(dict, map(iter, lines)))
         if sum(map(len, dicts)) < pairs:  # repeated indices add up; no bool may hide in a sum
             for d, line in zip(dicts, lines):
                 d.clear()
@@ -922,7 +929,8 @@ def _first_fault(lines, what: str, bound: float) -> LatticeError:
     """The error that names lines, if they are no sequence, or else the
     first line that is no sequence of (int index, int value) pairs or
     holds an index outside [0, bound), each line called what: the fault
-    for which ``transpose`` or ``_sparse_dicts`` refused the lines."""
+    for which ``transpose``, ``_sparse_dicts`` or ``checked_conditions``
+    refused the lines."""
     if not hasattr(lines, "__len__"):
         return LatticeError(f"{what}s must be a sequence, got {type(lines).__name__}")
     for j, line in enumerate(lines):
@@ -940,16 +948,20 @@ def _first_fault(lines, what: str, bound: float) -> LatticeError:
 def checked_conditions(width: int, conditions: Sequence) -> tuple:
     """The conditions in the checked form, which ``satisfies``,
     ``condition_kernel`` and ``condition_matrix`` read with no check: a
-    tuple of ``(terms, modulus)`` pairs, each index in [0, width).  After
-    each pair shape and modulus, the terms are tested in one pass, term
-    by term, as ``transpose`` tests its lines: a tuple of ``(int, int)``
-    tuples with distinct indices is kept as it is, and other terms go
-    through ``_sparse_dicts``, which adds up repeated indices in the
-    order they first appear.  Conditions in the checked form within
+    tuple of ``(terms, modulus)`` pairs, each index in [0, width).  It is
+    the one check of a condition set.  After each pair shape and
+    modulus, one pass over each condition's terms tests them term by
+    term, as ``transpose`` tests its lines, and adds up repeated indices
+    in the order they first appear.  Terms that are a tuple of ``(int,
+    int)`` tuples with distinct indices are kept as they are, and other
+    terms are rebuilt as one.  Terms are read as iterating them reads
+    them, so a dict is read at its keys, and terms with no length, such
+    as an iterator, are refused.  Conditions in the checked form within
     width, as ``span_conditions`` writes them, are returned as they are.
     LatticeError unless width is an int >= 0 and each condition a
-    ``(terms, modulus)`` pair with an int modulus >= 0 and terms that
-    ``_sparse_dicts`` accepts, which ``_first_fault`` names."""
+    ``(terms, modulus)`` pair with an int modulus >= 0 and terms of
+    ``(int index, int value)`` pairs (no bool), each index in [0, width),
+    which ``_first_fault`` names."""
     if type(width) is not int or width < 0:
         raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
     if type(conditions) is _Conditions and conditions.bound <= width:
@@ -962,35 +974,23 @@ def checked_conditions(width: int, conditions: Sequence) -> tuple:
                 raise TypeError
     except (TypeError, ValueError):  # no iterable, or no pair with a modulus >= 0
         raise LatticeError(f"condition {r} is not a (terms, modulus) pair: {condition!r}") from None
-    out, other = [], []  # other: where terms go through _sparse_dicts
+    out = []
     try:
         for terms, modulus in conditions:
-            seen = {}  # index -> coefficient: shorter than terms after a break or a repeat
-            for term in terms:  # a pair that is no tuple is not unpacked here, as it may be used up
-                i, c = term if type(term) is tuple else (None, None)
-                if type(i) is not int or type(c) is not int or not 0 <= i < width:
-                    break
-                seen[i] = c
-            if type(terms) is not tuple or len(seen) < len(terms):
-                other.append(len(out))
-            out.append((terms, modulus))
-        if other:  # in one call, as _sparse_dicts adds up the terms of all lines or of none
-            for k, d in zip(other, _sparse_dicts([out[k][0] for k in other], "condition", width)):
-                out[k] = (tuple(d.items()), out[k][1])
-    except (TypeError, ValueError):  # LatticeError is a ValueError
+            seen, kept = {}, type(terms) is tuple  # kept while every term is a tuple
+            for term in terms:
+                i, c = term
+                if type(i) is not int or type(c) is not int or not 0 <= i < width:  # no bool
+                    raise TypeError
+                seen[i] = seen.get(i, 0) + c
+                if type(term) is not tuple:
+                    kept = False
+            # len(terms) refuses terms with no length, which the loop may have used up
+            kept = len(seen) == len(terms) and kept
+            out.append((terms if kept else tuple(seen.items()), modulus))
+    except (TypeError, ValueError):
         raise _first_fault([terms for terms, _ in conditions], "condition", width) from None
     return _Conditions._trusted(width, out)
-
-
-def _entry_fault(v: Sequence, terms) -> LatticeError:
-    """The error that names v's first entry that is no int (a bool is
-    one), among those at the terms' indices, in ``_check_vector``'s
-    wording; None if there is none, or if the terms cannot be read so."""
-    try:
-        i = next(i for i, _ in terms if i >= 0 and not isinstance(v[i], int))
-    except (LookupError, StopIteration, TypeError, ValueError):
-        return None
-    return LatticeError(f"v entry at index {i} is not an integer: {v[i]!r}")
 
 
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
@@ -998,60 +998,40 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     ``c * v[i]`` over terms is 0, or 0 mod the modulus when it is > 0.
     A v that is no ``Sequence``, tested as ``_check_vector`` tests it,
     raises LatticeError: a dict would be read at its keys, and a set
-    not at all.  The conditions are read in order up to the first that
-    v fails, and v is read lazily, only at the indices the terms name.
-    An index past the end of v raises LatticeError, and so does a sum
-    that is no int, naming v's first entry that is no int among those
-    the condition reads.
+    not at all.
 
-    Conditions in the checked form (see ``checked_conditions``), as
-    ``span_conditions`` and the products' memos hold them, are read
-    with no check: one type test of each sum.  Other conditions are
-    tested as they are read: a term index that is not an int in [0,
-    len(v)), a coefficient that is not an int, or a modulus that is not
-    an int >= 0, raises LatticeError when it is read.  A float
-    coefficient or modulus makes ``sum + modulus`` no int: one type test
-    per condition covers the terms, and a bool modulus is refused apart.
+    Conditions in the checked form within len(v) (see
+    ``checked_conditions``), as ``span_conditions`` and the products'
+    memos hold them, are read with no check; any others go through
+    ``checked_conditions(len(v), conditions)`` first, whose LatticeError
+    refuses the whole set before v is read.  The conditions are then
+    read in order up to the first that v fails, and v only at the
+    indices their terms name, with one type test of each sum: a sum that
+    is no int raises LatticeError, naming v's first entry that is no int
+    among those the condition reads, or the terms if each is an int.
 
-    No entry of v or term is type-tested on its own, so a bool, as an
-    entry of v or as a term's index or coefficient, counts as its int.
-    This is the query path: its callers in ``divisor_theory`` have
-    checked v with ``_check_vector`` already, and a test of every entry
-    would cost a pass over v per query, where the conditions up to the
-    first one v fails may read few entries."""
+    No entry of v is type-tested on its own, so a bool in v counts as
+    its int.  This is the query path: its callers in ``divisor_theory``
+    have checked v with ``_check_vector`` already, and a test of every
+    entry would cost a pass over v per query, where the conditions up to
+    the first one v fails may read few entries."""
     if not (type(v) in (list, tuple) or isinstance(v, Sequence)):
         raise LatticeError(f"v must be a sequence, got {type(v).__name__}")
-    terms = ()
+    if type(conditions) is not _Conditions or conditions.bound > len(v):
+        conditions = checked_conditions(len(v), conditions)
     try:
-        if type(conditions) is _Conditions:
-            for terms, modulus in conditions:
-                s = 0
-                for i, c in terms:
-                    s += c * v[i]
-                if type(s) is not int:
-                    raise TypeError(f"a sum of {s!r}")
-                if s % modulus if modulus else s:
-                    return False
-            return True
         for terms, modulus in conditions:
             s = 0
             for i, c in terms:
-                if i < 0:  # v[i] raises it for an i past the end of v
-                    raise IndexError
                 s += c * v[i]
-            if type(s + modulus) is not int or modulus and (modulus < 0 or type(modulus) is bool):
-                raise _entry_fault(v, terms) or LatticeError(
-                    "conditions need int coefficients and a modulus that is an int >= 0, "
-                    f"got {(terms, modulus)!r}")
+            if type(s) is not int:
+                raise TypeError
             if s % modulus if modulus else s:
                 return False
-    except LatticeError:
-        raise
-    except IndexError:
-        raise LatticeError(f"term index {i!r} is outside [0, {len(v)})") from None
-    except (TypeError, ValueError) as exc:  # no number, or no pair where one is due
-        raise _entry_fault(v, terms) or LatticeError(
-            f"conditions must be pairs of pairs over ints: {exc}") from None
+    except TypeError:  # an entry of v that is no int, or that makes no int
+        i = next((i for i, _ in terms if not isinstance(v[i], int)), None)
+        raise LatticeError(f"the terms {terms!r} sum to no int on v" if i is None else
+                           f"v entry at index {i} is not an integer: {v[i]!r}") from None
     return True
 
 

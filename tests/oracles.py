@@ -18,6 +18,7 @@ balancing equations grouped through the factor graphs, the lattice that
 conditions cut out as a dense kernel with its slack columns cut off
 (Cart is the one of every congruence), ``satisfies`` by dense rows,
 conditions with their terms added up in dicts, the
+message that refuses a malformed condition set, the
 basis a kernel's small form gives in its own column order, a lattice
 cut by conditions restricted to its basis, a divisor's JSON by
 ``json.dumps``, the intersection of two lattices from the kernel of
@@ -454,9 +455,8 @@ def dense_satisfies(conditions, v):
 def conditions_by_dicts(conditions) -> tuple:
     """The conditions with each one's terms added up in a dict, index by
     index in the order they first appear, zeros kept, and written back
-    as a tuple of ``(index, coefficient)`` tuples: the route that
-    ``checked_conditions`` took through ``_sparse_dicts`` for every
-    term."""
+    as a tuple of ``(index, coefficient)`` tuples, which is what
+    ``checked_conditions`` returns."""
     out = []
     for terms, modulus in conditions:
         summed = {}
@@ -464,6 +464,27 @@ def conditions_by_dicts(conditions) -> tuple:
             summed[i] = summed.get(i, 0) + c
         out.append((tuple(summed.items()), modulus))
     return tuple(out)
+
+
+def condition_fault(width: int, conditions: list):
+    """The message with which ``checked_conditions(width, conditions)``
+    refuses a list of tuples, or None if it takes them.  The first tuple
+    that is no pair with an int modulus >= 0 is named first; then the
+    first terms with no length, or whose items, read in order, hold one
+    that is no pair of ints (a bool is none) before one whose index is
+    outside [0, width).  A dict or a str is read as iterating it reads
+    it, at its keys or characters."""
+    for r, condition in enumerate(conditions):
+        if len(condition) != 2 or type(condition[1]) is not int or condition[1] < 0:
+            return f"condition {r} is not a (terms, modulus) pair: {condition!r}"
+    for r, (terms, _) in enumerate(conditions):
+        for term in terms if hasattr(terms, "__len__") else [None]:
+            if type(term) not in (tuple, list) or len(term) != 2 \
+                    or {type(term[0]), type(term[1])} != {int}:
+                return f"condition {r} is no sequence of (int index, int value) pairs: {terms!r}"
+            if not 0 <= term[0] < width:
+                return f"condition {r}: index {term[0]} is outside [0, {width})"
+    return None
 
 
 def ordered_kernel_basis(lat: Lattice) -> IntMatrix:

@@ -661,6 +661,27 @@ def test_sparse_entry_points_name_the_line_and_term_at_fault(call, message):
         call()
 
 
+_EQUAL = condition_kernel(2, [(((0, 1), (1, -1)), 0)])  # x0 = x1, kept in its small form
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda lines: invariant_factors(lines), "row"),
+    (lambda lines: span_conditions(lines), "row"),
+    (lambda lines: cokernel(lines), "row"),
+    (lambda lines: quotient(full_lattice(2), lines), "generator"),
+    (lambda lines: span_conditions_in(_EQUAL, lines), "row"),
+])
+@pytest.mark.parametrize("before", [[], [[(0, 1), (0, 1)]]])  # alone, or beside a repeated index
+def test_a_dict_line_is_refused_alone_and_beside_repeated_indices(call, what, before):
+    """A dict is read at its keys, as ``transpose`` reads it, so {0: 1}
+    is no line of pairs, whether or not another line in the same call
+    repeats an index."""
+    lines = before + [{0: 1}]
+    with pytest.raises(LatticeError, match=f"^{what} {len(before)}" + re.escape(
+            " is no sequence of (int index, int value) pairs: {0: 1}") + "$"):
+        call(lines)
+
+
 def test_invariant_factors_calls_snf_once(c6c6_pic_matrix, monkeypatch):
     calls = []
     real = exact_lattice.snf
@@ -975,7 +996,7 @@ def test_condition_indices_outside_the_width_are_refused(terms):
         condition_matrix(2, conditions)
     with pytest.raises(LatticeError, match=message):
         condition_kernel(2, conditions)
-    with pytest.raises(LatticeError, match=f"^term index {bad} is outside \\[0, 2\\)$"):
+    with pytest.raises(LatticeError, match=message):
         satisfies(conditions, (0, 5))
 
 
@@ -1053,15 +1074,17 @@ def test_satisfies_refuses_bad_indices_and_moduli(conditions, v):
         satisfies(conditions, v)
 
 
-@pytest.mark.parametrize("conditions", [
-    [(((0, 1, 2),), 0)],  # a term of three
-    [(((0, 1),), 0, 1)],  # a condition of three
-    [(((0,),), 0)],  # a term of one
-    [((0, 1), 0)],  # terms not pairs
-    [5],
+@pytest.mark.parametrize("conditions, bad", [
+    ([(((0, 1, 2),), 0)], "condition 0" + _NO_TERMS + "((0, 1, 2),)"),  # a term of three
+    ([(((0, 1),), 0, 1)], "condition 0 is not a (terms, modulus) pair: (((0, 1),), 0, 1)"),
+    ([(((0,),), 0)], "condition 0" + _NO_TERMS + "((0,),)"),  # a term of one
+    ([((0, 1), 0)], "condition 0" + _NO_TERMS + "(0, 1)"),  # terms not pairs
+    ([5], "condition 0 is not a (terms, modulus) pair: 5"),
 ])
-def test_satisfies_refuses_conditions_that_are_not_pairs_of_pairs(conditions):
-    with pytest.raises(LatticeError, match="^conditions must be pairs of pairs over ints: "):
+def test_satisfies_refuses_conditions_that_are_not_pairs_of_pairs(conditions, bad):
+    """Raw conditions go through ``checked_conditions``, whose message
+    ``satisfies`` raises as it is."""
+    with pytest.raises(LatticeError, match="^" + re.escape(bad) + "$"):
         satisfies(conditions, (1,))
 
 
@@ -1108,8 +1131,48 @@ def test_a_bool_in_v_counts_as_its_int():
 
 
 def test_satisfies_passes_its_own_errors_on_as_they_are():
-    with pytest.raises(LatticeError, match=r"^term index 3 is outside \[0, 1\)$"):
+    """The error of ``checked_conditions(len(v), conditions)`` reaches
+    the caller as it is, not wrapped in another message."""
+    with pytest.raises(LatticeError, match=r"^condition 0: index 3 is outside \[0, 1\)$"):
         satisfies([(((3, 1),), 0)], (1,))
+
+
+_ITERATOR = iter(())  # terms with no length and nothing to use up, so no test changes it
+
+
+@pytest.mark.parametrize("conditions, bad", [
+    # malformed after a condition that v fails, which was read first
+    ([(((0, 1),), 0), (((0, 1, 2),), 0)], "condition 1" + _NO_TERMS + "((0, 1, 2),)"),
+    ([(((0, 1),), 0), 5], "condition 1 is not a (terms, modulus) pair: 5"),
+    ([(((0, 1),), 0), (((7, 1),), 0)], "condition 1: index 7 is outside [0, 2)"),
+    # a bool index or coefficient, which would count as its int
+    ([(((True, 1),), 0)], "condition 0" + _NO_TERMS + "((True, 1),)"),
+    ([(((0, True),), 0)], "condition 0" + _NO_TERMS + "((0, True),)"),
+    # dict terms, read at their keys
+    ([({0: 1}, 0)], "condition 0" + _NO_TERMS + "{0: 1}"),
+    ([(((0, 1), (0, 1)), 0), ({0: 1}, 0)], "condition 1" + _NO_TERMS + "{0: 1}"),
+    # terms with no length, which satisfies used to read as they came
+    ([(_ITERATOR, 0)], "condition 0" + _NO_TERMS + repr(_ITERATOR)),
+])
+def test_raw_conditions_are_refused_as_a_whole_before_v_is_read(conditions, bad):
+    """``satisfies`` checks a raw set whole, so a fault after the first
+    condition that v fails raises (it used to return False), and a bool
+    or an iterator in the terms is refused, as ``condition_kernel``
+    refuses them."""
+    for call in (lambda: satisfies(conditions, (1, 0)), lambda: condition_kernel(2, conditions)):
+        with pytest.raises(LatticeError, match="^" + re.escape(bad) + "$"):
+            call()
+
+
+def test_a_sum_that_is_no_int_over_int_entries_is_refused():
+    """An int subclass whose product is no int: no entry is at fault,
+    and the condition's terms are named instead."""
+    class Half(int):
+        def __rmul__(self, other):
+            return 0.5
+
+    with pytest.raises(LatticeError, match=r"^the terms \(\(0, 1\),\) sum to no int on v$"):
+        satisfies([(((0, 1),), 0)], [Half(1)])
 
 
 def test_repeated_condition_indices_add_up():
@@ -1412,15 +1475,19 @@ def test_transpose_refuses_bools_and_values_that_are_not_ints(lines, n, line):
         transpose(lines, n)
 
 
-@pytest.mark.parametrize("conditions, v", [
-    ([(((0, 1.5),), 0)], (2,)),  # a sum of 3.0, which is not 0
-    ([(((0, 1.5),), 2)], (2,)),
-    ([(((0, 1),), 0.0)], (0,)),  # a zero modulus that is not the int 0
-    ([(((0, 1),), 0), (((0, 1),), 0.0)], (0,)),  # read after a condition that holds
-    ([(((0, 1),), True)], (2,)),  # a bool, which adds up as an int
+@pytest.mark.parametrize("conditions, v, bad", [
+    ([(((0, 1.5),), 0)], (2,), "condition 0" + _NO_TERMS + "((0, 1.5),)"),  # a sum of 3.0
+    ([(((0, 1.5),), 2)], (2,), "condition 0" + _NO_TERMS + "((0, 1.5),)"),
+    # a zero modulus that is not the int 0
+    ([(((0, 1),), 0.0)], (0,), "condition 0 is not a (terms, modulus) pair: (((0, 1),), 0.0)"),
+    # read after a condition that holds
+    ([(((0, 1),), 0), (((0, 1),), 0.0)], (0,),
+     "condition 1 is not a (terms, modulus) pair: (((0, 1),), 0.0)"),
+    # a bool, which adds up as an int
+    ([(((0, 1),), True)], (2,), "condition 0 is not a (terms, modulus) pair: (((0, 1),), True)"),
 ])
-def test_satisfies_refuses_a_coefficient_or_modulus_that_is_not_an_int(conditions, v):
-    with pytest.raises(LatticeError, match="^conditions need int coefficients and a modulus"):
+def test_satisfies_refuses_a_coefficient_or_modulus_that_is_not_an_int(conditions, v, bad):
+    with pytest.raises(LatticeError, match="^" + re.escape(bad) + "$"):
         satisfies(conditions, v)
 
 

@@ -53,11 +53,13 @@ reject.
 Random condition sets, with repeated indices, zero coefficients,
 empty terms and moduli 0 to 6, are read alike by ``satisfies`` in the
 checked form and as they come, and by dense rows, and each malformed
-set of the raw-path tests is refused with one message, checked alone
-or by ``condition_kernel``.  Random condition sets with tuple and list
-terms and pairs are checked as adding up their terms in dicts would,
-clean tuple terms kept as the same objects, and a bool put anywhere in
-their terms is refused with the message that names its condition.
+set of the ``satisfies`` tests is refused with one message, checked
+alone or by ``condition_kernel``.  Random condition sets with tuple and
+list terms and pairs are checked as adding up their terms in dicts
+would, clean tuple terms kept as the same objects; with malformed
+conditions put in, they are refused with the message of the first
+fault, and a bool put anywhere in their terms is refused with the
+message that names its condition.
 ``quotient`` adds up the repeated indices of transposed lines.  The
 coefficient rows, the rows divided by their content and the rows at S
 that the package hands on unchecked pass the check they skip, on random
@@ -82,6 +84,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     balancing_conditions_by_factor_edges,
+    condition_fault,
     conditions_by_dicts,
     congruence_kernel_cart,
     cut_by_restriction,
@@ -371,8 +374,8 @@ def condition_sets(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(condition_sets())
 def test_checked_and_raw_conditions_read_alike(case):
-    """``satisfies`` reads the checked form with no check, and the raw
-    conditions as they come; both agree with the dense rows, and the
+    """``satisfies`` reads the checked form with no check, and checks the
+    raw conditions first; both agree with the dense rows, and the
     checked form writes the same matrix and is checked only once."""
     width, conditions, v = case
     checked = checked_conditions(width, conditions)
@@ -383,7 +386,7 @@ def test_checked_and_raw_conditions_read_alike(case):
     assert satisfies(checked, (0,) * width)
 
 
-# The malformed condition sets of the raw-path tests in test_exact_lattice.py.
+# The malformed condition sets of the satisfies tests in test_exact_lattice.py.
 MALFORMED = [
     [((0, 1), 0)], [(((0, 1),), 0), (((0, 1, 2),), 0)], [(((0, 1),), 0), 5],
     [(((0, 1),), 0, 1)], [(None, 0)], [(((0,),), 0)], [5], None,
@@ -414,13 +417,43 @@ def raw_condition_sets(draw):
                                 max_size=6))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(raw_condition_sets())
+@st.composite
+def malformed_condition_sets(draw):
+    """(width, conditions) of ``raw_condition_sets`` with one to three
+    conditions put in that may be malformed: list, dict, generator, str
+    or None terms; bool, float or out-of-range indices, bool or float
+    coefficients, and items of one or three; a bad modulus; or one or
+    three items to a condition."""
+    width, conditions = draw(raw_condition_sets())
+    index = st.sampled_from([*range(-2, width + 2), True, False, 0.0])
+    value = st.sampled_from([*range(-3, 4), True, False, 1.5])
+    pair = st.tuples(index, value)
+    items = st.lists(pair | pair.map(list), max_size=4)
+    odd = st.lists(pair | st.tuples(index) | st.tuples(index, value, value), min_size=1, max_size=3)
+    terms = st.one_of(items.map(tuple), items, odd.map(tuple),
+                      st.dictionaries(index, value, max_size=2),
+                      items.map(lambda ts: (t for t in ts)), st.text("01a", max_size=2), st.none())
+    modulus = st.sampled_from([*range(7)] * 3 + [-1, 2.0, True, False, "2", None])
+    for _ in range(draw(st.integers(1, 3))):  # mostly pairs, so that their terms are read
+        condition = (draw(terms), draw(modulus))
+        condition = draw(st.sampled_from([condition] * 8 + [condition[:1], condition + (0,)]))
+        conditions.insert(draw(st.integers(0, len(conditions))), condition)
+    return width, conditions
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw_condition_sets() | malformed_condition_sets())
 def test_checked_conditions_equal_the_dict_summed_route(case):
-    """One pass over the terms gives what adding them up in dicts gave.
+    """One pass over the terms gives what adding them up in dicts gives,
+    or refuses the set with the message that ``condition_fault`` names.
     Terms that are a tuple of tuples with distinct indices come back as
     the same object; other terms are rebuilt as a tuple of tuples."""
     width, conditions = case
+    fault = condition_fault(width, conditions)
+    if fault is not None:
+        with pytest.raises(LatticeError, match="^" + re.escape(fault) + "$"):
+            checked_conditions(width, conditions)
+        return
     checked = checked_conditions(width, conditions)
     assert checked == conditions_by_dicts(conditions)
     for (terms, _), (kept, _) in zip(conditions, checked):
