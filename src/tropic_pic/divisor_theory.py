@@ -59,6 +59,10 @@ That is the class that a ``class_of`` query will read.  The
 product's memo keeps Prin's congruences, the balancing equations and
 the local congruences in ``exact_lattice``'s checked form, each set
 checked once, when it is built, so a query checks d and no condition.
+Once queries have read a set in full ``exact_lattice._COMPILE_AFTER``
+times (500), ``satisfies`` compiles it into one straight-line function,
+which reads it in about half the time of its loop; the first queries
+on a product read its sets with the loop and compile none.
 ``divisor_to_json`` joins its text from a per-product table of the
 escaped, sorted keys.
 """

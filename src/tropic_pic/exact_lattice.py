@@ -38,7 +38,9 @@ lattices, sparse lines kept as ``_Lines`` (``transpose``'s, and the
 rows that ``quotient`` and ``invariant_factors`` write), and condition
 sets in the checked form, which ``span_conditions`` writes, the
 products' memos keep and ``satisfies`` reads with one type test per
-sum.  On the query path ``satisfies`` tests v's container only.
+sum.  On the query path ``satisfies`` tests v's container only, and a
+set it has read in full often enough is compiled into one generated
+function, whose straight-line sums skip the loop's tuple unpacking.
 
 A ``Lattice`` is kept as its canonical basis columns, each the
 ``(row, value)`` pairs of its nonzero entries, or, when conditions cut
@@ -858,6 +860,9 @@ class _Checked(tuple):
         out.bound = bound
         return out
 
+    def __reduce__(self):  # a pickle or a copy keeps no read count and no compiled test
+        return self._trusted, (self.bound, tuple(self))
+
 
 class _Lines(_Checked):
     """Sparse lines of ``(index, int)`` pairs, which ``_sparse_dicts``
@@ -870,7 +875,11 @@ class _Conditions(_Checked):
     """Conditions in the checked form: ``(terms, modulus)`` pairs, the
     terms a tuple of ``(index, int)`` pairs with distinct indices and
     the modulus an int >= 0.  ``checked_conditions`` makes it and
-    ``span_conditions`` writes it."""
+    ``span_conditions`` writes it.  ``satisfies`` counts its full reads
+    in ``reads`` and, on the ``_COMPILE_AFTER``-th, keeps ``_compiled``'s
+    test of it in ``test``, which later reads call."""
+
+    reads, test = 0, None
 
 
 def transpose(lines: Sequence, n: int) -> tuple:
@@ -1010,6 +1019,13 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
     is no int raises LatticeError, naming v's first entry that is no int
     among those the condition reads, or the terms if each is an int.
 
+    A checked set that this loop has read in full ``_COMPILE_AFTER``
+    times is hot, and from then on ``_compiled``'s straight-line test of
+    it does the reading: the same sums in the same order, so the same
+    answers.  Where that test meets a sum that is no int, the loop reads
+    the set again from the start and names the fault.  A raw set is
+    checked into a new object on each call, so it is never compiled.
+
     No entry of v is type-tested on its own, so a bool in v counts as
     its int.  This is the query path: its callers in ``divisor_theory``
     have checked v with ``_check_vector`` already, and a test of every
@@ -1019,6 +1035,11 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
         raise LatticeError(f"v must be a sequence, got {type(v).__name__}")
     if type(conditions) is not _Conditions or conditions.bound > len(v):
         conditions = checked_conditions(len(v), conditions)
+    if conditions.test is not None:
+        try:
+            return conditions.test(v)
+        except TypeError:  # a sum that is no int: the loop names the fault
+            pass
     try:
         for terms, modulus in conditions:
             s = 0
@@ -1032,7 +1053,39 @@ def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:
         i = next((i for i, _ in terms if not isinstance(v[i], int)), None)
         raise LatticeError(f"the terms {terms!r} sum to no int on v" if i is None else
                            f"v entry at index {i} is not an integer: {v[i]!r}") from None
+    conditions.reads += 1
+    if conditions.reads == _COMPILE_AFTER:
+        conditions.test = _compiled(conditions)
     return True
+
+
+# A checked set is compiled on its _COMPILE_AFTER-th full read.  One compile
+# costs as much as 120-210 full loop reads of the same set (the balancing
+# equations and Prin's congruences of K4 x C4 and Cn x Cn, n = 16, 32, 64;
+# CPython 3.11), so by then the loop has spent more than the compile costs,
+# and a set read a few times, as at the first query on a large product, is
+# never compiled.
+_COMPILE_AFTER = 500
+
+
+def _compiled(conditions: _Conditions):
+    """``satisfies``' loop over these conditions as one straight-line
+    function of v: per condition, its sum written out, a TypeError
+    unless the sum is an int, and False unless it is 0 (mod m).  Only
+    the ints of the checked form go into the source.  None where a
+    coefficient or modulus has too many digits to be written as a
+    literal, or a sum too many terms to compile; that set stays on the
+    loop."""
+    lines, namespace = ["def test(v):"], {}
+    try:
+        for terms, modulus in conditions:
+            lines += [" s = 0" + "".join([f" + ({c}) * v[{i}]" for i, c in terms]),
+                      " if type(s) is not int: raise TypeError",
+                      f" if s % {modulus}: return False" if modulus else " if s: return False"]
+        exec("\n".join(lines + [" return True"]), namespace)
+    except (ValueError, SyntaxError, RecursionError):  # int->str digit limit; a deep sum
+        return None
+    return namespace["test"]
 
 
 def condition_matrix(width: int, conditions: Sequence) -> IntMatrix:

@@ -1,7 +1,9 @@
 """Tests for divisors, balancing conditions, Cartier predicates, Pic and Cl."""
 
+import copy
 import functools
 import gc
+import pickle
 import random
 import re
 import sys
@@ -848,6 +850,35 @@ def test_queries_after_the_first_run_no_condition_check(monkeypatch):
             again = [(is_principal(tp, d), is_cartier(tp, d), is_q_cartier(tp, d))
                      for d in divisors]
         assert again == first
+
+
+def test_products_with_compiled_sets_survive_pickle_and_deepcopy():
+    """Once every condition set in the memo has been read in full
+    ``_COMPILE_AFTER`` times, and so compiled, a pickle or a deep copy
+    of the product holds the same sets with no read count and no
+    compiled test, and answers every query as the original does."""
+    k4, c4 = complete_graph(4), cycle_graph(4)
+    products = [build_product(k4, c4, random_policy(k4, c4, 1)), theta2_theta2(),
+                build_product(theta_graph(3), path_graph(2))]
+    rng = random.Random(39)
+    for tp in products:
+        n = tp.n_edges
+        principal = div(tp, [rng.randint(-3, 3) for _ in range(tp.n_vertices)])
+        divisors = [principal, tuple(rng.randint(-2, 2) for _ in range(n))]
+        divisors += [qcart_lattice(tp).basis.col(j) for j in range(3)]
+        for _ in range(exact_lattice._COMPILE_AFTER):
+            assert is_principal(tp, principal) and is_cartier(tp, principal)
+        sets = {key: value for key, value in tp._memo.items()
+                if type(value) is exact_lattice._Conditions}
+        assert sets and all(value.test is not None for value in sets.values())
+        answers = [(is_principal(tp, d), is_cartier(tp, d), is_q_cartier(tp, d)) for d in divisors]
+        for twin in (pickle.loads(pickle.dumps(tp)), copy.deepcopy(tp)):
+            for key, value in sets.items():
+                again = twin._memo[key]
+                assert type(again) is exact_lattice._Conditions and again == value
+                assert (again.bound, again.reads, again.test) == (value.bound, 0, None)
+            assert [(is_principal(twin, d), is_cartier(twin, d), is_q_cartier(twin, d))
+                    for d in divisors] == answers
 
 
 def test_torus_pic_and_cl_check_the_balancing_equations_once(monkeypatch):

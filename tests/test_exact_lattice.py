@@ -9,6 +9,7 @@ import copy
 import pickle
 import random
 import re
+import sys
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -1135,6 +1136,25 @@ def test_satisfies_passes_its_own_errors_on_as_they_are():
     the caller as it is, not wrapped in another message."""
     with pytest.raises(LatticeError, match=r"^condition 0: index 3 is outside \[0, 1\)$"):
         satisfies([(((3, 1),), 0)], (1,))
+
+
+def test_a_set_that_cannot_be_compiled_stays_on_the_loop(monkeypatch):
+    """A coefficient past CPython's int->str digit limit cannot be
+    written as a literal, and a sum of thousands of terms may nest too
+    deep to compile.  Read in full ``_COMPILE_AFTER`` + 1 times, either
+    set answers as the loop does and raises nothing; the first stays on
+    the loop wherever the limit holds."""
+    monkeypatch.setattr(exact_lattice, "_COMPILE_AFTER", 3)
+    big = 10**5000
+    huge = checked_conditions(2, [(((0, big), (1, 1)), 0)])
+    long = checked_conditions(5000, [(tuple((i, 1) for i in range(5000)), 0)])
+    for conditions, zero, holds, fails in ((huge, (0, 0), (1, -big), (1, 0)),
+                                           (long, (0,) * 5000, (1, -1) * 2500, (1,) * 5000)):
+        for _ in range(exact_lattice._COMPILE_AFTER + 1):
+            assert satisfies(conditions, zero)
+        assert satisfies(conditions, holds) and not satisfies(conditions, fails)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert (huge.test is None) is (0 < limit < 5001)
 
 
 _ITERATOR = iter(())  # terms with no length and nothing to use up, so no test changes it

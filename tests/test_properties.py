@@ -52,7 +52,9 @@ edge outside those coordinates, which the balancing equations must
 reject.
 Random condition sets, with repeated indices, zero coefficients,
 empty terms and moduli 0 to 6, are read alike by ``satisfies`` in the
-checked form and as they come, and by dense rows, and each malformed
+checked form, compiled, and as they come, and by dense rows; on vectors
+that mix ints with bools, floats, None, str and an int subclass, the
+compiled form gives the loop's answer or message; and each malformed
 set of the ``satisfies`` tests is refused with one message, checked
 alone or by ``condition_kernel``.  Random condition sets with tuple and
 list terms and pairs are checked as adding up their terms in dicts
@@ -371,19 +373,49 @@ def condition_sets(draw):
                                                   max_size=width)))
 
 
+class _Odd(int):
+    """An int whose products and sums with an int on the left stay
+    _Odd, so that a sum over it is no int, though each entry is one."""
+
+    def __rmul__(self, other):
+        return _Odd(int(self) * other)
+
+    def __radd__(self, other):
+        return _Odd(int(self) + other)
+
+
+ENTRIES = st.one_of(st.integers(-3, 3), st.booleans(), st.floats(-4, 4), st.none(),
+                    st.text("ab", max_size=2), st.integers(-3, 3).map(_Odd))
+
+
+def _answer(conditions, v):
+    try:
+        return satisfies(conditions, v)
+    except LatticeError as error:
+        return str(error)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(condition_sets())
-def test_checked_and_raw_conditions_read_alike(case):
+@given(condition_sets(), st.data())
+def test_checked_and_raw_conditions_read_alike(case, data):
     """``satisfies`` reads the checked form with no check, and checks the
     raw conditions first; both agree with the dense rows, and the
-    checked form writes the same matrix and is checked only once."""
+    checked form writes the same matrix and is checked only once.  With
+    ``_COMPILE_AFTER`` at 1 the checked form is compiled on its first
+    full read, and then, on int vectors and on vectors that mix ints
+    with bools, floats, None, str and an int subclass whose sums are no
+    int, it gives the loop's answer, or its LatticeError message."""
     width, conditions, v = case
-    checked = checked_conditions(width, conditions)
-    assert checked_conditions(width, checked) is checked
-    assert condition_matrix(width, checked) == condition_matrix(width, conditions)
-    for w in (v, list(v), (0,) * width):
-        assert satisfies(checked, w) == satisfies(conditions, w) == dense_satisfies(conditions, w)
-    assert satisfies(checked, (0,) * width)
+    with patch.object(exact_lattice, "_COMPILE_AFTER", 1):
+        checked = checked_conditions(width, conditions)
+        assert checked_conditions(width, checked) is checked
+        assert condition_matrix(width, checked) == condition_matrix(width, conditions)
+        assert satisfies(checked, (0,) * width) and checked.test is not None
+        for w in (v, list(v), (0,) * width):
+            assert satisfies(checked, w) == satisfies(conditions, w) == dense_satisfies(conditions, w)
+        for _ in range(3):
+            mixed = data.draw(st.lists(ENTRIES, min_size=width, max_size=width))
+            assert _answer(checked, mixed) == _answer(conditions, mixed)
 
 
 # The malformed condition sets of the satisfies tests in test_exact_lattice.py.
