@@ -20,27 +20,28 @@ so it never changes.  ``invariant_factors``, ``span_conditions``,
 whose repeated indices add up; ``hnf``, ``snf`` and ``kernel`` take a
 dense ``IntMatrix``.  Indices and entries must be ints (``bool`` is
 refused), and each input format has one check, run where it enters
-from outside.  Sparse lines go through ``_sparse_dicts``, which names
-the first line at fault and adds up repeated indices; ``transpose``
-tests its lines term by term in the one pass that moves them.  A
-condition set goes through ``checked_conditions`` and nothing else: one
-pass over each condition's terms tests them term by term, adds up
-repeated indices and returns the set in its checked form, and
-``satisfies``, ``condition_kernel`` and ``condition_matrix`` call it on
-any set not in that form.  Lines and terms are read as iterating them
-reads them, so a dict is read at its keys.  A dense vector,
-an ``IntMatrix``'s entries or the v of ``mul_vec`` and
-``lattice_member`` (and the divisors and PL functions of
-``divisor_theory``), goes through ``ImmutableValue._check_vector``,
-which takes a ``Sequence`` of n ints and nothing else.  What this
-module built or checked is not checked again: its matrices and
-lattices, sparse lines kept as ``_Lines`` (``transpose``'s, and the
-rows that ``quotient`` and ``invariant_factors`` write), and condition
-sets in the checked form, which ``span_conditions`` writes, the
-products' memos keep and ``satisfies`` reads with one type test per
-sum.  On the query path ``satisfies`` tests v's container only, and a
-set it has read in full often enough is compiled into one generated
-function, whose straight-line sums skip the loop's tuple unpacking.
+from outside.  Sparse lines go through ``_checked_lines``, one pass
+that tests them term by term, names the first line at fault where it
+meets it and adds up repeated indices; ``transpose`` moves its lines in
+a pass of its own and leaves it to ``_checked_lines`` to name a fault.
+A condition set goes through ``checked_conditions`` and nothing else:
+it tests each pair and modulus, hands the terms to ``_checked_lines``
+and returns the set in its checked form, and ``satisfies``,
+``condition_kernel`` and ``condition_matrix`` call it on any set not in
+that form.  Lines and terms are read as iterating them reads them, so a
+dict is read at its keys.  A dense vector, an ``IntMatrix``'s entries or
+the v of ``mul_vec`` and ``lattice_member`` (and the divisors and PL
+functions of ``divisor_theory``), goes through
+``ImmutableValue._check_vector``, which takes a ``Sequence`` of n ints
+and nothing else.  What this module built or checked is not checked
+again: its matrices and lattices, sparse lines kept as ``_Lines``
+(``transpose``'s, and the rows that ``quotient`` and
+``invariant_factors`` write), and condition sets in the checked form,
+which ``span_conditions`` writes, the products' memos keep and
+``satisfies`` reads with one type test per sum.  On the query path
+``satisfies`` tests v's container only, and a set it has read in full
+often enough is compiled into one generated function, whose
+straight-line sums skip the loop's tuple unpacking.
 
 A ``Lattice`` is kept as its canonical basis columns, each the
 ``(row, value)`` pairs of its nonzero entries, or, when conditions cut
@@ -401,7 +402,10 @@ def _strip_units(sparse_rows: Sequence, carry_s: bool = False) -> tuple:
     1, and its S row is no condition.
     """
     rows, at = [], defaultdict(set)  # at: column -> rows nonzero there
-    for i, d in enumerate(_sparse_dicts(sparse_rows, "row")):
+    for i, line in enumerate(_checked_lines(sparse_rows, "row")):
+        d = {}
+        for j, x in line:  # a line of _Lines may repeat an index
+            d[j] = d.get(j, 0) + x
         rows.append({j: x for j, x in d.items() if x} if 0 in d.values() else d)
         for j in rows[i]:
             at[j].add(i)
@@ -787,8 +791,7 @@ def quotient(big: Lattice, gens: Sequence) -> "AbGroup":
     local = dict(zip(touched, range(len(touched))))  # column -> kt-local index
     row_of = {p: len(kt.columns) + t for t, p in enumerate(free)}  # -> coefficient row, after kt's
     congruences = {r: (m, j) for j in range(n, len(perm)) for r, m in reads[j]}
-    if not (type(gens) is _Lines and gens.bound <= n):  # else transpose tested them
-        gens = [d.items() for d in _sparse_dicts(gens, "generator", n)]
+    gens = _checked_lines(gens, "generator", n)
     coeff_rows = [[] for _ in range(big.rank)]
     for j, col in enumerate(gens):
         totals, v = {}, [0] * len(touched)
@@ -834,18 +837,17 @@ def span_conditions_in(big: Lattice, rows: Sequence) -> tuple:
     values at d in big, each taken mod its modulus, name d's class in
     big / L: they agree at d1 and d2 iff d1 - d2 lies in L.  The terms
     index big's coordinates, in the checked form.  The rows go through
-    ``_sparse_dicts`` once, and LatticeError is raised unless there is
+    ``_checked_lines`` once, and LatticeError is raised unless there is
     one per coordinate and big is so kept."""
     Lattice._check(big)
     _, perm, units, *_ = big._cut or ((),) * 3
-    if not len(_sparse_dicts(rows, "row")) == len(perm) == big.ambient_dim:
+    if not len(rows := _checked_lines(rows, "row")) == len(perm) == big.ambient_dim:
         raise LatticeError("span_conditions_in needs a lattice cut out by equations only "
                            "and one row per coordinate")
     at = [i for i, p in enumerate(perm) if p not in units]  # S, ascending, so terms stay sorted
-    checked = _Lines._trusted(float("inf"), [rows[i] for i in at])  # not tested again
     return _Conditions._trusted(len(perm), [
         (tuple([(at[j], c) for j, c in terms]), modulus)
-        for terms, modulus in span_conditions(checked)])
+        for terms, modulus in span_conditions(_Lines._trusted(rows.bound, [rows[i] for i in at]))])
 
 
 class _Checked(tuple):
@@ -865,10 +867,11 @@ class _Checked(tuple):
 
 
 class _Lines(_Checked):
-    """Sparse lines of ``(index, int)`` pairs, which ``_sparse_dicts``
-    does not test again: ``transpose``'s tuples, the rows that
-    ``quotient`` writes and ``invariant_factors`` divides, and the rows
-    that ``span_conditions_in`` checked, at S."""
+    """Sparse lines of ``(index, int)`` pairs, which ``_checked_lines``
+    returns as they are: its own, ``transpose``'s tuples, and the rows
+    that ``quotient`` writes and ``invariant_factors`` divides.  A line
+    of ``transpose``'s or ``quotient``'s may repeat an index, and the
+    readers add them up."""
 
 
 class _Conditions(_Checked):
@@ -885,73 +888,64 @@ class _Conditions(_Checked):
 def transpose(lines: Sequence, n: int) -> tuple:
     """The n sparse lines across these, as tuples: ``(j, c)`` in i for
     ``(i, c)`` in j.  An n that is not an int >= 0 raises LatticeError,
-    as do lines that are no sequence, and an index i outside [0, n), a
-    term that is not a pair, or an index or value that is not an int (a
-    bool is not), naming its line.  The types are tested term by term in
-    the one pass that moves the terms, and the lines it returns are not
-    tested again where the package reads them: ``quotient`` takes them
-    as generators with only their bound, the number of lines given,
-    held against its ambient dimension."""
+    as do lines, or a line, with no length, and an index i outside
+    [0, n), a term that is not a pair, or an index or value that is not
+    an int (a bool is not), which ``_checked_lines`` names.  The types
+    are tested term by term in the one pass that moves the terms, and
+    the lines it returns are not tested again where the package reads
+    them: ``quotient`` takes them as generators with only their bound,
+    the number of lines given, held against its ambient dimension."""
     if type(n) is not int or n < 0:
         raise LatticeError(f"n must be an int >= 0, got {n!r}")
-    out, j = [[] for _ in range(n)], -1
+    out = [[] for _ in range(n)]
     try:
+        size = len(lines)  # an iterator has none, nor has a line of one
         for j, line in enumerate(lines):
+            len(line)
             for i, c in line:
                 if type(i) is not int or type(c) is not int or i < 0:  # True would be row 1
                     raise TypeError
                 out[i].append((j, c))
+        return _Lines._trusted(size, map(tuple, out))
     except (IndexError, TypeError, ValueError):  # an i past the end of out; a term of three
-        raise _first_fault(lines, "line", n) from None
-    return _Lines._trusted(j + 1, map(tuple, out))
+        _checked_lines(lines, "line", n)  # names the fault
+        raise
 
 
-def _sparse_dicts(lines: Sequence, what: str, bound: float = float("inf")) -> list:
-    """The lines as dicts index -> value, repeated indices added up, or
-    ``_first_fault``'s LatticeError unless they are sequences of (index,
-    int) pairs (no bool), index in [0, bound).  A line is read as
-    iterating it reads it, as ``transpose`` reads it, so a dict line is
-    read at its keys, which are no pairs.  The types are tested once
-    over every line's keys and values, so that a False or True key does
-    not hide behind an equal 0 or 1 of another line; the fault is looked
-    for only then.  ``_Lines`` within the bound are not tested again."""
+def _checked_lines(lines: Sequence, what: str, bound: float = float("inf")) -> tuple:
+    """The lines as ``_Lines`` within bound: the one check of sparse
+    lines.  LatticeError, which calls each line what, unless lines are
+    an iterable with a length, each line has a length and each term is
+    a pair of ints (no bool) with its index in [0, bound); one pass
+    tests the terms one by one and names the first fault where it meets
+    it.  Repeated indices add up in the order they first appear; a line
+    that is a tuple of ``(int, int)`` tuples with distinct indices is
+    kept as it is, and other lines are rebuilt as one.  A line is read
+    as iterating it reads it, so a dict is read at its keys.  ``_Lines``
+    within the bound are returned as they are, and their lines may
+    repeat an index."""
+    if type(lines) is _Lines and lines.bound <= bound:
+        return lines
+    if not (hasattr(lines, "__len__") and hasattr(lines, "__iter__")):
+        raise LatticeError(f"{what}s must be a sequence, got {type(lines).__name__}")
+    out = []
     try:
-        pairs = len(lines) and sum(map(len, lines))
-        dicts = list(map(dict, map(iter, lines)))
-        if sum(map(len, dicts)) < pairs:  # repeated indices add up; no bool may hide in a sum
-            for d, line in zip(dicts, lines):
-                d.clear()
-                for i, x in line:
-                    d[i] = d.get(i, 0) + x if type(i) is type(x) is int else None
+        for j, line in enumerate(lines):
+            seen, kept, size = {}, type(line) is tuple, len(line)  # refuses an iterator
+            for term in line:
+                i, c = term
+                if type(i) is not int or type(c) is not int or not 0 <= i < bound:
+                    raise IndexError if type(i) is type(c) is int else TypeError
+                seen[i] = seen.get(i, 0) + c
+                if type(term) is not tuple:
+                    kept = False
+            out.append(line if kept and len(seen) == size else tuple(seen.items()))
+    except IndexError:  # not ValueError, which a LatticeError is
+        raise LatticeError(f"{what} {j}: index {i!r} is outside [0, {bound})") from None
     except (TypeError, ValueError):
-        raise _first_fault(lines, what, bound) from None
-    if type(lines) is _Lines and lines.bound <= bound:  # transpose tested them
-        return dicts
-    index = list(chain.from_iterable(dicts))
-    if not (set(map(type, index)) | set(map(type, chain.from_iterable(map(dict.values, dicts))))
-            <= {int} and min(index, default=0) >= 0 and max(index, default=-1) < bound):
-        raise _first_fault(lines, what, bound)
-    return dicts
-
-
-def _first_fault(lines, what: str, bound: float) -> LatticeError:
-    """The error that names lines, if they are no sequence, or else the
-    first line that is no sequence of (int index, int value) pairs or
-    holds an index outside [0, bound), each line called what: the fault
-    for which ``transpose``, ``_sparse_dicts`` or ``checked_conditions``
-    refused the lines."""
-    if not hasattr(lines, "__len__"):
-        return LatticeError(f"{what}s must be a sequence, got {type(lines).__name__}")
-    for j, line in enumerate(lines):
-        try:
-            for i, c in line if hasattr(line, "__len__") else None:
-                if type(i) is not int or type(c) is not int:
-                    raise TypeError
-                if not 0 <= i < bound:
-                    return LatticeError(f"{what} {j}: index {i!r} is outside [0, {bound})")
-        except (TypeError, ValueError):
-            return LatticeError(f"{what} {j} is no sequence of (int index, int value) pairs: "
-                                f"{line!r}")
+        raise LatticeError(f"{what} {j} is no sequence of (int index, int value) pairs: "
+                           f"{line!r}") from None
+    return _Lines._trusted(bound, out)
 
 
 def checked_conditions(width: int, conditions: Sequence) -> tuple:
@@ -959,47 +953,31 @@ def checked_conditions(width: int, conditions: Sequence) -> tuple:
     ``condition_kernel`` and ``condition_matrix`` read with no check: a
     tuple of ``(terms, modulus)`` pairs, each index in [0, width).  It is
     the one check of a condition set.  After each pair shape and
-    modulus, one pass over each condition's terms tests them term by
-    term, as ``transpose`` tests its lines, and adds up repeated indices
-    in the order they first appear.  Terms that are a tuple of ``(int,
-    int)`` tuples with distinct indices are kept as they are, and other
-    terms are rebuilt as one.  Terms are read as iterating them reads
-    them, so a dict is read at its keys, and terms with no length, such
-    as an iterator, are refused.  Conditions in the checked form within
-    width, as ``span_conditions`` writes them, are returned as they are.
-    LatticeError unless width is an int >= 0 and each condition a
-    ``(terms, modulus)`` pair with an int modulus >= 0 and terms of
-    ``(int index, int value)`` pairs (no bool), each index in [0, width),
-    which ``_first_fault`` names."""
+    modulus, the terms go through ``_checked_lines`` as lines called
+    condition, which adds up repeated indices and keeps terms that are a
+    tuple of ``(int, int)`` tuples with distinct indices as they are.
+    Conditions in the checked form within width, as ``span_conditions``
+    writes them, are returned as they are.  LatticeError unless width is
+    an int >= 0, the conditions an iterable, and each condition a
+    ``(terms, modulus)`` pair with an int modulus >= 0 and terms with a
+    length of ``(int index, int value)`` pairs (no bool), each index in
+    [0, width)."""
     if type(width) is not int or width < 0:
         raise LatticeError(f"condition width must be an int >= 0, got {width!r}")
     if type(conditions) is _Conditions and conditions.bound <= width:
         return conditions
-    r = condition = None
+    if not hasattr(conditions, "__iter__"):
+        raise LatticeError(f"conditions must be an iterable, got {type(conditions).__name__}")
+    conditions = list(conditions)
     try:
-        for r, condition in enumerate(conditions := list(conditions)):
+        for r, condition in enumerate(conditions):
             _, modulus = condition
             if type(modulus) is not int or modulus < 0:
                 raise TypeError
-    except (TypeError, ValueError):  # no iterable, or no pair with a modulus >= 0
+    except (TypeError, ValueError):  # no pair with a modulus >= 0
         raise LatticeError(f"condition {r} is not a (terms, modulus) pair: {condition!r}") from None
-    out = []
-    try:
-        for terms, modulus in conditions:
-            seen, kept = {}, type(terms) is tuple  # kept while every term is a tuple
-            for term in terms:
-                i, c = term
-                if type(i) is not int or type(c) is not int or not 0 <= i < width:  # no bool
-                    raise TypeError
-                seen[i] = seen.get(i, 0) + c
-                if type(term) is not tuple:
-                    kept = False
-            # len(terms) refuses terms with no length, which the loop may have used up
-            kept = len(seen) == len(terms) and kept
-            out.append((terms if kept else tuple(seen.items()), modulus))
-    except (TypeError, ValueError):
-        raise _first_fault([terms for terms, _ in conditions], "condition", width) from None
-    return _Conditions._trusted(width, out)
+    lines = _checked_lines([terms for terms, _ in conditions], "condition", width)
+    return _Conditions._trusted(width, zip(lines, [modulus for _, modulus in conditions]))
 
 
 def satisfies(conditions: Sequence, v: Sequence[int]) -> bool:

@@ -452,39 +452,52 @@ def dense_satisfies(conditions, v):
     return True
 
 
-def conditions_by_dicts(conditions) -> tuple:
-    """The conditions with each one's terms added up in a dict, index by
-    index in the order they first appear, zeros kept, and written back
-    as a tuple of ``(index, coefficient)`` tuples, which is what
-    ``checked_conditions`` returns."""
+def lines_by_dicts(lines) -> tuple:
+    """Each line's terms added up in a dict, index by index in the order
+    they first appear, zeros kept, and written back as a tuple of
+    ``(index, value)`` tuples: the lines that ``_checked_lines`` returns."""
     out = []
-    for terms, modulus in conditions:
+    for line in lines:
         summed = {}
-        for i, c in terms:
+        for i, c in line:
             summed[i] = summed.get(i, 0) + c
-        out.append((tuple(summed.items()), modulus))
+        out.append(tuple(summed.items()))
     return tuple(out)
+
+
+def conditions_by_dicts(conditions) -> tuple:
+    """The conditions with their terms added up by ``lines_by_dicts``,
+    which is what ``checked_conditions`` returns."""
+    return tuple(zip(lines_by_dicts([terms for terms, _ in conditions]),
+                     [modulus for _, modulus in conditions]))
+
+
+def line_fault(bound: float, lines: list, what: str):
+    """The message with which a sparse-line entry refuses a list of
+    lines, each called what, with indices bounded by bound, or None if
+    it takes them: the first line with no length, or whose items, read
+    in order, hold one that is no pair of ints (a bool is none) before
+    one whose index is outside [0, bound).  A dict or a str is read as
+    iterating it reads it, at its keys or characters."""
+    for r, line in enumerate(lines):
+        for term in line if hasattr(line, "__len__") else [None]:
+            if type(term) not in (tuple, list) or len(term) != 2 \
+                    or {type(term[0]), type(term[1])} != {int}:
+                return f"{what} {r} is no sequence of (int index, int value) pairs: {line!r}"
+            if not 0 <= term[0] < bound:
+                return f"{what} {r}: index {term[0]} is outside [0, {bound})"
+    return None
 
 
 def condition_fault(width: int, conditions: list):
     """The message with which ``checked_conditions(width, conditions)``
     refuses a list of tuples, or None if it takes them.  The first tuple
     that is no pair with an int modulus >= 0 is named first; then the
-    first terms with no length, or whose items, read in order, hold one
-    that is no pair of ints (a bool is none) before one whose index is
-    outside [0, width).  A dict or a str is read as iterating it reads
-    it, at its keys or characters."""
+    terms, as ``line_fault`` names them, each called condition."""
     for r, condition in enumerate(conditions):
         if len(condition) != 2 or type(condition[1]) is not int or condition[1] < 0:
             return f"condition {r} is not a (terms, modulus) pair: {condition!r}"
-    for r, (terms, _) in enumerate(conditions):
-        for term in terms if hasattr(terms, "__len__") else [None]:
-            if type(term) not in (tuple, list) or len(term) != 2 \
-                    or {type(term[0]), type(term[1])} != {int}:
-                return f"condition {r} is no sequence of (int index, int value) pairs: {terms!r}"
-            if not 0 <= term[0] < width:
-                return f"condition {r}: index {term[0]} is outside [0, {width})"
-    return None
+    return line_fault(width, [terms for terms, _ in conditions], "condition")
 
 
 def ordered_kernel_basis(lat: Lattice) -> IntMatrix:

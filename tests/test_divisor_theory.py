@@ -821,8 +821,8 @@ def test_queries_after_the_first_run_no_condition_check(monkeypatch):
     """The memo holds Prin's congruences, the balancing equations and,
     off the lemma, the local congruences in the checked form, so every
     query after the first on a product reads them with no check: with
-    the checker and the sparse-line check made to raise, the answers
-    stay as they were."""
+    the checker and the sparse-line check ``_checked_lines`` made to
+    raise, the answers stay as they were."""
     k4, c4 = complete_graph(4), cycle_graph(4)
     products = [build_product(k4, c4, random_policy(k4, c4, 1)), theta2_theta2(),
                 build_product(theta_graph(3), path_graph(2))]
@@ -846,7 +846,7 @@ def test_queries_after_the_first_run_no_condition_check(monkeypatch):
         with monkeypatch.context() as patch:
             for module in (exact_lattice, divisor_theory):
                 patch.setattr(module, "checked_conditions", refuse)
-            patch.setattr(exact_lattice, "_sparse_dicts", refuse)
+            patch.setattr(exact_lattice, "_checked_lines", refuse)
             again = [(is_principal(tp, d), is_cartier(tp, d), is_q_cartier(tp, d))
                      for d in divisors]
         assert again == first
@@ -883,33 +883,38 @@ def test_products_with_compiled_sets_survive_pickle_and_deepcopy():
 
 def test_torus_pic_and_cl_check_the_balancing_equations_once(monkeypatch):
     """The balancing equations are checked once, when the memo builds
-    them; QCart's kernel reads them in the checked form.  No type pass
-    of ``_sparse_dicts`` reads P's columns, which ``quotient`` takes as
+    them; QCart's kernel reads them in the checked form.  No pass of
+    ``_checked_lines`` reads P's columns, which ``quotient`` takes as
     ``transpose`` checked them, or the coefficient rows that ``quotient``
     writes and ``invariant_factors`` divides by their content: each
-    reaches it as ``_Lines`` within its bound."""
+    reaches it as ``_Lines`` within its bound and comes back as the same
+    object."""
     for n in (3, 4, 6):
         tp = build_product(cycle_graph(n), cycle_graph(n))
         checks, reads = [], []
-        real_check, real_dicts = exact_lattice.checked_conditions, exact_lattice._sparse_dicts
+        real_check, real_lines = exact_lattice.checked_conditions, exact_lattice._checked_lines
 
         def check(width, conditions):
             if type(conditions) is not exact_lattice._Conditions:
                 checks.append(conditions)
             return real_check(width, conditions)
 
-        def dicts(lines, what, bound=float("inf")):
-            reads.append((what, type(lines) is exact_lattice._Lines and lines.bound <= bound))
-            return real_dicts(lines, what, bound)
+        def lines_check(lines, what, bound=float("inf")):
+            out = real_lines(lines, what, bound)
+            reads.append((what, type(lines) is exact_lattice._Lines and out is lines))
+            return out
 
         with monkeypatch.context() as patch:
             for module in (exact_lattice, divisor_theory):
                 patch.setattr(module, "checked_conditions", check)
-            patch.setattr(exact_lattice, "_sparse_dicts", dicts)
+            patch.setattr(exact_lattice, "_checked_lines", lines_check)
             pic(tp)
             cl(tp)
         assert len(checks) == 1 and tuple(checks[0]) == _balancing_conditions(tp)
-        assert reads == [("row", True)] * 2, n  # the coefficient rows, then those divided
+        # The balancing equations' terms, checked once through
+        # checked_conditions; then P's columns, the coefficient rows and
+        # those divided, each returned as it came.
+        assert reads == [("condition", False), ("generator", True)] + [("row", True)] * 2, n
 
 
 def test_transposed_lines_past_the_ambient_dimension_are_checked():

@@ -656,6 +656,14 @@ def test_sparse_entry_points_refuse_what_is_not_sparse_int_rows(call):
      "generator 0 is no sequence of (int index, int value) pairs: ((0, 1.5),)"),
     (lambda: transpose(None, 2), "lines must be a sequence, got NoneType"),
     (lambda: transpose(5, 2), "lines must be a sequence, got int"),
+    (lambda: transpose(iter([[(0, 1)]]), 1), "lines must be a sequence, got list_iterator"),
+    (lambda: transpose([iter([(0, 1)])], 1),
+     "line 0 is no sequence of (int index, int value) pairs: <list_iterator"),
+    # A length but no iteration: no sequence either.
+    (lambda: invariant_factors(type("Sized", (), {"__len__": lambda self: 1})()),
+     "rows must be a sequence, got Sized"),
+    (lambda: transpose(type("Sized", (), {"__len__": lambda self: 1})(), 1),
+     "lines must be a sequence, got Sized"),
 ])
 def test_sparse_entry_points_name_the_line_and_term_at_fault(call, message):
     with pytest.raises(LatticeError, match="^" + re.escape(message)):
@@ -1049,8 +1057,10 @@ def test_checked_conditions_keep_clean_terms_and_rebuild_the_rest():
 
 
 def test_conditions_that_are_not_a_sequence_are_refused():
-    with pytest.raises(LatticeError, match="^condition None is not"):
-        condition_matrix(2, None)
+    for call in (lambda: condition_matrix(2, None), lambda: checked_conditions(2, None),
+                 lambda: satisfies(None, [1])):
+        with pytest.raises(LatticeError, match="^conditions must be an iterable, got NoneType$"):
+            call()
 
 
 def test_conditions_from_an_iterator_are_read_once():

@@ -88,6 +88,9 @@ from oracles import (
     balancing_conditions_by_factor_edges,
     condition_fault,
     conditions_by_dicts,
+    full_lattice,
+    line_fault,
+    lines_by_dicts,
     congruence_kernel_cart,
     cut_by_restriction,
     cuts_out_each_local_lattice,
@@ -144,6 +147,7 @@ from tropic_pic.exact_lattice import (
     quotient,
     satisfies,
     snf,
+    span_conditions,
     transpose,
 )
 from tropic_pic.multigraph import Multigraph, critical_group, cycle_graph, genus, path_graph
@@ -473,14 +477,39 @@ def malformed_condition_sets(draw):
     return width, conditions
 
 
+# The other entries that read sparse lines: what each calls a line, whether
+# the width bounds their indices, and its answer on the lines, a transpose's
+# lines added up as the strip and quotient read them.
+LINE_ENTRIES = {
+    "invariant_factors": ("row", False, lambda width, lines: invariant_factors(lines)),
+    "span_conditions": ("row", False, lambda width, lines: span_conditions(lines)),
+    "quotient": ("generator", True, lambda width, lines: quotient(full_lattice(width), lines)),
+    "transpose": ("line", True, lambda width, lines: lines_by_dicts(transpose(lines, width))),
+}
+
+
+@pytest.mark.parametrize("entry", ["checked_conditions", *LINE_ENTRIES])
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(raw_condition_sets() | malformed_condition_sets())
-def test_checked_conditions_equal_the_dict_summed_route(case):
+def test_checked_conditions_equal_the_dict_summed_route(entry, case):
     """One pass over the terms gives what adding them up in dicts gives,
     or refuses the set with the message that ``condition_fault`` names.
     Terms that are a tuple of tuples with distinct indices come back as
-    the same object; other terms are rebuilt as a tuple of tuples."""
+    the same object; other terms are rebuilt as a tuple of tuples.  Each
+    entry of ``LINE_ENTRIES`` takes the terms as its lines: it refuses
+    them with the message that ``line_fault`` names, or else gives what
+    it gives on the dict-summed lines."""
     width, conditions = case
+    if entry in LINE_ENTRIES:
+        what, bounded, read = LINE_ENTRIES[entry]
+        lines = [condition[0] for condition in conditions]
+        fault = line_fault(width if bounded else float("inf"), lines, what)
+        if fault is not None:
+            with pytest.raises(LatticeError, match="^" + re.escape(fault) + "$"):
+                read(width, lines)
+        else:
+            assert read(width, lines) == read(width, lines_by_dicts(lines))
+        return
     fault = condition_fault(width, conditions)
     if fault is not None:
         with pytest.raises(LatticeError, match="^" + re.escape(fault) + "$"):
@@ -521,7 +550,7 @@ def test_quotient_on_split_principal_columns_adds_them_up(tp, seed):
     through ``transpose`` to P's columns with every index repeated.
     ``quotient`` reads them as pairs, which add up, and equals
     ``quotient`` on the summed columns as plain lists, which go through
-    ``_sparse_dicts``, on QCart's small form and on its basis."""
+    ``_checked_lines``, on QCart's small form and on its basis."""
     rng = random.Random(seed)
     split = [[(j, x) for j, c in row for k in [rng.randint(-2, 2)] for x in (c - k, k)]
              for row in tp.principal_rows]
@@ -539,9 +568,10 @@ def test_the_rows_the_package_writes_pass_the_check_they_skip(tp):
     """The coefficient rows that ``quotient`` hands to ``cokernel``, the
     rows that ``invariant_factors`` divides by their content and the
     rows at S that ``span_conditions_in`` checked reach the strip as
-    ``_Lines``, which ``_sparse_dicts`` reads with no type pass.  Given
-    as plain lists, each set passes that pass, with its bound, and is
-    read the same."""
+    ``_Lines``, which ``_checked_lines`` returns as they are.  Given as
+    plain lists, each set passes that check, with its bound, and comes
+    back as its lines added up index by index, which is how the strip
+    reads the ``_Lines``."""
     tp = build_product(tp.g, tp.h, tp.policy)  # a fresh memo
     handed, stripped = [], []
     real_cokernel, real_strip = exact_lattice.cokernel, exact_lattice._strip_units
@@ -562,8 +592,8 @@ def test_the_rows_the_package_writes_pass_the_check_they_skip(tp):
         _principal_conditions(tp)
     assert handed and all(any(rows is seen for seen in stripped) for rows in handed)
     for rows in stripped:
-        assert exact_lattice._sparse_dicts(list(rows), "row", rows.bound) \
-            == exact_lattice._sparse_dicts(rows, "row")
+        assert exact_lattice._checked_lines(rows, "row") is rows
+        assert exact_lattice._checked_lines(list(rows), "row", rows.bound) == lines_by_dicts(rows)
 
 
 @SETTINGS
